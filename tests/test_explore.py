@@ -1,4 +1,5 @@
 from bbca_chain import explore as ex
+from bbca_chain.chain import NO_OP
 
 
 def test_depth_zero_single_deterministic_leaf():
@@ -74,3 +75,15 @@ def test_witness_is_reported_on_violation():
     world.sent_message = b"something else entirely"
     problems = world.check_leaf(False)
     assert any("integrity" in p for p in problems)
+
+
+def test_chain_leaf_reports_agreement_and_prefix_violations():
+    world = ex.chain_two_views()
+    while world.pool:
+        world.execute(0)
+    assert world.check_leaf() == []
+    world.nodes[0].finalized[1] = NO_OP
+    world.nodes[1].committed_log.reverse()
+    problems = world.check_leaf()
+    assert any(p.startswith("agreement") for p in problems)
+    assert any(p.startswith("prefix") for p in problems)

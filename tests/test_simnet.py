@@ -192,3 +192,18 @@ def test_trace_lines_and_summary_present():
     lines = result.trace.export_lines()
     prefixes = {line.split(" ", 1)[0] for line in lines}
     assert {"send", "deliver", "view", "commit", "summary", "stop"} <= prefixes
+
+
+def test_echo_once_flags_a_node_that_sends_twice():
+    # Sending node 0's traffic a second time makes it look like node 0
+    # echoed and readied twice in every instance it took part in.
+    result = run(Scenario(n=4, seed=1, delta_post=10, horizon=2))
+    assert check_echo_once(result) == []
+    for record in list(result.trace.records):
+        if record[0] == "send" and record[2] == 0:
+            result.trace.record(*record)
+    problems = check_echo_once(result)
+    assert problems
+    assert all(p.startswith("echo-once: node 0 ") for p in problems)
+    assert any("ECHO" in p for p in problems)
+    assert any("READY" in p for p in problems)
