@@ -19,7 +19,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .blocks import BlockRef, Cert, CertKind, verify_cert
+from .blocks import BlockRef, Cert, CertKind
 from .encoding import digest32, echo_statement, ready_statement
 from .identity import NodeId, Signature, SystemParams, sign, verify
 
@@ -215,11 +215,3 @@ class BbcaInstance:
 
 def _sorted_sigs(sigs: dict[NodeId, Signature]) -> tuple[Signature, ...]:
     return tuple(sigs[s] for s in sorted(sigs))
-
-
-def verify_adopt_cert(cert: Cert, params: SystemParams) -> bool:
-    return verify_cert(cert, params, CertKind.ADOPT)
-
-
-def verify_complete_cert(cert: Cert, params: SystemParams) -> bool:
-    return verify_cert(cert, params, CertKind.COMPLETE)

@@ -18,6 +18,7 @@ from .bbca import BbcaInstance, BbcaMsg, InstanceId, MsgKind
 from .chain import Broadcast, ChainNode, SafetyViolation
 from .encoding import digest32
 from .identity import NodeId, SystemParams
+from .invariants import agreement, prefix_consistency
 
 
 @dataclass(frozen=True)
@@ -216,23 +217,10 @@ class ChainWorld:
         self._drain(act.to)
 
     def check_leaf(self) -> list[str]:
-        problems = []
-        if self.broken:
-            problems.append(f"safety: {self.broken}")
-        logs = [node.committed_log for node in self.nodes.values()]
-        for i, left in enumerate(logs):
-            for right in logs[i + 1:]:
-                shorter = min(len(left), len(right))
-                if left[:shorter] != right[:shorter]:
-                    problems.append("prefix: committed logs diverge")
-        finals: dict[int, set] = {}
-        for node in self.nodes.values():
-            for view, entry in node.finalized.items():
-                value = entry if isinstance(entry, str) else entry.digest
-                finals.setdefault(view, set()).add(value)
-        if any(len(values) > 1 for values in finals.values()):
-            problems.append("agreement: conflicting finalized views")
-        return problems
+        problems = [f"safety: {self.broken}"] if self.broken else []
+        correct = sorted(self.nodes)
+        return (problems + prefix_consistency(self.nodes, correct)
+                + agreement(self.nodes, correct))
 
 
 # -- driver ---------------------------------------------------------------------
@@ -287,12 +275,10 @@ def bbca_equivocating_sender(n: int = 4) -> BbcaWorld:
     world = BbcaWorld(params, instance, correct=correct)
     half = len(correct) // 2
     lower, upper = correct[:half], correct[half:]
-    helper = BbcaInstance(params, instance, 0)
     # The equivocator happily signs echoes for both variants.
     for message, targets in ((b"proposal-a", lower), (b"proposal-b", upper)):
-        world.push_broadcast(0, BbcaMsg(MsgKind.INIT, instance, message),
-                             targets)
-        world.push_broadcast(0, helper._echo_msg(message), targets)
+        for msg in BbcaInstance(params, instance, 0).broadcast(message):
+            world.push_broadcast(0, msg, targets)
     return world
 
 
@@ -326,3 +312,9 @@ def chain_two_views(n: int = 4, timeout_node: NodeId = 3) -> ChainWorld:
     """Two-view chain where one node may time out at any explored point."""
     return ChainWorld(SystemParams(n), horizon=2,
                       timer_tokens={timeout_node: 1})
+
+
+CASES = {builder.__name__: builder
+         for builder in (bbca_correct_sender, bbca_equivocating_sender,
+                         bbca_crashed, bbca_replay_with_probes,
+                         chain_two_views)}

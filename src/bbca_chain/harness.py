@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 from . import explore as explore_mod
 from .chain import NO_OP
-from .scenario import ExploreSpec, HarnessConfig
+from .scenario import HarnessConfig
 from .simnet import RunResult, Simulator, trips_to_commit
 
 # Static reference latencies, in trips, for a layered DAG protocol built on
@@ -73,16 +73,10 @@ def run_config(config: HarnessConfig) -> RunOutcome:
 def _campaign_worker(args) -> tuple[int, list[tuple[str, str]], str]:
     config, seed = args
     scenario = replace(config.scenario, seed=seed)
-    outcome = run_config(replace_config(config, scenario))
+    outcome = run_config(replace(config, scenario=scenario))
     failures = [(name, problems[0])
                 for name, problems in outcome.verdicts.items() if problems]
     return seed, failures, outcome.result.trace.digest()
-
-
-def replace_config(config: HarnessConfig, scenario) -> HarnessConfig:
-    clone = HarnessConfig(**{**config.__dict__})
-    clone.scenario = scenario
-    return clone
 
 
 def run_campaign(config: HarnessConfig, count: int,
@@ -104,24 +98,14 @@ def run_campaign(config: HarnessConfig, count: int,
     return outcome
 
 
-def build_explore_world(spec: ExploreSpec):
-    if spec.case == "bbca_correct_sender":
-        return explore_mod.bbca_correct_sender()
-    if spec.case == "bbca_equivocating_sender":
-        return explore_mod.bbca_equivocating_sender()
-    if spec.case == "bbca_crashed":
-        return explore_mod.bbca_crashed()
-    if spec.case == "bbca_replay_with_probes":
-        return explore_mod.bbca_replay_with_probes()
-    return explore_mod.chain_two_views(timeout_node=spec.timeout_node)
-
-
 def run_explore(config: HarnessConfig, depth: int,
                 max_leaves: int | None = None) -> explore_mod.ExploreResult:
     spec = config.explore
     if spec is None:
         raise ValueError("config has no explore section")
-    world = build_explore_world(spec)
+    kwargs = ({"timeout_node": spec.timeout_node}
+              if spec.case == "chain_two_views" else {})
+    world = explore_mod.CASES[spec.case](**kwargs)
     return explore_mod.explore(
         world, depth, max_leaves or spec.max_leaves,
         check_validity=spec.check_validity)

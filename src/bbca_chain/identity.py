@@ -37,9 +37,6 @@ class SystemParams:
         # (two quorums intersect in >= f + 1 nodes) when 3 does not divide n - 1.
         return self.n - self.f
 
-    def all_nodes(self) -> range:
-        return range(self.n)
-
 
 def statement_digest(statement: bytes) -> bytes:
     """64-bit digest that stands in for the signed content of a statement."""

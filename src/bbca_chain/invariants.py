@@ -1,28 +1,33 @@
-"""Property suites evaluated over finished runs.
+"""Property suites evaluated over finished runs and explored chain leaves.
 
 Each check inspects a run result (trace plus final node states) and returns
 a list of human-readable violations; empty means the property held.  The
 safety checks are unconditional; the scenario-scoped ones (expected no-op
 views, trip counts, liveness deadlines, censorship cutoffs) read their
-parameters from the harness config's ``expect`` block.
+parameters from the harness config's ``expect`` block.  Agreement and
+prefix consistency read only node states, so the explorer checks its chain
+leaves with the same functions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from .bbca import BbcaMsg, MsgKind
 from .blocks import GENESIS_NEW_VIEW, GENESIS_REF
-from .chain import CERT_DRIVEN_CAUSES, NO_OP, get_proposer
+from .chain import CERT_DRIVEN_CAUSES, NO_OP, ChainNode, get_proposer
+from .identity import NodeId
 from .simnet import DelayModel, RunResult, trips_to_commit
 
 
-def check_agreement(result: RunResult, cfg=None) -> list[str]:
+def agreement(nodes: dict[NodeId, ChainNode],
+              correct: list[NodeId]) -> list[str]:
     """No two correct nodes finalize a view differently (block vs block or
     block vs skip)."""
     problems = []
     merged: dict[int, dict] = {}
-    for node_id in result.scenario.correct_nodes():
-        for view, entry in result.nodes[node_id].finalized.items():
+    for node_id in correct:
+        for view, entry in nodes[node_id].finalized.items():
             value = entry if isinstance(entry, str) else entry.digest
             merged.setdefault(view, {})[node_id] = value
     for view, per_node in sorted(merged.items()):
@@ -31,11 +36,11 @@ def check_agreement(result: RunResult, cfg=None) -> list[str]:
     return problems
 
 
-def check_prefix_consistency(result: RunResult, cfg=None) -> list[str]:
+def prefix_consistency(nodes: dict[NodeId, ChainNode],
+                       correct: list[NodeId]) -> list[str]:
     """Committed logs of correct nodes are pairwise prefix-related."""
     problems = []
-    correct = result.scenario.correct_nodes()
-    logs = {i: result.nodes[i].committed_log for i in correct}
+    logs = {i: nodes[i].committed_log for i in correct}
     for pos, left in enumerate(correct):
         for right in correct[pos + 1:]:
             shorter = min(len(logs[left]), len(logs[right]))
@@ -43,6 +48,14 @@ def check_prefix_consistency(result: RunResult, cfg=None) -> list[str]:
                 problems.append(
                     f"prefix: logs of {left} and {right} diverge")
     return problems
+
+
+def check_agreement(result: RunResult, cfg=None) -> list[str]:
+    return agreement(result.nodes, result.scenario.correct_nodes())
+
+
+def check_prefix_consistency(result: RunResult, cfg=None) -> list[str]:
+    return prefix_consistency(result.nodes, result.scenario.correct_nodes())
 
 
 def check_commit_ancestry(result: RunResult, cfg=None) -> list[str]:
@@ -177,16 +190,15 @@ def check_echo_once(result: RunResult, cfg=None) -> list[str]:
     for record in result.trace.records:
         if record[0] != "send" or record[2] not in correct:
             continue
-        desc = record[3]
-        kind = desc.split(" ", 1)[0]
-        if kind in ("ECHO", "READY"):
-            instance = " ".join(desc.split(" ")[0:3])
-            key = (record[2], instance)
+        msg = record[3]
+        if isinstance(msg, BbcaMsg) and msg.kind != MsgKind.INIT:
+            key = (record[2], msg.kind, msg.instance)
             counts[key] = counts.get(key, 0) + 1
-    for (node_id, instance), count in sorted(counts.items()):
+    for (node_id, kind, instance), count in sorted(counts.items()):
         if count > 1:
             problems.append(
-                f"echo-once: node {node_id} sent {count} x {instance}")
+                f"echo-once: node {node_id} sent {count} x {kind.name} "
+                f"s{instance.sender} v{instance.view}")
     return problems
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from .explore import CASES as EXPLORE_CASES
 from .identity import ConfigError
 from .invariants import ALL_CHECKS, UNCONDITIONAL
 from .simnet import PreGstPolicy, Scenario, Strategy
@@ -21,9 +22,6 @@ class ExploreSpec:
     check_validity: bool = False
     timeout_node: int = 3
 
-    CASES = ("bbca_correct_sender", "bbca_equivocating_sender",
-             "bbca_crashed", "bbca_replay_with_probes", "chain_two_views")
-
 
 @dataclass
 class HarnessConfig:
@@ -32,10 +30,7 @@ class HarnessConfig:
     invariants: list[str]
     expect_noop_views: list[int] = field(default_factory=list)
     expect_trips: dict | None = None
-    expect_liveness: bool = False
-    expect_growth: bool = False
     censorship_cutoff: int | None = None
-    expect_log_identical: bool = False
     explore: ExploreSpec | None = None
 
     def selected_checks(self):
@@ -195,7 +190,7 @@ def parse_config(raw: dict, path: str = "config") -> HarnessConfig:
         check_validity = sub.take("check_validity", bool, default=False)
         timeout_node = sub.take("timeout_node", int, default=3)
         sub.finish()
-        if case not in ExploreSpec.CASES:
+        if case not in EXPLORE_CASES:
             raise ConfigError(f"{path}.explore.case: unknown case {case!r}")
         if n != 4:
             raise ConfigError(f"{path}.n: exploration requires n=4")
@@ -204,9 +199,7 @@ def parse_config(raw: dict, path: str = "config") -> HarnessConfig:
     return HarnessConfig(
         name=name, scenario=scenario, invariants=invariants,
         expect_noop_views=list(noop_views), expect_trips=trips,
-        expect_liveness=liveness, expect_growth=growth,
-        censorship_cutoff=cutoff, expect_log_identical=log_identical,
-        explore=explore)
+        censorship_cutoff=cutoff, explore=explore)
 
 
 def load_config(path: str) -> HarnessConfig:

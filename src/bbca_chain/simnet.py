@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .bbca import BbcaMsg, MsgKind
+from .bbca import BbcaInstance, BbcaMsg, MsgKind
 from .blocks import Block, BlockKind, BlockRef, decode_block
 from .chain import (
     BlockMsg,
@@ -209,22 +209,19 @@ class Adversary:
         return [(msg, everyone, 0)]
 
     def _equivocate_broadcast(self, msg: BbcaMsg):
-        from .bbca import BbcaInstance  # local import to avoid cycle at top
-
         lower, upper = self._halves()
+        if msg.kind == MsgKind.READY:
+            return [(msg, lower + upper, 0)]
         try:
             block = decode_block(msg.message)
         except EncodingError:
             return [(msg, lower + upper, 0)]
         twin = _alter_payload(block, b"/equivocated")
-        if msg.kind == MsgKind.INIT:
-            alt = BbcaMsg(MsgKind.INIT, msg.instance, twin.encoded)
-            return [(msg, lower, 0), (alt, upper, 0)]
-        if msg.kind == MsgKind.ECHO:
-            helper = BbcaInstance(SystemParams(self.n), msg.instance, self.node)
-            alt = helper._echo_msg(twin.encoded)
-            return [(msg, lower, 0), (alt, upper, 0)]
-        return [(msg, lower + upper, 0)]
+        # A fresh sender instance signs the twin: [INIT, sender ECHO].
+        init, echo = BbcaInstance(SystemParams(self.n), msg.instance,
+                                  self.node).broadcast(twin.encoded)
+        alt = init if msg.kind == MsgKind.INIT else echo
+        return [(msg, lower, 0), (alt, upper, 0)]
 
     def observed(self, msg: WireMsg) -> list[tuple[WireMsg, list[NodeId], int]]:
         """Replay hook: re-send each observed message once, verbatim."""
@@ -238,6 +235,7 @@ class Adversary:
 
 @dataclass
 class Trace:
+    # send/deliver records end with the message object; export_lines formats it
     records: list[tuple] = field(default_factory=list)
     view_entries: dict[NodeId, dict[int, tuple[int, str]]] = field(
         default_factory=dict)
@@ -259,7 +257,16 @@ class Trace:
         self.records.append(fields)
 
     def export_lines(self) -> list[str]:
-        lines = [" ".join(str(f) for f in record) for record in self.records]
+        described: dict[int, str] = {}  # id(msg) -> text, for this call only
+        lines = []
+        for record in self.records:
+            if record[0] in ("send", "deliver"):
+                msg = record[-1]
+                text = described.get(id(msg))
+                if text is None:
+                    text = described[id(msg)] = _describe(msg)
+                record = record[:-1] + (text,)
+            lines.append(" ".join(str(f) for f in record))
         lines.append(f"stop {self.stop_reason}")
         return lines
 
@@ -329,7 +336,7 @@ class Simulator:
                   lag: int) -> None:
         entry = self.now + lag
         self._note_block_send(msg, entry)
-        self.trace.record("send", entry, frm, _describe(msg))
+        self.trace.record("send", entry, frm, msg)
         for target in sorted(targets):
             tick = self.delay_model.delivery_tick(entry, self.rng)
             self.trace.deliveries.append((entry, tick, frm, target))
@@ -418,7 +425,7 @@ class Simulator:
     def _dispatch(self, event) -> None:
         if isinstance(event, Deliver):
             self.trace.record("deliver", self.now, event.to, event.frm,
-                              _describe(event.msg))
+                              event.msg)
             self.nodes[event.to].handle_message(event.frm, event.msg)
             self._drain(event.to)
             adversary = self.adversaries.get(event.to)

@@ -5,10 +5,8 @@ from bbca_chain.bbca import (
     BbcaMsg,
     InstanceId,
     MsgKind,
-    verify_adopt_cert,
-    verify_complete_cert,
 )
-from bbca_chain.blocks import Cert
+from bbca_chain.blocks import Cert, CertKind, verify_cert
 from bbca_chain.encoding import digest32, echo_statement, ready_statement
 from bbca_chain.identity import SystemParams, sign
 
@@ -118,7 +116,7 @@ def test_abort_suppresses_ready_but_not_recording():
     # Recording continued, so a later probe upgrades to adopt.
     result = node.probe()
     assert result.adopted and result.message == M
-    assert verify_adopt_cert(result.cert, node.params)
+    assert verify_cert(result.cert, node.params, CertKind.ADOPT)
 
 
 # -- probe -------------------------------------------------------------------
@@ -137,7 +135,7 @@ def test_probe_after_quorum_adopts_with_cert():
     result = node.probe()
     assert result.adopted and result.message == M
     assert len(result.cert.sigs) == 3
-    assert verify_adopt_cert(result.cert, node.params)
+    assert verify_cert(result.cert, node.params, CertKind.ADOPT)
     assert not node.abort  # adopting probes do not abort
 
 
@@ -157,7 +155,7 @@ def test_quorum_of_readies_completes():
     assert node.on_ready(M, ready_from(2), frm=2) is None
     event = node.on_ready(M, ready_from(3), frm=3)
     assert event is not None and event.message == M
-    assert verify_complete_cert(event.cert, node.params)
+    assert verify_cert(event.cert, node.params, CertKind.COMPLETE)
     assert node.completed is event
 
 
@@ -201,8 +199,8 @@ def test_cert_kind_mismatch_fails():
     for signer in (0, 2, 3):
         node.on_ready(M, ready_from(signer), frm=signer)
     cert = node.completed.cert
-    assert verify_complete_cert(cert, node.params)
-    assert not verify_adopt_cert(cert, node.params)
+    assert verify_cert(cert, node.params, CertKind.COMPLETE)
+    assert not verify_cert(cert, node.params, CertKind.ADOPT)
 
 
 def test_cert_tamper_detected():
@@ -212,7 +210,7 @@ def test_cert_tamper_detected():
     cert = node.probe().cert
     swapped = Cert(cert.kind, cert.sender, cert.view, cert.block_digest,
                    cert.sigs[:-1] + (echo_from(3, b"other"),))
-    assert not verify_adopt_cert(swapped, node.params)
+    assert not verify_cert(swapped, node.params, CertKind.ADOPT)
 
 
 # -- whole-network pump --------------------------------------------------------

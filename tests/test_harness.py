@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from bbca_chain import cli, harness
+from bbca_chain import cli, explore, harness
 from bbca_chain.identity import ConfigError
 from bbca_chain.scenario import load_config, parse_config
 
@@ -145,6 +145,20 @@ def test_explore_config(tmp_path):
         "explore": {"case": "bbca_equivocating_sender"}}))
     result = harness.run_explore(config, depth=2)
     assert result.ok and result.leaves > 10
+
+
+@pytest.mark.parametrize("case", sorted(explore.CASES))
+def test_every_explore_case_runs_from_config(case):
+    config = parse_config({"n": 4, "explore": {"case": case,
+                                               "timeout_node": 2}})
+    kwargs = {"timeout_node": 2} if case == "chain_two_views" else {}
+    direct = explore.explore(explore.CASES[case](**kwargs), 2)
+    assert harness.run_explore(config, depth=2).leaves == direct.leaves
+
+
+def test_unknown_explore_case_rejected():
+    with pytest.raises(ConfigError, match=r"explore\.case"):
+        parse_config({"n": 4, "explore": {"case": "no_such_case"}})
 
 
 # -- CLI ----------------------------------------------------------------------------
