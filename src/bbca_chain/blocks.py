@@ -122,6 +122,11 @@ class Block:
         assert self.new_view is not None
         return self.new_view.cert.block_digest
 
+    def __hash__(self) -> int:
+        # Equal fields imply equal digests, so this agrees with the
+        # field-wise __eq__ without walking the nested dataclasses.
+        return hash(self.digest)
+
     def __repr__(self) -> str:  # compact, digest-first, for traces and asserts
         return (f"Block({self.kind.name} v={self.view} a={self.author} "
                 f"{self.digest.hex()[:12]})")

@@ -193,6 +193,9 @@ class ChainNode:
         self.view = 0
         self.new_view_blocks: dict[int, dict[NodeId, Block]] = {
             0: {0: GENESIS_NEW_VIEW}}
+        # Highest view holding a complete or adopt new-view block; the
+        # certified-conclusion rule scans down from here.
+        self.top_certified_view = 0
         self.finalized: dict[int, Block | str] = {0: GENESIS_BLOCK}
         self.last_committed = 0
         self.committed_log: list[BlockRef] = []
@@ -342,6 +345,8 @@ class ChainNode:
         if nvb.author in per_view:
             return
         per_view[nvb.author] = nvb
+        if nvb.new_view.evidence != EvidenceKind.NOADOPT:
+            self.top_certified_view = max(self.top_certified_view, nvb.view)
         self._update_highest_certified(nvb.new_view.cert)
         if nvb.new_view.evidence == EvidenceKind.COMPLETE and nvb.view > 0:
             ref = nvb.certified_ref
@@ -442,12 +447,11 @@ class ChainNode:
 
     def _best_certified_conclusion(self, view: int):
         """Highest view w >= current with a complete/adopt new-view block."""
-        for w in sorted(self.new_view_blocks, reverse=True):
-            if w < view:
-                return None
+        for w in range(self.top_certified_view, view - 1, -1):
+            per_view = self.new_view_blocks.get(w, {})
             chosen = None
-            for author in sorted(self.new_view_blocks[w]):
-                nvb = self.new_view_blocks[w][author]
+            for author in sorted(per_view):
+                nvb = per_view[author]
                 kind = nvb.new_view.evidence
                 if kind == EvidenceKind.COMPLETE:
                     return w, nvb

@@ -9,6 +9,7 @@ that linearizes everything a committed backbone block causally covers.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass
 
 from .blocks import Block, BlockRef
@@ -30,7 +31,8 @@ class DagStore:
         self.pending: dict[BlockRef, _Pending] = {}
         # missing ref -> digests of pending blocks waiting on it
         self._waiters: dict[BlockRef, set[BlockRef]] = {}
-        self._referenced: set[BlockRef] = set()
+        # Delivered blocks no delivered block references yet.
+        self._tips: set[BlockRef] = set()
 
     def __contains__(self, ref: BlockRef) -> bool:
         return ref in self.delivered
@@ -43,7 +45,7 @@ class DagStore:
 
     def tips(self) -> list[BlockRef]:
         """Delivered blocks not referenced by any delivered block, sorted."""
-        return sorted(d for d in self.delivered if d not in self._referenced)
+        return sorted(self._tips)
 
     def insert(self, block: Block) -> list[Block]:
         """Store a block; return whatever became deliverable, in causal order."""
@@ -60,9 +62,9 @@ class DagStore:
             return []
         newly = [block]
         self._deliver(block)
-        queue = [digest]
+        queue = deque([digest])
         while queue:
-            arrived = queue.pop(0)
+            arrived = queue.popleft()
             for waiter in sorted(self._waiters.pop(arrived, ())):
                 entry = self.pending[waiter]
                 entry.missing.discard(arrived)
@@ -74,8 +76,11 @@ class DagStore:
         return newly
 
     def _deliver(self, block: Block) -> None:
+        # Causal delivery makes this exact: the block's refs are already
+        # delivered, and no block delivered before it can reference it.
         self.delivered[block.digest] = block
-        self._referenced.update(block.refs)
+        self._tips.difference_update(block.refs)
+        self._tips.add(block.digest)
 
     def ancestry(self, root: BlockRef) -> set[BlockRef]:
         """Transitive closure of refs, including the root itself."""
@@ -98,28 +103,39 @@ class DagStore:
         (view, author, digest); the backbone block itself comes last.
         Identical stores, backbone and committed set give identical output
         on every node.
+
+        ``already_committed`` must be downward-closed: every ancestor of a
+        member is a member.  A node's committed set, genesis plus a union of
+        full ancestry closures, is; so the walk stops at committed refs and
+        costs only the uncommitted part of the history.
         """
-        members = self.ancestry(backbone) - already_committed
+        members = {backbone: self.get(backbone)}
+        if backbone in already_committed:
+            return []
+        stack = [backbone]
+        while stack:
+            for ref in members[stack.pop()].refs:
+                if ref not in members and ref not in already_committed:
+                    members[ref] = self.delivered[ref]
+                    stack.append(ref)
         indegree = {ref: 0 for ref in members}
         children: dict[BlockRef, list[BlockRef]] = {ref: [] for ref in members}
-        for ref in members:
-            for parent in self.delivered[ref].refs:
+        for ref, block in members.items():
+            for parent in block.refs:
                 if parent in members:
                     indegree[ref] += 1
                     children[parent].append(ref)
-        heap = [self._order_key(ref) for ref, deg in indegree.items() if deg == 0]
+        heap = [(block.view, block.author, ref)
+                for ref, block in members.items() if indegree[ref] == 0]
         heapq.heapify(heap)
         out: list[BlockRef] = []
         while heap:
-            *_, ref = heapq.heappop(heap)
+            ref = heapq.heappop(heap)[2]
             out.append(ref)
             for child in children[ref]:
                 indegree[child] -= 1
                 if indegree[child] == 0:
-                    heapq.heappush(heap, self._order_key(child))
-        assert len(out) == len(members) and (not out or out[-1] == backbone)
+                    block = members[child]
+                    heapq.heappush(heap, (block.view, block.author, child))
+        assert len(out) == len(members) and out[-1] == backbone
         return out
-
-    def _order_key(self, ref: BlockRef) -> tuple[int, int, BlockRef, BlockRef]:
-        block = self.delivered[ref]
-        return (block.view, block.author, ref, ref)

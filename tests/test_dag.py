@@ -4,6 +4,7 @@ import pytest
 
 from bbca_chain.blocks import GENESIS_BLOCK, GENESIS_REF, make_data
 from bbca_chain.dag import DagStore, UnknownBlockError
+from bbca_chain.simnet import Scenario, run
 
 
 def data(author, view, refs, payload):
@@ -216,3 +217,107 @@ def test_order_under_composes_across_commits():
     assert len(log) == len(set(log))
     assert set(log) == store.ancestry(second.digest)
     assert is_linear_extension(log, by_ref)
+
+
+def brute_force_order(blocks_by_ref, members):
+    """Kahn's algorithm with the smallest (view, author, digest) taken first,
+    by a linear scan: the order's definition, written without a heap."""
+    order = []
+    remaining = set(members)
+    while remaining:
+        ready = [ref for ref in remaining
+                 if not any(parent in remaining
+                            for parent in blocks_by_ref[ref].refs)]
+        pick = min(ready, key=lambda ref: (blocks_by_ref[ref].view,
+                                           blocks_by_ref[ref].author, ref))
+        order.append(pick)
+        remaining.discard(pick)
+    return order
+
+
+def test_order_under_matches_definition_across_successive_commits():
+    # Any backbone's full ancestry joined to a downward-closed committed set
+    # stays downward-closed, so every call below meets the precondition.
+    rng = random.Random(4242)
+    for round_index in range(8):
+        blocks = random_dag(rng, 40)
+        store = DagStore()
+        for block in blocks:
+            store.insert(block)
+        by_ref = {b.digest: b for b in blocks}
+        committed = {GENESIS_REF} if round_index % 2 else set()
+        backbones = rng.sample(blocks[1:], 8)
+        for backbone in backbones:
+            expected = brute_force_order(
+                by_ref, brute_force_closure(by_ref, backbone.digest)
+                - committed)
+            assert store.order_under(backbone.digest, committed) == expected
+            committed.update(expected)
+
+
+# -- tips ------------------------------------------------------------------------
+
+def test_tips_match_brute_force_after_every_insert():
+    rng = random.Random(2718)
+    for _ in range(6):
+        blocks = random_dag(rng, 30)
+        rng.shuffle(blocks)
+        store = DagStore()
+        for block in blocks:
+            store.insert(block)
+            referenced = {parent for held in store.delivered.values()
+                          for parent in held.refs}
+            assert store.tips() == sorted(
+                ref for ref in store.delivered if ref not in referenced)
+        assert not store.pending
+
+
+# -- cost of ordering over a long run ------------------------------------------
+
+def test_order_under_lookups_grow_with_committed_blocks(monkeypatch):
+    # Ordering must cost in proportion to what it commits, not to the
+    # history behind it: count every `delivered` lookup made inside
+    # `order_under` over a whole run.
+    counter = {"active": False, "lookups": 0, "committed": 0}
+
+    class CountingDict(dict):
+        def _count(self):
+            if counter["active"]:
+                counter["lookups"] += 1
+
+        def __getitem__(self, key):
+            self._count()
+            return dict.__getitem__(self, key)
+
+        def __contains__(self, key):
+            self._count()
+            return dict.__contains__(self, key)
+
+        def get(self, key, default=None):
+            self._count()
+            return dict.get(self, key, default)
+
+    original_init = DagStore.__init__
+    original_order = DagStore.order_under
+
+    def counting_init(self):
+        original_init(self)
+        self.delivered = CountingDict(self.delivered)
+
+    def counting_order(self, backbone, already_committed):
+        counter["active"] = True
+        try:
+            out = original_order(self, backbone, already_committed)
+        finally:
+            counter["active"] = False
+        counter["committed"] += len(out)
+        return out
+
+    monkeypatch.setattr(DagStore, "__init__", counting_init)
+    monkeypatch.setattr(DagStore, "order_under", counting_order)
+    result = run(Scenario(n=4, seed=3, delta_post=5, delay_mode="random",
+                          horizon=200))
+    assert not result.failed
+    assert min(node.last_committed for node in result.nodes.values()) >= 190
+    assert counter["committed"] > 0
+    assert counter["lookups"] <= 4 * counter["committed"], counter

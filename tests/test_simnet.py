@@ -7,6 +7,7 @@ from bbca_chain.invariants import (
     check_commit_ancestry,
     check_delay_soundness,
     check_echo_once,
+    check_growth,
     check_prefix_consistency,
     check_view_sync,
 )
@@ -207,3 +208,16 @@ def test_echo_once_flags_a_node_that_sends_twice():
     assert all(p.startswith("echo-once: node 0 ") for p in problems)
     assert any("ECHO" in p for p in problems)
     assert any("READY" in p for p in problems)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the next leader's own new-view block never leaves it when its proposal "
+    "justifies with another node's block, so the nodes referencing it stall "
+    "(ROADMAP item 6)"))
+def test_equivocating_init_leader_does_not_stall_commits():
+    # The golden shape n7-equivocate-init: nodes 0, 3, 4, 5 and 6 hold
+    # 23-24 blocks pending and commit nothing although views 2-4 complete.
+    result = run(Scenario(n=7, seed=13, delta_post=5, delay_mode="random",
+                          horizon=4,
+                          strategies={1: Strategy("equivocate_init")}))
+    assert check_growth(result) == []
