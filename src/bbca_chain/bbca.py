@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 from .blocks import BlockRef, Cert, CertKind
@@ -104,17 +105,10 @@ class BbcaInstance:
 
     # -- outbound construction ------------------------------------------
 
-    def _echo_msg(self, message: bytes) -> BbcaMsg:
-        stmt = echo_statement(self.instance.sender, self.instance.view,
-                              digest32(message))
-        return BbcaMsg(MsgKind.ECHO, self.instance, message,
-                       sign(self.node, stmt))
-
-    def _ready_msg(self, message: bytes) -> BbcaMsg:
-        stmt = ready_statement(self.instance.sender, self.instance.view,
-                               digest32(message))
-        return BbcaMsg(MsgKind.READY, self.instance, message,
-                       sign(self.node, stmt))
+    def _signed(self, kind: MsgKind, message: bytes) -> BbcaMsg:
+        stmt = _statement(kind, self.instance.sender, self.instance.view,
+                          message)
+        return BbcaMsg(kind, self.instance, message, sign(self.node, stmt))
 
     # -- interfaces -------------------------------------------------------
 
@@ -126,7 +120,7 @@ class BbcaInstance:
             raise ValueError("duplicate broadcast on an initialized instance")
         self.echo = True
         return [BbcaMsg(MsgKind.INIT, self.instance, message),
-                self._echo_msg(message)]
+                self._signed(MsgKind.ECHO, message)]
 
     def probe(self) -> ProbeResult:
         """Adopt a quorum-echoed message, or abort the instance.
@@ -150,7 +144,7 @@ class BbcaInstance:
         if not self.predicate(message):
             return []
         self.echo = True
-        return [self._echo_msg(message)]
+        return [self._signed(MsgKind.ECHO, message)]
 
     def on_echo(self, message: bytes, sig: Signature,
                 frm: NodeId) -> list[BbcaMsg]:
@@ -159,17 +153,18 @@ class BbcaInstance:
         signer = sig.signer
         if signer in self.received_echo or not self.predicate(message):
             return []
-        digest = digest32(message)
-        stmt = echo_statement(self.instance.sender, self.instance.view, digest)
+        stmt = _statement(MsgKind.ECHO, self.instance.sender,
+                          self.instance.view, message)
         if not verify(sig, stmt, signer):
             return []
         self.received_echo.add(signer)
-        mstate = self.pending.setdefault(digest, _MessageState(message))
+        mstate = self.pending.setdefault(message_digest(message),
+                                         _MessageState(message))
         mstate.echo_sigs[signer] = sig
         if (not self.ready and not self.abort
                 and len(mstate.echo_sigs) == self.params.quorum):
             self.ready = True
-            return [self._ready_msg(message)]
+            return [self._signed(MsgKind.READY, message)]
         return []
 
     def on_ready(self, message: bytes, sig: Signature,
@@ -177,12 +172,12 @@ class BbcaInstance:
         signer = sig.signer
         if signer in self.received_ready or not self.predicate(message):
             return None
-        digest = digest32(message)
-        stmt = ready_statement(self.instance.sender, self.instance.view,
-                               digest)
+        stmt = _statement(MsgKind.READY, self.instance.sender,
+                          self.instance.view, message)
         if not verify(sig, stmt, signer):
             return None
         self.received_ready.add(signer)
+        digest = message_digest(message)
         mstate = self.pending.setdefault(digest, _MessageState(message))
         mstate.ready_sigs[signer] = sig
         # Completion is not blocked by abort; only READY emission is.
@@ -211,6 +206,25 @@ class BbcaInstance:
                             self.instance.view, digest, tuple(sigs))
                 return mstate.message, cert
         return None
+
+
+@lru_cache(maxsize=4096)
+def message_digest(message: bytes) -> bytes:
+    """``digest32`` of a broadcast message, memoized by value: every node
+    digests the same proposal bytes on every ECHO and READY it handles."""
+    return digest32(message)
+
+
+@lru_cache(maxsize=4096)
+def _statement(kind: MsgKind, sender: NodeId, view: int,
+               message: bytes) -> bytes:
+    """The ECHO or READY statement over ``message`` in instance (sender, view).
+
+    Pure in its arguments, so memoized; signatures over it are still
+    verified on every delivery.
+    """
+    build = echo_statement if kind == MsgKind.ECHO else ready_statement
+    return build(sender, view, message_digest(message))
 
 
 def _sorted_sigs(sigs: dict[NodeId, Signature]) -> tuple[Signature, ...]:

@@ -217,6 +217,37 @@ class ChainNode:
         self.my_last_ref: BlockRef | None = None
         self.outbox: list[Action] = []
 
+    def clone(self) -> "ChainNode":
+        """Snapshot for state-space exploration.
+
+        Copies every mutable container; blocks, certificates, events, params
+        and the broadcast predicates are immutable and shared.
+        """
+        twin = object.__new__(ChainNode)
+        twin.id = self.id
+        twin.params = self.params
+        twin.horizon = self.horizon
+        twin.dag = self.dag.clone()
+        twin.view = self.view
+        twin.new_view_blocks = {view: dict(per_view) for view, per_view
+                                in self.new_view_blocks.items()}
+        twin.top_certified_view = self.top_certified_view
+        twin.finalized = dict(self.finalized)
+        twin.last_committed = self.last_committed
+        twin.committed_log = list(self.committed_log)
+        twin.committed_set = set(self.committed_set)
+        twin.held_certs = dict(self.held_certs)
+        twin.instances = {view: inst.clone()
+                          for view, inst in self.instances.items()}
+        twin.pending_complete = dict(self.pending_complete)
+        twin.pending_commit = set(self.pending_commit)
+        twin.probed = set(self.probed)
+        twin.proposed = set(self.proposed)
+        twin.emitted_nvb = set(self.emitted_nvb)
+        twin.my_last_ref = self.my_last_ref
+        twin.outbox = list(self.outbox)
+        return twin
+
     # -- plumbing ---------------------------------------------------------
 
     def take_outbox(self) -> list[Action]:

@@ -34,6 +34,17 @@ class DagStore:
         # Delivered blocks no delivered block references yet.
         self._tips: set[BlockRef] = set()
 
+    def clone(self) -> "DagStore":
+        """Snapshot for state-space exploration; shares the immutable blocks."""
+        twin = object.__new__(DagStore)
+        twin.delivered = dict(self.delivered)
+        twin.pending = {digest: _Pending(entry.block, set(entry.missing))
+                        for digest, entry in self.pending.items()}
+        twin._waiters = {ref: set(waiting)
+                         for ref, waiting in self._waiters.items()}
+        twin._tips = set(self._tips)
+        return twin
+
     def __contains__(self, ref: BlockRef) -> bool:
         return ref in self.delivered
 

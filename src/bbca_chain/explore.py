@@ -7,16 +7,19 @@ pool entry.  Beyond the budget a schedule is determinized (always deliver
 the oldest action), so each branch runs to a quiescent leaf where the
 safety properties are checked, including a forced probe of every correct
 node.  Enumeration is naive by design; a hard leaf cap keeps it bounded.
+
+Worlds fork by structured copy: a branch copies each node's mutable
+containers and shares the immutable blocks, certificates and messages.  A
+step records the ``Act`` it ran; the witness text is formatted only when a
+leaf reports a violation.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
-from .bbca import BbcaInstance, BbcaMsg, InstanceId, MsgKind
+from .bbca import BbcaInstance, BbcaMsg, InstanceId, MsgKind, message_digest
 from .chain import Broadcast, ChainNode, SafetyViolation
-from .encoding import digest32
 from .identity import NodeId, SystemParams
 from .invariants import agreement, prefix_consistency
 
@@ -66,7 +69,7 @@ class BbcaWorld:
         self.sent_message = sent_message  # correct sender's message, if any
         self.nodes = {i: BbcaInstance(params, instance, i) for i in correct}
         self.pool: list[Act] = []
-        self.executed: list[str] = []
+        self.executed: list[Act] = []
         self.echo_counts = {i: 0 for i in correct}
         self.ready_counts = {i: 0 for i in correct}
         self.probe_noadopt: set[NodeId] = set()
@@ -101,11 +104,11 @@ class BbcaWorld:
 
     def execute(self, index: int) -> None:
         act = self.pool.pop(index)
-        self.executed.append(act.describe())
+        self.executed.append(act)
         if act.kind == "probe":
             result = self.nodes[act.to].probe()
             if result.adopted:
-                self.probe_adopt[act.to] = digest32(result.message)
+                self.probe_adopt[act.to] = message_digest(result.message)
             else:
                 self.probe_noadopt.add(act.to)
             return
@@ -135,7 +138,7 @@ class BbcaWorld:
         decided: dict[NodeId, bytes] = {}
         for i, node in self.nodes.items():
             if node.completed is not None:
-                decided[i] = digest32(node.completed.message)
+                decided[i] = message_digest(node.completed.message)
         completions = set(decided.values())
         if len(completions) > 1:
             problems.append("consistency: two different messages completed")
@@ -143,12 +146,12 @@ class BbcaWorld:
         if completions and adopt_digests - completions:
             problems.append("consistency: adopted message differs from completion")
         if self.sent_message is not None:
-            expected = digest32(self.sent_message)
+            expected = message_digest(self.sent_message)
             for digest in completions | adopt_digests:
                 if digest != expected:
                     problems.append("integrity: decided a message never broadcast")
         if check_validity:
-            expected = digest32(self.sent_message)
+            expected = message_digest(self.sent_message)
             if any(decided.get(i) != expected for i in self.nodes):
                 problems.append("validity: not every correct node completed")
         if completions and len(self.probe_noadopt) >= self.params.f + 1:
@@ -160,7 +163,7 @@ class BbcaWorld:
             end_adopts = 0
             for node in self.nodes.values():
                 result = node.probe()
-                if result.adopted and digest32(result.message) == target:
+                if result.adopted and message_digest(result.message) == target:
                     end_adopts += 1
             if end_adopts < self.params.f + 1:
                 problems.append(
@@ -182,7 +185,7 @@ class ChainWorld:
         self.nodes = {i: ChainNode(i, params, horizon)
                       for i in range(params.n)}
         self.pool: list[Act] = []
-        self.executed: list[str] = []
+        self.executed: list[Act] = []
         self.broken: str | None = None
         for node_id in sorted(self.nodes):
             self.nodes[node_id].start()
@@ -192,7 +195,13 @@ class ChainWorld:
                 self.pool.append(Act("timer", node_id))
 
     def clone(self) -> "ChainWorld":
-        return copy.deepcopy(self)
+        twin = object.__new__(ChainWorld)
+        twin.params = self.params
+        twin.nodes = {i: node.clone() for i, node in self.nodes.items()}
+        twin.pool = list(self.pool)
+        twin.executed = list(self.executed)
+        twin.broken = self.broken
+        return twin
 
     def _drain(self, node_id: NodeId) -> None:
         for action in self.nodes[node_id].take_outbox():
@@ -203,7 +212,7 @@ class ChainWorld:
 
     def execute(self, index: int) -> None:
         act = self.pool.pop(index)
-        self.executed.append(act.describe())
+        self.executed.append(act)
         node = self.nodes[act.to]
         try:
             if act.kind == "timer":
@@ -227,7 +236,10 @@ class ChainWorld:
 
 def explore(world, depth: int, max_leaves: int = 200_000,
             check_validity: bool = False) -> ExploreResult:
-    """DFS over scheduling choices; deterministic suffix beyond ``depth``."""
+    """DFS over scheduling choices; deterministic suffix beyond ``depth``.
+
+    ``world`` is consumed: its first branch runs on it in place.
+    """
     result = ExploreResult()
     stack: list[tuple[object, int]] = [(world, 0)]
     while stack:
@@ -240,16 +252,22 @@ def explore(world, depth: int, max_leaves: int = 200_000,
                 problems = current.check_leaf(check_validity)
             else:
                 problems = current.check_leaf()
-            for problem in problems:
-                result.violations.append((problem, tuple(current.executed)))
+            if problems:
+                witness = tuple(act.describe() for act in current.executed)
+                result.violations.extend((problem, witness)
+                                         for problem in problems)
             if result.leaves >= max_leaves and stack:
                 result.partial = True
                 break
             continue
-        for index in reversed(range(len(current.pool))):
+        # Branch 0 is expanded last and runs on ``current`` itself, which
+        # nothing reads after its siblings are cloned from it.
+        for index in reversed(range(1, len(current.pool))):
             child = current.clone()
             child.execute(index)
             stack.append((child, used + 1))
+        current.execute(0)
+        stack.append((current, used + 1))
     return result
 
 

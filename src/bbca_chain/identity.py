@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 NodeId = int
 
@@ -27,17 +28,20 @@ class SystemParams:
         if self.n < 4:
             raise ConfigError(f"need at least 4 nodes, got n={self.n}")
 
-    @property
+    # Cached outside the dataclass fields, so equality, hashing and repr
+    # still see only ``n``.
+    @cached_property
     def f(self) -> int:
         return (self.n - 1) // 3
 
-    @property
+    @cached_property
     def quorum(self) -> int:
         # n - f, not 2f + 1: identical when n = 3f + 1, but still safe
         # (two quorums intersect in >= f + 1 nodes) when 3 does not divide n - 1.
         return self.n - self.f
 
 
+@lru_cache(maxsize=4096)
 def statement_digest(statement: bytes) -> bytes:
     """64-bit digest that stands in for the signed content of a statement."""
     return hashlib.blake2b(statement, digest_size=8).digest()

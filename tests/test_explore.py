@@ -1,3 +1,10 @@
+import copy
+import hashlib
+import random
+import re
+
+import pytest
+
 from bbca_chain import explore as ex
 from bbca_chain.chain import NO_OP
 
@@ -87,3 +94,200 @@ def test_chain_leaf_reports_agreement_and_prefix_violations():
     problems = world.check_leaf()
     assert any(p.startswith("agreement") for p in problems)
     assert any(p.startswith("prefix") for p in problems)
+
+
+# -- structured clones ----------------------------------------------------------
+
+def _forked_chain_world(seed=2):
+    """A two-view chain world stopped, by a seeded random schedule, at the
+    first step where a node holds a block whose ancestry has not arrived."""
+    world = ex.chain_two_views()
+    rng = random.Random(seed)
+    while not any(node.dag.pending for node in world.nodes.values()):
+        assert world.pool, "schedule reached quiescence without a pending block"
+        world.execute(rng.randrange(len(world.pool)))
+    return world
+
+
+def _pending_node(world):
+    return next(node for node in world.nodes.values() if node.dag.pending)
+
+
+def _immutable(value):
+    params = getattr(type(value), "__dataclass_params__", None)
+    return (value is None or callable(value)
+            or isinstance(value, (int, str, bytes, tuple, frozenset))
+            or (params is not None and params.frozen))
+
+
+def _shared_mutables(a, b, path="clone"):
+    """Paths at which ``a`` and ``b`` hold one and the same mutable object."""
+    if _immutable(a):
+        return []
+    if a is b:
+        return [path]
+    if isinstance(a, dict):
+        pairs = [(f"{path}[{key!r}]", a[key], b[key]) for key in a if key in b]
+    elif isinstance(a, list):
+        pairs = [(f"{path}[{i}]", x, y) for i, (x, y) in enumerate(zip(a, b))]
+    elif isinstance(a, set):
+        pairs = []  # members are hashable, hence immutable here
+    else:
+        pairs = [(f"{path}.{name}", value, getattr(b, name))
+                 for name, value in vars(a).items()]
+    return [shared for sub, x, y in pairs
+            for shared in _shared_mutables(x, y, sub)]
+
+
+def _dag_state(dag):
+    return (set(dag.delivered),
+            {ref: (entry.block, set(entry.missing))
+             for ref, entry in dag.pending.items()},
+            {ref: set(waiting) for ref, waiting in dag._waiters.items()},
+            dag.tips())
+
+
+def _node_state(node):
+    return (node.view,
+            {view: entry if entry == NO_OP else entry.digest
+             for view, entry in node.finalized.items()},
+            list(node.committed_log),
+            _dag_state(node.dag),
+            set(node.pending_commit), set(node.pending_complete),
+            {view: (inst.echo, inst.ready, inst.abort, inst.completed)
+             for view, inst in node.instances.items()})
+
+
+def _world_state(world):
+    return ({i: _node_state(node) for i, node in world.nodes.items()},
+            list(world.pool), [act.describe() for act in world.executed],
+            world.broken)
+
+
+def _run_world(world, seed):
+    rng = random.Random(seed)
+    while world.pool:
+        world.execute(rng.randrange(len(world.pool)))
+
+
+def _run_node(node, acts, seed):
+    """Deliver the given actions addressed to ``node`` in a seeded order."""
+    acts = list(acts)
+    random.Random(seed).shuffle(acts)
+    for act in acts:
+        if act.kind == "timer":
+            node.handle_timer(node.view)
+        else:
+            node.handle_message(act.frm, act.msg)
+
+
+def _all_blocks(world):
+    finished = world.clone()
+    while finished.pool:
+        finished.execute(0)
+    return {ref: block for node in finished.nodes.values()
+            for ref, block in node.dag.delivered.items()}
+
+
+def _fork_cases():
+    """name -> (original, drive(target, seed), state) per cloneable piece."""
+    world = _forked_chain_world()
+    node = _pending_node(world)
+    # The nested containers a clone must copy are all populated here.
+    assert node.dag.pending and node.dag._waiters
+    assert any(per_view for view, per_view in node.new_view_blocks.items()
+               if view > 0)
+    assert node.instances
+    node_acts = [act for act in world.pool if act.to == node.id]
+    blocks = list(_all_blocks(world).values())
+
+    def insert_all(dag, seed):
+        for block in random.Random(seed).sample(blocks, len(blocks)):
+            dag.insert(block)
+
+    return {"ChainWorld": (world, _run_world, _world_state),
+            "ChainNode": (node,
+                          lambda target, seed: _run_node(target, node_acts,
+                                                         seed),
+                          _node_state),
+            "DagStore": (node.dag, insert_all, _dag_state)}
+
+
+FORK_CASES = ["ChainWorld", "ChainNode", "DagStore"]
+
+
+@pytest.mark.parametrize("case", FORK_CASES)
+def test_clone_has_the_same_attributes(case):
+    original, _, _ = _fork_cases()[case]
+    assert vars(original.clone()).keys() == vars(original).keys()
+
+
+@pytest.mark.parametrize("case", FORK_CASES)
+def test_clone_shares_no_mutable_container(case):
+    original, _, _ = _fork_cases()[case]
+    assert _shared_mutables(original.clone(), original) == []
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("case", FORK_CASES)
+def test_clone_is_independent_and_equivalent(case, seed):
+    original, drive, state = _fork_cases()[case]
+    snapshot = copy.deepcopy(original)
+    before = state(snapshot)
+    assert state(original) == before
+    twin = original.clone()
+    drive(twin, seed)
+    assert state(twin) != before, "the schedule did nothing"
+    assert state(original) == before
+    drive(snapshot, seed)
+    assert state(twin) == state(snapshot)
+
+
+# -- per-step cost and witnesses ---------------------------------------------------
+
+def test_digest_work_does_not_grow_with_leaf_count(monkeypatch):
+    calls = 0
+    blake2b = hashlib.blake2b
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return blake2b(*args, **kwargs)
+
+    monkeypatch.setattr(hashlib, "blake2b", counting)
+    result = ex.explore(ex.bbca_correct_sender(), depth=3,
+                        check_validity=True)
+    assert result.leaves == 624 and result.ok
+    # 21,292 steps here handle one message and its two statements; each is
+    # digested once, not once per delivery.
+    assert calls <= 64
+
+
+WITNESS_STEP = re.compile(r"deliver\(\d+->\d+\)|probe\(\d+\)|timer\(\d+\)")
+
+
+def _assert_readable(violations):
+    assert violations
+    for _, witness in violations:
+        assert isinstance(witness, tuple) and witness
+        assert all(isinstance(step, str) and WITNESS_STEP.fullmatch(step)
+                   for step in witness)
+
+
+def test_explore_reports_readable_bbca_witnesses():
+    world = ex.bbca_correct_sender(probes=(1,))
+    world.sent_message = b"something else entirely"
+    result = ex.explore(world, depth=2)
+    assert all(problem.startswith("integrity")
+               for problem, _ in result.violations)
+    _assert_readable(result.violations)
+    assert any("probe(1)" in witness for _, witness in result.violations)
+
+
+def test_explore_reports_readable_chain_witnesses(monkeypatch):
+    monkeypatch.setattr(ex, "agreement",
+                        lambda nodes, correct: ["agreement: forced"])
+    result = ex.explore(ex.chain_two_views(), depth=1)
+    assert len(result.violations) == result.leaves
+    _assert_readable(result.violations)
+    assert any("timer(3)" in witness for _, witness in result.violations)
