@@ -24,16 +24,10 @@ delivered = 0
 while outbox:
     frm, msg = outbox.pop(0)
     for i, node in nodes.items():
-        if msg.kind == MsgKind.INIT:
-            outs = node.on_init(msg.message, frm)
-        elif msg.kind == MsgKind.ECHO:
-            outs = node.on_echo(msg.message, msg.sig, frm)
-        else:
-            event = node.on_ready(msg.message, msg.sig, frm)
-            outs = []
-            if event is not None:
-                print(f"node {i} completes with a "
-                      f"{len(event.cert.sigs)}-signature certificate")
+        outs, event = node.handle_message(frm, msg)
+        if event is not None:
+            print(f"node {i} completes with a "
+                  f"{len(event.cert.sigs)}-signature certificate")
         outbox.extend((i, out) for out in outs)
         delivered += 1
 

@@ -129,13 +129,29 @@ class BbcaInstance:
         quorum and always adopts.  Echo recording continues after an abort,
         so a later probe may upgrade NoAdopt to Adopt.
         """
-        found = self._quorum_echoed()
+        found = self.available_adopt()
         if found is not None:
             return ProbeResult(True, found[0], found[1])
         self.abort = True
         return ProbeResult(False)
 
     # -- message handlers --------------------------------------------------
+
+    def handle_message(self, frm: NodeId, msg: BbcaMsg
+                       ) -> tuple[list[BbcaMsg], CompleteEvent | None]:
+        """The one entry point for inbound traffic: dispatch on the kind.
+
+        Only INIT rides unsigned; an ECHO or READY without a signature is
+        dropped.
+        """
+        if msg.sig is not None:
+            if msg.kind == MsgKind.ECHO:
+                return self.on_echo(msg.message, msg.sig, frm), None
+            if msg.kind == MsgKind.READY:
+                return [], self.on_ready(msg.message, msg.sig, frm)
+        if msg.kind == MsgKind.INIT:
+            return self.on_init(msg.message, frm), None
+        return [], None
 
     def on_init(self, message: bytes, frm: NodeId) -> list[BbcaMsg]:
         # INIT is unsigned; channel-level origin must be the instance sender.
@@ -193,9 +209,6 @@ class BbcaInstance:
 
     def available_adopt(self) -> tuple[bytes, Cert] | None:
         """Adopt certificate extractable from current state, without probing."""
-        return self._quorum_echoed()
-
-    def _quorum_echoed(self) -> tuple[bytes, Cert] | None:
         # At most one message can hold an echo quorum: each node's first
         # echo is the only one counted, so quorums for two messages would
         # need more distinct nodes than exist.

@@ -324,26 +324,22 @@ class ChainNode:
         if block is not None:
             self._ingest_block(block)
         inst = self._instance_for(bid.view)
-        if msg.kind == MsgKind.INIT:
-            for out in inst.on_init(msg.message, frm):
-                self._emit(Broadcast(out))
-        elif msg.kind == MsgKind.ECHO and msg.sig is not None:
-            for out in inst.on_echo(msg.message, msg.sig, frm):
-                self._emit(Broadcast(out))
+        outs, event = inst.handle_message(frm, msg)
+        for out in outs:
+            self._emit(Broadcast(out))
+        if msg.sig is not None and msg.kind == MsgKind.ECHO:
             # Holding an echo quorum is holding an adopt certificate, even
             # when abort suppressed the READY; the noadopt anchor must see it.
             found = inst.available_adopt()
             if found is not None:
                 self._update_highest_certified(found[1])
-        elif msg.kind == MsgKind.READY and msg.sig is not None:
-            event = inst.on_ready(msg.message, msg.sig, frm)
-            if event is not None:
-                self._update_highest_certified(event.cert)
-                ref = event.cert.block_digest
-                if ref in self.dag:
-                    self._on_bbca_complete(event)
-                else:
-                    self.pending_complete[ref] = event
+        if event is not None:
+            self._update_highest_certified(event.cert)
+            ref = event.cert.block_digest
+            if ref in self.dag:
+                self._on_bbca_complete(event)
+            else:
+                self.pending_complete[ref] = event
 
     def _ingest_block(self, block: Block) -> None:
         if block.kind == BlockKind.NEW_VIEW:

@@ -2,8 +2,8 @@
 
 Blocks are delivered only once their full referenced ancestry is delivered;
 anything early is buffered and cascades out when the missing pieces arrive.
-On top of the store sit the ancestry queries and the deterministic traversal
-that linearizes everything a committed backbone block causally covers.
+On top of the store sits the deterministic traversal that linearizes
+everything a committed backbone block causally covers.
 """
 
 from __future__ import annotations
@@ -92,19 +92,6 @@ class DagStore:
         self.delivered[block.digest] = block
         self._tips.difference_update(block.refs)
         self._tips.add(block.digest)
-
-    def ancestry(self, root: BlockRef) -> set[BlockRef]:
-        """Transitive closure of refs, including the root itself."""
-        if root not in self.delivered:
-            raise UnknownBlockError(root.hex())
-        seen = {root}
-        stack = [root]
-        while stack:
-            for ref in self.delivered[stack.pop()].refs:
-                if ref not in seen:
-                    seen.add(ref)
-                    stack.append(ref)
-        return seen
 
     def order_under(self, backbone: BlockRef,
                     already_committed: set[BlockRef]) -> list[BlockRef]:

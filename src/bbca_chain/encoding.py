@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from functools import lru_cache
 
 
 class EncodingError(ValueError):
@@ -72,19 +71,14 @@ class Reader:
 
 # Signed statements.  ECHO and READY statements bind a broadcast instance
 # (sender, view) to the digest of the message; NOADOPT binds only the view.
-# Every node builds the same few statements again and again, so the pure
-# builders are memoized by value, with a fixed bound.
 
-@lru_cache(maxsize=4096)
 def echo_statement(sender: int, view: int, message_digest: bytes) -> bytes:
     return lp(b"ECHO") + u32(sender) + u64(view) + lp(message_digest)
 
 
-@lru_cache(maxsize=4096)
 def ready_statement(sender: int, view: int, message_digest: bytes) -> bytes:
     return lp(b"READY") + u32(sender) + u64(view) + lp(message_digest)
 
 
-@lru_cache(maxsize=4096)
 def noadopt_statement(view: int) -> bytes:
     return lp(b"NOADOPT") + u64(view)

@@ -5,8 +5,9 @@ action pool holds every undelivered message (plus optional probe and timer
 actions), and the first ``depth`` scheduling decisions branch over every
 pool entry.  Beyond the budget a schedule is determinized (always deliver
 the oldest action), so each branch runs to a quiescent leaf where the
-safety properties are checked, including a forced probe of every correct
-node.  Enumeration is naive by design; a hard leaf cap keeps it bounded.
+safety properties are checked, including an end-of-run audit of what every
+correct node would adopt.  Enumeration is naive by design; a hard leaf cap
+keeps it bounded.
 
 Worlds fork by structured copy: a branch copies each node's mutable
 containers and shares the immutable blocks, certificates and messages.  A
@@ -18,10 +19,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .bbca import BbcaInstance, BbcaMsg, InstanceId, MsgKind, message_digest
+from .bbca import BbcaInstance, BbcaMsg, InstanceId, message_digest
 from .chain import Broadcast, ChainNode, SafetyViolation
 from .identity import NodeId, SystemParams
-from .invariants import agreement, prefix_consistency
+from .invariants import (
+    SendCounts,
+    agreement,
+    bbca_consistency,
+    complete_adopt,
+    echo_once,
+    prefix_consistency,
+)
 
 
 @dataclass(frozen=True)
@@ -70,8 +78,7 @@ class BbcaWorld:
         self.nodes = {i: BbcaInstance(params, instance, i) for i in correct}
         self.pool: list[Act] = []
         self.executed: list[Act] = []
-        self.echo_counts = {i: 0 for i in correct}
-        self.ready_counts = {i: 0 for i in correct}
+        self.sends: SendCounts = {}  # by correct nodes
         self.probe_noadopt: set[NodeId] = set()
         self.probe_adopt: dict[NodeId, bytes] = {}
         self._replayed: set = set()
@@ -87,8 +94,7 @@ class BbcaWorld:
         twin.nodes = {i: node.clone() for i, node in self.nodes.items()}
         twin.pool = list(self.pool)
         twin.executed = list(self.executed)
-        twin.echo_counts = dict(self.echo_counts)
-        twin.ready_counts = dict(self.ready_counts)
+        twin.sends = dict(self.sends)
         twin.probe_noadopt = set(self.probe_noadopt)
         twin.probe_adopt = dict(self.probe_adopt)
         twin._replayed = set(self._replayed)
@@ -99,6 +105,9 @@ class BbcaWorld:
 
     def push_broadcast(self, frm: NodeId, msg: BbcaMsg,
                        targets=None) -> None:
+        if frm in self.nodes:
+            key = (frm, msg.kind, msg.instance)
+            self.sends[key] = self.sends.get(key, 0) + 1
         for to in (self.everyone() if targets is None else targets):
             self.pool.append(Act("deliver", to, frm, msg))
 
@@ -108,7 +117,7 @@ class BbcaWorld:
         if act.kind == "probe":
             result = self.nodes[act.to].probe()
             if result.adopted:
-                self.probe_adopt[act.to] = message_digest(result.message)
+                self.probe_adopt[act.to] = result.cert.block_digest
             else:
                 self.probe_noadopt.add(act.to)
             return
@@ -118,59 +127,37 @@ class BbcaWorld:
                 self._replayed.add(msg)
                 self.push_broadcast(act.to, msg)
             return
-        node = self.nodes[act.to]
-        outs: list[BbcaMsg] = []
-        if msg.kind == MsgKind.INIT:
-            outs = node.on_init(msg.message, act.frm)
-            self.echo_counts[act.to] += len(outs)
-        elif msg.kind == MsgKind.ECHO:
-            outs = node.on_echo(msg.message, msg.sig, act.frm)
-            self.ready_counts[act.to] += len(outs)
-        elif msg.kind == MsgKind.READY:
-            node.on_ready(msg.message, msg.sig, act.frm)
+        outs, _ = self.nodes[act.to].handle_message(act.frm, msg)
         for out in outs:
             self.push_broadcast(act.to, out)
 
     # -- leaf audit ---------------------------------------------------------
 
     def check_leaf(self, check_validity: bool) -> list[str]:
-        problems = []
-        decided: dict[NodeId, bytes] = {}
-        for i, node in self.nodes.items():
-            if node.completed is not None:
-                decided[i] = message_digest(node.completed.message)
-        completions = set(decided.values())
-        if len(completions) > 1:
-            problems.append("consistency: two different messages completed")
-        adopt_digests = set(self.probe_adopt.values())
-        if completions and adopt_digests - completions:
-            problems.append("consistency: adopted message differs from completion")
+        """The shared BBCA rules, with an end-of-run audit of every correct
+        node; integrity and validity need the correct sender's message and
+        are checked here."""
+        view, nodes = self.instance.view, self.nodes.values()
+        completed = [node.completed.cert.block_digest for node in nodes
+                     if node.completed is not None]
+        # What a forced probe of each node would adopt; its abort would
+        # change nothing at a leaf, so the audit leaves the nodes as they are.
+        adopted = [found[1].block_digest
+                   for found in (node.available_adopt() for node in nodes)
+                   if found is not None]
+        decided = {*completed, *adopted, *self.probe_adopt.values()}
+        problems = bbca_consistency(view, decided)
+        if completed:
+            problems += complete_adopt(view, len(self.probe_noadopt),
+                                       adopted.count(min(completed)),
+                                       self.params.f)
+        problems += echo_once(self.sends)
         if self.sent_message is not None:
             expected = message_digest(self.sent_message)
-            for digest in completions | adopt_digests:
-                if digest != expected:
-                    problems.append("integrity: decided a message never broadcast")
-        if check_validity:
-            expected = message_digest(self.sent_message)
-            if any(decided.get(i) != expected for i in self.nodes):
+            problems += ["integrity: decided a message never broadcast"
+                         for digest in decided if digest != expected]
+            if check_validity and completed.count(expected) < len(nodes):
                 problems.append("validity: not every correct node completed")
-        if completions and len(self.probe_noadopt) >= self.params.f + 1:
-            problems.append(
-                "complete-adopt: completion despite f+1 correct noadopt probes")
-        # Forced end-of-run probe of every correct node.
-        if completions:
-            target = next(iter(completions))
-            end_adopts = 0
-            for node in self.nodes.values():
-                result = node.probe()
-                if result.adopted and message_digest(result.message) == target:
-                    end_adopts += 1
-            if end_adopts < self.params.f + 1:
-                problems.append(
-                    "complete-adopt: fewer than f+1 end-of-run adopters")
-        for i in self.nodes:
-            if self.echo_counts[i] > 1 or self.ready_counts[i] > 1:
-                problems.append(f"echo-once: node {i} emitted twice")
         return problems
 
 

@@ -43,7 +43,6 @@ class CampaignOutcome:
     count: int
     runs: int = 0
     failures: list[tuple[int, str]] = field(default_factory=list)  # (seed, what)
-    per_check: dict[str, int] = field(default_factory=dict)
     wall_ms: float = 0.0
 
     @property
@@ -70,13 +69,13 @@ def run_config(config: HarnessConfig) -> RunOutcome:
     return RunOutcome(config, result, verdicts, wall_ms)
 
 
-def _campaign_worker(args) -> tuple[int, list[tuple[str, str]], str]:
+def _campaign_worker(args) -> tuple[int, list[str]]:
+    """One seed's run: the seed and the first problem of each failed check."""
     config, seed = args
     scenario = replace(config.scenario, seed=seed)
     outcome = run_config(replace(config, scenario=scenario))
-    failures = [(name, problems[0])
-                for name, problems in outcome.verdicts.items() if problems]
-    return seed, failures, outcome.result.trace.digest()
+    return seed, [problems[0] for problems in outcome.verdicts.values()
+                  if problems]
 
 
 def run_campaign(config: HarnessConfig, count: int,
@@ -89,11 +88,9 @@ def run_campaign(config: HarnessConfig, count: int,
             results = list(pool.map(_campaign_worker, tasks, chunksize=8))
     else:
         results = [_campaign_worker(task) for task in tasks]
-    for seed, failures, _digest in results:
+    for seed, failures in results:
         outcome.runs += 1
-        for name, text in failures:
-            outcome.per_check[name] = outcome.per_check.get(name, 0) + 1
-            outcome.failures.append((seed, text))
+        outcome.failures.extend((seed, text) for text in failures)
     outcome.wall_ms = (time.perf_counter() - started) * 1000
     return outcome
 

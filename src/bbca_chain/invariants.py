@@ -1,19 +1,19 @@
-"""Property suites evaluated over finished runs and explored chain leaves.
+"""Property suites evaluated over finished runs and explored leaves.
 
 Each check inspects a run result (trace plus final node states) and returns
 a list of human-readable violations; empty means the property held.  The
 safety checks are unconditional; the scenario-scoped ones (expected no-op
 views, trip counts, liveness deadlines, censorship cutoffs) read their
-parameters from the harness config's ``expect`` block.  Agreement and
-prefix consistency read only node states, so the explorer checks its chain
-leaves with the same functions.
+parameters from the harness config's ``expect`` block.  Agreement, prefix
+consistency and the per-instance BBCA rules take plain values, so the
+explorer checks its chain and BBCA leaves with the same functions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .bbca import BbcaMsg, MsgKind
+from .bbca import BbcaMsg, InstanceId, MsgKind
 from .blocks import GENESIS_NEW_VIEW, GENESIS_REF
 from .chain import CERT_DRIVEN_CAUSES, NO_OP, ChainNode, get_proposer
 from .identity import NodeId
@@ -128,78 +128,99 @@ def check_fault_budget(result: RunResult, cfg=None) -> list[str]:
     return []
 
 
-def check_bbca_consistency(result: RunResult, cfg=None) -> list[str]:
-    """Per broadcast instance: completions (and audited adoptions) of
-    correct nodes never disagree."""
+# -- BBCA, per broadcast instance ------------------------------------------
+# Pure in plain values, so the simulator checks below and the explorer's
+# BBCA leaves apply the same rules with the same wording.
+
+def bbca_consistency(view: int, decided: set[bytes]) -> list[str]:
+    """Completions and adoptions by correct nodes name at most one message
+    (by quorum intersection: two echo quorums share a correct node)."""
+    if len(decided) > 1:
+        return [f"bbca-consistency: view {view} decided "
+                f"{sorted(d.hex()[:12] for d in decided)}"]
+    return []
+
+
+def complete_adopt(view: int, noadopt_probers: int, adopters: int,
+                   f: int) -> list[str]:
+    """Both halves of Complete-Adopt for an instance some correct node
+    completed: at least f+1 correct end-of-run probes adopt the completed
+    message, and no f+1 correct probes answered noadopt."""
     problems = []
-    correct = result.scenario.correct_nodes()
+    if adopters < f + 1:
+        problems.append(f"complete-adopt: view {view} completed with only "
+                        f"{adopters} end-of-run adopters")
+    if noadopt_probers >= f + 1:
+        problems.append(f"complete-adopt: view {view} completed despite f+1 "
+                        f"correct noadopt probes")
+    return problems
+
+
+SendCounts = dict[tuple[NodeId, MsgKind, InstanceId], int]
+
+
+def echo_once(sends: SendCounts) -> list[str]:
+    """Correct nodes send at most one ECHO and one READY per instance."""
+    twice = sorted((key, count) for key, count in sends.items()
+                   if count > 1 and key[1] != MsgKind.INIT)
+    return [f"echo-once: node {node_id} sent {count} x {kind.name} "
+            f"s{instance.sender} v{instance.view}"
+            for (node_id, kind, instance), count in twice]
+
+
+def _completed(result: RunResult) -> dict[int, set[bytes]]:
+    """view -> digests completed by correct nodes."""
     per_view: dict[int, set[bytes]] = {}
-    for node_id in correct:
+    for node_id in result.scenario.correct_nodes():
         for view, inst in result.nodes[node_id].instances.items():
             if inst.completed is not None:
                 per_view.setdefault(view, set()).add(
                     inst.completed.cert.block_digest)
+    return per_view
+
+
+def check_bbca_consistency(result: RunResult, cfg=None) -> list[str]:
+    """Per broadcast instance: completions (and audited adoptions) of
+    correct nodes never disagree."""
+    decided = _completed(result)
     for (node_id, view), (adopted, ref) in result.trace.audits.items():
         if adopted:
-            per_view.setdefault(view, set()).add(bytes.fromhex(ref))
-    for view, digests in sorted(per_view.items()):
-        if len(digests) > 1:
-            problems.append(
-                f"bbca-consistency: view {view} decided "
-                f"{sorted(d.hex()[:12] for d in digests)}")
-    return problems
+            decided.setdefault(view, set()).add(bytes.fromhex(ref))
+    return [problem for view, digests in sorted(decided.items())
+            for problem in bbca_consistency(view, digests)]
 
 
 def check_bbca_complete_adopt(result: RunResult, cfg=None) -> list[str]:
-    """Needs an end-of-run audit: every completed instance has at least
-    f+1 correct adopters, and f+1 runtime noadopts preclude completion."""
-    problems = []
-    scenario = result.scenario
-    correct = scenario.correct_nodes()
-    if not result.trace.audits:
+    """Needs an end-of-run audit: Complete-Adopt over runtime probes and
+    the audit of every completed instance."""
+    trace = result.trace
+    if not trace.audits:
         return ["complete-adopt: scenario ran without audit probes"]
-    completed_views: set[int] = set()
-    for node_id in correct:
-        for view, inst in result.nodes[node_id].instances.items():
-            if inst.completed is not None:
-                completed_views.add(view)
-    for view in sorted(completed_views):
-        adopters = sum(
-            1 for node_id in correct
-            if result.trace.audits.get((node_id, view), (False, None))[0])
-        if adopters < scenario.params.f + 1:
-            problems.append(
-                f"complete-adopt: view {view} completed with only "
-                f"{adopters} end-of-run adopters")
-    for view in sorted(completed_views):
+    correct = result.scenario.correct_nodes()
+    problems = []
+    for view, digests in sorted(_completed(result).items()):
+        audited = (True, min(digests).hex())
+        adopters = sum(1 for node_id in correct
+                       if trace.audits.get((node_id, view)) == audited)
         noadopts = {node_id for node_id in correct
-                    for tick, v, adopted in result.trace.probes.get(node_id, [])
+                    for _tick, v, adopted in trace.probes.get(node_id, [])
                     if v == view and not adopted}
-        if len(noadopts) >= scenario.params.f + 1:
-            problems.append(
-                f"complete-adopt: view {view} completed despite f+1 "
-                f"correct noadopt probes")
+        problems += complete_adopt(view, len(noadopts), adopters,
+                                   result.scenario.params.f)
     return problems
 
 
 def check_echo_once(result: RunResult, cfg=None) -> list[str]:
-    """Correct nodes send at most one ECHO and one READY per instance."""
-    problems = []
     correct = set(result.scenario.correct_nodes())
-    counts: dict[tuple, int] = {}
+    sends: SendCounts = {}
     for record in result.trace.records:
         if record[0] != "send" or record[2] not in correct:
             continue
         msg = record[3]
-        if isinstance(msg, BbcaMsg) and msg.kind != MsgKind.INIT:
+        if isinstance(msg, BbcaMsg):
             key = (record[2], msg.kind, msg.instance)
-            counts[key] = counts.get(key, 0) + 1
-    for (node_id, kind, instance), count in sorted(counts.items()):
-        if count > 1:
-            problems.append(
-                f"echo-once: node {node_id} sent {count} x {kind.name} "
-                f"s{instance.sender} v{instance.view}")
-    return problems
+            sends[key] = sends.get(key, 0) + 1
+    return echo_once(sends)
 
 
 def check_noop_views(result: RunResult, cfg) -> list[str]:

@@ -121,12 +121,6 @@ class Inject:
     payload: bytes
 
 
-@dataclass(frozen=True)
-class ForceProbe:
-    node: NodeId
-    view: int
-
-
 # -- delay model --------------------------------------------------------------
 
 class DelayModel:
@@ -451,22 +445,20 @@ class Simulator:
                    for i in self.scenario.correct_nodes())
 
     def _audit(self) -> None:
-        """End-of-run probe sweep of every correct node and instance."""
-        views: set[int] = set()
-        for node_id in self.scenario.correct_nodes():
-            views.update(self.nodes[node_id].instances)
-        for node_id in self.scenario.correct_nodes():
-            for view in sorted(views):
-                self._push(self.now, ForceProbe(node_id, view))
-        while self._heap:
-            _, _, event = heapq.heappop(self._heap)
-            if not isinstance(event, ForceProbe):
-                continue  # undelivered traffic is dead once the run stopped
-            result = self.nodes[event.node].audit_probe(event.view)
-            ref = result.cert.block_digest.hex() if result.adopted else None
-            self.trace.audits[(event.node, event.view)] = (result.adopted, ref)
-            self.trace.record("force_probe", event.node, event.view,
-                              result.adopted, ref and ref[:12])
+        """End-of-run probe sweep of every correct node and instance.
+
+        Undelivered traffic is dead once the run stopped; it stays unread.
+        """
+        correct = self.scenario.correct_nodes()
+        views = sorted({view for node_id in correct
+                        for view in self.nodes[node_id].instances})
+        for node_id in correct:
+            for view in views:
+                result = self.nodes[node_id].audit_probe(view)
+                ref = result.cert.block_digest.hex() if result.adopted else None
+                self.trace.audits[(node_id, view)] = (result.adopted, ref)
+                self.trace.record("force_probe", node_id, view,
+                                  result.adopted, ref and ref[:12])
 
 
 def run(scenario: Scenario) -> RunResult:

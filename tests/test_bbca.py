@@ -213,6 +213,34 @@ def test_cert_tamper_detected():
     assert not verify_cert(swapped, node.params, CertKind.ADOPT)
 
 
+# -- handle_message --------------------------------------------------------------
+
+def test_handle_message_dispatches_each_kind():
+    node = fresh()
+    outs, event = node.handle_message(0, BbcaMsg(MsgKind.INIT, BID, M))
+    assert [out.kind for out in outs] == [MsgKind.ECHO] and event is None
+    for signer in (0, 2):
+        assert node.handle_message(
+            signer, BbcaMsg(MsgKind.ECHO, BID, M, echo_from(signer))) == ([], None)
+    outs, event = node.handle_message(3, BbcaMsg(MsgKind.ECHO, BID, M,
+                                                 echo_from(3)))
+    assert [out.kind for out in outs] == [MsgKind.READY] and event is None
+    for signer in (0, 2):
+        node.handle_message(signer, BbcaMsg(MsgKind.READY, BID, M,
+                                            ready_from(signer)))
+    outs, event = node.handle_message(3, BbcaMsg(MsgKind.READY, BID, M,
+                                                 ready_from(3)))
+    assert outs == [] and event is node.completed is not None
+
+
+@pytest.mark.parametrize("kind", [MsgKind.ECHO, MsgKind.READY])
+def test_signature_less_echo_or_ready_is_dropped(kind):
+    node = fresh()
+    assert node.handle_message(0, BbcaMsg(kind, BID, M)) == ([], None)
+    assert not node.received_echo and not node.received_ready
+    assert not node.pending
+
+
 # -- whole-network pump --------------------------------------------------------
 
 def pump(nodes, outbox):
@@ -220,14 +248,7 @@ def pump(nodes, outbox):
     while outbox:
         frm, msg, targets = outbox.pop(0)
         for node_id in sorted(targets):
-            node = nodes[node_id]
-            if msg.kind == MsgKind.INIT:
-                outs = node.on_init(msg.message, frm)
-            elif msg.kind == MsgKind.ECHO:
-                outs = node.on_echo(msg.message, msg.sig, frm)
-            else:
-                node.on_ready(msg.message, msg.sig, frm)
-                outs = []
+            outs, _ = nodes[node_id].handle_message(frm, msg)
             everyone = tuple(nodes)
             outbox.extend((node_id, out, everyone) for out in outs)
 

@@ -114,41 +114,6 @@ def test_convergence_under_insertion_orders():
         assert state == reference
 
 
-# -- ancestry --------------------------------------------------------------------
-
-def test_ancestry_genesis_only():
-    store = DagStore()
-    store.insert(GENESIS_BLOCK)
-    assert store.ancestry(GENESIS_REF) == {GENESIS_REF}
-
-
-def test_ancestry_of_chain():
-    store = DagStore()
-    a = linked(GENESIS_BLOCK, payload=b"a")
-    b = linked(a, payload=b"b")
-    for block in (GENESIS_BLOCK, a, b):
-        store.insert(block)
-    assert store.ancestry(b.digest) == {GENESIS_REF, a.digest, b.digest}
-
-
-def test_ancestry_unknown_root_errors():
-    store = DagStore()
-    with pytest.raises(UnknownBlockError):
-        store.ancestry(GENESIS_REF)
-
-
-def test_ancestry_matches_brute_force_closure():
-    rng = random.Random(99)
-    blocks = random_dag(rng, 30)
-    store = DagStore()
-    for block in blocks:
-        store.insert(block)
-    by_ref = {b.digest: b for b in blocks}
-    for block in blocks:
-        assert store.ancestry(block.digest) == brute_force_closure(
-            by_ref, block.digest)
-
-
 # -- order_under ------------------------------------------------------------------
 
 def test_order_under_bare_backbone():
@@ -190,7 +155,7 @@ def test_order_under_is_linear_extension_ending_at_backbone():
         target = blocks[-1]
         order = store.order_under(target.digest, set())
         assert order[-1] == target.digest
-        assert set(order) == store.ancestry(target.digest)
+        assert set(order) == brute_force_closure(by_ref, target.digest)
         assert is_linear_extension(order, by_ref)
 
 
@@ -215,7 +180,7 @@ def test_order_under_composes_across_commits():
         log.extend(part)
         committed.update(part)
     assert len(log) == len(set(log))
-    assert set(log) == store.ancestry(second.digest)
+    assert set(log) == brute_force_closure(by_ref, second.digest)
     assert is_linear_extension(log, by_ref)
 
 

@@ -1,0 +1,181 @@
+"""The per-instance BBCA rules are one library: an explored leaf and a
+simulator run report a broken rule in the same words, and signature-less
+ECHO/READY traffic is dropped on every path into a broadcast instance."""
+
+import dataclasses
+
+import pytest
+
+from bbca_chain import explore as ex
+from bbca_chain.bbca import BbcaInstance, BbcaMsg, MsgKind
+from bbca_chain.chain import Broadcast, ChainNode, get_proposer
+from bbca_chain.encoding import digest32, echo_statement
+from bbca_chain.identity import SystemParams, sign
+from bbca_chain.invariants import (
+    check_bbca_complete_adopt,
+    check_bbca_consistency,
+    check_echo_once,
+)
+from bbca_chain.simnet import Scenario, run
+
+NEVER_PROPOSED = digest32(b"never proposed")
+
+
+def consistency_text(view, digests):
+    return (f"bbca-consistency: view {view} decided "
+            f"{sorted(d.hex()[:12] for d in digests)}")
+
+
+def noadopt_text(view):
+    return (f"complete-adopt: view {view} completed despite f+1 correct "
+            f"noadopt probes")
+
+
+def adopters_text(view, adopters):
+    return (f"complete-adopt: view {view} completed with only {adopters} "
+            f"end-of-run adopters")
+
+
+def echo_once_text(node, count, kind, sender, view):
+    return f"echo-once: node {node} sent {count} x {kind} s{sender} v{view}"
+
+
+def explored_leaf():
+    """Correct sender, oldest-first schedule, run to quiescence: every node
+    completed b"proposal" in view 1."""
+    world = ex.bbca_correct_sender()
+    while world.pool:
+        world.execute(0)
+    return world
+
+
+def audited_run():
+    """n=4 failure-free run with an end-of-run audit: views 1 and 2 complete
+    everywhere; view 1 is node 1's."""
+    result = run(Scenario(n=4, seed=1, delta_post=10, horizon=2,
+                          audit_probe=True))
+    assert check_bbca_consistency(result) == []
+    assert check_bbca_complete_adopt(result) == []
+    return result
+
+
+def view_one_block(result):
+    return result.nodes[0].instances[1].completed.cert.block_digest
+
+
+def test_clean_leaf_and_run_report_nothing():
+    assert explored_leaf().check_leaf(True) == []
+    result = audited_run()
+    assert check_echo_once(result) == []
+
+
+def runtime_adoption(world):
+    world.probe_adopt[1] = NEVER_PROPOSED
+
+
+def audited_adoption(world):
+    # Node 3 restarts and collects an echo quorum for another message, so
+    # the end-of-run audit finds it adopting that message.
+    node = world.nodes[3] = BbcaInstance(world.params, world.instance, 3)
+    for signer in (0, 1, 2):
+        sig = sign(signer, echo_statement(0, 1, NEVER_PROPOSED))
+        node.on_echo(b"never proposed", sig, signer)
+    assert node.available_adopt() is not None
+
+
+@pytest.mark.parametrize("sabotage", [runtime_adoption, audited_adoption])
+def test_consistency_has_one_wording(sabotage):
+    world = explored_leaf()
+    sabotage(world)
+    expected = consistency_text(1, {digest32(b"proposal"), NEVER_PROPOSED})
+    assert expected in world.check_leaf(False)
+
+
+def test_consistency_has_one_wording_in_a_run():
+    result = audited_run()
+    result.trace.audits[(2, 1)] = (True, NEVER_PROPOSED.hex())
+    assert check_bbca_consistency(result) == [
+        consistency_text(1, {view_one_block(result), NEVER_PROPOSED})]
+
+
+def test_noadopt_half_of_complete_adopt_has_one_wording():
+    world = explored_leaf()
+    world.probe_noadopt.update({1, 2})  # f+1 correct noadopt probes
+    assert world.check_leaf(False) == [noadopt_text(1)]
+
+    result = audited_run()
+    for node_id in (1, 2):
+        result.trace.probes.setdefault(node_id, []).append((0, 1, False))
+    assert check_bbca_complete_adopt(result) == [noadopt_text(1)]
+
+
+def test_adopter_half_of_complete_adopt_has_one_wording():
+    world = explored_leaf()
+    for node in world.nodes.values():
+        node.pending.clear()  # forget every echo: nothing left to adopt
+    assert world.check_leaf(False) == [adopters_text(1, 0)]
+
+    result = audited_run()
+    for node_id in result.scenario.correct_nodes():
+        result.trace.audits[(node_id, 1)] = (False, None)
+    assert check_bbca_complete_adopt(result) == [adopters_text(1, 0)]
+
+
+def test_echo_once_has_one_wording(monkeypatch):
+    # Protocol mutant: INIT re-arms the echo, so a sender that already
+    # echoed in ``broadcast`` echoes again on its own INIT.
+    on_init = BbcaInstance.on_init
+
+    def forgetful_on_init(self, message, frm):
+        self.echo = False
+        return on_init(self, message, frm)
+
+    monkeypatch.setattr(BbcaInstance, "on_init", forgetful_on_init)
+    result = ex.explore(ex.bbca_correct_sender(), depth=0)
+    assert [problem for problem, _ in result.violations] == [
+        echo_once_text(0, 2, "ECHO", 0, 1)]
+
+    sim = run(Scenario(n=4, seed=1, delta_post=10, horizon=2))
+    assert check_echo_once(sim) == [echo_once_text(1, 2, "ECHO", 1, 1),
+                                    echo_once_text(2, 2, "ECHO", 2, 2)]
+
+
+# -- signature-less ECHO and READY ------------------------------------------------
+
+UNSIGNED_KINDS = [MsgKind.ECHO, MsgKind.READY]
+
+
+@pytest.mark.parametrize("kind", UNSIGNED_KINDS)
+def test_chain_node_drops_signature_less_bbca_traffic(kind):
+    params = SystemParams(4)
+    leader_id = get_proposer(1, params)
+    leader = ChainNode(leader_id, params)
+    leader.start()
+    echo = next(action.msg for action in leader.take_outbox()
+                if isinstance(action, Broadcast)
+                and action.msg.kind == MsgKind.ECHO)
+    node = ChainNode(2, params)
+    node.start()
+    node.take_outbox()
+    held = dict(node.held_certs)
+    node.handle_message(leader_id,
+                        dataclasses.replace(echo, kind=kind, sig=None))
+    assert not any(isinstance(action, Broadcast)
+                   for action in node.take_outbox())
+    inst = node.instances[1]
+    assert not inst.received_echo and not inst.received_ready
+    assert node.held_certs == held
+
+
+@pytest.mark.parametrize("kind", UNSIGNED_KINDS)
+def test_bbca_world_drops_signature_less_traffic(kind):
+    world = ex.bbca_correct_sender()
+    world.pool.insert(0, ex.Act("deliver", 1, 0,
+                                BbcaMsg(kind, world.instance, b"proposal")))
+    world.execute(0)
+    node = world.nodes[1]
+    assert not node.received_echo and not node.received_ready
+    assert len(world.pool) == 8  # the sender's INIT and ECHO, to 4 nodes
+    while world.pool:
+        world.execute(0)
+    assert world.check_leaf(True) == []
