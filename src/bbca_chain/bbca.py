@@ -174,8 +174,7 @@ class BbcaInstance:
         if not verify(sig, stmt, signer):
             return []
         self.received_echo.add(signer)
-        mstate = self.pending.setdefault(message_digest(message),
-                                         _MessageState(message))
+        mstate = self._state_for(message_digest(message), message)
         mstate.echo_sigs[signer] = sig
         if (not self.ready and not self.abort
                 and len(mstate.echo_sigs) == self.params.quorum):
@@ -194,7 +193,7 @@ class BbcaInstance:
             return None
         self.received_ready.add(signer)
         digest = message_digest(message)
-        mstate = self.pending.setdefault(digest, _MessageState(message))
+        mstate = self._state_for(digest, message)
         mstate.ready_sigs[signer] = sig
         # Completion is not blocked by abort; only READY emission is.
         if self.completed is None and len(mstate.ready_sigs) == self.params.quorum:
@@ -204,6 +203,12 @@ class BbcaInstance:
             self.completed = CompleteEvent(self.instance, message, cert)
             return self.completed
         return None
+
+    def _state_for(self, digest: BlockRef, message: bytes) -> _MessageState:
+        mstate = self.pending.get(digest)
+        if mstate is None:
+            mstate = self.pending[digest] = _MessageState(message)
+        return mstate
 
     # -- local queries -----------------------------------------------------
 

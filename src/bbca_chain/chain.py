@@ -327,9 +327,11 @@ class ChainNode:
         outs, event = inst.handle_message(frm, msg)
         for out in outs:
             self._emit(Broadcast(out))
-        if msg.sig is not None and msg.kind == MsgKind.ECHO:
+        if (msg.sig is not None and msg.kind == MsgKind.ECHO
+                and bid.view not in self.held_certs):
             # Holding an echo quorum is holding an adopt certificate, even
             # when abort suppressed the READY; the noadopt anchor must see it.
+            # Only a view's first certificate is kept: stop asking after it.
             found = inst.available_adopt()
             if found is not None:
                 self._update_highest_certified(found[1])
@@ -342,6 +344,10 @@ class ChainNode:
                 self.pending_complete[ref] = event
 
     def _ingest_block(self, block: Block) -> None:
+        # A held block was validated, recorded and had its embedded blocks
+        # ingested on first sight; invalid blocks are never held.
+        if self.dag.holds(block.digest):
+            return
         if block.kind == BlockKind.NEW_VIEW:
             if not validate_new_view_block(block, self.params):
                 return

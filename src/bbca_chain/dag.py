@@ -48,6 +48,10 @@ class DagStore:
     def __contains__(self, ref: BlockRef) -> bool:
         return ref in self.delivered
 
+    def holds(self, ref: BlockRef) -> bool:
+        """Delivered or pending: ``insert`` would ignore this block."""
+        return ref in self.delivered or ref in self.pending
+
     def get(self, ref: BlockRef) -> Block:
         try:
             return self.delivered[ref]
@@ -61,7 +65,7 @@ class DagStore:
     def insert(self, block: Block) -> list[Block]:
         """Store a block; return whatever became deliverable, in causal order."""
         digest = block.digest
-        if digest in self.delivered or digest in self.pending:
+        if self.holds(digest):
             return []
         if digest in block.refs:
             raise ValueError("block references its own digest")

@@ -180,10 +180,15 @@ def _completed(result: RunResult) -> dict[int, set[bytes]]:
 
 
 def check_bbca_consistency(result: RunResult, cfg=None) -> list[str]:
-    """Per broadcast instance: completions (and audited adoptions) of
-    correct nodes never disagree."""
+    """Per broadcast instance: completions, runtime-probe adoptions and
+    audited adoptions of correct nodes never disagree."""
+    trace = result.trace
     decided = _completed(result)
-    for (node_id, view), (adopted, ref) in result.trace.audits.items():
+    for node_id in result.scenario.correct_nodes():
+        for _tick, view, adopted, ref in trace.probes.get(node_id, []):
+            if adopted:
+                decided.setdefault(view, set()).add(ref)
+    for (node_id, view), (adopted, ref) in trace.audits.items():
         if adopted:
             decided.setdefault(view, set()).add(bytes.fromhex(ref))
     return [problem for view, digests in sorted(decided.items())
@@ -203,7 +208,8 @@ def check_bbca_complete_adopt(result: RunResult, cfg=None) -> list[str]:
         adopters = sum(1 for node_id in correct
                        if trace.audits.get((node_id, view)) == audited)
         noadopts = {node_id for node_id in correct
-                    for _tick, v, adopted in trace.probes.get(node_id, [])
+                    for _tick, v, adopted, _ref
+                    in trace.probes.get(node_id, [])
                     if v == view and not adopted}
         problems += complete_adopt(view, len(noadopts), adopters,
                                    result.scenario.params.f)

@@ -238,8 +238,8 @@ class Trace:
     send_ticks: dict[BlockRef, int] = field(default_factory=dict)
     deliveries: list[tuple[int, int, NodeId, NodeId]] = field(
         default_factory=list)  # (entry tick, delivery tick, frm, to)
-    probes: dict[NodeId, list[tuple[int, int, bool]]] = field(
-        default_factory=dict)  # node -> [(tick, view, adopted)]
+    probes: dict[NodeId, list[tuple[int, int, bool, BlockRef | None]]] = \
+        field(default_factory=dict)  # node -> [(tick, view, adopted, ref)]
     audits: dict[tuple[NodeId, int], tuple[bool, str | None]] = field(
         default_factory=dict)
     injected: list[tuple[int, NodeId, BlockRef]] = field(default_factory=list)
@@ -301,6 +301,7 @@ class Simulator:
         self._heap: list[tuple[int, int, object]] = []
         self.nodes = {i: ChainNode(i, scenario.params, scenario.horizon)
                       for i in range(scenario.n)}
+        self.correct = scenario.correct_nodes()
         self.adversaries = {
             i: Adversary(i, strategy, scenario.n, self.rng)
             for i, strategy in sorted(scenario.strategies.items())}
@@ -365,9 +366,9 @@ class Simulator:
             self.trace.record("commit", self.now, node_id, view,
                               ",".join(r.hex()[:12] for r in refs))
         elif note.kind == "probe":
-            view, adopted, _ref = note.data
+            view, adopted, ref = note.data
             self.trace.probes.setdefault(node_id, []).append(
-                (self.now, view, adopted))
+                (self.now, view, adopted, ref))
             self.trace.record("probe", self.now, node_id, view, adopted)
 
     # -- main loop ----------------------------------------------------------
@@ -442,17 +443,16 @@ class Simulator:
         if target is None:
             return False
         return all(self.nodes[i].last_committed >= target
-                   for i in self.scenario.correct_nodes())
+                   for i in self.correct)
 
     def _audit(self) -> None:
         """End-of-run probe sweep of every correct node and instance.
 
         Undelivered traffic is dead once the run stopped; it stays unread.
         """
-        correct = self.scenario.correct_nodes()
-        views = sorted({view for node_id in correct
+        views = sorted({view for node_id in self.correct
                         for view in self.nodes[node_id].instances})
-        for node_id in correct:
+        for node_id in self.correct:
             for view in views:
                 result = self.nodes[node_id].audit_probe(view)
                 ref = result.cert.block_digest.hex() if result.adopted else None

@@ -139,6 +139,22 @@ def test_probe_after_quorum_adopts_with_cert():
     assert not node.abort  # adopting probes do not abort
 
 
+def test_adopt_cert_names_the_lowest_quorum_signers_held_at_call_time():
+    # A later echo from a lower signer changes the certificate, so a node
+    # cannot cache the first one per instance: the new-view block built
+    # from a later probe would carry different bytes.
+    node = fresh()
+    for signer in (1, 2, 3):
+        node.on_echo(M, echo_from(signer), frm=signer)
+    _, first = node.available_adopt()
+    assert [sig.signer for sig in first.sigs] == [1, 2, 3]
+    node.on_echo(M, echo_from(0), frm=0)
+    _, later = node.available_adopt()
+    assert [sig.signer for sig in later.sigs] == [0, 1, 2]
+    assert node.probe().cert == later
+    assert verify_cert(later, node.params, CertKind.ADOPT)
+
+
 def test_ready_node_always_adopts():
     node = fresh()
     for signer in (0, 2, 3):

@@ -8,7 +8,9 @@ from bbca_chain.blocks import (
     GENESIS_NEW_VIEW,
     Justification,
     JustificationKind,
+    NewViewData,
     make_backbone,
+    make_new_view,
 )
 from bbca_chain.chain import (
     NO_OP,
@@ -22,6 +24,8 @@ from bbca_chain.chain import (
     validate_backbone_block,
     validate_new_view_block,
 )
+from bbca_chain.encoding import echo_statement, ready_statement
+from bbca_chain.identity import sign
 from conftest import (
     make_adopt_nvb,
     make_cert,
@@ -311,6 +315,72 @@ def test_commit_contiguity_over_a_gap(params4):
     newly = node.try_commit(blocks[3])
     assert newly == [3]
     assert node.last_committed == 3
+
+
+# -- repeated input --------------------------------------------------------------
+
+def settled_state(node):
+    return ({view: dict(per_view)
+             for view, per_view in node.new_view_blocks.items()},
+            dict(node.held_certs), set(node.dag.delivered),
+            set(node.dag.pending), node.dag.tips(), dict(node.finalized),
+            node.view, node.last_committed)
+
+
+def proposal_messages(params, view, block):
+    """INIT, node 0's ECHO and node 0's READY for a backbone block."""
+    bid = InstanceId(get_proposer(view, params), view)
+    echo = sign(0, echo_statement(bid.sender, view, block.digest))
+    ready = sign(0, ready_statement(bid.sender, view, block.digest))
+    return [(bid.sender, BbcaMsg(MsgKind.INIT, bid, block.encoded)),
+            (0, BbcaMsg(MsgKind.ECHO, bid, block.encoded, echo)),
+            (0, BbcaMsg(MsgKind.READY, bid, block.encoded, ready))]
+
+
+def test_held_blocks_and_seen_messages_change_nothing(params4):
+    blocks, _ = make_complete_chain(params4, 2)
+    embedded = blocks[2].justification.new_view_blocks[0]
+    node = ChainNode(3, params4)
+    node.start()
+    node.take_outbox()
+    # First pass: view 2's proposal arrives before view 1's, so it and its
+    # embedded new-view block wait in pending; then view 1's proposal
+    # delivers all three.
+    for view in (2, 1):
+        seen = proposal_messages(params4, view, blocks[view])
+        for frm, msg in seen:
+            node.handle_message(frm, msg)
+        node.take_outbox()
+        assert (embedded.digest in node.dag.pending) == (view == 2)
+        before = settled_state(node)
+        node._ingest_block(blocks[2])
+        node._ingest_block(embedded)
+        for frm, msg in seen:
+            node.handle_message(frm, msg)
+        assert settled_state(node) == before
+        assert node.take_outbox() == []
+    # An equivocating twin has its own digest: it is stored, but the first
+    # block per (view, author) stays the recorded one.
+    twin = make_complete_nvb(params4, embedded.author, 1, blocks[1],
+                             extra_refs=(GENESIS_NEW_VIEW.digest,))
+    node.handle_message(embedded.author, BlockMsg(twin))
+    assert twin.digest in node.dag
+    assert node.new_view_blocks[1][embedded.author] == embedded
+
+
+def test_invalid_new_view_block_rejected_every_time(params4):
+    # A real view-1 certificate wrapped in a new-view block labeled view 2.
+    blocks, certs = make_complete_chain(params4, 1)
+    mismatched = make_new_view(
+        2, 2, NewViewData(EvidenceKind.COMPLETE, certs[1]))
+    node = ChainNode(0, params4)
+    node.start()
+    node.take_outbox()
+    for _ in range(2):
+        node.handle_message(2, BlockMsg(mismatched))
+        assert 2 not in node.new_view_blocks
+        assert not node.dag.holds(mismatched.digest)
+        assert node.view == 1
 
 
 # -- payload submission ----------------------------------------------------------

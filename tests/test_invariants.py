@@ -16,7 +16,7 @@ from bbca_chain.invariants import (
     check_bbca_consistency,
     check_echo_once,
 )
-from bbca_chain.simnet import Scenario, run
+from bbca_chain.simnet import Scenario, Strategy, run
 
 NEVER_PROPOSED = digest32(b"never proposed")
 
@@ -98,6 +98,24 @@ def test_consistency_has_one_wording_in_a_run():
         consistency_text(1, {view_one_block(result), NEVER_PROPOSED})]
 
 
+def test_runtime_probe_adoptions_count_for_consistency_in_a_run():
+    # The golden shape n4-equivocate-init-audit: node 1 equivocates its
+    # view-1 proposal and correct nodes adopt when their timers fire.
+    result = run(Scenario(n=4, seed=5, delta_post=5, delay_mode="random",
+                          horizon=4, audit_probe=True,
+                          strategies={1: Strategy("equivocate_init")}))
+    adoptions = [(node_id, index, entry) for node_id in
+                 result.scenario.correct_nodes()
+                 for index, entry in enumerate(result.trace.probes[node_id])
+                 if entry[2]]
+    assert adoptions
+    assert check_bbca_consistency(result) == []
+    node_id, index, (tick, view, _, ref) = adoptions[0]
+    result.trace.probes[node_id][index] = (tick, view, True, NEVER_PROPOSED)
+    assert check_bbca_consistency(result) == [
+        consistency_text(view, {ref, NEVER_PROPOSED})]
+
+
 def test_noadopt_half_of_complete_adopt_has_one_wording():
     world = explored_leaf()
     world.probe_noadopt.update({1, 2})  # f+1 correct noadopt probes
@@ -105,7 +123,8 @@ def test_noadopt_half_of_complete_adopt_has_one_wording():
 
     result = audited_run()
     for node_id in (1, 2):
-        result.trace.probes.setdefault(node_id, []).append((0, 1, False))
+        result.trace.probes.setdefault(node_id, []).append(
+            (0, 1, False, None))
     assert check_bbca_complete_adopt(result) == [noadopt_text(1)]
 
 

@@ -1,6 +1,10 @@
+from collections import Counter
+
 import pytest
 
-from bbca_chain.chain import NO_OP
+from bbca_chain.bbca import BbcaInstance
+from bbca_chain.chain import NO_OP, ChainNode
+from bbca_chain.dag import DagStore
 from bbca_chain.identity import ConfigError
 from bbca_chain.invariants import (
     check_agreement,
@@ -210,10 +214,56 @@ def test_echo_once_flags_a_node_that_sends_twice():
     assert any("READY" in p for p in problems)
 
 
+def test_each_proposal_is_processed_once_per_node(monkeypatch):
+    # The golden shape n7-equivocate-data-payloads.  Every proposal reaches
+    # a node inside INIT, each ECHO and each READY, with its embedded
+    # new-view blocks; only the first copy is new information.
+    inserted: dict[int, Counter] = {}  # id(store) -> digest -> insert calls
+    insert = DagStore.insert
+
+    def counting_insert(self, block):
+        inserted.setdefault(id(self), Counter())[block.digest] += 1
+        return insert(self, block)
+
+    # Whether the view of the BBCA message being handled already held a
+    # certificate when it arrived; empty outside message handling.
+    view_held: list[bool] = []
+    handle = ChainNode._handle_bbca_message
+
+    def tracking_handle(self, frm, msg):
+        view_held.append(msg.instance.view in self.held_certs)
+        try:
+            handle(self, frm, msg)
+        finally:
+            view_held.pop()
+
+    adopt_calls = Counter()
+    available_adopt = BbcaInstance.available_adopt
+
+    def counting_adopt(self):
+        adopt_calls[bool(view_held) and view_held[-1]] += 1
+        return available_adopt(self)
+
+    monkeypatch.setattr(DagStore, "insert", counting_insert)
+    monkeypatch.setattr(ChainNode, "_handle_bbca_message", tracking_handle)
+    monkeypatch.setattr(BbcaInstance, "available_adopt", counting_adopt)
+    result = run(Scenario(n=7, seed=14, delta_post=5, delay_mode="random",
+                          horizon=4, injections=((10, 2), (12, 0)),
+                          strategies={2: Strategy("equivocate_data")}))
+    assert not result.failed
+    assert len(inserted) == 7
+    repeated = {digest.hex()[:12]: count for per_store in inserted.values()
+                for digest, count in per_store.items() if count > 1}
+    assert repeated == {}
+    assert adopt_calls[False] > 0
+    assert adopt_calls[True] == 0, "adopt certificate rebuilt for a view " \
+        "that already held one"
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "the next leader's own new-view block never leaves it when its proposal "
     "justifies with another node's block, so the nodes referencing it stall "
-    "(ROADMAP item 6)"))
+    "(ROADMAP item 1)"))
 def test_equivocating_init_leader_does_not_stall_commits():
     # The golden shape n7-equivocate-init: nodes 0, 3, 4, 5 and 6 hold
     # 23-24 blocks pending and commit nothing although views 2-4 complete.
