@@ -16,9 +16,10 @@ result = Simulator(scenario).run()
 
 print("probe results while the timers fired:")
 for node_id, probes in sorted(result.trace.probes.items()):
-    for tick, view, adopted in probes:
+    for tick, view, adopted, ref in probes:
+        outcome = f"adopt {ref.hex()[:12]}" if adopted else "noadopt"
         print(f"  node {node_id} probed view {view} at tick {tick}: "
-              f"{'adopt' if adopted else 'noadopt'}")
+              f"{outcome}")
 print()
 
 for node_id in result.scenario.correct_nodes():

@@ -190,7 +190,7 @@ def check_bbca_consistency(result: RunResult, cfg=None) -> list[str]:
                 decided.setdefault(view, set()).add(ref)
     for (node_id, view), (adopted, ref) in trace.audits.items():
         if adopted:
-            decided.setdefault(view, set()).add(bytes.fromhex(ref))
+            decided.setdefault(view, set()).add(ref)
     return [problem for view, digests in sorted(decided.items())
             for problem in bbca_consistency(view, digests)]
 
@@ -204,7 +204,7 @@ def check_bbca_complete_adopt(result: RunResult, cfg=None) -> list[str]:
     correct = result.scenario.correct_nodes()
     problems = []
     for view, digests in sorted(_completed(result).items()):
-        audited = (True, min(digests).hex())
+        audited = (True, min(digests))
         adopters = sum(1 for node_id in correct
                        if trace.audits.get((node_id, view)) == audited)
         noadopts = {node_id for node_id in correct

@@ -240,8 +240,8 @@ class Trace:
         default_factory=list)  # (entry tick, delivery tick, frm, to)
     probes: dict[NodeId, list[tuple[int, int, bool, BlockRef | None]]] = \
         field(default_factory=dict)  # node -> [(tick, view, adopted, ref)]
-    audits: dict[tuple[NodeId, int], tuple[bool, str | None]] = field(
-        default_factory=dict)
+    audits: dict[tuple[NodeId, int], tuple[bool, BlockRef | None]] = field(
+        default_factory=dict)  # (node, view) -> (adopted, ref)
     injected: list[tuple[int, NodeId, BlockRef]] = field(default_factory=list)
     failure: tuple[int, str] | None = None  # (event index, description)
     stop_reason: str = ""
@@ -455,10 +455,10 @@ class Simulator:
         for node_id in self.correct:
             for view in views:
                 result = self.nodes[node_id].audit_probe(view)
-                ref = result.cert.block_digest.hex() if result.adopted else None
+                ref = result.cert.block_digest if result.adopted else None
                 self.trace.audits[(node_id, view)] = (result.adopted, ref)
                 self.trace.record("force_probe", node_id, view,
-                                  result.adopted, ref and ref[:12])
+                                  result.adopted, ref and ref.hex()[:12])
 
 
 def run(scenario: Scenario) -> RunResult:

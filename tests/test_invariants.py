@@ -93,7 +93,7 @@ def test_consistency_has_one_wording(sabotage):
 
 def test_consistency_has_one_wording_in_a_run():
     result = audited_run()
-    result.trace.audits[(2, 1)] = (True, NEVER_PROPOSED.hex())
+    result.trace.audits[(2, 1)] = (True, NEVER_PROPOSED)
     assert check_bbca_consistency(result) == [
         consistency_text(1, {view_one_block(result), NEVER_PROPOSED})]
 
