@@ -43,6 +43,11 @@ class MsgKind(enum.IntEnum):
     READY = 3
 
 
+# Reading an enum member costs an attribute lookup on the class; the
+# handlers below compare against these module constants on every message.
+_INIT, _ECHO, _READY = MsgKind.INIT, MsgKind.ECHO, MsgKind.READY
+
+
 @dataclass(frozen=True)
 class BbcaMsg:
     kind: MsgKind
@@ -119,8 +124,8 @@ class BbcaInstance:
         if self.echo:
             raise ValueError("duplicate broadcast on an initialized instance")
         self.echo = True
-        return [BbcaMsg(MsgKind.INIT, self.instance, message),
-                self._signed(MsgKind.ECHO, message)]
+        return [BbcaMsg(_INIT, self.instance, message),
+                self._signed(_ECHO, message)]
 
     def probe(self) -> ProbeResult:
         """Adopt a quorum-echoed message, or abort the instance.
@@ -144,12 +149,13 @@ class BbcaInstance:
         Only INIT rides unsigned; an ECHO or READY without a signature is
         dropped.
         """
+        kind = msg.kind
         if msg.sig is not None:
-            if msg.kind == MsgKind.ECHO:
+            if kind == _ECHO:
                 return self.on_echo(msg.message, msg.sig, frm), None
-            if msg.kind == MsgKind.READY:
+            if kind == _READY:
                 return [], self.on_ready(msg.message, msg.sig, frm)
-        if msg.kind == MsgKind.INIT:
+        if kind == _INIT:
             return self.on_init(msg.message, frm), None
         return [], None
 
@@ -160,7 +166,7 @@ class BbcaInstance:
         if not self.predicate(message):
             return []
         self.echo = True
-        return [self._signed(MsgKind.ECHO, message)]
+        return [self._signed(_ECHO, message)]
 
     def on_echo(self, message: bytes, sig: Signature,
                 frm: NodeId) -> list[BbcaMsg]:
@@ -169,7 +175,7 @@ class BbcaInstance:
         signer = sig.signer
         if signer in self.received_echo or not self.predicate(message):
             return []
-        stmt = _statement(MsgKind.ECHO, self.instance.sender,
+        stmt = _statement(_ECHO, self.instance.sender,
                           self.instance.view, message)
         if not verify(sig, stmt, signer):
             return []
@@ -179,7 +185,7 @@ class BbcaInstance:
         if (not self.ready and not self.abort
                 and len(mstate.echo_sigs) == self.params.quorum):
             self.ready = True
-            return [self._signed(MsgKind.READY, message)]
+            return [self._signed(_READY, message)]
         return []
 
     def on_ready(self, message: bytes, sig: Signature,
@@ -187,7 +193,7 @@ class BbcaInstance:
         signer = sig.signer
         if signer in self.received_ready or not self.predicate(message):
             return None
-        stmt = _statement(MsgKind.READY, self.instance.sender,
+        stmt = _statement(_READY, self.instance.sender,
                           self.instance.view, message)
         if not verify(sig, stmt, signer):
             return None
@@ -241,7 +247,7 @@ def _statement(kind: MsgKind, sender: NodeId, view: int,
     Pure in its arguments, so memoized; signatures over it are still
     verified on every delivery.
     """
-    build = echo_statement if kind == MsgKind.ECHO else ready_statement
+    build = echo_statement if kind == _ECHO else ready_statement
     return build(sender, view, message_digest(message))
 
 

@@ -44,6 +44,13 @@ from .identity import NodeId, SystemParams, sign, verify
 
 NO_OP = "NO-OP"
 
+# Enum members as module constants: reading a member off its class costs an
+# attribute lookup, and the handlers compare kinds on every message.
+_ECHO = MsgKind.ECHO
+_BACKBONE, _NEW_VIEW = BlockKind.BACKBONE, BlockKind.NEW_VIEW
+_COMPLETE, _ADOPT, _NOADOPT = (EvidenceKind.COMPLETE, EvidenceKind.ADOPT,
+                               EvidenceKind.NOADOPT)
+
 
 class SafetyViolation(Exception):
     """A correct node reached a state the protocol promises is unreachable."""
@@ -216,6 +223,9 @@ class ChainNode:
         self.emitted_nvb: set[int] = set()
         self.my_last_ref: BlockRef | None = None
         self.outbox: list[Action] = []
+        # Set when a view rule's input changes (the view, a stored new-view
+        # block, a probe); the rules are rerun only then.
+        self.rules_dirty = True
 
     def clone(self) -> "ChainNode":
         """Snapshot for state-space exploration.
@@ -246,6 +256,7 @@ class ChainNode:
         twin.emitted_nvb = set(self.emitted_nvb)
         twin.my_last_ref = self.my_last_ref
         twin.outbox = list(self.outbox)
+        twin.rules_dirty = self.rules_dirty
         return twin
 
     # -- plumbing ---------------------------------------------------------
@@ -291,7 +302,8 @@ class ChainNode:
             self._ingest_block(msg.block)
         elif isinstance(msg, BbcaMsg):
             self._handle_bbca_message(frm, msg)
-        self._evaluate_view_rules()
+        if self.rules_dirty:
+            self._evaluate_view_rules()
 
     def handle_timer(self, view: int) -> None:
         if view != self.view or self._terminal() or view in self.probed:
@@ -327,7 +339,7 @@ class ChainNode:
         outs, event = inst.handle_message(frm, msg)
         for out in outs:
             self._emit(Broadcast(out))
-        if (msg.sig is not None and msg.kind == MsgKind.ECHO
+        if (msg.sig is not None and msg.kind == _ECHO
                 and bid.view not in self.held_certs):
             # Holding an echo quorum is holding an adopt certificate, even
             # when abort suppressed the READY; the noadopt anchor must see it.
@@ -348,13 +360,14 @@ class ChainNode:
         # ingested on first sight; invalid blocks are never held.
         if self.dag.holds(block.digest):
             return
-        if block.kind == BlockKind.NEW_VIEW:
+        kind = block.kind
+        if kind == _NEW_VIEW:
             if not validate_new_view_block(block, self.params):
                 return
             # Certificates act at byte receipt: view synchronization must not
             # wait for the block's ancestry.  Only commits are delivery-gated.
             self._record_new_view_block(block)
-        elif block.kind == BlockKind.BACKBONE:
+        elif kind == _BACKBONE:
             if block.justification is None:
                 return
             for nvb in block.justification.new_view_blocks:
@@ -363,7 +376,7 @@ class ChainNode:
             self._dispatch_delivered(delivered)
 
     def _dispatch_delivered(self, block: Block) -> None:
-        if block.kind == BlockKind.BACKBONE:
+        if block.kind == _BACKBONE:
             event = self.pending_complete.pop(block.digest, None)
             if event is not None:
                 self._on_bbca_complete(event)
@@ -378,10 +391,12 @@ class ChainNode:
         if nvb.author in per_view:
             return
         per_view[nvb.author] = nvb
-        if nvb.new_view.evidence != EvidenceKind.NOADOPT:
+        self.rules_dirty = True
+        evidence = nvb.new_view.evidence
+        if evidence != _NOADOPT:
             self.top_certified_view = max(self.top_certified_view, nvb.view)
         self._update_highest_certified(nvb.new_view.cert)
-        if nvb.new_view.evidence == EvidenceKind.COMPLETE and nvb.view > 0:
+        if evidence == _COMPLETE and nvb.view > 0:
             ref = nvb.certified_ref
             if ref in self.dag:
                 self.try_commit(self.dag.get(ref))
@@ -421,6 +436,7 @@ class ChainNode:
 
     def _conclude_view_by_probe(self, view: int) -> None:
         self.probed.add(view)
+        self.rules_dirty = True
         result = self._instance_for(view).probe()
         if result.adopted:
             self._update_highest_certified(result.cert)
@@ -439,6 +455,7 @@ class ChainNode:
         if view <= self.view:
             return
         self.view = view
+        self.rules_dirty = True
         if self._terminal():
             return
         self._emit(Note("view", (view, cause)))
@@ -450,6 +467,11 @@ class ChainNode:
         Order matters: certificate-driven catch-up first, then the early
         probe at f+1 noadopts, then quorum entry.  A node never takes the
         noadopt entry without having probed its own instance first.
+
+        The rules read only the view, the stored new-view blocks, ``probed``
+        and ``proposed``, and the loop ends at a fixpoint, so a pass can be
+        skipped until one of the first three changes (``proposed`` changes
+        only here, on the pass's last step).
         """
         while not self._terminal():
             view = self.view
@@ -465,7 +487,7 @@ class ChainNode:
                     # relay the evidence so everyone enters within a delay.
                     self._emit(Broadcast(BlockMsg(nvb)))
                 cause = ("complete_recv"
-                         if evidence == EvidenceKind.COMPLETE else "adopt_recv")
+                         if evidence == _COMPLETE else "adopt_recv")
                 self._enter_view(w + 1, cause)
                 continue
             noadopts = self._noadopts_for(view)
@@ -476,7 +498,8 @@ class ChainNode:
                 self._enter_view(view + 1, NOADOPT_CAUSE)
                 continue
             self._maybe_propose(view)
-            return
+            break
+        self.rules_dirty = False
 
     def _best_certified_conclusion(self, view: int):
         """Highest view w >= current with a complete/adopt new-view block."""
@@ -486,9 +509,9 @@ class ChainNode:
             for author in sorted(per_view):
                 nvb = per_view[author]
                 kind = nvb.new_view.evidence
-                if kind == EvidenceKind.COMPLETE:
+                if kind == _COMPLETE:
                     return w, nvb
-                if kind == EvidenceKind.ADOPT and chosen is None:
+                if kind == _ADOPT and chosen is None:
                     chosen = nvb
             if chosen is not None:
                 return w, chosen
@@ -497,7 +520,7 @@ class ChainNode:
     def _noadopts_for(self, view: int) -> dict[NodeId, Block]:
         return {author: nvb
                 for author, nvb in self.new_view_blocks.get(view, {}).items()
-                if nvb.new_view.evidence == EvidenceKind.NOADOPT}
+                if nvb.new_view.evidence == _NOADOPT}
 
     # -- leader proposal -----------------------------------------------------
 

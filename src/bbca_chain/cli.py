@@ -63,6 +63,10 @@ def main(argv=None) -> int:
             if config.explore is None:
                 raise ConfigError(
                     f"{args.config}: explore command needs an 'explore' section")
+            if args.depth < 0:
+                raise ConfigError("--depth must be at least 0")
+            if args.max_leaves is not None and args.max_leaves < 1:
+                raise ConfigError("--max-leaves must be at least 1")
             result = harness.run_explore(config, args.depth, args.max_leaves)
             _emit(harness.render_explore_report(config, args.depth, result),
                   None)

@@ -18,6 +18,7 @@ leaf reports a violation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .bbca import BbcaInstance, BbcaMsg, InstanceId, message_digest
 from .chain import Broadcast, ChainNode, SafetyViolation
@@ -32,9 +33,12 @@ from .invariants import (
 )
 
 
-@dataclass(frozen=True)
-class Act:
-    """One schedulable step: deliver a message, probe, or fire a timer."""
+class Act(NamedTuple):
+    """One schedulable step: deliver a message, probe, or fire a timer.
+
+    A named tuple, which is cheaper to build than a dataclass; every
+    broadcast builds one per recipient.
+    """
 
     kind: str  # "deliver" | "probe" | "timer"
     to: NodeId
@@ -75,6 +79,7 @@ class BbcaWorld:
         self.correct = list(correct)
         self.replayers = replayers
         self.sent_message = sent_message  # correct sender's message, if any
+        self.everyone = tuple(sorted({*correct, *replayers}))
         self.nodes = {i: BbcaInstance(params, instance, i) for i in correct}
         self.pool: list[Act] = []
         self.executed: list[Act] = []
@@ -91,6 +96,7 @@ class BbcaWorld:
         twin.correct = self.correct
         twin.replayers = self.replayers
         twin.sent_message = self.sent_message
+        twin.everyone = self.everyone
         twin.nodes = {i: node.clone() for i, node in self.nodes.items()}
         twin.pool = list(self.pool)
         twin.executed = list(self.executed)
@@ -100,36 +106,33 @@ class BbcaWorld:
         twin._replayed = set(self._replayed)
         return twin
 
-    def everyone(self) -> list[NodeId]:
-        return sorted(set(self.correct) | set(self.replayers))
-
     def push_broadcast(self, frm: NodeId, msg: BbcaMsg,
                        targets=None) -> None:
         if frm in self.nodes:
             key = (frm, msg.kind, msg.instance)
             self.sends[key] = self.sends.get(key, 0) + 1
-        for to in (self.everyone() if targets is None else targets):
-            self.pool.append(Act("deliver", to, frm, msg))
+        self.pool.extend([Act("deliver", to, frm, msg) for to in
+                          (self.everyone if targets is None else targets)])
 
     def execute(self, index: int) -> None:
         act = self.pool.pop(index)
         self.executed.append(act)
-        if act.kind == "probe":
-            result = self.nodes[act.to].probe()
+        kind, to, frm, msg = act
+        if kind == "probe":
+            result = self.nodes[to].probe()
             if result.adopted:
-                self.probe_adopt[act.to] = result.cert.block_digest
+                self.probe_adopt[to] = result.cert.block_digest
             else:
-                self.probe_noadopt.add(act.to)
+                self.probe_noadopt.add(to)
             return
-        msg: BbcaMsg = act.msg
-        if act.to in self.replayers:
+        if to in self.replayers:
             if msg not in self._replayed:
                 self._replayed.add(msg)
-                self.push_broadcast(act.to, msg)
+                self.push_broadcast(to, msg)
             return
-        outs, _ = self.nodes[act.to].handle_message(act.frm, msg)
+        outs, _ = self.nodes[to].handle_message(frm, msg)
         for out in outs:
-            self.push_broadcast(act.to, out)
+            self.push_broadcast(to, out)
 
     # -- leaf audit ---------------------------------------------------------
 
@@ -171,6 +174,7 @@ class ChainWorld:
         self.params = params
         self.nodes = {i: ChainNode(i, params, horizon)
                       for i in range(params.n)}
+        self.everyone = tuple(sorted(self.nodes))
         self.pool: list[Act] = []
         self.executed: list[Act] = []
         self.broken: str | None = None
@@ -185,6 +189,7 @@ class ChainWorld:
         twin = object.__new__(ChainWorld)
         twin.params = self.params
         twin.nodes = {i: node.clone() for i, node in self.nodes.items()}
+        twin.everyone = self.everyone
         twin.pool = list(self.pool)
         twin.executed = list(self.executed)
         twin.broken = self.broken
@@ -193,24 +198,25 @@ class ChainWorld:
     def _drain(self, node_id: NodeId) -> None:
         for action in self.nodes[node_id].take_outbox():
             if isinstance(action, Broadcast):
-                for to in sorted(self.nodes):
-                    self.pool.append(Act("deliver", to, node_id, action.msg))
+                self.pool.extend([Act("deliver", to, node_id, action.msg)
+                                  for to in self.everyone])
             # SetTimer is ignored: timeouts exist only as explicit tokens.
 
     def execute(self, index: int) -> None:
         act = self.pool.pop(index)
         self.executed.append(act)
-        node = self.nodes[act.to]
+        kind, to, frm, msg = act
+        node = self.nodes[to]
         try:
-            if act.kind == "timer":
+            if kind == "timer":
                 node.handle_timer(node.view)
             else:
-                node.handle_message(act.frm, act.msg)
+                node.handle_message(frm, msg)
         except SafetyViolation as violation:
             self.broken = str(violation)
             self.pool.clear()
             return
-        self._drain(act.to)
+        self._drain(to)
 
     def check_leaf(self) -> list[str]:
         problems = [f"safety: {self.broken}"] if self.broken else []

@@ -104,7 +104,7 @@ def run_explore(config: HarnessConfig, depth: int,
               if spec.case == "chain_two_views" else {})
     world = explore_mod.CASES[spec.case](**kwargs)
     return explore_mod.explore(
-        world, depth, max_leaves or spec.max_leaves,
+        world, depth, spec.max_leaves if max_leaves is None else max_leaves,
         check_validity=spec.check_validity)
 
 

@@ -194,6 +194,11 @@ def parse_config(raw: dict, path: str = "config") -> HarnessConfig:
             raise ConfigError(f"{path}.explore.case: unknown case {case!r}")
         if n != 4:
             raise ConfigError(f"{path}.n: exploration requires n=4")
+        if max_leaves < 1:
+            raise ConfigError(f"{path}.explore.max_leaves: must be at least 1")
+        if not 0 <= timeout_node < n:
+            raise ConfigError(
+                f"{path}.explore.timeout_node: out of range for n={n}")
         explore = ExploreSpec(case, max_leaves, check_validity, timeout_node)
 
     return HarnessConfig(

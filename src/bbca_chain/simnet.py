@@ -20,6 +20,7 @@ import heapq
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .bbca import BbcaInstance, BbcaMsg, MsgKind
 from .blocks import Block, BlockKind, BlockRef, decode_block
@@ -101,22 +102,21 @@ class Scenario:
 
 
 # -- events -------------------------------------------------------------------
+# Named tuples, which are cheaper to build than dataclasses: a broadcast
+# schedules one Deliver per recipient.
 
-@dataclass(frozen=True)
-class Deliver:
+class Deliver(NamedTuple):
     to: NodeId
     frm: NodeId
     msg: WireMsg
 
 
-@dataclass(frozen=True)
-class TimerFire:
+class TimerFire(NamedTuple):
     node: NodeId
     view: int
 
 
-@dataclass(frozen=True)
-class Inject:
+class Inject(NamedTuple):
     node: NodeId
     payload: bytes
 
@@ -260,7 +260,7 @@ class Trace:
                 if text is None:
                     text = described[id(msg)] = _describe(msg)
                 record = record[:-1] + (text,)
-            lines.append(" ".join(str(f) for f in record))
+            lines.append(" ".join(map(str, record)))
         lines.append(f"stop {self.stop_reason}")
         return lines
 
@@ -390,7 +390,7 @@ class Simulator:
             self.now = tick
             self.trace.events_processed += 1
             try:
-                self._dispatch(event)
+                node_id = self._dispatch(event)
             except SafetyViolation as violation:
                 self.trace.failure = (self.trace.events_processed,
                                       str(violation))
@@ -398,7 +398,7 @@ class Simulator:
                                   self.trace.events_processed, str(violation))
                 stop = "violation"
                 break
-            if self._target_reached():
+            if self._target_reached(node_id):
                 stop = "target"
                 break
         if not stop:
@@ -417,7 +417,8 @@ class Simulator:
                               node.last_committed, log_digest, entry_vector)
         return RunResult(scenario, self.trace, self.nodes)
 
-    def _dispatch(self, event) -> None:
+    def _dispatch(self, event) -> NodeId:
+        """Process one event; return the node it was addressed to."""
         if isinstance(event, Deliver):
             self.trace.record("deliver", self.now, event.to, event.frm,
                               event.msg)
@@ -427,20 +428,27 @@ class Simulator:
             if adversary is not None:
                 for msg, targets, lag in adversary.observed(event.msg):
                     self._transmit(event.to, msg, targets, lag)
-        elif isinstance(event, TimerFire):
+            return event.to
+        if isinstance(event, TimerFire):
             self.trace.record("timer", self.now, event.node, event.view)
             self.nodes[event.node].handle_timer(event.view)
-            self._drain(event.node)
-        elif isinstance(event, Inject):
+        else:
             block = self.nodes[event.node].submit_payload(event.payload)
             self.trace.injected.append((self.now, event.node, block.digest))
             self.trace.record("inject", self.now, event.node,
                               block.digest.hex()[:12])
-            self._drain(event.node)
+        self._drain(event.node)
+        return event.node
 
-    def _target_reached(self) -> bool:
+    def _target_reached(self, node_id: NodeId) -> bool:
+        """Whether every correct node committed the target view.
+
+        An event changes only its own node's ``last_committed`` and the
+        check was false after the previous event, so the node the event
+        touched is tested first.
+        """
         target = self.scenario.stop_after_committed
-        if target is None:
+        if target is None or self.nodes[node_id].last_committed < target:
             return False
         return all(self.nodes[i].last_committed >= target
                    for i in self.correct)

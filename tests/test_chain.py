@@ -383,6 +383,121 @@ def test_invalid_new_view_block_rejected_every_time(params4):
         assert node.view == 1
 
 
+# -- view-rule gating ------------------------------------------------------------
+# The view rules rerun only when one of their inputs changed: the view, a
+# stored new-view block or a probe.  Input that changes none of them runs
+# no pass; each input change still fires the rule that reads it.
+
+@pytest.fixture
+def rule_passes(monkeypatch):
+    """Count ``_evaluate_view_rules`` passes, per node id."""
+    counts = {}
+    evaluate = ChainNode._evaluate_view_rules
+
+    def counted(node):
+        counts[node.id] = counts.get(node.id, 0) + 1
+        evaluate(node)
+
+    monkeypatch.setattr(ChainNode, "_evaluate_view_rules", counted)
+    return counts
+
+
+def ready_messages(params, view, block, signers):
+    bid = InstanceId(get_proposer(view, params), view)
+    return [(signer, BbcaMsg(MsgKind.READY, bid, block.encoded,
+                             sign(signer, ready_statement(bid.sender, view,
+                                                          block.digest))))
+            for signer in signers]
+
+
+def test_seen_messages_and_held_blocks_run_no_rule_pass(params4, rule_passes):
+    blocks, _ = make_complete_chain(params4, 2)
+    node = ChainNode(3, params4)
+    node.start()
+    seen = proposal_messages(params4, 1, blocks[1])
+    for frm, msg in seen:
+        node.handle_message(frm, msg)
+    node.take_outbox()
+    rule_passes.clear()
+    held = BlockMsg(blocks[2].justification.new_view_blocks[0])
+    node.handle_message(0, held)  # first sight: stored, rules rerun
+    assert rule_passes == {3: 1}
+    node.take_outbox()
+    for frm, msg in [*seen, (0, held), (1, BlockMsg(blocks[1]))]:
+        rule_passes.clear()
+        node.handle_message(frm, msg)
+        assert rule_passes == {}, msg
+        assert node.take_outbox() == []
+
+
+def test_later_view_adopt_block_triggers_catch_up(params4):
+    blocks, _ = make_complete_chain(params4, 2)
+    node = ChainNode(0, params4)
+    node.start()
+    node.take_outbox()
+    node.handle_message(3, BlockMsg(make_adopt_nvb(params4, 3, 2, blocks[2])))
+    assert node.view == 3
+    own = [m.block for m in broadcasts(node) if isinstance(m, BlockMsg)]
+    assert [(b.author, b.view, b.new_view.evidence) for b in own] == [
+        (0, 2, EvidenceKind.ADOPT)]
+
+
+def test_entering_a_led_view_makes_the_leader_propose(params4):
+    blocks, _ = make_complete_chain(params4, 1)
+    leader = ChainNode(2, params4)  # leads view 2
+    leader.start()
+    leader.handle_message(1, BbcaMsg(MsgKind.INIT, InstanceId(1, 1),
+                                     blocks[1].encoded))
+    leader.take_outbox()
+    for frm, msg in ready_messages(params4, 1, blocks[1], (0, 1, 3)):
+        leader.handle_message(frm, msg)
+    assert leader.view == 2 and 2 in leader.proposed
+    inits = [m for m in broadcasts(leader) if isinstance(m, BbcaMsg)
+             and m.kind == MsgKind.INIT]
+    assert [m.instance for m in inits] == [InstanceId(2, 2)]
+
+
+def test_entering_a_view_with_f_plus_one_noadopts_probes_at_once(params4):
+    # Node 0 times out of view 1 and probes (noadopt), then learns that
+    # nodes 2 and 3 already gave up on view 2.  When view 1 completes after
+    # all, node 0's own view-1 block is already out, so entering view 2 is
+    # the only changed rule input; the f+1 noadopts must trigger the probe.
+    blocks, _ = make_complete_chain(params4, 1)
+    node = ChainNode(0, params4)
+    node.start()
+    node.handle_timer(1)
+    for author in (2, 3):
+        node.handle_message(author, BlockMsg(
+            make_noadopt_nvb(params4, author, 2, GENESIS_CERT)))
+    assert node.view == 1 and 2 not in node.probed
+    node.handle_message(1, BbcaMsg(MsgKind.INIT, InstanceId(1, 1),
+                                   blocks[1].encoded))
+    for frm, msg in ready_messages(params4, 1, blocks[1], (1, 2, 3)):
+        node.handle_message(frm, msg)
+    assert node.last_committed == 1
+    assert 2 in node.probed
+    assert node.view == 3  # its own noadopt completes the view-2 quorum
+
+
+def test_every_rule_input_change_marks_the_rules_dirty(params4):
+    node = ChainNode(0, params4)
+    node.start()
+    assert not node.rules_dirty
+    node._record_new_view_block(
+        make_noadopt_nvb(params4, 2, 1, GENESIS_CERT))
+    assert node.rules_dirty
+    node._evaluate_view_rules()
+    node._enter_view(2, "init")
+    assert node.rules_dirty
+    node._evaluate_view_rules()
+    # A probe normally also stores the node's own new-view block, which
+    # marks the rules dirty by itself; with that block already out, the
+    # probe is the only changed input.
+    node.emitted_nvb.add(2)
+    node._conclude_view_by_probe(2)
+    assert node.rules_dirty
+
+
 # -- payload submission ----------------------------------------------------------
 
 def test_submit_payload_builds_connected_data_block(params4):

@@ -208,3 +208,45 @@ def test_cli_explore(tmp_path, capsys):
 def test_cli_explore_needs_section(tmp_path):
     path = write_config(tmp_path)
     assert cli.main(["explore", "--config", path, "--depth", "2"]) == 2
+
+
+def _explore_config(tmp_path, **explore_fields):
+    return write_config(tmp_path, overrides={
+        "explore": {"case": "chain_two_views", **explore_fields}})
+
+
+def _assert_config_error(argv, capsys, field):
+    assert cli.main(argv) == 2
+    err_lines = capsys.readouterr().err.splitlines()
+    assert any(line.startswith("config error:") and field in line
+               for line in err_lines), err_lines
+
+
+def test_cli_explore_rejects_zero_max_leaves(tmp_path, capsys):
+    path = _explore_config(tmp_path)
+    _assert_config_error(["explore", "--config", path, "--depth", "1",
+                          "--max-leaves", "0"], capsys, "--max-leaves")
+
+
+def test_cli_explore_rejects_negative_depth(tmp_path, capsys):
+    path = _explore_config(tmp_path)
+    _assert_config_error(["explore", "--config", path, "--depth", "-3"],
+                         capsys, "--depth")
+
+
+def test_cli_explore_rejects_out_of_range_timeout_node(tmp_path, capsys):
+    path = _explore_config(tmp_path, timeout_node=9)
+    _assert_config_error(["explore", "--config", path, "--depth", "1"],
+                         capsys, "explore.timeout_node")
+
+
+def test_cli_explore_rejects_config_max_leaves_below_one(tmp_path, capsys):
+    path = _explore_config(tmp_path, max_leaves=0)
+    _assert_config_error(["explore", "--config", path, "--depth", "1"],
+                         capsys, "explore.max_leaves")
+
+
+def test_explicit_max_leaves_overrides_the_config_cap(tmp_path):
+    config = load_config(_explore_config(tmp_path, max_leaves=5))
+    assert harness.run_explore(config, depth=2).leaves == 5
+    assert harness.run_explore(config, depth=2, max_leaves=7).leaves == 7
