@@ -96,8 +96,9 @@ class BbcaInstance:
 
     def clone(self) -> "BbcaInstance":
         """Snapshot for state-space exploration; shares immutable pieces."""
-        twin = BbcaInstance(self.params, self.instance, self.node,
-                            self.predicate)
+        twin = object.__new__(BbcaInstance)
+        twin.params, twin.instance = self.params, self.instance
+        twin.node, twin.predicate = self.node, self.predicate
         twin.pending = {
             digest: _MessageState(m.message, dict(m.echo_sigs),
                                   dict(m.ready_sigs))

@@ -46,14 +46,11 @@ class CertKind(enum.IntEnum):
     COMPLETE = 2  # 2f+1 ready-statement signatures
 
 
-class JustificationKind(enum.IntEnum):
-    GENESIS = 0
-    COMPLETE = 1
-    ADOPT = 2
-    NOADOPT = 3
-
-
 class EvidenceKind(enum.IntEnum):
+    """How a view ended; a backbone block's justification names the evidence
+    for the previous view.  GENESIS justifies only the genesis block."""
+
+    GENESIS = 0
     COMPLETE = 1
     ADOPT = 2
     NOADOPT = 3
@@ -94,7 +91,7 @@ class NewViewData:
 class Justification:
     """What a backbone block claims about the previous view."""
 
-    kind: JustificationKind
+    kind: EvidenceKind
     new_view_blocks: tuple["Block", ...] = ()
 
 
@@ -253,7 +250,7 @@ def _decode_body(r: Reader) -> Block:
     new_view = None
     if kind == BlockKind.BACKBONE:
         try:
-            jkind = JustificationKind(r.u8())
+            jkind = EvidenceKind(r.u8())
         except ValueError as exc:
             raise EncodingError("bad justification kind") from exc
         count = r.u32()
@@ -269,10 +266,10 @@ def _decode_body(r: Reader) -> Block:
             nvbs.append(nvb)
         justification = Justification(jkind, tuple(nvbs))
     elif kind == BlockKind.NEW_VIEW:
-        try:
-            evidence = EvidenceKind(r.u8())
-        except ValueError as exc:
-            raise EncodingError("bad evidence kind") from exc
+        evidence = r.u8()
+        if not EvidenceKind.COMPLETE <= evidence <= EvidenceKind.NOADOPT:
+            raise EncodingError("bad evidence kind")  # GENESIS included
+        evidence = EvidenceKind(evidence)
         cert = _decode_cert(r)
         sig = _decode_sig(r) if evidence == EvidenceKind.NOADOPT else None
         new_view = NewViewData(evidence, cert, sig)
@@ -294,7 +291,7 @@ def decode_block(data: bytes) -> Block:
 # -- genesis ----------------------------------------------------------------
 
 GENESIS_BLOCK = Block(BlockKind.BACKBONE, 0, 0, (), b"",
-                      justification=Justification(JustificationKind.GENESIS))
+                      justification=Justification(EvidenceKind.GENESIS))
 GENESIS_REF = GENESIS_BLOCK.digest
 # Synthetic zero-signature certificate; accepted as a well-known constant.
 GENESIS_CERT = Cert(CertKind.COMPLETE, 0, 0, GENESIS_REF, ())

@@ -30,7 +30,6 @@ from .blocks import (
     CertKind,
     EvidenceKind,
     Justification,
-    JustificationKind,
     NewViewData,
     decode_block,
     make_backbone,
@@ -135,11 +134,8 @@ def validate_new_view_block(block: Block, params: SystemParams) -> bool:
 
 def _valid_cert_for_view(cert: Cert, params: SystemParams,
                          kind: CertKind | None) -> bool:
-    if cert.view == 0:
-        return verify_cert(cert, params, kind or cert.kind)
-    if cert.sender != get_proposer(cert.view, params):
-        return False
-    return verify_cert(cert, params, kind)
+    return ((cert.view == 0 or cert.sender == get_proposer(cert.view, params))
+            and verify_cert(cert, params, kind))
 
 
 @lru_cache(maxsize=8192)
@@ -155,15 +151,11 @@ def validate_backbone_block(block: Block, params: SystemParams) -> bool:
         return False
     if not all(validate_new_view_block(nvb, params) for nvb in nvbs):
         return False
-    if just.kind == JustificationKind.COMPLETE:
+    if just.kind in (EvidenceKind.COMPLETE, EvidenceKind.ADOPT):
         return (len(nvbs) == 1
-                and nvbs[0].new_view.evidence == EvidenceKind.COMPLETE
+                and nvbs[0].new_view.evidence == just.kind
                 and nvbs[0].new_view.cert.view == block.view - 1)
-    if just.kind == JustificationKind.ADOPT:
-        return (len(nvbs) == 1
-                and nvbs[0].new_view.evidence == EvidenceKind.ADOPT
-                and nvbs[0].new_view.cert.view == block.view - 1)
-    if just.kind == JustificationKind.NOADOPT:
+    if just.kind == EvidenceKind.NOADOPT:
         if len(nvbs) != params.quorum:
             return False
         if len({nvb.author for nvb in nvbs}) != params.quorum:
@@ -198,6 +190,8 @@ class ChainNode:
         self.dag.insert(GENESIS_BLOCK)
         self.dag.insert(GENESIS_NEW_VIEW)
         self.view = 0
+        # Each view's blocks are kept in author order, so that the evidence
+        # scans never sort.
         self.new_view_blocks: dict[int, dict[NodeId, Block]] = {
             0: {0: GENESIS_NEW_VIEW}}
         # Highest view holding a complete or adopt new-view block; the
@@ -213,8 +207,7 @@ class ChainNode:
         # certificates seen in valid new-view blocks.  The noadopt anchor is
         # the highest held certificate at or below the concluded view;
         # anchoring above it would break the finalize recursion.
-        self.held_certs: dict[int, tuple[BlockRef, Cert]] = {
-            0: (GENESIS_REF, GENESIS_CERT)}
+        self.held_certs: dict[int, Cert] = {0: GENESIS_CERT}
         self.instances: dict[int, BbcaInstance] = {}
         self.pending_complete: dict[BlockRef, CompleteEvent] = {}
         self.pending_commit: set[BlockRef] = set()
@@ -387,10 +380,11 @@ class ChainNode:
     # -- new-view bookkeeping ------------------------------------------------
 
     def _record_new_view_block(self, nvb: Block) -> None:
-        per_view = self.new_view_blocks.setdefault(nvb.view, {})
+        per_view = self.new_view_blocks.get(nvb.view, {})
         if nvb.author in per_view:
             return
-        per_view[nvb.author] = nvb
+        self.new_view_blocks[nvb.view] = dict(
+            sorted([*per_view.items(), (nvb.author, nvb)]))
         self.rules_dirty = True
         evidence = nvb.new_view.evidence
         if evidence != _NOADOPT:
@@ -404,11 +398,10 @@ class ChainNode:
                 self.pending_commit.add(ref)
 
     def _update_highest_certified(self, cert: Cert) -> None:
-        self.held_certs.setdefault(cert.view, (cert.block_digest, cert))
+        self.held_certs.setdefault(cert.view, cert)
 
     def _anchor_for(self, view: int) -> Cert:
-        best = max(v for v in self.held_certs if v <= view)
-        return self.held_certs[best][1]
+        return self.held_certs[max(v for v in self.held_certs if v <= view)]
 
     def _make_own_new_view_block(self, view: int, data: NewViewData) -> None:
         if view in self.emitted_nvb:
@@ -426,7 +419,6 @@ class ChainNode:
 
     def _on_bbca_complete(self, event: CompleteEvent) -> None:
         block = self.dag.get(event.cert.block_digest)
-        self._update_highest_certified(event.cert)
         self.try_commit(block)
         if block.view < self.view:
             return  # stale: a timeout already moved this node on
@@ -478,49 +470,43 @@ class ChainNode:
             found = self._best_certified_conclusion(view)
             if found is not None:
                 w, nvb = found
-                evidence = nvb.new_view.evidence
                 if w not in self.emitted_nvb:
-                    self._make_own_new_view_block(
-                        w, NewViewData(evidence, nvb.new_view.cert))
+                    self._make_own_new_view_block(w, nvb.new_view)
                 else:
                     # Already concluded w ourselves (first block is final);
                     # relay the evidence so everyone enters within a delay.
                     self._emit(Broadcast(BlockMsg(nvb)))
                 cause = ("complete_recv"
-                         if evidence == _COMPLETE else "adopt_recv")
+                         if nvb.new_view.evidence == _COMPLETE
+                         else "adopt_recv")
                 self._enter_view(w + 1, cause)
                 continue
-            noadopts = self._noadopts_for(view)
-            if view not in self.probed and len(noadopts) >= self.params.f + 1:
+            noadopts = len(self._with_evidence(view, _NOADOPT))
+            if view not in self.probed and noadopts >= self.params.f + 1:
                 self._conclude_view_by_probe(view)
                 continue
-            if view in self.probed and len(noadopts) >= self.params.quorum:
+            if view in self.probed and noadopts >= self.params.quorum:
                 self._enter_view(view + 1, NOADOPT_CAUSE)
                 continue
             self._maybe_propose(view)
             break
         self.rules_dirty = False
 
-    def _best_certified_conclusion(self, view: int):
-        """Highest view w >= current with a complete/adopt new-view block."""
-        for w in range(self.top_certified_view, view - 1, -1):
-            per_view = self.new_view_blocks.get(w, {})
-            chosen = None
-            for author in sorted(per_view):
-                nvb = per_view[author]
-                kind = nvb.new_view.evidence
-                if kind == _COMPLETE:
-                    return w, nvb
-                if kind == _ADOPT and chosen is None:
-                    chosen = nvb
-            if chosen is not None:
-                return w, chosen
-        return None
+    def _with_evidence(self, view: int, evidence: EvidenceKind) -> list[Block]:
+        """The view's stored new-view blocks carrying ``evidence``, in author
+        order."""
+        return [nvb for nvb in self.new_view_blocks.get(view, {}).values()
+                if nvb.new_view.evidence == evidence]
 
-    def _noadopts_for(self, view: int) -> dict[NodeId, Block]:
-        return {author: nvb
-                for author, nvb in self.new_view_blocks.get(view, {}).items()
-                if nvb.new_view.evidence == _NOADOPT}
+    def _best_certified_conclusion(self, view: int):
+        """Highest view w >= current with a complete/adopt new-view block;
+        complete first, then the lowest author."""
+        for w in range(self.top_certified_view, view - 1, -1):
+            found = (self._with_evidence(w, _COMPLETE)
+                     or self._with_evidence(w, _ADOPT))
+            if found:
+                return w, found[0]
+        return None
 
     # -- leader proposal -----------------------------------------------------
 
@@ -539,24 +525,16 @@ class ChainNode:
             self._emit(Broadcast(out))
 
     def _build_justification(self, prev: int) -> Justification | None:
-        """Pick evidence for the previous view: complete > adopt > noadopt."""
-        per_view = self.new_view_blocks.get(prev, {})
-        for want, jkind in ((EvidenceKind.COMPLETE, JustificationKind.COMPLETE),
-                            (EvidenceKind.ADOPT, JustificationKind.ADOPT)):
-            own = per_view.get(self.id)
-            if own is not None and own.new_view.evidence == want \
-                    and own.new_view.cert.view == prev:
-                return Justification(jkind, (own,))
-            for author in sorted(per_view):
-                nvb = per_view[author]
-                if nvb.new_view.evidence == want \
-                        and nvb.new_view.cert.view == prev:
-                    return Justification(jkind, (nvb,))
-        noadopts = [per_view[a] for a in sorted(per_view)
-                    if per_view[a].new_view.evidence == EvidenceKind.NOADOPT]
+        """Pick evidence for the previous view: complete > adopt > noadopt;
+        the node's own block first, then the lowest author."""
+        own = self.new_view_blocks.get(prev, {}).get(self.id)
+        for kind in (_COMPLETE, _ADOPT):
+            found = self._with_evidence(prev, kind)
+            if found:
+                return Justification(kind, (own if own in found else found[0],))
+        noadopts = self._with_evidence(prev, _NOADOPT)
         if len(noadopts) >= self.params.quorum:
-            return Justification(JustificationKind.NOADOPT,
-                                 tuple(noadopts[:self.params.quorum]))
+            return Justification(_NOADOPT, tuple(noadopts[:self.params.quorum]))
         return None
 
     # -- finalization and commit ----------------------------------------------
@@ -587,13 +565,10 @@ class ChainNode:
         self.finalized[block.view] = block
         if block.view == 0:
             return
-        just = block.justification
-        if just.kind in (JustificationKind.COMPLETE, JustificationKind.ADOPT):
-            prev_ref = just.new_view_blocks[0].certified_ref
-        else:
-            # Highest anchor among the quorum of noadopt new-view blocks.
-            _, prev_ref = max((nvb.new_view.cert.view, nvb.certified_ref)
-                              for nvb in just.new_view_blocks)
+        # A complete or adopt justification holds one block; of a noadopt
+        # quorum, the highest anchor is the previous finalized block.
+        _, prev_ref = max((nvb.new_view.cert.view, nvb.certified_ref)
+                          for nvb in block.justification.new_view_blocks)
         prev = self.dag.get(prev_ref)
         for skipped in range(prev.view + 1, block.view):
             if self.finalized.get(skipped, NO_OP) is not NO_OP:

@@ -14,9 +14,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from . import explore as explore_mod
-from .chain import NO_OP
 from .scenario import HarnessConfig
-from .simnet import RunResult, Simulator, trips_to_commit
+from .invariants import measure_trips
+from .simnet import RunResult, Simulator
 
 # Static reference latencies, in trips, for a layered DAG protocol built on
 # a 3-trip consistent broadcast: two broadcasts for a leader block, four for
@@ -116,26 +116,10 @@ def _latency_lines(outcome: RunOutcome) -> list[str]:
         return []
     lines = ["latency (trips = commit delay / hop delay):",
              f"  {'block':<18}{'measured':>9}{'expected':>9}{'reference':>11}"]
-    nodes = result.nodes
-    witness = result.scenario.correct_nodes()[0]
-    for view in config.expect_trips.get("views", []):
-        entry = nodes[witness].finalized.get(view)
-        if entry is None or entry is NO_OP:
-            measured = "-"
-        else:
-            measured = str(trips_to_commit(result, entry.digest))
-        lines.append(f"  {'backbone v' + str(view):<18}{measured:>9}"
-                     f"{config.expect_trips['backbone']:>9}"
-                     f"{REFERENCE_TRIPS['leader']:>11}")
-    if "data" in config.expect_trips:
-        for _tick, _node, ref in result.trace.injected:
-            try:
-                measured = str(trips_to_commit(result, ref))
-            except ValueError:
-                measured = "-"
-            lines.append(f"  {'data ' + ref.hex()[:8]:<18}{measured:>9}"
-                         f"{config.expect_trips['data']:>9}"
-                         f"{REFERENCE_TRIPS['non-leader']:>11}")
+    for row in measure_trips(result, config.expect_trips):
+        measured = "-" if row.measured is None else str(row.measured)
+        lines.append(f"  {row.label:<18}{measured:>9}{row.expected:>9}"
+                     f"{REFERENCE_TRIPS[row.role]:>11}")
     return lines
 
 

@@ -12,6 +12,7 @@ explorer checks its chain and BBCA leaves with the same functions.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import NamedTuple
 
 from .bbca import BbcaMsg, InstanceId, MsgKind
 from .blocks import GENESIS_NEW_VIEW, GENESIS_REF
@@ -241,31 +242,53 @@ def check_noop_views(result: RunResult, cfg) -> list[str]:
     return problems
 
 
+class TripRow(NamedTuple):
+    """Commit latency of one block named by a trips expectation."""
+
+    label: str                 # "backbone v<view>" or "data <digest prefix>"
+    role: str                  # "leader" or "non-leader"
+    measured: Fraction | None  # None: not committed by every correct node
+    expected: object           # as written in the config
+
+
+def _trips_or_none(result: RunResult, ref) -> Fraction | None:
+    if ref is None:
+        return None
+    try:
+        return trips_to_commit(result, ref)
+    except ValueError:
+        return None
+
+
+def measure_trips(result: RunResult, expect: dict) -> list[TripRow]:
+    """The backbone of each expected view, as one correct node finalized it,
+    then every injected data block when a data figure is expected."""
+    rows = []
+    witness = result.nodes[result.scenario.correct_nodes()[0]]
+    for view in expect.get("views", []):
+        entry = witness.finalized.get(view)
+        ref = None if entry is None or entry is NO_OP else entry.digest
+        rows.append(TripRow(f"backbone v{view}", "leader",
+                            _trips_or_none(result, ref), expect["backbone"]))
+    if "data" in expect:
+        for _tick, _node, ref in result.trace.injected:
+            rows.append(TripRow(f"data {ref.hex()[:12]}", "non-leader",
+                                _trips_or_none(result, ref), expect["data"]))
+    return rows
+
+
 def check_trips(result: RunResult, cfg) -> list[str]:
     """Uniform, failure-free runs reproduce the broadcast trip counts:
     one broadcast round for a backbone block, one extra best-effort hop
     for a data block injected one hop before the proposal."""
     problems = []
-    expect = cfg.expect_trips
-    nodes = result.nodes
-    some_correct = result.scenario.correct_nodes()[0]
-    for view in expect.get("views", []):
-        entry = nodes[some_correct].finalized.get(view)
-        if entry is None or entry is NO_OP:
-            problems.append(f"trips: view {view} has no committed backbone")
-            continue
-        measured = trips_to_commit(result, entry.digest)
-        if measured != Fraction(expect["backbone"]):
+    for row in measure_trips(result, cfg.expect_trips):
+        if row.measured is None:
             problems.append(
-                f"trips: backbone of view {view} took {measured}, "
-                f"expected {expect['backbone']}")
-    if "data" in expect:
-        for _tick, _node, ref in result.trace.injected:
-            measured = trips_to_commit(result, ref)
-            if measured != Fraction(expect["data"]):
-                problems.append(
-                    f"trips: data block {ref.hex()[:12]} took {measured}, "
-                    f"expected {expect['data']}")
+                f"trips: {row.label} was not committed by every correct node")
+        elif row.measured != Fraction(row.expected):
+            problems.append(f"trips: {row.label} took {row.measured}, "
+                            f"expected {row.expected}")
     return problems
 
 

@@ -155,11 +155,6 @@ class DelayModel:
 
 # -- adversary ----------------------------------------------------------------
 
-def _alter_payload(block: Block, tag: bytes) -> Block:
-    twin = dataclasses.replace(block, payload=block.payload + tag)
-    return twin
-
-
 class Adversary:
     """Outbound-traffic rewriter for one byzantine node.
 
@@ -198,7 +193,8 @@ class Adversary:
                 and msg.block.kind == BlockKind.DATA \
                 and msg.block.author == self.node:
             lower, upper = self._halves()
-            twin = _alter_payload(msg.block, b"/equivocated")
+            twin = dataclasses.replace(
+                msg.block, payload=msg.block.payload + b"/equivocated")
             return [(msg, lower, 0), (BlockMsg(twin), upper, 0)]
         return [(msg, everyone, 0)]
 
@@ -210,7 +206,8 @@ class Adversary:
             block = decode_block(msg.message)
         except EncodingError:
             return [(msg, lower + upper, 0)]
-        twin = _alter_payload(block, b"/equivocated")
+        twin = dataclasses.replace(
+            block, payload=block.payload + b"/equivocated")
         # A fresh sender instance signs the twin: [INIT, sender ECHO].
         init, echo = BbcaInstance(SystemParams(self.n), msg.instance,
                                   self.node).broadcast(twin.encoded)

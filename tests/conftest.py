@@ -8,7 +8,6 @@ from bbca_chain.blocks import (
     EvidenceKind,
     GENESIS_NEW_VIEW,
     Justification,
-    JustificationKind,
     NewViewData,
     make_backbone,
     make_new_view,
@@ -72,7 +71,7 @@ def make_complete_chain(params, views):
     prev_nvb = GENESIS_NEW_VIEW
     for view in range(1, views + 1):
         block = make_backbone(get_proposer(view, params), view,
-                              Justification(JustificationKind.COMPLETE,
+                              Justification(EvidenceKind.COMPLETE,
                                             (prev_nvb,)))
         blocks[view] = block
         certs[view] = make_cert(params, CertKind.COMPLETE, view, block)

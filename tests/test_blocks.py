@@ -7,12 +7,12 @@ from bbca_chain.blocks import (
     BlockKind,
     Cert,
     CertKind,
+    EvidenceKind,
     GENESIS_BLOCK,
     GENESIS_CERT,
     GENESIS_NEW_VIEW,
     GENESIS_REF,
     Justification,
-    JustificationKind,
     decode_block,
     encode_block,
     make_backbone,
@@ -37,7 +37,7 @@ def test_data_block_roundtrip():
 def test_new_view_roundtrips():
     params = SystemParams(4)
     backbone = make_backbone(
-        1, 1, Justification(JustificationKind.COMPLETE, (GENESIS_NEW_VIEW,)))
+        1, 1, Justification(EvidenceKind.COMPLETE, (GENESIS_NEW_VIEW,)))
     complete = make_complete_nvb(params, 3, 1, backbone)
     noadopt = make_noadopt_nvb(params, 2, 1, GENESIS_CERT)
     for block in (backbone, complete, noadopt):
@@ -69,6 +69,19 @@ def test_decode_rejects_truncation_and_trailing_bytes():
         decode_block(encoded + b"\x00")
     with pytest.raises(EncodingError):
         decode_block(b"\xff" + encoded[1:])
+
+
+@pytest.mark.parametrize("evidence", [EvidenceKind.GENESIS, 4])
+def test_decode_rejects_a_bad_evidence_byte(evidence):
+    # GENESIS justifies only the genesis block; no new-view block carries it.
+    backbone = make_backbone(
+        1, 1, Justification(EvidenceKind.COMPLETE, (GENESIS_NEW_VIEW,)))
+    block = make_complete_nvb(SystemParams(4), 3, 1, backbone)
+    encoded = block.encoded
+    at = 1 + 4 + 8 + 4 + 32 * len(block.refs)  # kind, author, view, refs
+    assert encoded[at] == EvidenceKind.COMPLETE
+    with pytest.raises(EncodingError):
+        decode_block(encoded[:at] + bytes([evidence]) + encoded[at + 1:])
 
 
 def test_genesis_constants_are_consistent():

@@ -7,8 +7,8 @@ from bbca_chain.blocks import (
     GENESIS_CERT,
     GENESIS_NEW_VIEW,
     Justification,
-    JustificationKind,
     NewViewData,
+    decode_block,
     make_backbone,
     make_new_view,
 )
@@ -96,7 +96,7 @@ def test_predicate_accepts_wellformed_proposal(params4):
 
 
 def test_predicate_rejects_wrong_proposer(params4):
-    wrong = make_backbone(2, 1, Justification(JustificationKind.COMPLETE,
+    wrong = make_backbone(2, 1, Justification(EvidenceKind.COMPLETE,
                                               (GENESIS_NEW_VIEW,)))
     assert not validate_backbone_block(wrong, params4)
 
@@ -104,7 +104,7 @@ def test_predicate_rejects_wrong_proposer(params4):
 def test_predicate_rejects_short_noadopt_quorum(params4):
     nvbs = tuple(make_noadopt_nvb(params4, author, 1, GENESIS_CERT)
                  for author in (0, 2))  # only 2f of them
-    block = make_backbone(2, 2, Justification(JustificationKind.NOADOPT, nvbs))
+    block = make_backbone(2, 2, Justification(EvidenceKind.NOADOPT, nvbs))
     assert not validate_backbone_block(block, params4)
 
 
@@ -113,7 +113,7 @@ def test_predicate_rejects_duplicate_noadopt_authors(params4):
     other = make_noadopt_nvb(params4, 2, 1, GENESIS_CERT, extra_refs=(
         GENESIS_NEW_VIEW.digest,))
     block = make_backbone(
-        2, 2, Justification(JustificationKind.NOADOPT,
+        2, 2, Justification(EvidenceKind.NOADOPT,
                             (one, other,
                              make_noadopt_nvb(params4, 0, 1, GENESIS_CERT))))
     assert not validate_backbone_block(block, params4)
@@ -246,6 +246,43 @@ def test_stale_completion_commits_without_view_change(params4):
     assert not sent
 
 
+# -- leader justification ------------------------------------------------------------
+
+COMPLETE, ADOPT, NOADOPT = (EvidenceKind.COMPLETE, EvidenceKind.ADOPT,
+                            EvidenceKind.NOADOPT)
+
+
+@pytest.mark.parametrize("held, chosen", [
+    # (author, evidence) of the view-1 new-view blocks the view-2 leader
+    # (node 2) holds, in arrival order -> (kind, authors) it embeds.
+    ([(0, COMPLETE), (1, ADOPT), (2, COMPLETE)], (COMPLETE, (2,))),
+    ([(0, ADOPT), (2, ADOPT), (3, COMPLETE)], (COMPLETE, (3,))),
+    ([(3, ADOPT), (1, ADOPT), (0, NOADOPT)], (ADOPT, (1,))),
+    ([(3, NOADOPT), (1, NOADOPT), (2, NOADOPT), (0, NOADOPT)],
+     (NOADOPT, (0, 1, 2))),
+    ([(3, NOADOPT), (1, NOADOPT)], None),
+], ids=["own-complete-over-lower-author", "complete-over-own-adopt",
+        "adopt-lowest-author", "first-noadopt-quorum", "below-quorum"])
+def test_leader_justification_choice(params4, held, chosen):
+    blocks, _ = make_complete_chain(params4, 1)
+    build = {COMPLETE: lambda a: make_complete_nvb(params4, a, 1, blocks[1]),
+             ADOPT: lambda a: make_adopt_nvb(params4, a, 1, blocks[1]),
+             NOADOPT: lambda a: make_noadopt_nvb(params4, a, 1, GENESIS_CERT)}
+    leader = ChainNode(2, params4)
+    for author, evidence in held:
+        leader._ingest_block(build[evidence](author))
+    leader._maybe_propose(2)
+    inits = [m for m in broadcasts(leader)
+             if isinstance(m, BbcaMsg) and m.kind == MsgKind.INIT]
+    if chosen is None:
+        assert inits == [] and 2 not in leader.proposed
+        return
+    just = decode_block(inits[0].message).justification
+    assert (just.kind, tuple(nvb.author for nvb in just.new_view_blocks)) \
+        == chosen
+    assert all(nvb.view == 1 for nvb in just.new_view_blocks)
+
+
 # -- finalize / commit --------------------------------------------------------------
 
 def test_finalize_recursion_on_complete_chain(params4):
@@ -272,7 +309,7 @@ def test_finalize_marks_noop_for_skipped_views(params4):
     anchor = make_cert(params4, CertKind.COMPLETE, 1, blocks[1])
     noadopts = tuple(make_noadopt_nvb(params4, author, 3, anchor)
                      for author in (0, 1, 2))
-    b4 = make_backbone(0, 4, Justification(JustificationKind.NOADOPT, noadopts))
+    b4 = make_backbone(0, 4, Justification(EvidenceKind.NOADOPT, noadopts))
     node._ingest_block(b4)
     node.try_commit(b4)
     assert node.finalized[2] is NO_OP
@@ -285,7 +322,7 @@ def test_finalize_marks_noop_for_skipped_views(params4):
 
 def test_conflicting_finalization_raises(params4):
     blocks, _ = make_complete_chain(params4, 1)
-    twin = make_backbone(1, 1, Justification(JustificationKind.COMPLETE,
+    twin = make_backbone(1, 1, Justification(EvidenceKind.COMPLETE,
                                              (GENESIS_NEW_VIEW,)),
                          payload=b"twin")
     node = ChainNode(0, params4)

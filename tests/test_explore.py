@@ -147,6 +147,13 @@ def _dag_state(dag):
             dag.tips())
 
 
+def _instance_state(inst):
+    return ({digest: (m.message, dict(m.echo_sigs), dict(m.ready_sigs))
+             for digest, m in inst.pending.items()},
+            set(inst.received_echo), set(inst.received_ready),
+            inst.echo, inst.ready, inst.abort, inst.completed)
+
+
 def _node_state(node):
     return (node.view,
             {view: entry if entry == NO_OP else entry.digest
@@ -189,6 +196,19 @@ def _all_blocks(world):
             for ref, block in node.dag.delivered.items()}
 
 
+def _busy_instance(world):
+    """A broadcast instance holding message state, and the pool's messages
+    for it."""
+    for node in world.nodes.values():
+        for inst in node.instances.values():
+            msgs = [(act.frm, act.msg) for act in world.pool
+                    if act.to == node.id
+                    and getattr(act.msg, "instance", None) == inst.instance]
+            if inst.pending and msgs:
+                return inst, msgs
+    raise AssertionError("no instance with message state and traffic")
+
+
 def _fork_cases():
     """name -> (original, drive(target, seed), state) per cloneable piece."""
     world = _forked_chain_world()
@@ -205,15 +225,22 @@ def _fork_cases():
         for block in random.Random(seed).sample(blocks, len(blocks)):
             dag.insert(block)
 
+    inst, inst_msgs = _busy_instance(world)
+
+    def deliver_all(target, seed):
+        for frm, msg in random.Random(seed).sample(inst_msgs, len(inst_msgs)):
+            target.handle_message(frm, msg)
+
     return {"ChainWorld": (world, _run_world, _world_state),
             "ChainNode": (node,
                           lambda target, seed: _run_node(target, node_acts,
                                                          seed),
                           _node_state),
-            "DagStore": (node.dag, insert_all, _dag_state)}
+            "DagStore": (node.dag, insert_all, _dag_state),
+            "BbcaInstance": (inst, deliver_all, _instance_state)}
 
 
-FORK_CASES = ["ChainWorld", "ChainNode", "DagStore"]
+FORK_CASES = ["ChainWorld", "ChainNode", "DagStore", "BbcaInstance"]
 
 
 @pytest.mark.parametrize("case", FORK_CASES)

@@ -119,6 +119,27 @@ def test_failed_expectation_produces_witness(tmp_path):
     assert "witness: seed=7" in report
 
 
+@pytest.mark.parametrize("expect, label", [
+    # A payload injected after the last proposal is never committed.
+    ({"views": [1], "backbone": 3, "data": 4}, "data "),
+    # View 9 lies past the horizon and is never finalized.
+    ({"views": [9], "backbone": 3}, "backbone v9"),
+])
+def test_uncommitted_trip_block_is_reported(tmp_path, capsys, expect, label):
+    path = write_config(tmp_path, seed=1, expect={"trips": expect},
+                        payloads=[{"node": 1, "tick": 500}])
+    assert cli.main(["run", "--config", path]) == 1
+    out = capsys.readouterr().out
+    problems = [line.strip() for line in out.splitlines() if "trips:" in line]
+    assert len(problems) == 1
+    assert problems[0].startswith(f"- trips: {label}")
+    assert problems[0].endswith("was not committed by every correct node")
+    # The latency table shows the same measurement as a dash.
+    row = next(line for line in out.splitlines()
+               if line.startswith(f"  {label}"))
+    assert row.split()[-3] == "-"
+
+
 def test_campaign_aggregates(tmp_path):
     config = load_config(write_config(tmp_path, overrides={
         "stop_after_committed": 2,
