@@ -86,6 +86,8 @@ class BbcaInstance:
         self.instance = instance
         self.node = node
         self.predicate = predicate
+        # A message holds a state here only once it passed the predicate, so
+        # a digest found here needs no second validity check.
         self.pending: dict[BlockRef, _MessageState] = {}
         self.received_echo: set[NodeId] = set()
         self.received_ready: set[NodeId] = set()
@@ -164,8 +166,11 @@ class BbcaInstance:
         # INIT is unsigned; channel-level origin must be the instance sender.
         if self.echo or frm != self.instance.sender:
             return []
-        if not self.predicate(message):
-            return []
+        digest = message_digest(message)
+        if digest not in self.pending:
+            if not self.predicate(message):
+                return []
+            self.pending[digest] = _MessageState(message)
         self.echo = True
         return [self._signed(_ECHO, message)]
 
@@ -174,14 +179,17 @@ class BbcaInstance:
         # Dedupe by signer, not by channel origin: a relayed echo still
         # counts once for its signer and certificates stay distinct-signer.
         signer = sig.signer
-        if signer in self.received_echo or not self.predicate(message):
+        if signer in self.received_echo:
+            return []
+        digest = message_digest(message)
+        if digest not in self.pending and not self.predicate(message):
             return []
         stmt = _statement(_ECHO, self.instance.sender,
                           self.instance.view, message)
         if not verify(sig, stmt, signer):
             return []
         self.received_echo.add(signer)
-        mstate = self._state_for(message_digest(message), message)
+        mstate = self._state_for(digest, message)
         mstate.echo_sigs[signer] = sig
         if (not self.ready and not self.abort
                 and len(mstate.echo_sigs) == self.params.quorum):
@@ -192,14 +200,16 @@ class BbcaInstance:
     def on_ready(self, message: bytes, sig: Signature,
                  frm: NodeId) -> CompleteEvent | None:
         signer = sig.signer
-        if signer in self.received_ready or not self.predicate(message):
+        if signer in self.received_ready:
+            return None
+        digest = message_digest(message)
+        if digest not in self.pending and not self.predicate(message):
             return None
         stmt = _statement(_READY, self.instance.sender,
                           self.instance.view, message)
         if not verify(sig, stmt, signer):
             return None
         self.received_ready.add(signer)
-        digest = message_digest(message)
         mstate = self._state_for(digest, message)
         mstate.ready_sigs[signer] = sig
         # Completion is not blocked by abort; only READY emission is.

@@ -119,9 +119,14 @@ class Block:
         assert self.new_view is not None
         return self.new_view.cert.block_digest
 
+    # A block is identified by its canonical encoding: equality and hashing
+    # compare digests, never walking the nested justification or evidence.
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Block):
+            return NotImplemented
+        return self is other or self.digest == other.digest
+
     def __hash__(self) -> int:
-        # Equal fields imply equal digests, so this agrees with the
-        # field-wise __eq__ without walking the nested dataclasses.
         return hash(self.digest)
 
     def __repr__(self) -> str:  # compact, digest-first, for traces and asserts

@@ -41,6 +41,16 @@ class SystemParams:
         return self.n - self.f
 
 
+@lru_cache(maxsize=64)
+def params_for(n: int) -> SystemParams:
+    """The one shared ``SystemParams`` of size ``n``.
+
+    Every node of a run holds this instance, so the validation caches keyed
+    on ``(block, params)`` match it by identity instead of comparing fields.
+    """
+    return SystemParams(n)
+
+
 @lru_cache(maxsize=4096)
 def statement_digest(statement: bytes) -> bytes:
     """64-bit digest that stands in for the signed content of a statement."""

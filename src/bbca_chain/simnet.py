@@ -34,7 +34,12 @@ from .chain import (
     WireMsg,
 )
 from .encoding import EncodingError, digest32
-from .identity import ConfigError, NodeId, SystemParams
+from .identity import ConfigError, NodeId, SystemParams, params_for
+
+# Enum members as module constants: reading a member off its class costs an
+# attribute lookup, and the adversary tests kinds on every byzantine send.
+_INIT, _READY = MsgKind.INIT, MsgKind.READY
+_DATA = BlockKind.DATA
 
 STRATEGIES = ("silent", "withhold_ready", "equivocate_init",
               "equivocate_data", "replay", "delay_own")
@@ -77,7 +82,7 @@ class Scenario:
     audit_probe: bool = False
 
     def __post_init__(self):
-        params = SystemParams(self.n)
+        params = self.params
         if len(self.strategies) > params.f:
             raise ConfigError(
                 f"{len(self.strategies)} byzantine nodes exceeds f={params.f}")
@@ -91,7 +96,7 @@ class Scenario:
 
     @property
     def params(self) -> SystemParams:
-        return SystemParams(self.n)
+        return params_for(self.n)
 
     @property
     def timer_ticks(self) -> int:
@@ -103,7 +108,8 @@ class Scenario:
 
 # -- events -------------------------------------------------------------------
 # Named tuples, which are cheaper to build than dataclasses: a broadcast
-# schedules one Deliver per recipient.
+# schedules one Deliver per recipient, built with ``tuple.__new__`` so no
+# Python-level constructor runs per delivery.
 
 class Deliver(NamedTuple):
     to: NodeId
@@ -121,7 +127,33 @@ class Inject(NamedTuple):
     payload: bytes
 
 
+_new_tuple = tuple.__new__
+
+
 # -- delay model --------------------------------------------------------------
+
+def randints(rng: random.Random, low: int, high: int,
+             count: int) -> list[int]:
+    """``[rng.randint(low, high) for _ in range(count)]``, from the same
+    generator stream but without the stdlib's three Python frames per draw.
+
+    ``randint(low, high)`` is ``low + r`` for the first ``getrandbits(k)``
+    draw ``r`` below the width ``high - low + 1``, where ``k`` is the
+    width's bit length.
+    """
+    width = high - low + 1
+    if width < 1:
+        raise ValueError(f"empty range for randint({low}, {high})")
+    k = width.bit_length()
+    getrandbits = rng.getrandbits
+    draws = []
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= width:
+            r = getrandbits(k)
+        draws.append(low + r)
+    return draws
+
 
 class DelayModel:
     def __init__(self, scenario: Scenario):
@@ -130,20 +162,22 @@ class DelayModel:
         self.mode = scenario.delay_mode
         self.pre = scenario.pre_gst
 
-    def _post_delay(self, rng: random.Random) -> int:
-        if self.mode == "uniform":
-            return self.delta
-        return rng.randint(1, self.delta)
-
-    def delivery_tick(self, sent: int, rng: random.Random) -> int:
-        """Sent-to-delivered mapping; anything sent pre-GST still lands by
+    def delivery_ticks(self, sent: int, count: int,
+                       rng: random.Random) -> list[int]:
+        """Delivery ticks of ``count`` copies of a message sent at ``sent``,
+        drawn in recipient order; anything sent pre-GST still lands by
         gst + delta_post."""
         if sent >= self.gst or self.pre is None:
-            return sent + self._post_delay(rng)
-        if self.pre.kind == "drop":
-            return self.gst + self._post_delay(rng)
-        raw = sent + rng.randint(1, self.pre.max_delay)
-        return min(raw, self.gst + self.delta)
+            base = sent
+        elif self.pre.kind == "drop":
+            base = self.gst
+        else:
+            cap = self.gst + self.delta
+            return [min(tick, cap) for tick in randints(
+                rng, sent + 1, sent + self.pre.max_delay, count)]
+        if self.mode == "uniform":
+            return [base + self.delta] * count
+        return randints(rng, base + 1, base + self.delta, count)
 
     def bound(self, sent: int) -> int:
         """Latest legal delivery tick for a message entering the net at
@@ -162,64 +196,64 @@ class Adversary:
     own key, replay only copies messages verbatim.
     """
 
-    def __init__(self, node: NodeId, strategy: Strategy, n: int,
-                 rng: random.Random):
+    def __init__(self, node: NodeId, strategy: Strategy,
+                 everyone: tuple[NodeId, ...], rng: random.Random):
         self.node = node
         self.strategy = strategy
-        self.n = n
+        self.everyone = everyone  # every node id, ascending
+        split = len(everyone) // 2
+        self.lower, self.upper = everyone[:split], everyone[split:]
         self.rng = rng
         self._replayed: set = set()
 
-    def _halves(self) -> tuple[list[NodeId], list[NodeId]]:
-        split = self.n // 2
-        return list(range(split)), list(range(split, self.n))
-
-    def outgoing(self, msg: WireMsg) -> list[tuple[WireMsg, list[NodeId], int]]:
+    def outgoing(self, msg: WireMsg
+                 ) -> list[tuple[WireMsg, tuple[NodeId, ...], int]]:
         """Map one broadcast to (message, recipients, send lag) tuples."""
-        everyone = list(range(self.n))
+        everyone = self.everyone
         name = self.strategy.name
         if name == "silent":
             return []
         if name == "withhold_ready":
-            if isinstance(msg, BbcaMsg) and msg.kind == MsgKind.READY:
+            if isinstance(msg, BbcaMsg) and msg.kind == _READY:
                 return []
             return [(msg, everyone, 0)]
         if name == "delay_own":
-            return [(msg, everyone, self.rng.randint(0, self.strategy.max_delay))]
+            lag, = randints(self.rng, 0, self.strategy.max_delay, 1)
+            return [(msg, everyone, lag)]
         if name == "equivocate_init" and isinstance(msg, BbcaMsg) \
                 and msg.instance.sender == self.node:
             return self._equivocate_broadcast(msg)
         if name == "equivocate_data" and isinstance(msg, BlockMsg) \
-                and msg.block.kind == BlockKind.DATA \
+                and msg.block.kind == _DATA \
                 and msg.block.author == self.node:
-            lower, upper = self._halves()
             twin = dataclasses.replace(
                 msg.block, payload=msg.block.payload + b"/equivocated")
-            return [(msg, lower, 0), (BlockMsg(twin), upper, 0)]
+            return [(msg, self.lower, 0), (BlockMsg(twin), self.upper, 0)]
         return [(msg, everyone, 0)]
 
     def _equivocate_broadcast(self, msg: BbcaMsg):
-        lower, upper = self._halves()
-        if msg.kind == MsgKind.READY:
-            return [(msg, lower + upper, 0)]
+        if msg.kind == _READY:
+            return [(msg, self.everyone, 0)]
         try:
             block = decode_block(msg.message)
         except EncodingError:
-            return [(msg, lower + upper, 0)]
+            return [(msg, self.everyone, 0)]
         twin = dataclasses.replace(
             block, payload=block.payload + b"/equivocated")
         # A fresh sender instance signs the twin: [INIT, sender ECHO].
-        init, echo = BbcaInstance(SystemParams(self.n), msg.instance,
+        init, echo = BbcaInstance(params_for(len(self.everyone)),
+                                  msg.instance,
                                   self.node).broadcast(twin.encoded)
-        alt = init if msg.kind == MsgKind.INIT else echo
-        return [(msg, lower, 0), (alt, upper, 0)]
+        alt = init if msg.kind == _INIT else echo
+        return [(msg, self.lower, 0), (alt, self.upper, 0)]
 
-    def observed(self, msg: WireMsg) -> list[tuple[WireMsg, list[NodeId], int]]:
+    def observed(self, msg: WireMsg
+                 ) -> list[tuple[WireMsg, tuple[NodeId, ...], int]]:
         """Replay hook: re-send each observed message once, verbatim."""
         if self.strategy.name != "replay" or msg in self._replayed:
             return []
         self._replayed.add(msg)
-        return [(msg, list(range(self.n)), 0)]
+        return [(msg, self.everyone, 0)]
 
 
 # -- trace --------------------------------------------------------------------
@@ -250,15 +284,24 @@ class Trace:
     def export_lines(self) -> list[str]:
         described: dict[int, str] = {}  # id(msg) -> text, for this call only
         lines = []
+        append = lines.append
         for record in self.records:
-            if record[0] in ("send", "deliver"):
+            kind = record[0]
+            if kind == "send" or kind == "deliver":
                 msg = record[-1]
                 text = described.get(id(msg))
                 if text is None:
                     text = described[id(msg)] = _describe(msg)
-                record = record[:-1] + (text,)
-            lines.append(" ".join(map(str, record)))
-        lines.append(f"stop {self.stop_reason}")
+                # Nearly every record: one f-string each, byte-identical to
+                # the generic join below with the text in place of msg.
+                if kind == "send":
+                    append(f"send {record[1]} {record[2]} {text}")
+                else:
+                    append(f"deliver {record[1]} {record[2]} {record[3]} "
+                           f"{text}")
+            else:
+                append(" ".join(map(str, record)))
+        append(f"stop {self.stop_reason}")
         return lines
 
     def digest(self) -> str:
@@ -299,8 +342,9 @@ class Simulator:
         self.nodes = {i: ChainNode(i, scenario.params, scenario.horizon)
                       for i in range(scenario.n)}
         self.correct = scenario.correct_nodes()
+        self.everyone = tuple(range(scenario.n))
         self.adversaries = {
-            i: Adversary(i, strategy, scenario.n, self.rng)
+            i: Adversary(i, strategy, self.everyone, self.rng)
             for i, strategy in sorted(scenario.strategies.items())}
 
     # -- scheduling --------------------------------------------------------
@@ -324,23 +368,30 @@ class Simulator:
         for block in blocks:
             self.trace.send_ticks.setdefault(block.digest, tick)
 
-    def _transmit(self, frm: NodeId, msg: WireMsg, targets: list[NodeId],
-                  lag: int) -> None:
+    def _transmit(self, frm: NodeId, msg: WireMsg,
+                  targets: tuple[NodeId, ...], lag: int) -> None:
+        """Send ``msg`` to ``targets`` (ascending), entering the net after
+        ``lag`` ticks.  Inlines ``_push`` and ``Trace.record``: this loop
+        runs once per delivery."""
         entry = self.now + lag
         self._note_block_send(msg, entry)
-        self.trace.record("send", entry, frm, msg)
-        for target in sorted(targets):
-            tick = self.delay_model.delivery_tick(entry, self.rng)
-            self.trace.deliveries.append((entry, tick, frm, target))
-            self._push(tick, Deliver(target, frm, msg))
+        trace = self.trace
+        trace.records.append(("send", entry, frm, msg))
+        deliveries, heap, seq = trace.deliveries, self._heap, self._seq
+        ticks = self.delay_model.delivery_ticks(entry, len(targets), self.rng)
+        for target, tick in zip(targets, ticks):
+            deliveries.append((entry, tick, frm, target))
+            heapq.heappush(heap, (tick, seq, _new_tuple(
+                Deliver, (target, frm, msg))))
+            seq += 1
+        self._seq = seq
 
     def _drain(self, node_id: NodeId) -> None:
         adversary = self.adversaries.get(node_id)
         for action in self.nodes[node_id].take_outbox():
             if isinstance(action, Broadcast):
                 if adversary is None:
-                    self._transmit(node_id, action.msg,
-                                   list(range(self.scenario.n)), 0)
+                    self._transmit(node_id, action.msg, self.everyone, 0)
                 else:
                     for msg, targets, lag in adversary.outgoing(action.msg):
                         self._transmit(node_id, msg, targets, lag)
@@ -417,8 +468,8 @@ class Simulator:
     def _dispatch(self, event) -> NodeId:
         """Process one event; return the node it was addressed to."""
         if isinstance(event, Deliver):
-            self.trace.record("deliver", self.now, event.to, event.frm,
-                              event.msg)
+            self.trace.records.append(("deliver", self.now, event.to,
+                                       event.frm, event.msg))
             self.nodes[event.to].handle_message(event.frm, event.msg)
             self._drain(event.to)
             adversary = self.adversaries.get(event.to)

@@ -257,6 +257,31 @@ def test_signature_less_echo_or_ready_is_dropped(kind):
     assert not node.pending
 
 
+@pytest.mark.parametrize("kind", [MsgKind.ECHO, MsgKind.READY])
+def test_invalid_proposal_is_rejected_on_every_delivery(kind):
+    # A byzantine signer relays a proposal the predicate rejects; each copy
+    # is checked again and none counts its signer.
+    bad = b"invalid proposal"
+    checked = []
+
+    def predicate(message):
+        checked.append(message)
+        return message != bad
+
+    node = fresh(predicate=predicate)
+    sign_for = echo_from if kind == MsgKind.ECHO else ready_from
+    for frm in (3, 3, 2, 3):
+        assert node.handle_message(
+            frm, BbcaMsg(kind, BID, bad, sign_for(3, bad))) == ([], None)
+    assert checked == [bad] * 4
+    assert not node.received_echo and not node.received_ready
+    assert not node.pending
+    # The signer was never counted, so its valid vote still is.
+    node.handle_message(3, BbcaMsg(kind, BID, M, sign_for(3)))
+    assert node.received_echo | node.received_ready == {3}
+    assert checked == [bad] * 4 + [M]
+
+
 # -- whole-network pump --------------------------------------------------------
 
 def pump(nodes, outbox):

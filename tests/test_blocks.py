@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -19,6 +20,7 @@ from bbca_chain.blocks import (
     make_data,
     verify_cert,
 )
+from bbca_chain.chain import BlockMsg
 from bbca_chain.encoding import EncodingError, digest32
 from bbca_chain.identity import SystemParams
 
@@ -27,6 +29,28 @@ from conftest import make_cert, make_complete_nvb, make_noadopt_nvb
 
 def _random_ref(rng):
     return bytes(rng.randrange(256) for _ in range(32))
+
+
+def test_blocks_are_equal_by_digest(params4):
+    backbone = make_backbone(
+        1, 1, Justification(EvidenceKind.COMPLETE, (GENESIS_NEW_VIEW,)))
+    nvb = make_complete_nvb(params4, 3, 1, backbone)
+    blocks = [make_data(2, 5, [GENESIS_REF], b"hello"), backbone, nvb,
+              make_backbone(2, 2, Justification(EvidenceKind.COMPLETE,
+                                                (nvb,)))]
+    for block in blocks:
+        rebuilt = Block(block.kind, block.author, block.view, block.refs,
+                        block.payload, block.justification, block.new_view)
+        decoded = decode_block(block.encoded)
+        for same in (rebuilt, decoded):
+            assert same is not block
+            assert same == block and block == same
+            assert hash(same) == hash(block)
+        twin = dataclasses.replace(block, payload=block.payload + b"/twin")
+        assert twin != block and not twin == block
+        for other in (block.digest, block.encoded, None, 0, BlockMsg(block)):
+            assert (block == other) is False
+            assert block != other
 
 
 def test_data_block_roundtrip():

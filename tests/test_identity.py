@@ -1,10 +1,12 @@
 from bbca_chain.identity import (
     ConfigError,
     SystemParams,
+    params_for,
     sign,
     statement_digest,
     verify,
 )
+from bbca_chain.simnet import Scenario
 
 import pytest
 
@@ -32,9 +34,17 @@ def test_signatures_deterministic():
 
 @pytest.mark.parametrize("n,f,quorum", [(4, 1, 3), (7, 2, 5), (10, 3, 7)])
 def test_fault_and_quorum_sizes(n, f, quorum):
-    params = SystemParams(n)
-    assert params.f == f
-    assert params.quorum == quorum
+    for params in (SystemParams(n), params_for(n), Scenario(n=n).params):
+        assert params.f == f
+        assert params.quorum == quorum
+
+
+def test_one_shared_params_per_size():
+    assert Scenario(n=7).params is Scenario(n=7, seed=3).params
+    assert params_for(7) is params_for(7) == SystemParams(7)
+    assert params_for(4) is not params_for(7)
+    with pytest.raises(ConfigError):
+        params_for(3)
 
 
 def test_small_systems_rejected():

@@ -1,9 +1,11 @@
+import random
 from collections import Counter
 
 import pytest
 
 from bbca_chain.bbca import BbcaInstance
-from bbca_chain.chain import NO_OP, ChainNode
+from bbca_chain.blocks import GENESIS_BLOCK
+from bbca_chain.chain import NO_OP, BlockMsg, ChainNode, SafetyViolation
 from bbca_chain.dag import DagStore
 from bbca_chain.identity import ConfigError
 from bbca_chain.invariants import (
@@ -16,13 +18,19 @@ from bbca_chain.invariants import (
     check_view_sync,
 )
 from bbca_chain.simnet import (
+    Adversary,
+    DelayModel,
     PreGstPolicy,
     Scenario,
     Simulator,
     Strategy,
+    _describe,
+    randints,
     run,
     trips_to_commit,
 )
+
+from test_golden_digests import SHAPES
 
 
 def assert_clean(result):
@@ -260,6 +268,32 @@ def test_each_proposal_is_processed_once_per_node(monkeypatch):
         "that already held one"
 
 
+def test_predicate_runs_once_per_node_view_and_message(monkeypatch):
+    # The golden shape n7-equivocate-init: twin proposals reach every node
+    # in INIT, ECHO and READY copies; only the first copy of each needs the
+    # validity check.
+    calls = Counter()  # (node, view, message) -> predicate calls
+    init = BbcaInstance.__init__
+
+    def counting_init(self, *args):
+        init(self, *args)
+        predicate, node, view = self.predicate, self.node, self.instance.view
+
+        def counted(message):
+            calls[(node, view, message)] += 1
+            return predicate(message)
+
+        self.predicate = counted
+
+    monkeypatch.setattr(BbcaInstance, "__init__", counting_init)
+    scenario, digest = SHAPES["n7-equivocate-init"]
+    result = run(scenario)
+    assert result.trace.digest() == digest
+    assert calls and max(calls.values()) == 1
+    twins = Counter((node, view) for node, view, _ in calls)
+    assert max(twins.values()) == 2  # some node checked both twins
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "the next leader's own new-view block never leaves it when its proposal "
     "justifies with another node's block, so the nodes referencing it stall "
@@ -271,3 +305,101 @@ def test_equivocating_init_leader_does_not_stall_commits():
                           horizon=4,
                           strategies={1: Strategy("equivocate_init")}))
     assert check_growth(result) == []
+
+
+# -- delay draws ----------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", range(8))
+def test_randints_equal_stdlib_randint(seed):
+    ours, stdlib = random.Random(seed), random.Random(seed)
+    bounds = list(range(1, 65))
+    random.Random(-seed).shuffle(bounds)
+    for high in bounds:
+        for low in (0, 1, 17):
+            count = high % 4 + 1
+            assert randints(ours, low, low + high - 1, count) == \
+                [stdlib.randint(low, low + high - 1) for _ in range(count)]
+    assert ours.getstate() == stdlib.getstate()
+
+
+def test_randints_rejects_an_empty_range_like_randint():
+    with pytest.raises(ValueError):
+        random.Random(0).randint(1, 0)
+    with pytest.raises(ValueError):
+        randints(random.Random(0), 1, 0, 1)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_delay_draws_interleave_like_stdlib_randint(seed):
+    # Post-GST, pre-GST and delay_own draws share one generator, as in a run;
+    # each must consume it exactly as the randint formulation would.
+    msg = BlockMsg(GENESIS_BLOCK)
+    gst = 100
+    for bound in range(1, 65):
+        pre_bound = 65 - bound
+        ours, stdlib = random.Random(seed), random.Random(seed)
+        model = DelayModel(Scenario(
+            n=4, delta_post=bound, delay_mode="random", gst=gst,
+            pre_gst=PreGstPolicy("adversarial", pre_bound)))
+        drop = DelayModel(Scenario(n=4, delta_post=bound, delay_mode="random",
+                                   gst=gst, pre_gst=PreGstPolicy("drop")))
+        lagger = Adversary(0, Strategy("delay_own", max_delay=bound - 1),
+                           (0, 1, 2, 3), ours)
+        cap = gst + bound
+        for sent in (3, gst + 7, 50):
+            assert model.delivery_ticks(sent, 4, ours) == [
+                min(sent + stdlib.randint(1, pre_bound), cap)
+                if sent < gst else sent + stdlib.randint(1, bound)
+                for _ in range(4)]
+            [(_, _, lag)] = lagger.outgoing(msg)
+            assert lag == stdlib.randint(0, bound - 1)
+            assert drop.delivery_ticks(sent, 3, ours) == [
+                max(sent, gst) + stdlib.randint(1, bound) for _ in range(3)]
+        assert ours.getstate() == stdlib.getstate()
+
+
+def test_uniform_post_gst_delay_draws_nothing():
+    rng = random.Random(5)
+    state = rng.getstate()
+    model = DelayModel(Scenario(n=4, delta_post=7))
+    assert model.delivery_ticks(12, 3, rng) == [19, 19, 19]
+    assert rng.getstate() == state
+
+
+# -- trace export -----------------------------------------------------------------
+
+def _reference_line(record):
+    """The generic record format, with a message's text in its place."""
+    if record[0] in ("send", "deliver"):
+        record = record[:-1] + (_describe(record[-1]),)
+    return " ".join(map(str, record))
+
+
+def _violating_run(monkeypatch):
+    """The golden shape n4-uniform with a violation forced on node 2's
+    twentieth message."""
+    handle = ChainNode.handle_message
+    seen = Counter()
+
+    def failing_handle(self, frm, msg):
+        seen[self.id] += 1
+        if self.id == 2 and seen[2] == 20:
+            raise SafetyViolation("forced for the export test")
+        return handle(self, frm, msg)
+
+    monkeypatch.setattr(ChainNode, "handle_message", failing_handle)
+    return run(SHAPES["n4-uniform"][0])
+
+
+def test_export_formats_every_record_kind_like_the_generic_join(monkeypatch):
+    results = [run(scenario) for scenario, _ in SHAPES.values()]
+    results.append(_violating_run(monkeypatch))
+    kinds = set()
+    for result in results:
+        trace = result.trace
+        lines = trace.export_lines()
+        assert lines[:-1] == [_reference_line(r) for r in trace.records]
+        assert lines[-1] == f"stop {trace.stop_reason}"
+        kinds.update(record[0] for record in trace.records)
+    assert kinds == {"send", "deliver", "view", "commit", "probe", "timer",
+                     "inject", "violation", "summary", "force_probe"}
