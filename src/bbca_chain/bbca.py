@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .blocks import BlockRef, Cert, CertKind
 from .encoding import digest32, echo_statement, ready_statement
@@ -26,13 +26,17 @@ from .identity import NodeId, Signature, SystemParams, sign, verify
 
 Predicate = Callable[[bytes], bool]
 
+_new_tuple = tuple.__new__
+
 
 def _accept_all(_message: bytes) -> bool:
     return True
 
 
-@dataclass(frozen=True, order=True)
-class InstanceId:
+# Per-message records are named tuples: cheaper to build and to hash than
+# frozen dataclasses, with the same field order, repr, hash and ordering.
+
+class InstanceId(NamedTuple):
     sender: NodeId
     view: int
 
@@ -48,23 +52,20 @@ class MsgKind(enum.IntEnum):
 _INIT, _ECHO, _READY = MsgKind.INIT, MsgKind.ECHO, MsgKind.READY
 
 
-@dataclass(frozen=True)
-class BbcaMsg:
+class BbcaMsg(NamedTuple):
     kind: MsgKind
     instance: InstanceId
     message: bytes
     sig: Signature | None = None
 
 
-@dataclass(frozen=True)
-class ProbeResult:
+class ProbeResult(NamedTuple):
     adopted: bool
     message: bytes | None = None
     cert: Cert | None = None
 
 
-@dataclass(frozen=True)
-class CompleteEvent:
+class CompleteEvent(NamedTuple):
     instance: InstanceId
     message: bytes
     cert: Cert
@@ -114,9 +115,12 @@ class BbcaInstance:
     # -- outbound construction ------------------------------------------
 
     def _signed(self, kind: MsgKind, message: bytes) -> BbcaMsg:
-        stmt = _statement(kind, self.instance.sender, self.instance.view,
-                          message)
-        return BbcaMsg(kind, self.instance, message, sign(self.node, stmt))
+        instance = self.instance
+        stmt = _statement(kind, instance.sender, instance.view, message)
+        # Every ECHO and READY is built here: ``tuple.__new__`` skips the
+        # named tuple's Python-level constructor.
+        return _new_tuple(BbcaMsg, (kind, instance, message,
+                                    sign(self.node, stmt)))
 
     # -- interfaces -------------------------------------------------------
 
@@ -152,14 +156,14 @@ class BbcaInstance:
         Only INIT rides unsigned; an ECHO or READY without a signature is
         dropped.
         """
-        kind = msg.kind
-        if msg.sig is not None:
+        kind, _, message, sig = msg
+        if sig is not None:
             if kind == _ECHO:
-                return self.on_echo(msg.message, msg.sig, frm), None
+                return self.on_echo(message, sig, frm), None
             if kind == _READY:
-                return [], self.on_ready(msg.message, msg.sig, frm)
+                return [], self.on_ready(message, sig, frm)
         if kind == _INIT:
-            return self.on_init(msg.message, frm), None
+            return self.on_init(message, frm), None
         return [], None
 
     def on_init(self, message: bytes, frm: NodeId) -> list[BbcaMsg]:
@@ -184,9 +188,8 @@ class BbcaInstance:
         digest = message_digest(message)
         if digest not in self.pending and not self.predicate(message):
             return []
-        stmt = _statement(_ECHO, self.instance.sender,
-                          self.instance.view, message)
-        if not verify(sig, stmt, signer):
+        sender, view = self.instance
+        if not verify(sig, _statement(_ECHO, sender, view, message), signer):
             return []
         self.received_echo.add(signer)
         mstate = self._state_for(digest, message)
@@ -205,17 +208,16 @@ class BbcaInstance:
         digest = message_digest(message)
         if digest not in self.pending and not self.predicate(message):
             return None
-        stmt = _statement(_READY, self.instance.sender,
-                          self.instance.view, message)
-        if not verify(sig, stmt, signer):
+        sender, view = self.instance
+        if not verify(sig, _statement(_READY, sender, view, message),
+                      signer):
             return None
         self.received_ready.add(signer)
         mstate = self._state_for(digest, message)
         mstate.ready_sigs[signer] = sig
         # Completion is not blocked by abort; only READY emission is.
         if self.completed is None and len(mstate.ready_sigs) == self.params.quorum:
-            cert = Cert(CertKind.COMPLETE, self.instance.sender,
-                        self.instance.view, digest,
+            cert = Cert(CertKind.COMPLETE, sender, view, digest,
                         _sorted_sigs(mstate.ready_sigs))
             self.completed = CompleteEvent(self.instance, message, cert)
             return self.completed
@@ -229,18 +231,26 @@ class BbcaInstance:
 
     # -- local queries -----------------------------------------------------
 
-    def available_adopt(self) -> tuple[bytes, Cert] | None:
-        """Adopt certificate extractable from current state, without probing."""
+    def adoptable_digest(self) -> BlockRef | None:
+        """Digest of the message a probe would adopt now, if any."""
         # At most one message can hold an echo quorum: each node's first
         # echo is the only one counted, so quorums for two messages would
         # need more distinct nodes than exist.
+        quorum = self.params.quorum
         for digest, mstate in self.pending.items():
-            if len(mstate.echo_sigs) >= self.params.quorum:
-                sigs = _sorted_sigs(mstate.echo_sigs)[:self.params.quorum]
-                cert = Cert(CertKind.ADOPT, self.instance.sender,
-                            self.instance.view, digest, tuple(sigs))
-                return mstate.message, cert
+            if len(mstate.echo_sigs) >= quorum:
+                return digest
         return None
+
+    def available_adopt(self) -> tuple[bytes, Cert] | None:
+        """Adopt certificate extractable from current state, without probing."""
+        digest = self.adoptable_digest()
+        if digest is None:
+            return None
+        mstate = self.pending[digest]
+        sender, view = self.instance
+        sigs = _sorted_sigs(mstate.echo_sigs)[:self.params.quorum]
+        return mstate.message, Cert(CertKind.ADOPT, sender, view, digest, sigs)
 
 
 @lru_cache(maxsize=4096)
@@ -263,4 +273,4 @@ def _statement(kind: MsgKind, sender: NodeId, view: int,
 
 
 def _sorted_sigs(sigs: dict[NodeId, Signature]) -> tuple[Signature, ...]:
-    return tuple(sigs[s] for s in sorted(sigs))
+    return tuple(map(sigs.__getitem__, sorted(sigs)))

@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .encoding import (
     EncodingError,
@@ -56,8 +57,7 @@ class EvidenceKind(enum.IntEnum):
     NOADOPT = 3
 
 
-@dataclass(frozen=True)
-class Cert:
+class Cert(NamedTuple):
     """Quorum of signatures binding a broadcast instance to a block digest."""
 
     kind: CertKind

@@ -13,9 +13,8 @@ push outbound actions (broadcasts, timer requests, trace notes) onto
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
+from typing import NamedTuple, Union
 
 from .bbca import BbcaInstance, BbcaMsg, CompleteEvent, InstanceId, MsgKind, ProbeResult
 from .blocks import (
@@ -63,9 +62,10 @@ def get_proposer(view: int, params: SystemParams) -> NodeId:
 
 
 # -- wire messages and node actions ------------------------------------------
+# Named tuples, like the BBCA records: a node emits one ``Broadcast`` per
+# message it sends.
 
-@dataclass(frozen=True)
-class BlockMsg:
+class BlockMsg(NamedTuple):
     """Best-effort broadcast of a single block."""
 
     block: Block
@@ -74,18 +74,15 @@ class BlockMsg:
 WireMsg = Union[BbcaMsg, BlockMsg]
 
 
-@dataclass(frozen=True)
-class Broadcast:
+class Broadcast(NamedTuple):
     msg: WireMsg
 
 
-@dataclass(frozen=True)
-class SetTimer:
+class SetTimer(NamedTuple):
     view: int
 
 
-@dataclass(frozen=True)
-class Note:
+class Note(NamedTuple):
     """Trace breadcrumb for the simulator; carries no protocol meaning."""
 
     kind: str  # "view" | "commit" | "probe"
@@ -317,23 +314,22 @@ class ChainNode:
     # -- broadcast plumbing -------------------------------------------------
 
     def _handle_bbca_message(self, frm: NodeId, msg: BbcaMsg) -> None:
-        bid = msg.instance
-        if bid.view < 1 or bid.sender != get_proposer(bid.view, self.params):
+        kind, (sender, view), message, sig = msg
+        if view < 1 or sender != get_proposer(view, self.params):
             return
         # Proposal bytes ride inside INIT/ECHO/READY; file them into the DAG
         # on first sight so causal delivery can gate completion.
         try:
-            block = decode_block(msg.message)
+            block = decode_block(message)
         except EncodingError:
             block = None
         if block is not None:
             self._ingest_block(block)
-        inst = self._instance_for(bid.view)
+        inst = self._instance_for(view)
         outs, event = inst.handle_message(frm, msg)
         for out in outs:
             self._emit(Broadcast(out))
-        if (msg.sig is not None and msg.kind == _ECHO
-                and bid.view not in self.held_certs):
+        if sig is not None and kind == _ECHO and view not in self.held_certs:
             # Holding an echo quorum is holding an adopt certificate, even
             # when abort suppressed the READY; the noadopt anchor must see it.
             # Only a view's first certificate is kept: stop asking after it.

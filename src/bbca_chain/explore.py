@@ -33,11 +33,15 @@ from .invariants import (
 )
 
 
+_new_tuple = tuple.__new__
+
+
 class Act(NamedTuple):
     """One schedulable step: deliver a message, probe, or fire a timer.
 
     A named tuple, which is cheaper to build than a dataclass; every
-    broadcast builds one per recipient.
+    broadcast builds one per recipient, with ``tuple.__new__`` so that no
+    Python-level constructor runs per delivery.
     """
 
     kind: str  # "deliver" | "probe" | "timer"
@@ -111,8 +115,9 @@ class BbcaWorld:
         if frm in self.nodes:
             key = (frm, msg.kind, msg.instance)
             self.sends[key] = self.sends.get(key, 0) + 1
-        self.pool.extend([Act("deliver", to, frm, msg) for to in
-                          (self.everyone if targets is None else targets)])
+        self.pool.extend([
+            _new_tuple(Act, ("deliver", to, frm, msg))
+            for to in (self.everyone if targets is None else targets)])
 
     def execute(self, index: int) -> None:
         act = self.pool.pop(index)
@@ -145,9 +150,8 @@ class BbcaWorld:
                      if node.completed is not None]
         # What a forced probe of each node would adopt; its abort would
         # change nothing at a leaf, so the audit leaves the nodes as they are.
-        adopted = [found[1].block_digest
-                   for found in (node.available_adopt() for node in nodes)
-                   if found is not None]
+        adopted = [digest for node in nodes
+                   if (digest := node.adoptable_digest()) is not None]
         decided = {*completed, *adopted, *self.probe_adopt.values()}
         problems = bbca_consistency(view, decided)
         if completed:
@@ -198,8 +202,10 @@ class ChainWorld:
     def _drain(self, node_id: NodeId) -> None:
         for action in self.nodes[node_id].take_outbox():
             if isinstance(action, Broadcast):
-                self.pool.extend([Act("deliver", to, node_id, action.msg)
-                                  for to in self.everyone])
+                msg = action.msg
+                self.pool.extend([
+                    _new_tuple(Act, ("deliver", to, node_id, msg))
+                    for to in self.everyone])
             # SetTimer is ignored: timeouts exist only as explicit tokens.
 
     def execute(self, index: int) -> None:
@@ -237,8 +243,10 @@ def explore(world, depth: int, max_leaves: int = 200_000,
     stack: list[tuple[object, int]] = [(world, 0)]
     while stack:
         current, used = stack.pop()
-        while current.pool and used >= depth:
-            current.execute(0)
+        if used >= depth:
+            pool, execute = current.pool, current.execute
+            while pool:
+                execute(0)
         if not current.pool:
             result.leaves += 1
             if isinstance(current, BbcaWorld):

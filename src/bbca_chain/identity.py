@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 NodeId = int
 
@@ -57,14 +58,15 @@ def statement_digest(statement: bytes) -> bytes:
     return hashlib.blake2b(statement, digest_size=8).digest()
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(NamedTuple):
     signer: NodeId
     digest: bytes
 
 
 def sign(node: NodeId, statement: bytes) -> Signature:
-    return Signature(node, statement_digest(statement))
+    # ``tuple.__new__`` builds the record without running the named tuple's
+    # Python-level constructor: every ECHO and READY is signed.
+    return tuple.__new__(Signature, (node, statement_digest(statement)))
 
 
 def verify(sig: Signature, statement: bytes, signer: NodeId) -> bool:

@@ -114,9 +114,13 @@ def _pending_node(world):
 
 
 def _immutable(value):
+    # A tuple, records included, is immutable only if its members are: a
+    # record that carried a list, dict or set into a clone is caught.
+    if isinstance(value, tuple):
+        return all(_immutable(member) for member in value)
     params = getattr(type(value), "__dataclass_params__", None)
     return (value is None or callable(value)
-            or isinstance(value, (int, str, bytes, tuple, frozenset))
+            or isinstance(value, (int, str, bytes, frozenset))
             or (params is not None and params.frozen))
 
 
@@ -128,7 +132,7 @@ def _shared_mutables(a, b, path="clone"):
         return [path]
     if isinstance(a, dict):
         pairs = [(f"{path}[{key!r}]", a[key], b[key]) for key in a if key in b]
-    elif isinstance(a, list):
+    elif isinstance(a, (list, tuple)):
         pairs = [(f"{path}[{i}]", x, y) for i, (x, y) in enumerate(zip(a, b))]
     elif isinstance(a, set):
         pairs = []  # members are hashable, hence immutable here

@@ -2,8 +2,6 @@
 simulator run report a broken rule in the same words, and signature-less
 ECHO/READY traffic is dropped on every path into a broadcast instance."""
 
-import dataclasses
-
 import pytest
 
 from bbca_chain import explore as ex
@@ -178,7 +176,7 @@ def test_chain_node_drops_signature_less_bbca_traffic(kind):
     node.take_outbox()
     held = dict(node.held_certs)
     node.handle_message(leader_id,
-                        dataclasses.replace(echo, kind=kind, sig=None))
+                        echo._replace(kind=kind, sig=None))
     assert not any(isinstance(action, Broadcast)
                    for action in node.take_outbox())
     inst = node.instances[1]

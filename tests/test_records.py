@@ -1,0 +1,81 @@
+"""The per-message records are named tuples with the contract of the frozen
+dataclasses they replaced: the same field order, defaults, repr, hash and
+``InstanceId`` ordering, and no assignable fields.  Trace digests, set and
+dict orders and witness texts depend on all of these.
+
+One difference remains: a named tuple compares equal to any tuple of equal
+values, where a dataclass compared equal only to its own class.  No set, dict
+or comparison in the program mixes two record types, so nothing observes
+it.  The containers audited for this are:
+
+- ``Adversary._replayed``: ``BbcaMsg`` and ``BlockMsg`` values, whose field
+  counts differ (pinned below);
+- ``BbcaWorld._replayed``: ``BbcaMsg`` values only;
+- the ``SendCounts`` keys: ``(node, MsgKind, InstanceId)`` tuples only;
+- ``ChainNode.held_certs``: ``Cert`` values only;
+- ``ChainNode.pending_complete``: ``CompleteEvent`` values only.
+"""
+
+import pytest
+
+from bbca_chain.bbca import BbcaMsg, CompleteEvent, InstanceId, MsgKind, ProbeResult
+from bbca_chain.blocks import GENESIS_BLOCK, Cert, CertKind
+from bbca_chain.chain import BlockMsg, Broadcast, Note, SetTimer
+from bbca_chain.identity import Signature
+
+SIG = Signature(2, b"\x01" * 8)
+SIG_REPR = r"Signature(signer=2, digest=b'\x01\x01\x01\x01\x01\x01\x01\x01')"
+IID = InstanceId(0, 1)
+IID_REPR = "InstanceId(sender=0, view=1)"
+CERT = Cert(CertKind.ADOPT, 1, 1, b"\xab" * 4, (SIG,))
+CERT_REPR = (r"Cert(kind=<CertKind.ADOPT: 1>, sender=1, view=1, "
+             r"block_digest=b'\xab\xab\xab\xab', sigs=(" + SIG_REPR + ",))")
+
+# (record, the old dataclass field order, the old repr)
+RECORDS = [
+    (SIG, ("signer", "digest"), SIG_REPR),
+    (CERT, ("kind", "sender", "view", "block_digest", "sigs"), CERT_REPR),
+    (IID, ("sender", "view"), IID_REPR),
+    (BbcaMsg(MsgKind.ECHO, IID, b"m", SIG),
+     ("kind", "instance", "message", "sig"),
+     f"BbcaMsg(kind=<MsgKind.ECHO: 2>, instance={IID_REPR}, message=b'm', "
+     f"sig={SIG_REPR})"),
+    (ProbeResult(False), ("adopted", "message", "cert"),
+     "ProbeResult(adopted=False, message=None, cert=None)"),
+    (CompleteEvent(IID, b"m", CERT), ("instance", "message", "cert"),
+     f"CompleteEvent(instance={IID_REPR}, message=b'm', cert={CERT_REPR})"),
+    (BlockMsg(GENESIS_BLOCK), ("block",),
+     "BlockMsg(block=Block(BACKBONE v=0 a=0 dc2dd5fe7e60))"),
+    (Broadcast(SetTimer(3)), ("msg",), "Broadcast(msg=SetTimer(view=3))"),
+    (SetTimer(3), ("view",), "SetTimer(view=3)"),
+    (Note("view", (2, "init")), ("kind", "data"),
+     "Note(kind='view', data=(2, 'init'))"),
+]
+IDS = [type(record).__name__ for record, _, _ in RECORDS]
+
+
+@pytest.mark.parametrize("record, fields, text", RECORDS, ids=IDS)
+def test_record_keeps_the_dataclass_contract(record, fields, text):
+    assert type(record)._fields == fields
+    assert repr(record) == text
+    assert hash(record) == hash(tuple(record))
+    with pytest.raises(AttributeError):
+        setattr(record, fields[0], None)
+
+
+def test_instance_ids_sort_by_sender_then_view():
+    ids = [InstanceId(1, 0), InstanceId(0, 2), InstanceId(0, 1),
+           InstanceId(2, 1)]
+    assert sorted(ids) == [InstanceId(0, 1), InstanceId(0, 2),
+                           InstanceId(1, 0), InstanceId(2, 1)]
+
+
+def test_defaults_are_the_dataclass_defaults():
+    result = ProbeResult(False)
+    assert result.message is None and result.cert is None
+    assert BbcaMsg(MsgKind.INIT, IID, b"m").sig is None
+
+
+def test_replayed_wire_messages_never_compare_equal():
+    # ``Adversary._replayed`` holds both wire-message types in one set.
+    assert len(BbcaMsg._fields) != len(BlockMsg._fields)

@@ -21,9 +21,11 @@ from bbca_chain.simnet import (
     Adversary,
     DelayModel,
     PreGstPolicy,
+    RunResult,
     Scenario,
     Simulator,
     Strategy,
+    Trace,
     _describe,
     randints,
     run,
@@ -173,6 +175,31 @@ def test_pre_gst_drop_policy_delivers_at_gst():
         if entry < 100:
             assert tick >= 100
     assert_clean(result)
+
+
+def test_delay_soundness_reports_only_late_deliveries(monkeypatch):
+    # gst 100, delta_post 10: a message entering at 50 may land by 110, one
+    # entering at 120 by 130.
+    scenario = Scenario(n=4, gst=100, delta_post=10)
+    result = RunResult(scenario, Trace(), {})
+    result.trace.deliveries.extend([
+        (50, 110, 0, 1),   # pre-GST, on time at its bound
+        (120, 130, 1, 2),  # post-GST, on time at its bound
+        (120, 131, 2, 3),  # post-GST, one tick late
+    ])
+    entries = []
+    bound = DelayModel.bound
+
+    def counted(model, sent):
+        entries.append(sent)
+        return bound(model, sent)
+
+    monkeypatch.setattr(DelayModel, "bound", counted)
+    assert check_delay_soundness(result) == [
+        "delay: message 2->3 entered at 120 but delivered at 131 (bound 130)"]
+    assert sorted(entries) == [50, 120]  # once per distinct entry tick
+    del result.trace.deliveries[-1]
+    assert check_delay_soundness(result) == []
 
 
 def test_view_sync_bounds_hold_post_gst():
