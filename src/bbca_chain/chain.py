@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple, Union
 
-from .bbca import BbcaInstance, BbcaMsg, CompleteEvent, InstanceId, MsgKind, ProbeResult
+from .bbca import ECHO, BbcaInstance, BbcaMsg, CompleteEvent, InstanceId, ProbeResult
 from .blocks import (
     GENESIS_BLOCK,
     GENESIS_CERT,
@@ -42,9 +42,8 @@ from .identity import NodeId, SystemParams, sign, verify
 
 NO_OP = "NO-OP"
 
-# Enum members as module constants: reading a member off its class costs an
-# attribute lookup, and the handlers compare kinds on every message.
-_ECHO = MsgKind.ECHO
+# Enum members as module constants, like ``bbca.ECHO``.
+# Kept for +4.3% sim_long events/s (perfbench seed 5).
 _BACKBONE, _NEW_VIEW = BlockKind.BACKBONE, BlockKind.NEW_VIEW
 _COMPLETE, _ADOPT, _NOADOPT = (EvidenceKind.COMPLETE, EvidenceKind.ADOPT,
                                EvidenceKind.NOADOPT)
@@ -255,9 +254,6 @@ class ChainNode:
         out, self.outbox = self.outbox, []
         return out
 
-    def _emit(self, action: Action) -> None:
-        self.outbox.append(action)
-
     def _terminal(self) -> bool:
         return self.horizon is not None and self.view > self.horizon
 
@@ -304,7 +300,7 @@ class ChainNode:
     def submit_payload(self, payload: bytes) -> Block:
         block = make_data(self.id, self.view, self._own_refs(), payload)
         self.my_last_ref = block.digest
-        self._emit(Broadcast(BlockMsg(block)))
+        self.outbox.append(Broadcast(BlockMsg(block)))
         return block
 
     def audit_probe(self, view: int) -> ProbeResult:
@@ -328,8 +324,8 @@ class ChainNode:
         inst = self._instance_for(view)
         outs, event = inst.handle_message(frm, msg)
         for out in outs:
-            self._emit(Broadcast(out))
-        if sig is not None and kind == _ECHO and view not in self.held_certs:
+            self.outbox.append(Broadcast(out))
+        if sig is not None and kind == ECHO and view not in self.held_certs:
             # Holding an echo quorum is holding an adopt certificate, even
             # when abort suppressed the READY; the noadopt anchor must see it.
             # Only a view's first certificate is kept: stop asking after it.
@@ -409,7 +405,7 @@ class ChainNode:
         # reference it; the next leader embeds instead of broadcasting.
         self._ingest_block(nvb)
         if get_proposer(view + 1, self.params) != self.id:
-            self._emit(Broadcast(BlockMsg(nvb)))
+            self.outbox.append(Broadcast(BlockMsg(nvb)))
 
     # -- completion, probing, view entry -------------------------------------
 
@@ -428,12 +424,13 @@ class ChainNode:
         result = self._instance_for(view).probe()
         if result.adopted:
             self._update_highest_certified(result.cert)
-            self._emit(Note("probe", (view, True, result.cert.block_digest)))
+            self.outbox.append(
+                Note("probe", (view, True, result.cert.block_digest)))
             self._make_own_new_view_block(
                 view, NewViewData(EvidenceKind.ADOPT, result.cert))
             self._enter_view(view + 1, "adopt_probe")
         else:
-            self._emit(Note("probe", (view, False, None)))
+            self.outbox.append(Note("probe", (view, False, None)))
             data = NewViewData(EvidenceKind.NOADOPT, self._anchor_for(view),
                                sign(self.id, noadopt_statement(view)))
             self._make_own_new_view_block(view, data)
@@ -446,8 +443,8 @@ class ChainNode:
         self.rules_dirty = True
         if self._terminal():
             return
-        self._emit(Note("view", (view, cause)))
-        self._emit(SetTimer(view))
+        self.outbox.append(Note("view", (view, cause)))
+        self.outbox.append(SetTimer(view))
 
     def _evaluate_view_rules(self) -> None:
         """Re-check every event-driven rule until none fires.
@@ -471,7 +468,7 @@ class ChainNode:
                 else:
                     # Already concluded w ourselves (first block is final);
                     # relay the evidence so everyone enters within a delay.
-                    self._emit(Broadcast(BlockMsg(nvb)))
+                    self.outbox.append(Broadcast(BlockMsg(nvb)))
                 cause = ("complete_recv"
                          if nvb.new_view.evidence == _COMPLETE
                          else "adopt_recv")
@@ -518,7 +515,7 @@ class ChainNode:
                               extra_refs=self._own_refs())
         self.my_last_ref = block.digest
         for out in self._instance_for(view).broadcast(block.encoded):
-            self._emit(Broadcast(out))
+            self.outbox.append(Broadcast(out))
 
     def _build_justification(self, prev: int) -> Justification | None:
         """Pick evidence for the previous view: complete > adopt > noadopt;
@@ -546,7 +543,8 @@ class ChainNode:
                 added = self.dag.order_under(entry.digest, self.committed_set)
                 self.committed_log.extend(added)
                 self.committed_set.update(added)
-                self._emit(Note("commit", (self.last_committed, tuple(added))))
+                self.outbox.append(
+                    Note("commit", (self.last_committed, tuple(added))))
             newly.append(self.last_committed)
         return newly
 

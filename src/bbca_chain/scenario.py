@@ -106,13 +106,10 @@ def parse_config(raw: dict, path: str = "config") -> HarnessConfig:
         policy = sub.take("policy", str, required=True)
         max_delay = sub.take("max_delay", int, default=0)
         sub.finish()
-        if policy == "adversarial" and max_delay < 1:
-            raise ConfigError(
-                f"{path}.pre_gst.max_delay: adversarial policy needs a bound")
         try:
             pre = PreGstPolicy(policy, max_delay)
         except ConfigError as exc:
-            raise ConfigError(f"{path}.pre_gst.policy: {exc}") from None
+            raise ConfigError(f"{path}.pre_gst: {exc}") from None
 
     adversary_raw = fields.take("adversary", dict, default={})
     strategies = _parse_adversary(adversary_raw, f"{path}.adversary", n)

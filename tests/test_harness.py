@@ -209,6 +209,16 @@ def test_cli_exit_two_on_bad_config(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("overrides", [
+    {"t_max": -5},
+    {"adversary": {"1": {"strategy": "delay_own", "max_delay": -1}}},
+], ids=["t_max", "delay_own_max_delay"])
+def test_cli_exit_two_on_bad_timing(tmp_path, capsys, overrides):
+    path = write_config(tmp_path, overrides=overrides)
+    assert cli.main(["run", "--config", path]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_cli_exit_two_on_missing_file(capsys):
     assert cli.main(["run", "--config", "/nonexistent.json"]) == 2
 

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -60,6 +64,26 @@ def test_same_seed_reproduces_identical_trace():
     second = Simulator(scenario).run()
     assert first.trace.digest() == second.trace.digest()
     assert first.trace.export_lines() == second.trace.export_lines()
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_golden_digests_hold_in_a_fresh_process(hash_seed):
+    # Campaign workers are separate processes, each with its own string-hash
+    # seed; a set or dict order that leaks into the trace would show here.
+    names = ["n4-uniform", "n7-equivocate-data-payloads"]
+    tests = Path(__file__).resolve().parent
+    script = ("import sys\n"
+              "from test_golden_digests import SHAPES\n"
+              "from bbca_chain.simnet import run\n"
+              "for name in sys.argv[1:]:\n"
+              "    print(run(SHAPES[name][0]).trace.digest())\n")
+    env = os.environ | {
+        "PYTHONHASHSEED": hash_seed,
+        "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+    proc = subprocess.run([sys.executable, "-c", script, *names], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [SHAPES[name][1] for name in names]
 
 
 def test_different_seed_changes_random_schedule():
@@ -216,6 +240,16 @@ def test_fault_budget_enforced_at_construction():
     with pytest.raises(ConfigError):
         Scenario(n=4, strategies={1: Strategy("silent"),
                                   2: Strategy("silent")})
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Scenario(n=4, t_max=-5),  # timers would fire before `now`
+    lambda: Strategy("delay_own", max_delay=-1),  # empty lag range
+    lambda: PreGstPolicy("adversarial", 0),  # empty pre-GST delay range
+], ids=["t_max", "delay_own_max_delay", "pre_gst_max_delay"])
+def test_bad_timing_rejected_at_construction(build):
+    with pytest.raises(ConfigError):
+        build()
 
 
 def test_audit_probe_records_results():
