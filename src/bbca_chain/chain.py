@@ -7,8 +7,10 @@ Commits walk the finalized views contiguously, skipping views finalized as
 NO-OP, and linearize each backbone block's uncommitted causal ancestry.
 
 Nodes are pure event-driven state machines: handlers consume one event and
-push outbound actions (broadcasts, timer requests, trace notes) onto
-``outbox``.  They never read a clock or a random source.
+append their outputs to ``outbox``: the wire messages to broadcast, and
+``ViewEntered``, ``Committed`` and ``Probed`` records of what the node did.
+A driver arms the view timer on ``ViewEntered``.  Nodes never read a clock
+or a random source.
 """
 
 from __future__ import annotations
@@ -60,9 +62,9 @@ def get_proposer(view: int, params: SystemParams) -> NodeId:
     return view % params.n
 
 
-# -- wire messages and node actions ------------------------------------------
-# Named tuples, like the BBCA records: a node emits one ``Broadcast`` per
-# message it sends.
+# -- wire messages and node outputs ------------------------------------------
+# Named tuples, like the BBCA records.  A node's outbox holds the wire
+# messages it sends and the records below, which carry no protocol meaning.
 
 class BlockMsg(NamedTuple):
     """Best-effort broadcast of a single block."""
@@ -71,24 +73,26 @@ class BlockMsg(NamedTuple):
 
 
 WireMsg = Union[BbcaMsg, BlockMsg]
+WIRE_TYPES = (BbcaMsg, BlockMsg)  # for isinstance
 
 
-class Broadcast(NamedTuple):
-    msg: WireMsg
-
-
-class SetTimer(NamedTuple):
+class ViewEntered(NamedTuple):
     view: int
+    cause: str
 
 
-class Note(NamedTuple):
-    """Trace breadcrumb for the simulator; carries no protocol meaning."""
-
-    kind: str  # "view" | "commit" | "probe"
-    data: tuple
+class Committed(NamedTuple):
+    view: int
+    refs: tuple[BlockRef, ...]
 
 
-Action = Union[Broadcast, SetTimer, Note]
+class Probed(NamedTuple):
+    view: int
+    adopted: bool
+    ref: BlockRef | None
+
+
+Output = Union[BbcaMsg, BlockMsg, ViewEntered, Committed, Probed]
 
 # View-entry causes; the first four are the broadcast-driven fast paths,
 # "noadopt_quorum" is the 2f+1 path.
@@ -211,7 +215,7 @@ class ChainNode:
         self.proposed: set[int] = set()
         self.emitted_nvb: set[int] = set()
         self.my_last_ref: BlockRef | None = None
-        self.outbox: list[Action] = []
+        self.outbox: list[Output] = []
         # Set when a view rule's input changes (the view, a stored new-view
         # block, a probe); the rules are rerun only then.
         self.rules_dirty = True
@@ -250,7 +254,7 @@ class ChainNode:
 
     # -- plumbing ---------------------------------------------------------
 
-    def take_outbox(self) -> list[Action]:
+    def take_outbox(self) -> list[Output]:
         out, self.outbox = self.outbox, []
         return out
 
@@ -300,7 +304,7 @@ class ChainNode:
     def submit_payload(self, payload: bytes) -> Block:
         block = make_data(self.id, self.view, self._own_refs(), payload)
         self.my_last_ref = block.digest
-        self.outbox.append(Broadcast(BlockMsg(block)))
+        self.outbox.append(BlockMsg(block))
         return block
 
     def audit_probe(self, view: int) -> ProbeResult:
@@ -323,8 +327,7 @@ class ChainNode:
             self._ingest_block(block)
         inst = self._instance_for(view)
         outs, event = inst.handle_message(frm, msg)
-        for out in outs:
-            self.outbox.append(Broadcast(out))
+        self.outbox.extend(outs)
         if sig is not None and kind == ECHO and view not in self.held_certs:
             # Holding an echo quorum is holding an adopt certificate, even
             # when abort suppressed the READY; the noadopt anchor must see it.
@@ -405,7 +408,7 @@ class ChainNode:
         # reference it; the next leader embeds instead of broadcasting.
         self._ingest_block(nvb)
         if get_proposer(view + 1, self.params) != self.id:
-            self.outbox.append(Broadcast(BlockMsg(nvb)))
+            self.outbox.append(BlockMsg(nvb))
 
     # -- completion, probing, view entry -------------------------------------
 
@@ -424,13 +427,12 @@ class ChainNode:
         result = self._instance_for(view).probe()
         if result.adopted:
             self._update_highest_certified(result.cert)
-            self.outbox.append(
-                Note("probe", (view, True, result.cert.block_digest)))
+            self.outbox.append(Probed(view, True, result.cert.block_digest))
             self._make_own_new_view_block(
                 view, NewViewData(EvidenceKind.ADOPT, result.cert))
             self._enter_view(view + 1, "adopt_probe")
         else:
-            self.outbox.append(Note("probe", (view, False, None)))
+            self.outbox.append(Probed(view, False, None))
             data = NewViewData(EvidenceKind.NOADOPT, self._anchor_for(view),
                                sign(self.id, noadopt_statement(view)))
             self._make_own_new_view_block(view, data)
@@ -443,8 +445,7 @@ class ChainNode:
         self.rules_dirty = True
         if self._terminal():
             return
-        self.outbox.append(Note("view", (view, cause)))
-        self.outbox.append(SetTimer(view))
+        self.outbox.append(ViewEntered(view, cause))
 
     def _evaluate_view_rules(self) -> None:
         """Re-check every event-driven rule until none fires.
@@ -468,7 +469,7 @@ class ChainNode:
                 else:
                     # Already concluded w ourselves (first block is final);
                     # relay the evidence so everyone enters within a delay.
-                    self.outbox.append(Broadcast(BlockMsg(nvb)))
+                    self.outbox.append(BlockMsg(nvb))
                 cause = ("complete_recv"
                          if nvb.new_view.evidence == _COMPLETE
                          else "adopt_recv")
@@ -514,8 +515,7 @@ class ChainNode:
         block = make_backbone(self.id, view, justification,
                               extra_refs=self._own_refs())
         self.my_last_ref = block.digest
-        for out in self._instance_for(view).broadcast(block.encoded):
-            self.outbox.append(Broadcast(out))
+        self.outbox.extend(self._instance_for(view).broadcast(block.encoded))
 
     def _build_justification(self, prev: int) -> Justification | None:
         """Pick evidence for the previous view: complete > adopt > noadopt;
@@ -543,8 +543,7 @@ class ChainNode:
                 added = self.dag.order_under(entry.digest, self.committed_set)
                 self.committed_log.extend(added)
                 self.committed_set.update(added)
-                self.outbox.append(
-                    Note("commit", (self.last_committed, tuple(added))))
+                self.outbox.append(Committed(self.last_committed, tuple(added)))
             newly.append(self.last_committed)
         return newly
 

@@ -1,17 +1,17 @@
 """Bounded-exhaustive exploration of message interleavings.
 
 An untimed twin of the simulator for desk-scale model checking: the pending
-action pool holds every undelivered message (plus optional probe and timer
-actions), and the first ``depth`` scheduling decisions branch over every
-pool entry.  Beyond the budget a schedule is determinized (always deliver
-the oldest action), so each branch runs to a quiescent leaf where the
-safety properties are checked, including an end-of-run audit of what every
-correct node would adopt.  Enumeration is naive by design; a hard leaf cap
-keeps it bounded.
+pool holds one ``simnet.Deliver`` per undelivered message, plus optional
+``Probe`` and ``Timer`` tokens, and the first ``depth`` scheduling decisions
+branch over every pool entry.  Beyond the budget a schedule is determinized
+(always run the oldest step), so each branch runs to a quiescent leaf where
+the safety properties are checked, including an end-of-run audit of what
+every correct node would adopt.  Enumeration is naive by design; a hard leaf
+cap keeps it bounded.
 
 Worlds fork by structured copy: a branch copies each node's mutable
 containers and shares the immutable blocks, certificates and messages.  A
-step records the ``Act`` it ran; the witness text is formatted only when a
+world records the steps it ran; the witness text is formatted only when a
 leaf reports a violation.
 """
 
@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .bbca import BbcaInstance, BbcaMsg, InstanceId, message_digest
-from .chain import Broadcast, ChainNode, SafetyViolation
-from .identity import NodeId, SystemParams
+from .chain import WIRE_TYPES, ChainNode, SafetyViolation
+from .identity import NodeId, SystemParams, params_for
 from .invariants import (
     SendCounts,
     agreement,
@@ -31,29 +31,32 @@ from .invariants import (
     echo_once,
     prefix_consistency,
 )
+from .simnet import Deliver
 
 
+# A broadcast builds one ``Deliver`` per recipient with ``tuple.__new__``, so
+# that no Python-level constructor runs per delivery.
 # Kept for +3.4% explore_mixed leaves/s (perfbench seed 5).
 _new_tuple = tuple.__new__
 
 
-class Act(NamedTuple):
-    """One schedulable step: deliver a message, probe, or fire a timer.
+class Probe(NamedTuple):
+    """Scheduled step: ``node`` probes its broadcast instance."""
 
-    A named tuple, which is cheaper to build than a dataclass; every
-    broadcast builds one per recipient, with ``tuple.__new__`` so that no
-    Python-level constructor runs per delivery.
-    """
+    node: NodeId
 
-    kind: str  # "deliver" | "probe" | "timer"
-    to: NodeId
-    frm: NodeId = -1
-    msg: object = None
 
-    def describe(self) -> str:
-        if self.kind == "deliver":
-            return f"deliver({self.frm}->{self.to})"
-        return f"{self.kind}({self.to})"
+class Timer(NamedTuple):
+    """Scheduled step: ``node``'s timer fires for its current view."""
+
+    node: NodeId
+
+
+def describe(step: Deliver | Probe | Timer) -> str:
+    """Witness text: ``deliver(f->t)``, ``probe(n)`` or ``timer(n)``."""
+    if type(step) is Deliver:
+        return f"deliver({step.frm}->{step.to})"
+    return f"{type(step).__name__.lower()}({step.node})"
 
 
 @dataclass
@@ -73,12 +76,15 @@ class BbcaWorld:
     """All correct nodes' views of a single broadcast instance.
 
     Byzantine behavior is scripted into the initial pool (equivocation) or
-    into a relay rule (replay); crashed nodes simply do not exist.
+    into a relay rule (replay); crashed nodes simply do not exist.  The
+    initial pool holds the correct sender's broadcast of ``sent_message``,
+    if any, then one ``Probe`` per node in ``probes``.
     """
 
     def __init__(self, params: SystemParams, instance: InstanceId,
                  correct: list[NodeId], replayers: tuple[NodeId, ...] = (),
-                 sent_message: bytes | None = None):
+                 sent_message: bytes | None = None,
+                 probes: tuple[NodeId, ...] = ()):
         self.params = params
         self.instance = instance
         self.correct = list(correct)
@@ -86,12 +92,17 @@ class BbcaWorld:
         self.sent_message = sent_message  # correct sender's message, if any
         self.everyone = tuple(sorted({*correct, *replayers}))
         self.nodes = {i: BbcaInstance(params, instance, i) for i in correct}
-        self.pool: list[Act] = []
-        self.executed: list[Act] = []
+        self.pool: list[Deliver | Probe] = []
+        self.executed: list[Deliver | Probe] = []
         self.sends: SendCounts = {}  # by correct nodes
         self.probe_noadopt: set[NodeId] = set()
         self.probe_adopt: dict[NodeId, bytes] = {}
         self._replayed: set = set()
+        if sent_message is not None:
+            sender = instance.sender
+            for msg in self.nodes[sender].broadcast(sent_message):
+                self.push_broadcast(sender, msg)
+        self.pool.extend(map(Probe, probes))
 
     def clone(self) -> "BbcaWorld":
         twin = object.__new__(BbcaWorld)
@@ -117,20 +128,21 @@ class BbcaWorld:
             key = (frm, msg.kind, msg.instance)
             self.sends[key] = self.sends.get(key, 0) + 1
         self.pool.extend([
-            _new_tuple(Act, ("deliver", to, frm, msg))
+            _new_tuple(Deliver, (to, frm, msg))
             for to in (self.everyone if targets is None else targets)])
 
     def execute(self, index: int) -> None:
-        act = self.pool.pop(index)
-        self.executed.append(act)
-        kind, to, frm, msg = act
-        if kind == "probe":
-            result = self.nodes[to].probe()
+        step = self.pool.pop(index)
+        self.executed.append(step)
+        if type(step) is Probe:
+            node, = step
+            result = self.nodes[node].probe()
             if result.adopted:
-                self.probe_adopt[to] = result.cert.block_digest
+                self.probe_adopt[node] = result.cert.block_digest
             else:
-                self.probe_noadopt.add(to)
+                self.probe_noadopt.add(node)
             return
+        to, frm, msg = step
         if to in self.replayers:
             if msg not in self._replayed:
                 self._replayed.add(msg)
@@ -180,15 +192,15 @@ class ChainWorld:
         self.nodes = {i: ChainNode(i, params, horizon)
                       for i in range(params.n)}
         self.everyone = tuple(sorted(self.nodes))
-        self.pool: list[Act] = []
-        self.executed: list[Act] = []
+        self.pool: list[Deliver | Timer] = []
+        self.executed: list[Deliver | Timer] = []
         self.broken: str | None = None
         for node_id in sorted(self.nodes):
             self.nodes[node_id].start()
             self._drain(node_id)
         for node_id, count in sorted(timer_tokens.items()):
             for _ in range(count):
-                self.pool.append(Act("timer", node_id))
+                self.pool.append(Timer(node_id))
 
     def clone(self) -> "ChainWorld":
         twin = object.__new__(ChainWorld)
@@ -201,24 +213,24 @@ class ChainWorld:
         return twin
 
     def _drain(self, node_id: NodeId) -> None:
-        for action in self.nodes[node_id].take_outbox():
-            if isinstance(action, Broadcast):
-                msg = action.msg
-                self.pool.extend([
-                    _new_tuple(Act, ("deliver", to, node_id, msg))
-                    for to in self.everyone])
-            # SetTimer is ignored: timeouts exist only as explicit tokens.
+        # Only the wire messages matter here: timeouts exist only as Timer
+        # tokens, and the records are trace breadcrumbs.
+        for out in self.nodes[node_id].take_outbox():
+            if isinstance(out, WIRE_TYPES):
+                self.pool.extend([_new_tuple(Deliver, (to, node_id, out))
+                                  for to in self.everyone])
 
     def execute(self, index: int) -> None:
-        act = self.pool.pop(index)
-        self.executed.append(act)
-        kind, to, frm, msg = act
-        node = self.nodes[to]
+        step = self.pool.pop(index)
+        self.executed.append(step)
         try:
-            if kind == "timer":
+            if type(step) is Timer:
+                to, = step
+                node = self.nodes[to]
                 node.handle_timer(node.view)
             else:
-                node.handle_message(frm, msg)
+                to, frm, msg = step
+                self.nodes[to].handle_message(frm, msg)
         except SafetyViolation as violation:
             self.broken = str(violation)
             self.pool.clear()
@@ -256,7 +268,7 @@ def explore(world, depth: int, max_leaves: int = 200_000,
             else:
                 problems = current.check_leaf()
             if problems:
-                witness = tuple(act.describe() for act in current.executed)
+                witness = tuple(map(describe, current.executed))
                 result.violations.extend((problem, witness)
                                          for problem in problems)
             if result.leaves >= max_leaves and stack:
@@ -277,20 +289,13 @@ def explore(world, depth: int, max_leaves: int = 200_000,
 # -- canned scenario builders -----------------------------------------------------
 
 def bbca_correct_sender(n: int = 4, probes: tuple[NodeId, ...] = ()) -> BbcaWorld:
-    params = SystemParams(n)
-    instance = InstanceId(0, 1)
-    world = BbcaWorld(params, instance, correct=list(range(n)),
-                      sent_message=b"proposal")
-    for msg in world.nodes[0].broadcast(b"proposal"):
-        world.push_broadcast(0, msg)
-    for node in probes:
-        world.pool.append(Act("probe", node))
-    return world
+    return BbcaWorld(params_for(n), InstanceId(0, 1), correct=list(range(n)),
+                     sent_message=b"proposal", probes=probes)
 
 
 def bbca_equivocating_sender(n: int = 4) -> BbcaWorld:
     """Byzantine sender splits two proposals across halves of the network."""
-    params = SystemParams(n)
+    params = params_for(n)
     instance = InstanceId(0, 1)
     correct = list(range(1, n))
     world = BbcaWorld(params, instance, correct=correct)
@@ -305,33 +310,24 @@ def bbca_equivocating_sender(n: int = 4) -> BbcaWorld:
 
 def bbca_crashed(n: int = 4) -> BbcaWorld:
     """Correct sender; f nodes crashed from the start (absent entirely)."""
-    params = SystemParams(n)
-    instance = InstanceId(0, 1)
+    params = params_for(n)
     correct = list(range(n - params.f))  # the highest f ids never show up
-    world = BbcaWorld(params, instance, correct=correct,
-                      sent_message=b"proposal")
-    for msg in world.nodes[0].broadcast(b"proposal"):
-        world.push_broadcast(0, msg)
-    return world
+    return BbcaWorld(params, InstanceId(0, 1), correct=correct,
+                     sent_message=b"proposal")
 
 
 def bbca_replay_with_probes(n: int = 4) -> BbcaWorld:
     """Correct sender, one replaying byzantine node, f+1 scheduled probes."""
-    params = SystemParams(n)
-    instance = InstanceId(0, 1)
+    params = params_for(n)
     correct = list(range(n - 1))
-    world = BbcaWorld(params, instance, correct=correct,
-                      replayers=(n - 1,), sent_message=b"proposal")
-    for msg in world.nodes[0].broadcast(b"proposal"):
-        world.push_broadcast(0, msg)
-    for node in correct[:params.f + 1]:
-        world.pool.append(Act("probe", node))
-    return world
+    return BbcaWorld(params, InstanceId(0, 1), correct=correct,
+                     replayers=(n - 1,), sent_message=b"proposal",
+                     probes=correct[:params.f + 1])
 
 
 def chain_two_views(n: int = 4, timeout_node: NodeId = 3) -> ChainWorld:
     """Two-view chain where one node may time out at any explored point."""
-    return ChainWorld(SystemParams(n), horizon=2,
+    return ChainWorld(params_for(n), horizon=2,
                       timer_tokens={timeout_node: 1})
 
 

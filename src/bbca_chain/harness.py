@@ -100,8 +100,8 @@ def run_explore(config: HarnessConfig, depth: int,
     spec = config.explore
     if spec is None:
         raise ValueError("config has no explore section")
-    kwargs = ({"timeout_node": spec.timeout_node}
-              if spec.case == "chain_two_views" else {})
+    kwargs = ({} if spec.timeout_node is None
+              else {"timeout_node": spec.timeout_node})
     world = explore_mod.CASES[spec.case](**kwargs)
     return explore_mod.explore(
         world, depth, spec.max_leaves if max_leaves is None else max_leaves,

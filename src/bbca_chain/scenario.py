@@ -20,7 +20,7 @@ class ExploreSpec:
     case: str
     max_leaves: int = 200_000
     check_validity: bool = False
-    timeout_node: int = 3
+    timeout_node: int | None = None  # chain_two_views only
 
 
 @dataclass
@@ -185,7 +185,7 @@ def parse_config(raw: dict, path: str = "config") -> HarnessConfig:
         case = sub.take("case", str, required=True)
         max_leaves = sub.take("max_leaves", int, default=200_000)
         check_validity = sub.take("check_validity", bool, default=False)
-        timeout_node = sub.take("timeout_node", int, default=3)
+        timeout_node = sub.take("timeout_node", int, default=None)
         sub.finish()
         if case not in EXPLORE_CASES:
             raise ConfigError(f"{path}.explore.case: unknown case {case!r}")
@@ -193,7 +193,10 @@ def parse_config(raw: dict, path: str = "config") -> HarnessConfig:
             raise ConfigError(f"{path}.n: exploration requires n=4")
         if max_leaves < 1:
             raise ConfigError(f"{path}.explore.max_leaves: must be at least 1")
-        if not 0 <= timeout_node < n:
+        if timeout_node is not None and case != "chain_two_views":
+            raise ConfigError(
+                f"{path}.explore.timeout_node: chain_two_views only")
+        if timeout_node is not None and not 0 <= timeout_node < n:
             raise ConfigError(
                 f"{path}.explore.timeout_node: out of range for n={n}")
         explore = ExploreSpec(case, max_leaves, check_validity, timeout_node)

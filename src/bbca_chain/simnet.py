@@ -25,12 +25,12 @@ from typing import NamedTuple
 from .bbca import INIT, READY, BbcaInstance, BbcaMsg
 from .blocks import Block, BlockKind, BlockRef, decode_block
 from .chain import (
+    WIRE_TYPES,
     BlockMsg,
-    Broadcast,
     ChainNode,
-    Note,
+    Committed,
     SafetyViolation,
-    SetTimer,
+    ViewEntered,
     WireMsg,
 )
 from .encoding import EncodingError, digest32
@@ -53,6 +53,8 @@ class Strategy:
             raise ConfigError(f"unknown adversary strategy {self.name!r}")
         if self.max_delay < 0:
             raise ConfigError("max_delay must not be negative")
+        if self.max_delay and self.name != "delay_own":
+            raise ConfigError("max_delay applies to delay_own only")
 
 
 @dataclass(frozen=True)
@@ -66,6 +68,9 @@ class PreGstPolicy:
         if self.kind == "adversarial" and self.max_delay < 1:
             raise ConfigError("adversarial policy needs a max_delay of at "
                               "least one tick")
+        if self.kind == "drop" and self.max_delay:
+            raise ConfigError("max_delay applies to the adversarial policy "
+                              "only")
 
 
 @dataclass(frozen=True)
@@ -389,36 +394,31 @@ class Simulator:
 
     def _drain(self, node_id: NodeId) -> None:
         adversary = self.adversaries.get(node_id)
-        for action in self.nodes[node_id].take_outbox():
-            if isinstance(action, Broadcast):
+        trace, now = self.trace, self.now
+        for out in self.nodes[node_id].take_outbox():
+            if isinstance(out, WIRE_TYPES):  # most outputs: tested first
                 if adversary is None:
-                    self._transmit(node_id, action.msg, self.everyone, 0)
+                    self._transmit(node_id, out, self.everyone, 0)
                 else:
-                    for msg, targets, lag in adversary.outgoing(action.msg):
+                    for msg, targets, lag in adversary.outgoing(out):
                         self._transmit(node_id, msg, targets, lag)
-            elif isinstance(action, SetTimer):
-                self._push(self.now + self.scenario.timer_ticks,
-                           TimerFire(node_id, action.view))
-            elif isinstance(action, Note):
-                self._absorb_note(node_id, action)
-
-    def _absorb_note(self, node_id: NodeId, note: Note) -> None:
-        if note.kind == "view":
-            view, cause = note.data
-            self.trace.view_entries.setdefault(node_id, {})[view] = (
-                self.now, cause)
-            self.trace.record("view", self.now, node_id, view, cause)
-        elif note.kind == "commit":
-            view, refs = note.data
-            for ref in refs:
-                self.trace.commit_ticks.setdefault(ref, {})[node_id] = self.now
-            self.trace.record("commit", self.now, node_id, view,
-                              ",".join(r.hex()[:12] for r in refs))
-        elif note.kind == "probe":
-            view, adopted, ref = note.data
-            self.trace.probes.setdefault(node_id, []).append(
-                (self.now, view, adopted, ref))
-            self.trace.record("probe", self.now, node_id, view, adopted)
+            elif isinstance(out, ViewEntered):
+                view, cause = out
+                trace.view_entries.setdefault(node_id, {})[view] = (now, cause)
+                trace.record("view", now, node_id, view, cause)
+                self._push(now + self.scenario.timer_ticks,
+                           TimerFire(node_id, view))
+            elif isinstance(out, Committed):
+                view, refs = out
+                for ref in refs:
+                    trace.commit_ticks.setdefault(ref, {})[node_id] = now
+                trace.record("commit", now, node_id, view,
+                             ",".join(r.hex()[:12] for r in refs))
+            else:  # Probed
+                view, adopted, ref = out
+                trace.probes.setdefault(node_id, []).append(
+                    (now, view, adopted, ref))
+                trace.record("probe", now, node_id, view, adopted)
 
     # -- main loop ----------------------------------------------------------
 

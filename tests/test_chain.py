@@ -14,11 +14,11 @@ from bbca_chain.blocks import (
 )
 from bbca_chain.chain import (
     NO_OP,
+    WIRE_TYPES,
     BlockMsg,
-    Broadcast,
     ChainNode,
     SafetyViolation,
-    SetTimer,
+    ViewEntered,
     get_proposer,
     make_predicate,
     validate_backbone_block,
@@ -36,7 +36,7 @@ from conftest import (
 
 
 def broadcasts(node):
-    return [a.msg for a in node.take_outbox() if isinstance(a, Broadcast)]
+    return [out for out in node.take_outbox() if isinstance(out, WIRE_TYPES)]
 
 
 # -- leader rotation -----------------------------------------------------------
@@ -133,9 +133,9 @@ def test_leader_proposes_at_startup(params4):
 def test_non_leader_only_arms_timer(params4):
     node = ChainNode(0, params4)
     node.start()
-    actions = node.take_outbox()
-    assert any(isinstance(a, SetTimer) and a.view == 1 for a in actions)
-    assert not [a for a in actions if isinstance(a, Broadcast)]
+    outs = node.take_outbox()
+    assert any(isinstance(out, ViewEntered) and out.view == 1 for out in outs)
+    assert not [out for out in outs if isinstance(out, WIRE_TYPES)]
 
 
 def test_timeout_probes_and_waits_for_quorum(params4):

@@ -7,6 +7,7 @@ import pytest
 
 from bbca_chain import explore as ex
 from bbca_chain.chain import NO_OP
+from bbca_chain.simnet import Deliver
 
 
 def test_depth_zero_single_deterministic_leaf():
@@ -50,8 +51,8 @@ def test_probes_first_schedule_forbids_completion():
     # Deterministic schedule: both probes fire before any delivery, so no
     # correct node may ever complete, even with a replaying byzantine node.
     world = ex.bbca_replay_with_probes()
-    probe_indexes = [i for i, act in enumerate(world.pool)
-                     if act.kind == "probe"]
+    probe_indexes = [i for i, step in enumerate(world.pool)
+                     if isinstance(step, ex.Probe)]
     for offset, index in enumerate(probe_indexes):
         world.execute(index - offset)
     assert len(world.probe_noadopt) == world.params.f + 1
@@ -171,7 +172,7 @@ def _node_state(node):
 
 def _world_state(world):
     return ({i: _node_state(node) for i, node in world.nodes.items()},
-            list(world.pool), [act.describe() for act in world.executed],
+            list(world.pool), [ex.describe(step) for step in world.executed],
             world.broken)
 
 
@@ -181,15 +182,19 @@ def _run_world(world, seed):
         world.execute(rng.randrange(len(world.pool)))
 
 
-def _run_node(node, acts, seed):
-    """Deliver the given actions addressed to ``node`` in a seeded order."""
-    acts = list(acts)
-    random.Random(seed).shuffle(acts)
-    for act in acts:
-        if act.kind == "timer":
+def _addressee(step):
+    return step.node if isinstance(step, ex.Timer) else step.to
+
+
+def _run_node(node, steps, seed):
+    """Run the given steps addressed to ``node`` in a seeded order."""
+    steps = list(steps)
+    random.Random(seed).shuffle(steps)
+    for step in steps:
+        if isinstance(step, ex.Timer):
             node.handle_timer(node.view)
         else:
-            node.handle_message(act.frm, act.msg)
+            node.handle_message(step.frm, step.msg)
 
 
 def _all_blocks(world):
@@ -205,9 +210,9 @@ def _busy_instance(world):
     for it."""
     for node in world.nodes.values():
         for inst in node.instances.values():
-            msgs = [(act.frm, act.msg) for act in world.pool
-                    if act.to == node.id
-                    and getattr(act.msg, "instance", None) == inst.instance]
+            msgs = [(step.frm, step.msg) for step in world.pool
+                    if isinstance(step, Deliver) and step.to == node.id
+                    and getattr(step.msg, "instance", None) == inst.instance]
             if inst.pending and msgs:
                 return inst, msgs
     raise AssertionError("no instance with message state and traffic")
@@ -222,7 +227,7 @@ def _fork_cases():
     assert any(per_view for view, per_view in node.new_view_blocks.items()
                if view > 0)
     assert node.instances
-    node_acts = [act for act in world.pool if act.to == node.id]
+    node_steps = [step for step in world.pool if _addressee(step) == node.id]
     blocks = list(_all_blocks(world).values())
 
     def insert_all(dag, seed):
@@ -237,7 +242,7 @@ def _fork_cases():
 
     return {"ChainWorld": (world, _run_world, _world_state),
             "ChainNode": (node,
-                          lambda target, seed: _run_node(target, node_acts,
+                          lambda target, seed: _run_node(target, node_steps,
                                                          seed),
                           _node_state),
             "DagStore": (node.dag, insert_all, _dag_state),

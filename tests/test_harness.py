@@ -62,6 +62,17 @@ def test_unknown_strategy_rejected():
         parse_config(raw)
 
 
+@pytest.mark.parametrize("raw, field", [
+    ({"adversary": {"1": {"strategy": "silent", "max_delay": 7}}},
+     r"config\.adversary\.1: max_delay"),
+    ({"pre_gst": {"policy": "drop", "max_delay": 9}},
+     r"config\.pre_gst: max_delay"),
+], ids=["strategy", "drop_policy"])
+def test_unused_max_delay_rejected_with_path(raw, field):
+    with pytest.raises(ConfigError, match=field):
+        parse_config({"n": 4, **raw})
+
+
 def test_unknown_invariant_rejected():
     with pytest.raises(ConfigError, match="unknown check"):
         parse_config({"n": 4, "invariants": ["no_such_thing"]})
@@ -170,9 +181,8 @@ def test_explore_config(tmp_path):
 
 @pytest.mark.parametrize("case", sorted(explore.CASES))
 def test_every_explore_case_runs_from_config(case):
-    config = parse_config({"n": 4, "explore": {"case": case,
-                                               "timeout_node": 2}})
     kwargs = {"timeout_node": 2} if case == "chain_two_views" else {}
+    config = parse_config({"n": 4, "explore": {"case": case, **kwargs}})
     direct = explore.explore(explore.CASES[case](**kwargs), 2)
     assert harness.run_explore(config, depth=2).leaves == direct.leaves
 
@@ -180,6 +190,13 @@ def test_every_explore_case_runs_from_config(case):
 def test_unknown_explore_case_rejected():
     with pytest.raises(ConfigError, match=r"explore\.case"):
         parse_config({"n": 4, "explore": {"case": "no_such_case"}})
+
+
+@pytest.mark.parametrize("case", [case for case in explore.CASES
+                                  if case != "chain_two_views"])
+def test_timeout_node_rejected_outside_chain_two_views(case):
+    with pytest.raises(ConfigError, match=r"config\.explore\.timeout_node"):
+        parse_config({"n": 4, "explore": {"case": case, "timeout_node": 3}})
 
 
 # -- CLI ----------------------------------------------------------------------------
@@ -212,7 +229,10 @@ def test_cli_exit_two_on_bad_config(tmp_path, capsys):
 @pytest.mark.parametrize("overrides", [
     {"t_max": -5},
     {"adversary": {"1": {"strategy": "delay_own", "max_delay": -1}}},
-], ids=["t_max", "delay_own_max_delay"])
+    {"adversary": {"1": {"strategy": "silent", "max_delay": 7}}},
+    {"pre_gst": {"policy": "drop", "max_delay": 9}},
+], ids=["t_max", "delay_own_max_delay", "unused_strategy_max_delay",
+        "unused_drop_max_delay"])
 def test_cli_exit_two_on_bad_timing(tmp_path, capsys, overrides):
     path = write_config(tmp_path, overrides=overrides)
     assert cli.main(["run", "--config", path]) == 2

@@ -6,7 +6,7 @@ import pytest
 
 from bbca_chain import explore as ex
 from bbca_chain.bbca import BbcaInstance, BbcaMsg, MsgKind
-from bbca_chain.chain import Broadcast, ChainNode, get_proposer
+from bbca_chain.chain import WIRE_TYPES, ChainNode, get_proposer
 from bbca_chain.encoding import digest32, echo_statement
 from bbca_chain.identity import SystemParams, sign
 from bbca_chain.invariants import (
@@ -14,7 +14,7 @@ from bbca_chain.invariants import (
     check_bbca_consistency,
     check_echo_once,
 )
-from bbca_chain.simnet import Scenario, Strategy, run
+from bbca_chain.simnet import Deliver, Scenario, Strategy, run
 
 NEVER_PROPOSED = digest32(b"never proposed")
 
@@ -168,17 +168,16 @@ def test_chain_node_drops_signature_less_bbca_traffic(kind):
     leader_id = get_proposer(1, params)
     leader = ChainNode(leader_id, params)
     leader.start()
-    echo = next(action.msg for action in leader.take_outbox()
-                if isinstance(action, Broadcast)
-                and action.msg.kind == MsgKind.ECHO)
+    echo = next(out for out in leader.take_outbox()
+                if isinstance(out, BbcaMsg) and out.kind == MsgKind.ECHO)
     node = ChainNode(2, params)
     node.start()
     node.take_outbox()
     held = dict(node.held_certs)
     node.handle_message(leader_id,
                         echo._replace(kind=kind, sig=None))
-    assert not any(isinstance(action, Broadcast)
-                   for action in node.take_outbox())
+    assert not any(isinstance(out, WIRE_TYPES)
+                   for out in node.take_outbox())
     inst = node.instances[1]
     assert not inst.received_echo and not inst.received_ready
     assert node.held_certs == held
@@ -187,8 +186,8 @@ def test_chain_node_drops_signature_less_bbca_traffic(kind):
 @pytest.mark.parametrize("kind", UNSIGNED_KINDS)
 def test_bbca_world_drops_signature_less_traffic(kind):
     world = ex.bbca_correct_sender()
-    world.pool.insert(0, ex.Act("deliver", 1, 0,
-                                BbcaMsg(kind, world.instance, b"proposal")))
+    world.pool.insert(0, Deliver(1, 0,
+                                 BbcaMsg(kind, world.instance, b"proposal")))
     world.execute(0)
     node = world.nodes[1]
     assert not node.received_echo and not node.received_ready

@@ -1,7 +1,7 @@
-"""The per-message records are named tuples with the contract of the frozen
-dataclasses they replaced: the same field order, defaults, repr, hash and
-``InstanceId`` ordering, and no assignable fields.  Trace digests, set and
-dict orders and witness texts depend on all of these.
+"""The per-message records, node outputs and explorer steps are named
+tuples with the contract of frozen dataclasses: a fixed field order,
+defaults, repr, hash and ``InstanceId`` ordering, and no assignable fields.
+Trace digests, set and dict orders and witness texts depend on all of these.
 
 One difference remains: a named tuple compares equal to any tuple of equal
 values, where a dataclass compared equal only to its own class.  No set, dict
@@ -13,15 +13,22 @@ it.  The containers audited for this are:
 - ``BbcaWorld._replayed``: ``BbcaMsg`` values only;
 - the ``SendCounts`` keys: ``(node, MsgKind, InstanceId)`` tuples only;
 - ``ChainNode.held_certs``: ``Cert`` values only;
-- ``ChainNode.pending_complete``: ``CompleteEvent`` values only.
+- ``ChainNode.pending_complete``: ``CompleteEvent`` values only;
+- ``ChainNode.outbox``: wire messages, ``ViewEntered``, ``Committed`` and
+  ``Probed``, routed by type and never compared;
+- the explorer's ``pool`` and ``executed``: ``Deliver`` with ``Probe`` in a
+  ``BbcaWorld``, ``Deliver`` with ``Timer`` in a ``ChainWorld``, whose field
+  counts differ (pinned below); ``Probe(1) == Timer(1)`` is never asked.
 """
 
 import pytest
 
 from bbca_chain.bbca import BbcaMsg, CompleteEvent, InstanceId, MsgKind, ProbeResult
 from bbca_chain.blocks import GENESIS_BLOCK, Cert, CertKind
-from bbca_chain.chain import BlockMsg, Broadcast, Note, SetTimer
+from bbca_chain.chain import BlockMsg, Committed, Probed, ViewEntered
+from bbca_chain.explore import Probe, Timer
 from bbca_chain.identity import Signature
+from bbca_chain.simnet import Deliver
 
 SIG = Signature(2, b"\x01" * 8)
 SIG_REPR = r"Signature(signer=2, digest=b'\x01\x01\x01\x01\x01\x01\x01\x01')"
@@ -31,7 +38,7 @@ CERT = Cert(CertKind.ADOPT, 1, 1, b"\xab" * 4, (SIG,))
 CERT_REPR = (r"Cert(kind=<CertKind.ADOPT: 1>, sender=1, view=1, "
              r"block_digest=b'\xab\xab\xab\xab', sigs=(" + SIG_REPR + ",))")
 
-# (record, the old dataclass field order, the old repr)
+# (record, its field order, its repr)
 RECORDS = [
     (SIG, ("signer", "digest"), SIG_REPR),
     (CERT, ("kind", "sender", "view", "block_digest", "sigs"), CERT_REPR),
@@ -46,10 +53,14 @@ RECORDS = [
      f"CompleteEvent(instance={IID_REPR}, message=b'm', cert={CERT_REPR})"),
     (BlockMsg(GENESIS_BLOCK), ("block",),
      "BlockMsg(block=Block(BACKBONE v=0 a=0 dc2dd5fe7e60))"),
-    (Broadcast(SetTimer(3)), ("msg",), "Broadcast(msg=SetTimer(view=3))"),
-    (SetTimer(3), ("view",), "SetTimer(view=3)"),
-    (Note("view", (2, "init")), ("kind", "data"),
-     "Note(kind='view', data=(2, 'init'))"),
+    (ViewEntered(2, "init"), ("view", "cause"),
+     "ViewEntered(view=2, cause='init')"),
+    (Committed(1, (b"\xab",)), ("view", "refs"),
+     "Committed(view=1, refs=(b'\\xab',))"),
+    (Probed(1, False, None), ("view", "adopted", "ref"),
+     "Probed(view=1, adopted=False, ref=None)"),
+    (Probe(1), ("node",), "Probe(node=1)"),
+    (Timer(3), ("node",), "Timer(node=3)"),
 ]
 IDS = [type(record).__name__ for record, _, _ in RECORDS]
 
@@ -79,3 +90,9 @@ def test_defaults_are_the_dataclass_defaults():
 def test_replayed_wire_messages_never_compare_equal():
     # ``Adversary._replayed`` holds both wire-message types in one set.
     assert len(BbcaMsg._fields) != len(BlockMsg._fields)
+
+
+def test_explorer_steps_in_one_pool_never_compare_equal():
+    # A pool mixes ``Deliver`` with one kind of one-field token.
+    assert len(Deliver._fields) not in (len(Probe._fields),
+                                        len(Timer._fields))

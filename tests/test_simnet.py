@@ -246,7 +246,10 @@ def test_fault_budget_enforced_at_construction():
     lambda: Scenario(n=4, t_max=-5),  # timers would fire before `now`
     lambda: Strategy("delay_own", max_delay=-1),  # empty lag range
     lambda: PreGstPolicy("adversarial", 0),  # empty pre-GST delay range
-], ids=["t_max", "delay_own_max_delay", "pre_gst_max_delay"])
+    lambda: Strategy("silent", max_delay=7),  # a lag no strategy but delay_own
+    lambda: PreGstPolicy("drop", 9),  # a delay the drop policy never draws
+], ids=["t_max", "delay_own_max_delay", "pre_gst_max_delay",
+        "unused_strategy_max_delay", "unused_drop_max_delay"])
 def test_bad_timing_rejected_at_construction(build):
     with pytest.raises(ConfigError):
         build()
