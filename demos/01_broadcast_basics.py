@@ -7,9 +7,9 @@ Then the probe interface: abort-before-quorum vs adopt-after-quorum.
 """
 
 from bbca_chain.bbca import BbcaInstance, InstanceId, MsgKind
-from bbca_chain.identity import SystemParams
+from bbca_chain.identity import params_for
 
-params = SystemParams(4)
+params = params_for(4)
 bid = InstanceId(sender=0, view=1)
 nodes = {i: BbcaInstance(params, bid, i) for i in range(4)}
 

@@ -6,14 +6,14 @@ from .bbca import BbcaInstance, BbcaMsg, CompleteEvent, InstanceId, ProbeResult
 from .blocks import Block, BlockKind, Cert, decode_block, encode_block
 from .chain import ChainNode, SafetyViolation, get_proposer
 from .dag import DagStore
-from .identity import NodeId, Signature, SystemParams, sign, verify
+from .identity import NodeId, Signature, SystemParams, params_for, sign, verify
 from .simnet import RunResult, Scenario, Simulator, Strategy, run, trips_to_commit
 
 __all__ = [
     "BbcaInstance", "BbcaMsg", "CompleteEvent", "InstanceId", "ProbeResult",
     "Block", "BlockKind", "Cert", "decode_block", "encode_block",
     "ChainNode", "SafetyViolation", "get_proposer", "DagStore",
-    "NodeId", "Signature", "SystemParams", "sign", "verify",
+    "NodeId", "Signature", "SystemParams", "params_for", "sign", "verify",
     "RunResult", "Scenario", "Simulator", "Strategy", "run",
     "trips_to_commit",
 ]

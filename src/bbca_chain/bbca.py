@@ -16,7 +16,6 @@ serializes calls per node.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
@@ -69,13 +68,6 @@ class CompleteEvent(NamedTuple):
     cert: Cert
 
 
-@dataclass
-class _MessageState:
-    message: bytes
-    echo_sigs: dict[NodeId, Signature] = field(default_factory=dict)
-    ready_sigs: dict[NodeId, Signature] = field(default_factory=dict)
-
-
 class BbcaInstance:
     """One broadcast instance as seen by one node."""
 
@@ -85,9 +77,12 @@ class BbcaInstance:
         self.instance = instance
         self.node = node
         self.predicate = predicate
-        # A message holds a state here only once it passed the predicate, so
-        # a digest found here needs no second validity check.
-        self.pending: dict[BlockRef, _MessageState] = {}
+        # A message is held here only once it passed the predicate, so a
+        # digest found here needs no second validity check.
+        self.pending: dict[BlockRef, bytes] = {}
+        # Per digest, the signers of its ECHO and READY votes.
+        self.echo_sigs: dict[BlockRef, dict[NodeId, Signature]] = {}
+        self.ready_sigs: dict[BlockRef, dict[NodeId, Signature]] = {}
         self.received_echo: set[NodeId] = set()
         self.received_ready: set[NodeId] = set()
         self.echo = False
@@ -100,10 +95,11 @@ class BbcaInstance:
         twin = object.__new__(BbcaInstance)
         twin.params, twin.instance = self.params, self.instance
         twin.node, twin.predicate = self.node, self.predicate
-        twin.pending = {
-            digest: _MessageState(m.message, dict(m.echo_sigs),
-                                  dict(m.ready_sigs))
-            for digest, m in self.pending.items()}
+        twin.pending = dict(self.pending)
+        twin.echo_sigs = {digest: dict(sigs)
+                          for digest, sigs in self.echo_sigs.items()}
+        twin.ready_sigs = {digest: dict(sigs)
+                           for digest, sigs in self.ready_sigs.items()}
         twin.received_echo = set(self.received_echo)
         twin.received_ready = set(self.received_ready)
         twin.echo, twin.ready, twin.abort = self.echo, self.ready, self.abort
@@ -169,7 +165,7 @@ class BbcaInstance:
         if digest not in self.pending:
             if not self.predicate(message):
                 return []
-            self.pending[digest] = _MessageState(message)
+            self.pending[digest] = message
         self.echo = True
         return [self._signed(ECHO, message)]
 
@@ -187,10 +183,11 @@ class BbcaInstance:
         if not verify(sig, _statement(ECHO, sender, view, message), signer):
             return []
         self.received_echo.add(signer)
-        mstate = self._state_for(digest, message)
-        mstate.echo_sigs[signer] = sig
+        self.pending[digest] = message
+        sigs = self.echo_sigs.setdefault(digest, {})
+        sigs[signer] = sig
         if (not self.ready and not self.abort
-                and len(mstate.echo_sigs) == self.params.quorum):
+                and len(sigs) == self.params.quorum):
             self.ready = True
             return [self._signed(READY, message)]
         return []
@@ -208,21 +205,16 @@ class BbcaInstance:
                       signer):
             return None
         self.received_ready.add(signer)
-        mstate = self._state_for(digest, message)
-        mstate.ready_sigs[signer] = sig
+        self.pending[digest] = message
+        sigs = self.ready_sigs.setdefault(digest, {})
+        sigs[signer] = sig
         # Completion is not blocked by abort; only READY emission is.
-        if self.completed is None and len(mstate.ready_sigs) == self.params.quorum:
+        if self.completed is None and len(sigs) == self.params.quorum:
             cert = Cert(CertKind.COMPLETE, sender, view, digest,
-                        _sorted_sigs(mstate.ready_sigs))
+                        _sorted_sigs(sigs))
             self.completed = CompleteEvent(self.instance, message, cert)
             return self.completed
         return None
-
-    def _state_for(self, digest: BlockRef, message: bytes) -> _MessageState:
-        mstate = self.pending.get(digest)
-        if mstate is None:
-            mstate = self.pending[digest] = _MessageState(message)
-        return mstate
 
     # -- local queries -----------------------------------------------------
 
@@ -232,8 +224,8 @@ class BbcaInstance:
         # echo is the only one counted, so quorums for two messages would
         # need more distinct nodes than exist.
         quorum = self.params.quorum
-        for digest, mstate in self.pending.items():
-            if len(mstate.echo_sigs) >= quorum:
+        for digest, sigs in self.echo_sigs.items():
+            if len(sigs) >= quorum:
                 return digest
         return None
 
@@ -242,10 +234,10 @@ class BbcaInstance:
         digest = self.adoptable_digest()
         if digest is None:
             return None
-        mstate = self.pending[digest]
         sender, view = self.instance
-        sigs = _sorted_sigs(mstate.echo_sigs)[:self.params.quorum]
-        return mstate.message, Cert(CertKind.ADOPT, sender, view, digest, sigs)
+        sigs = _sorted_sigs(self.echo_sigs[digest])[:self.params.quorum]
+        return self.pending[digest], Cert(CertKind.ADOPT, sender, view,
+                                          digest, sigs)
 
 
 @lru_cache(maxsize=4096)

@@ -532,10 +532,9 @@ class ChainNode:
 
     # -- finalization and commit ----------------------------------------------
 
-    def try_commit(self, block: Block) -> list[int]:
+    def try_commit(self, block: Block) -> None:
         """Finalize, then advance the contiguous committed prefix."""
         self._finalize(block)
-        newly = []
         while self.last_committed + 1 in self.finalized:
             self.last_committed += 1
             entry = self.finalized[self.last_committed]
@@ -544,8 +543,6 @@ class ChainNode:
                 self.committed_log.extend(added)
                 self.committed_set.update(added)
                 self.outbox.append(Committed(self.last_committed, tuple(added)))
-            newly.append(self.last_committed)
-        return newly
 
     def _finalize(self, block: Block) -> None:
         existing = self.finalized.get(block.view)
@@ -556,8 +553,6 @@ class ChainNode:
                     f"{existing!r} vs {block!r}")
             return
         self.finalized[block.view] = block
-        if block.view == 0:
-            return
         # A complete or adopt justification holds one block; of a noadopt
         # quorum, the highest anchor is the previous finalized block.
         _, prev_ref = max((nvb.new_view.cert.view, nvb.certified_ref)

@@ -71,10 +71,7 @@ def main(argv=None) -> int:
             _emit(harness.render_explore_report(config, args.depth, result),
                   None)
             return 0 if result.ok else 1
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     return 2

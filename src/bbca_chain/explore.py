@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 from .bbca import BbcaInstance, BbcaMsg, InstanceId, message_digest
 from .chain import WIRE_TYPES, ChainNode, SafetyViolation
-from .identity import NodeId, SystemParams, params_for
+from .identity import ConfigError, NodeId, SystemParams, params_for
 from .invariants import (
     SendCounts,
     agreement,
@@ -199,6 +199,10 @@ class ChainWorld:
             self.nodes[node_id].start()
             self._drain(node_id)
         for node_id, count in sorted(timer_tokens.items()):
+            if node_id not in self.nodes:
+                raise ConfigError(
+                    f"timer token for node {node_id}, out of range for "
+                    f"n={params.n}")
             for _ in range(count):
                 self.pool.append(Timer(node_id))
 

@@ -8,8 +8,7 @@ messages but never runs code that signs on behalf of a correct node.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 NodeId = int
@@ -19,37 +18,26 @@ class ConfigError(ValueError):
     """Raised for invalid system parameters or scenario configuration."""
 
 
-@dataclass(frozen=True)
-class SystemParams:
-    """System size ``n`` with the derived fault budget ``f``."""
+class SystemParams(NamedTuple):
+    """System size ``n`` with the derived fault budget ``f`` and quorum.
+
+    Built only by ``params_for``, which checks ``n`` and derives the rest.
+    """
 
     n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 4:
-            raise ConfigError(f"need at least 4 nodes, got n={self.n}")
-
-    # Cached outside the dataclass fields, so equality, hashing and repr
-    # still see only ``n``.
-    @cached_property
-    def f(self) -> int:
-        return (self.n - 1) // 3
-
-    @cached_property
-    def quorum(self) -> int:
-        # n - f, not 2f + 1: identical when n = 3f + 1, but still safe
-        # (two quorums intersect in >= f + 1 nodes) when 3 does not divide n - 1.
-        return self.n - self.f
+    f: int
+    quorum: int
 
 
 @lru_cache(maxsize=64)
 def params_for(n: int) -> SystemParams:
-    """The one shared ``SystemParams`` of size ``n``.
-
-    Every node of a run holds this instance, so the validation caches keyed
-    on ``(block, params)`` match it by identity instead of comparing fields.
-    """
-    return SystemParams(n)
+    """The ``SystemParams`` of size ``n``; one shared instance per size."""
+    if n < 4:
+        raise ConfigError(f"need at least 4 nodes, got n={n}")
+    f = (n - 1) // 3
+    # n - f, not 2f + 1: identical when n = 3f + 1, but still safe
+    # (two quorums intersect in >= f + 1 nodes) when 3 does not divide n - 1.
+    return SystemParams(n, f, n - f)
 
 
 @lru_cache(maxsize=4096)

@@ -121,11 +121,6 @@ def parse_config(raw: dict, path: str = "config") -> HarnessConfig:
         node = sub.take("node", int, required=True)
         tick = sub.take("tick", int, required=True)
         sub.finish()
-        if not 0 <= node < n:
-            raise ConfigError(
-                f"{path}.payloads[{index}].node: out of range for n={n}")
-        if tick < 0:
-            raise ConfigError(f"{path}.payloads[{index}].tick: negative")
         injections.append((tick, node))
 
     invariants_raw = fields.take("invariants", (str, list), default="all")

@@ -103,6 +103,14 @@ class Scenario:
             raise ConfigError("delta_post must be at least one tick")
         if self.t_max is not None and self.t_max < 1:
             raise ConfigError("t_max must be at least one tick")
+        if self.pre_gst is not None and self.gst <= 0:
+            raise ConfigError("pre_gst applies only when gst > 0")
+        for index, (tick, node) in enumerate(self.injections):
+            if not 0 <= node < self.n:
+                raise ConfigError(
+                    f"payloads[{index}].node: out of range for n={self.n}")
+            if tick < 0:
+                raise ConfigError(f"payloads[{index}].tick: negative")
 
     @property
     def params(self) -> SystemParams:

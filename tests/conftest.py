@@ -18,12 +18,12 @@ from bbca_chain.encoding import (
     noadopt_statement,
     ready_statement,
 )
-from bbca_chain.identity import SystemParams, sign
+from bbca_chain.identity import params_for, sign
 
 
 @pytest.fixture
 def params4():
-    return SystemParams(4)
+    return params_for(4)
 
 
 def make_cert(params, kind, view, block, signers=None):

@@ -8,14 +8,14 @@ from bbca_chain.bbca import (
 )
 from bbca_chain.blocks import Cert, CertKind, verify_cert
 from bbca_chain.encoding import digest32, echo_statement, ready_statement
-from bbca_chain.identity import SystemParams, sign
+from bbca_chain.identity import params_for, sign
 
 BID = InstanceId(sender=0, view=1)
 M = b"proposal"
 
 
 def fresh(node=1, params=None, predicate=None):
-    params = params or SystemParams(4)
+    params = params or params_for(4)
     if predicate is None:
         return BbcaInstance(params, BID, node)
     return BbcaInstance(params, BID, node, predicate)
@@ -205,7 +205,7 @@ def test_relayed_ready_counts_for_its_signer_once():
     node = fresh()
     node.on_ready(M, ready_from(0), frm=3)  # relayed by node 3
     assert node.on_ready(M, ready_from(0), frm=0) is None
-    assert len(node.pending[digest32(M)].ready_sigs) == 1
+    assert len(node.ready_sigs[digest32(M)]) == 1
 
 
 # -- certificates -------------------------------------------------------------
@@ -295,7 +295,7 @@ def pump(nodes, outbox):
 
 
 def test_failure_free_network_completes_everywhere():
-    params = SystemParams(4)
+    params = params_for(4)
     nodes = {i: BbcaInstance(params, BID, i) for i in range(4)}
     outbox = [(0, msg, tuple(nodes)) for msg in nodes[0].broadcast(M)]
     pump(nodes, outbox)
@@ -307,7 +307,7 @@ def test_failure_free_network_completes_everywhere():
 def test_equivocating_sender_cannot_split_completions():
     # The sender signs echoes for two messages, one per network half, but
     # each correct node echoes at most once, so no two quorums can form.
-    params = SystemParams(4)
+    params = params_for(4)
     nodes = {i: BbcaInstance(params, BID, i) for i in (1, 2, 3)}
     outbox = [
         (0, BbcaMsg(MsgKind.INIT, BID, b"m1"), (1,)),

@@ -22,7 +22,7 @@ from bbca_chain.blocks import (
 )
 from bbca_chain.chain import BlockMsg
 from bbca_chain.encoding import EncodingError, digest32
-from bbca_chain.identity import SystemParams
+from bbca_chain.identity import params_for
 
 from conftest import make_cert, make_complete_nvb, make_noadopt_nvb
 
@@ -59,7 +59,7 @@ def test_data_block_roundtrip():
 
 
 def test_new_view_roundtrips():
-    params = SystemParams(4)
+    params = params_for(4)
     backbone = make_backbone(
         1, 1, Justification(EvidenceKind.COMPLETE, (GENESIS_NEW_VIEW,)))
     complete = make_complete_nvb(params, 3, 1, backbone)
@@ -100,7 +100,7 @@ def test_decode_rejects_a_bad_evidence_byte(evidence):
     # GENESIS justifies only the genesis block; no new-view block carries it.
     backbone = make_backbone(
         1, 1, Justification(EvidenceKind.COMPLETE, (GENESIS_NEW_VIEW,)))
-    block = make_complete_nvb(SystemParams(4), 3, 1, backbone)
+    block = make_complete_nvb(params_for(4), 3, 1, backbone)
     encoded = block.encoded
     at = 1 + 4 + 8 + 4 + 32 * len(block.refs)  # kind, author, view, refs
     assert encoded[at] == EvidenceKind.COMPLETE
@@ -112,7 +112,7 @@ def test_genesis_constants_are_consistent():
     assert GENESIS_REF == digest32(GENESIS_BLOCK.encoded)
     assert GENESIS_NEW_VIEW.new_view.cert == GENESIS_CERT
     assert GENESIS_REF in GENESIS_NEW_VIEW.refs
-    assert verify_cert(GENESIS_CERT, SystemParams(4))
+    assert verify_cert(GENESIS_CERT, params_for(4))
 
 
 def test_cert_verification(params4):

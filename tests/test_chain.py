@@ -6,10 +6,12 @@ from bbca_chain.blocks import (
     EvidenceKind,
     GENESIS_CERT,
     GENESIS_NEW_VIEW,
+    GENESIS_REF,
     Justification,
     NewViewData,
     decode_block,
     make_backbone,
+    make_data,
     make_new_view,
 )
 from bbca_chain.chain import (
@@ -17,6 +19,7 @@ from bbca_chain.chain import (
     WIRE_TYPES,
     BlockMsg,
     ChainNode,
+    Committed,
     SafetyViolation,
     ViewEntered,
     get_proposer,
@@ -218,6 +221,38 @@ def test_adopt_evidence_advances_without_commit(params4):
     assert node.last_committed == 0  # adoption alone never commits
 
 
+def test_completion_waits_for_the_proposal_ancestry(params4):
+    # View 1's proposal references a data block node 0 has not received:
+    # the READY quorum completes the broadcast, but the commit and the view
+    # change wait until the data block delivers the proposal.
+    data = make_data(1, 1, {GENESIS_REF}, b"tx")
+    proposal = make_backbone(1, 1, Justification(EvidenceKind.COMPLETE,
+                                                 (GENESIS_NEW_VIEW,)),
+                             extra_refs={data.digest})
+    node = ChainNode(0, params4)
+    node.start()
+    bid = InstanceId(1, 1)
+    node.handle_message(1, BbcaMsg(MsgKind.INIT, bid, proposal.encoded))
+    for signer in (1, 2, 3):
+        sig = sign(signer, ready_statement(1, 1, proposal.digest))
+        node.handle_message(signer, BbcaMsg(MsgKind.READY, bid,
+                                            proposal.encoded, sig))
+    assert list(node.pending_complete) == [proposal.digest]
+    assert proposal.digest in node.dag.pending
+    assert (node.view, node.last_committed) == (1, 0)
+    node.take_outbox()
+
+    node.handle_message(1, BlockMsg(data))
+    cert = make_cert(params4, CertKind.COMPLETE, 1, proposal, (1, 2, 3))
+    own_nvb = make_new_view(0, 1, NewViewData(EvidenceKind.COMPLETE, cert),
+                            extra_refs={GENESIS_REF})
+    assert node.pending_complete == {}
+    assert node.committed_log == [data.digest, proposal.digest]
+    assert node.take_outbox() == [
+        Committed(1, (data.digest, proposal.digest)), BlockMsg(own_nvb),
+        ViewEntered(2, "complete_own")]
+
+
 def test_stale_completion_commits_without_view_change(params4):
     blocks, certs = make_complete_chain(params4, 1)
     node = ChainNode(0, params4)
@@ -349,8 +384,10 @@ def test_commit_contiguity_over_a_gap(params4):
     # Delivering view 2's block releases the buffered evidence: 2 commits.
     node._ingest_block(blocks[2])
     assert node.last_committed == 2
-    newly = node.try_commit(blocks[3])
-    assert newly == [3]
+    node.take_outbox()
+    node.try_commit(blocks[3])
+    assert [out.view for out in node.take_outbox()
+            if isinstance(out, Committed)] == [3]
     assert node.last_committed == 3
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from bbca_chain import explore as ex
 from bbca_chain.chain import NO_OP
+from bbca_chain.identity import ConfigError
 from bbca_chain.simnet import Deliver
 
 
@@ -97,6 +98,25 @@ def test_chain_leaf_reports_agreement_and_prefix_violations():
     assert any(p.startswith("prefix") for p in problems)
 
 
+def test_safety_violation_ends_the_schedule_as_a_leaf():
+    # Node 0 holds view 1 as a skip, so committing view 1's block raises;
+    # the branch stops there and its leaf reports the violation's text.
+    world = ex.chain_two_views()
+    world.nodes[0].finalized[1] = NO_OP
+    result = ex.explore(world, depth=0)
+    assert result.leaves == 1
+    assert [problem for problem, _ in result.violations] == [
+        "safety: conflicting finalization for view 1: 'NO-OP' vs "
+        "Block(BACKBONE v=1 a=1 a6286e26eef6)"]
+    assert result.violations[0][1][-1] == "deliver(2->0)"
+
+
+def test_timer_token_for_a_missing_node_rejected():
+    with pytest.raises(ConfigError,
+                       match="timer token for node 9, out of range for n=4"):
+        ex.chain_two_views(timeout_node=9)
+
+
 # -- structured clones ----------------------------------------------------------
 
 def _forked_chain_world(seed=2):
@@ -153,8 +173,9 @@ def _dag_state(dag):
 
 
 def _instance_state(inst):
-    return ({digest: (m.message, dict(m.echo_sigs), dict(m.ready_sigs))
-             for digest, m in inst.pending.items()},
+    return (dict(inst.pending),
+            {digest: dict(sigs) for digest, sigs in inst.echo_sigs.items()},
+            {digest: dict(sigs) for digest, sigs in inst.ready_sigs.items()},
             set(inst.received_echo), set(inst.received_ready),
             inst.echo, inst.ready, inst.abort, inst.completed)
 

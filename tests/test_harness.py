@@ -101,6 +101,17 @@ def test_expectations_select_their_checks():
         "agreement", "noop_views", "liveness", "log_identical"}
 
 
+def test_noop_views_check_names_each_node_that_finalized_a_block():
+    # A silent view-1 leader makes view 1 a skip; view 2 commits a block.
+    config = parse_config({**BASE, "adversary": {"1": {"strategy": "silent"}},
+                           "expect": {"noop_views": [1, 2]}})
+    outcome = harness.run_config(config)
+    assert outcome.verdicts["noop_views"] == [
+        f"noop: node {node} finalized view 2 as "
+        "Block(BACKBONE v=2 a=2 33d3096f8e95), expected a skip"
+        for node in (0, 2, 3)]
+
+
 # -- orchestration ----------------------------------------------------------------
 
 def test_run_config_happy_path(tmp_path):
@@ -231,8 +242,9 @@ def test_cli_exit_two_on_bad_config(tmp_path, capsys):
     {"adversary": {"1": {"strategy": "delay_own", "max_delay": -1}}},
     {"adversary": {"1": {"strategy": "silent", "max_delay": 7}}},
     {"pre_gst": {"policy": "drop", "max_delay": 9}},
+    {"pre_gst": {"policy": "drop"}},
 ], ids=["t_max", "delay_own_max_delay", "unused_strategy_max_delay",
-        "unused_drop_max_delay"])
+        "unused_drop_max_delay", "pre_gst_without_gst"])
 def test_cli_exit_two_on_bad_timing(tmp_path, capsys, overrides):
     path = write_config(tmp_path, overrides=overrides)
     assert cli.main(["run", "--config", path]) == 2

@@ -34,14 +34,14 @@ def test_signatures_deterministic():
 
 @pytest.mark.parametrize("n,f,quorum", [(4, 1, 3), (7, 2, 5), (10, 3, 7)])
 def test_fault_and_quorum_sizes(n, f, quorum):
-    for params in (SystemParams(n), params_for(n), Scenario(n=n).params):
+    for params in (params_for(n), Scenario(n=n).params):
         assert params.f == f
         assert params.quorum == quorum
 
 
 def test_one_shared_params_per_size():
     assert Scenario(n=7).params is Scenario(n=7, seed=3).params
-    assert params_for(7) is params_for(7) == SystemParams(7)
+    assert params_for(7) is params_for(7) == (7, 2, 5)
     assert params_for(4) is not params_for(7)
     with pytest.raises(ConfigError):
         params_for(3)
@@ -49,12 +49,14 @@ def test_one_shared_params_per_size():
 
 def test_small_systems_rejected():
     with pytest.raises(ConfigError):
-        SystemParams(3)
+        params_for(3)
+    with pytest.raises(TypeError):  # f and quorum come only from params_for
+        SystemParams(4)
 
 
 def test_quorum_intersection_exceeds_fault_budget():
     # Two quorums overlap in more than f nodes for every supported size.
     for n in range(4, 120):
-        params = SystemParams(n)
+        params = params_for(n)
         assert 2 * params.quorum - n >= params.f + 1
         assert params.quorum <= n

@@ -8,7 +8,7 @@ from bbca_chain import explore as ex
 from bbca_chain.bbca import BbcaInstance, BbcaMsg, MsgKind
 from bbca_chain.chain import WIRE_TYPES, ChainNode, get_proposer
 from bbca_chain.encoding import digest32, echo_statement
-from bbca_chain.identity import SystemParams, sign
+from bbca_chain.identity import params_for, sign
 from bbca_chain.invariants import (
     check_bbca_complete_adopt,
     check_bbca_consistency,
@@ -129,7 +129,7 @@ def test_noadopt_half_of_complete_adopt_has_one_wording():
 def test_adopter_half_of_complete_adopt_has_one_wording():
     world = explored_leaf()
     for node in world.nodes.values():
-        node.pending.clear()  # forget every echo: nothing left to adopt
+        node.echo_sigs.clear()  # forget every echo: nothing left to adopt
     assert world.check_leaf(False) == [adopters_text(1, 0)]
 
     result = audited_run()
@@ -164,7 +164,7 @@ UNSIGNED_KINDS = [MsgKind.ECHO, MsgKind.READY]
 
 @pytest.mark.parametrize("kind", UNSIGNED_KINDS)
 def test_chain_node_drops_signature_less_bbca_traffic(kind):
-    params = SystemParams(4)
+    params = params_for(4)
     leader_id = get_proposer(1, params)
     leader = ChainNode(leader_id, params)
     leader.start()

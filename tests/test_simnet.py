@@ -248,11 +248,26 @@ def test_fault_budget_enforced_at_construction():
     lambda: PreGstPolicy("adversarial", 0),  # empty pre-GST delay range
     lambda: Strategy("silent", max_delay=7),  # a lag no strategy but delay_own
     lambda: PreGstPolicy("drop", 9),  # a delay the drop policy never draws
+    lambda: Scenario(n=4, pre_gst=PreGstPolicy("drop")),  # never read at gst 0
+    lambda: Scenario(n=4, injections=((5, 9),)),  # no node 9 to inject at
+    lambda: Scenario(n=4, injections=((-1, 0),)),  # before the run starts
 ], ids=["t_max", "delay_own_max_delay", "pre_gst_max_delay",
-        "unused_strategy_max_delay", "unused_drop_max_delay"])
+        "unused_strategy_max_delay", "unused_drop_max_delay",
+        "pre_gst_without_gst", "injection_node", "injection_tick"])
 def test_bad_timing_rejected_at_construction(build):
     with pytest.raises(ConfigError):
         build()
+
+
+def test_max_ticks_stops_the_run():
+    result = run(Scenario(n=4, seed=1, delta_post=10, horizon=8,
+                          max_ticks=25))
+    trace = result.trace
+    assert trace.stop_reason == "max_ticks"
+    assert trace.export_lines()[-1] == "stop max_ticks"
+    # The first event past tick 25 is popped but not processed.
+    assert trace.events_processed == 20
+    assert max(r[1] for r in trace.records if r[0] == "deliver") == 20
 
 
 def test_audit_probe_records_results():
