@@ -56,6 +56,8 @@ def main(argv=None) -> int:
         if args.command == "campaign":
             if args.count < 1:
                 raise ConfigError("--count must be at least 1")
+            if args.jobs < 1:
+                raise ConfigError("--jobs must be at least 1")
             outcome = harness.run_campaign(config, args.count, args.jobs)
             _emit(harness.render_campaign_report(outcome), None)
             return 0 if outcome.ok else 1

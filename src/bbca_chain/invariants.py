@@ -68,7 +68,7 @@ def check_commit_ancestry(result: RunResult, cfg=None) -> list[str]:
         seen = set(seeds)
         for ref in node.committed_log:
             block = node.dag.get(ref)
-            if any(parent not in seen for parent in block.refs):
+            if not seen.issuperset(block.refs):
                 problems.append(
                     f"ancestry: node {node_id} committed {ref.hex()[:12]} "
                     f"before one of its references")

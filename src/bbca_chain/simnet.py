@@ -20,9 +20,10 @@ import heapq
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple
+from itertools import islice
+from typing import Iterator, NamedTuple
 
-from .bbca import INIT, READY, BbcaInstance, BbcaMsg
+from .bbca import INIT, READY, BbcaInstance, BbcaMsg, message_digest
 from .blocks import Block, BlockKind, BlockRef, decode_block
 from .chain import (
     WIRE_TYPES,
@@ -33,7 +34,7 @@ from .chain import (
     ViewEntered,
     WireMsg,
 )
-from .encoding import EncodingError, digest32
+from .encoding import EncodingError
 from .identity import ConfigError, NodeId, SystemParams, params_for
 
 # A kind constant like ``bbca.INIT``: +1.8% campaign_byz runs/s (seed 5).
@@ -273,9 +274,24 @@ class Adversary:
 
 # -- trace --------------------------------------------------------------------
 
+# Lines joined and hashed per sha256 update in Trace.digest, and the most
+# message texts Trace._lines keeps memoized: together they bound the memory
+# of a digest, whatever the run's length.
+_DIGEST_CHUNK_LINES = 128
+
+
 @dataclass
 class Trace:
-    # send/deliver records end with the message object; export_lines formats it
+    """Everything one simulator run recorded, in event order.
+
+    ``export_lines()`` formats ``records`` one line each, then a final
+    ``stop`` line.  ``digest()`` is ``sha256("\n".join(export_lines()))``
+    in hex, byte for byte, but it never builds that list, string or bytes
+    object: it formats and hashes ``_DIGEST_CHUNK_LINES`` lines at a time,
+    so the memory it needs beyond ``records`` does not grow with the run.
+    """
+
+    # send/deliver records end with the message object; _lines formats it
     records: list[tuple] = field(default_factory=list)
     view_entries: dict[NodeId, dict[int, tuple[int, str]]] = field(
         default_factory=dict)
@@ -296,32 +312,41 @@ class Trace:
     def record(self, *fields) -> None:
         self.records.append(fields)
 
-    def export_lines(self) -> list[str]:
-        described: dict[int, str] = {}  # id(msg) -> text, for this call only
-        lines = []
-        append = lines.append
+    def _lines(self) -> Iterator[str]:
+        # id(msg) -> text, for this pass only; a message is sent once and
+        # delivered n times within a few ticks, so a bounded memo suffices.
+        described: dict[int, str] = {}
         for record in self.records:
             kind = record[0]
             if kind == "send" or kind == "deliver":
                 msg = record[-1]
                 text = described.get(id(msg))
                 if text is None:
+                    if len(described) == _DIGEST_CHUNK_LINES:
+                        described.clear()
                     text = described[id(msg)] = _describe(msg)
                 # Byte-identical to the generic join below with the text in
                 # place of msg; kept for +15% campaign_byz runs/s (seed 5).
                 if kind == "send":
-                    append(f"send {record[1]} {record[2]} {text}")
+                    yield f"send {record[1]} {record[2]} {text}"
                 else:
-                    append(f"deliver {record[1]} {record[2]} {record[3]} "
-                           f"{text}")
+                    yield f"deliver {record[1]} {record[2]} {record[3]} {text}"
             else:
-                append(" ".join(map(str, record)))
-        append(f"stop {self.stop_reason}")
-        return lines
+                yield " ".join(map(str, record))
+        yield f"stop {self.stop_reason}"
+
+    def export_lines(self) -> list[str]:
+        return list(self._lines())
 
     def digest(self) -> str:
-        payload = "\n".join(self.export_lines()).encode()
-        return hashlib.sha256(payload).hexdigest()
+        sha = hashlib.sha256()
+        lines = self._lines()
+        separator = b""  # then b"\n" between chunks, as between lines
+        while chunk := list(islice(lines, _DIGEST_CHUNK_LINES)):
+            sha.update(separator)
+            sha.update("\n".join(chunk).encode())
+            separator = b"\n"
+        return sha.hexdigest()
 
 
 @dataclass
@@ -338,7 +363,7 @@ class RunResult:
 def _describe(msg: WireMsg) -> str:
     if isinstance(msg, BbcaMsg):
         return (f"{msg.kind.name} s{msg.instance.sender} v{msg.instance.view} "
-                f"{digest32(msg.message).hex()[:12]}")
+                f"{message_digest(msg.message).hex()[:12]}")
     return (f"BLOCK {msg.block.kind.name} v{msg.block.view} "
             f"a{msg.block.author} {msg.block.digest.hex()[:12]}")
 

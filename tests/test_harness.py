@@ -261,6 +261,14 @@ def test_cli_campaign(tmp_path, capsys):
     assert "runs: 5" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"],
+                         ids=["zero_jobs", "negative_jobs"])
+def test_cli_campaign_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    path = write_config(tmp_path, overrides={"stop_after_committed": 2})
+    _assert_config_error(["campaign", "--config", path, "--count", "2",
+                          "--jobs", jobs], capsys, "--jobs")
+
+
 def test_cli_explore(tmp_path, capsys):
     path = write_config(tmp_path, overrides={
         "explore": {"case": "bbca_correct_sender", "check_validity": True}})

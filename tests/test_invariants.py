@@ -12,6 +12,7 @@ from bbca_chain.identity import params_for, sign
 from bbca_chain.invariants import (
     check_bbca_complete_adopt,
     check_bbca_consistency,
+    check_commit_ancestry,
     check_echo_once,
 )
 from bbca_chain.simnet import Deliver, Scenario, Strategy, run
@@ -195,3 +196,16 @@ def test_bbca_world_drops_signature_less_traffic(kind):
     while world.pool:
         world.execute(0)
     assert world.check_leaf(True) == []
+
+
+def test_commit_ancestry_names_a_block_committed_before_its_reference():
+    result = run(Scenario(n=4, seed=1, delta_post=10, horizon=3))
+    assert check_commit_ancestry(result) == []
+    # Node 2's last commit, a view-3 block, references earlier commits;
+    # moving it to the front of the log commits it before them.
+    log = result.nodes[2].committed_log
+    moved = log.pop()
+    log.insert(0, moved)
+    assert check_commit_ancestry(result) == [
+        f"ancestry: node 2 committed {moved.hex()[:12]} before one of its "
+        f"references"]

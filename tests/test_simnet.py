@@ -1,13 +1,15 @@
+import hashlib
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from bbca_chain.bbca import BbcaInstance
+from bbca_chain.bbca import BbcaInstance, BbcaMsg, InstanceId, MsgKind
 from bbca_chain.blocks import GENESIS_BLOCK
 from bbca_chain.chain import NO_OP, BlockMsg, ChainNode, SafetyViolation
 from bbca_chain.dag import DagStore
@@ -22,6 +24,7 @@ from bbca_chain.invariants import (
     check_view_sync,
 )
 from bbca_chain.simnet import (
+    _DIGEST_CHUNK_LINES,
     Adversary,
     DelayModel,
     PreGstPolicy,
@@ -482,3 +485,57 @@ def test_export_formats_every_record_kind_like_the_generic_join(monkeypatch):
         kinds.update(record[0] for record in trace.records)
     assert kinds == {"send", "deliver", "view", "commit", "probe", "timer",
                      "inject", "violation", "summary", "force_probe"}
+
+
+def _joined_digest(trace):
+    return hashlib.sha256("\n".join(trace.export_lines()).encode()).hexdigest()
+
+
+def _hand_built_trace(line_count):
+    """``line_count`` lines: send/deliver pairs of distinct messages and
+    timer records, then the stop line; one message per three lines."""
+    trace = Trace(stop_reason="horizon")
+    msg = None
+    for index in range(line_count - 1):
+        if index % 3 == 0:
+            msg = BbcaMsg(MsgKind.ECHO, InstanceId(index % 4, index),
+                          b"message %d" % index)
+            trace.record("send", index, 0, msg)
+        elif index % 3 == 1:
+            trace.record("deliver", index, 1, 0, msg)
+        else:
+            trace.record("timer", index, 2, index)
+    return trace
+
+
+@pytest.mark.parametrize("line_count", [
+    1, _DIGEST_CHUNK_LINES - 1, _DIGEST_CHUNK_LINES, _DIGEST_CHUNK_LINES + 1,
+    4 * _DIGEST_CHUNK_LINES],
+    ids=["no_records", "chunk_minus_one", "chunk", "chunk_plus_one",
+         "more_messages_than_the_memo_holds"])
+def test_streamed_digest_equals_digest_of_joined_lines(line_count):
+    trace = _hand_built_trace(line_count)
+    lines = trace.export_lines()
+    assert len(lines) == line_count
+    assert lines[:-1] == [_reference_line(r) for r in trace.records]
+    assert trace.digest() == _joined_digest(trace)
+
+
+def test_digest_memory_stays_below_a_quarter_of_the_trace_text():
+    result = run(Scenario(n=4, seed=1, delta_post=5, delay_mode="random",
+                          horizon=100))
+    trace = result.trace
+    text_bytes = len("\n".join(trace.export_lines()).encode())
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        digest = trace.digest()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert digest == _joined_digest(trace)
+    assert peak < text_bytes / 4, (peak, text_bytes)
