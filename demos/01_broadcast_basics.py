@@ -24,10 +24,10 @@ delivered = 0
 while outbox:
     frm, msg = outbox.pop(0)
     for i, node in nodes.items():
-        outs, event = node.handle_message(frm, msg)
-        if event is not None:
+        outs, cert = node.handle_message(frm, msg)
+        if cert is not None:
             print(f"node {i} completes with a "
-                  f"{len(event.cert.sigs)}-signature certificate")
+                  f"{len(cert.sigs)}-signature certificate")
         outbox.extend((i, out) for out in outs)
         delivered += 1
 
@@ -38,7 +38,7 @@ print()
 # Probing. A fresh instance has nothing to adopt: the probe aborts it, and
 # the abort is a promise to never send READY afterwards.
 fresh = BbcaInstance(params, InstanceId(0, 2), 3)
-print("fresh instance probe:", "adopt" if fresh.probe().adopted else "noadopt",
+print("fresh instance probe:", "noadopt" if fresh.probe() is None else "adopt",
       "| abort flag:", fresh.abort)
 
 # Echo recording continues after the abort, so a later probe can upgrade.
@@ -50,7 +50,8 @@ for signer in (1, 2):
     helper = BbcaInstance(params, InstanceId(0, 2), signer)
     echo = helper.on_init(b"late block", 0)[0]
     fresh.on_echo(echo.message, echo.sig, signer)
-result = fresh.probe()
+cert = fresh.probe()
 print("after a quorum of echoes, the same instance probes:",
-      "adopt" if result.adopted else "noadopt")
+      "noadopt" if cert is None else
+      f"adopt, certificate of {len(cert.sigs)} echo signatures")
 print("but the suppressed READY stays suppressed:", not fresh.ready)

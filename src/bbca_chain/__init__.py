@@ -2,7 +2,7 @@
 consensus protocol riding on it, and a deterministic simulator for checking
 both at desk scale."""
 
-from .bbca import BbcaInstance, BbcaMsg, CompleteEvent, InstanceId, ProbeResult
+from .bbca import BbcaInstance, BbcaMsg, InstanceId
 from .blocks import Block, BlockKind, Cert, decode_block, encode_block
 from .chain import ChainNode, SafetyViolation, get_proposer
 from .dag import DagStore
@@ -10,7 +10,7 @@ from .identity import NodeId, Signature, SystemParams, params_for, sign, verify
 from .simnet import RunResult, Scenario, Simulator, Strategy, run, trips_to_commit
 
 __all__ = [
-    "BbcaInstance", "BbcaMsg", "CompleteEvent", "InstanceId", "ProbeResult",
+    "BbcaInstance", "BbcaMsg", "InstanceId",
     "Block", "BlockKind", "Cert", "decode_block", "encode_block",
     "ChainNode", "SafetyViolation", "get_proposer", "DagStore",
     "NodeId", "Signature", "SystemParams", "params_for", "sign", "verify",

@@ -2,14 +2,16 @@
 
 A Bracha-style echo/ready broadcast, modified in two ways: the f+1-ready
 amplification is removed, and a local ``probe`` can abort the instance.
-Probing returns ``Adopt(m, cert)`` when some message has gathered an echo
-quorum locally, else ``NoAdopt`` while flagging the instance so it will
-never send a READY afterwards.  The resulting guarantee: if any correct
-node completes m, at least f+1 correct probers adopt m; conversely f+1
-correct NoAdopt answers preclude completion anywhere.
+Answers are certificates: completion yields a COMPLETE ``Cert`` (a quorum
+of READY signatures), a probe an ADOPT ``Cert`` (a quorum of ECHO
+signatures) or ``None`` for NoAdopt, which flags the instance so it never
+sends a READY afterwards; the message stays in ``pending`` under the
+certificate's ``block_digest``.  If any correct node completes m, at least
+f+1 correct probers adopt m; conversely f+1 correct NoAdopt answers
+preclude completion anywhere.
 
 Handlers are pure state transitions: one inbound message in, a list of
-outbound messages (or a completion event) out.  The enclosing runtime
+outbound messages (or a COMPLETE certificate) out.  The enclosing runtime
 serializes calls per node.
 """
 
@@ -56,18 +58,6 @@ class BbcaMsg(NamedTuple):
     sig: Signature | None = None
 
 
-class ProbeResult(NamedTuple):
-    adopted: bool
-    message: bytes | None = None
-    cert: Cert | None = None
-
-
-class CompleteEvent(NamedTuple):
-    instance: InstanceId
-    message: bytes
-    cert: Cert
-
-
 class BbcaInstance:
     """One broadcast instance as seen by one node."""
 
@@ -80,15 +70,16 @@ class BbcaInstance:
         # A message is held here only once it passed the predicate, so a
         # digest found here needs no second validity check.
         self.pending: dict[BlockRef, bytes] = {}
-        # Per digest, the signers of its ECHO and READY votes.
-        self.echo_sigs: dict[BlockRef, dict[NodeId, Signature]] = {}
-        self.ready_sigs: dict[BlockRef, dict[NodeId, Signature]] = {}
+        # Per digest, its ECHO and READY signatures: tuples that a vote
+        # replaces, so ``clone`` copies these dicts flat.
+        self.echo_sigs: dict[BlockRef, tuple[Signature, ...]] = {}
+        self.ready_sigs: dict[BlockRef, tuple[Signature, ...]] = {}
         self.received_echo: set[NodeId] = set()
         self.received_ready: set[NodeId] = set()
         self.echo = False
         self.ready = False
         self.abort = False
-        self.completed: CompleteEvent | None = None
+        self.completed: Cert | None = None
 
     def clone(self) -> "BbcaInstance":
         """Snapshot for state-space exploration; shares immutable pieces."""
@@ -96,10 +87,8 @@ class BbcaInstance:
         twin.params, twin.instance = self.params, self.instance
         twin.node, twin.predicate = self.node, self.predicate
         twin.pending = dict(self.pending)
-        twin.echo_sigs = {digest: dict(sigs)
-                          for digest, sigs in self.echo_sigs.items()}
-        twin.ready_sigs = {digest: dict(sigs)
-                           for digest, sigs in self.ready_sigs.items()}
+        twin.echo_sigs = dict(self.echo_sigs)
+        twin.ready_sigs = dict(self.ready_sigs)
         twin.received_echo = set(self.received_echo)
         twin.received_ready = set(self.received_ready)
         twin.echo, twin.ready, twin.abort = self.echo, self.ready, self.abort
@@ -125,23 +114,22 @@ class BbcaInstance:
         return [BbcaMsg(INIT, self.instance, message),
                 self._signed(ECHO, message)]
 
-    def probe(self) -> ProbeResult:
-        """Adopt a quorum-echoed message, or abort the instance.
+    def probe(self) -> Cert | None:
+        """Adopt with an ADOPT certificate, or abort: ``None`` is NoAdopt.
 
         Never un-sets ready: a node that already sent READY holds the echo
         quorum and always adopts.  Echo recording continues after an abort,
         so a later probe may upgrade NoAdopt to Adopt.
         """
-        found = self.available_adopt()
-        if found is not None:
-            return ProbeResult(True, found[0], found[1])
-        self.abort = True
-        return ProbeResult(False)
+        cert = self.available_adopt()
+        if cert is None:
+            self.abort = True
+        return cert
 
     # -- message handlers --------------------------------------------------
 
     def handle_message(self, frm: NodeId, msg: BbcaMsg
-                       ) -> tuple[list[BbcaMsg], CompleteEvent | None]:
+                       ) -> tuple[list[BbcaMsg], Cert | None]:
         """The one entry point for inbound traffic: dispatch on the kind.
 
         Only INIT rides unsigned; an ECHO or READY without a signature is
@@ -184,8 +172,8 @@ class BbcaInstance:
             return []
         self.received_echo.add(signer)
         self.pending[digest] = message
-        sigs = self.echo_sigs.setdefault(digest, {})
-        sigs[signer] = sig
+        sigs = (*self.echo_sigs.get(digest, ()), sig)
+        self.echo_sigs[digest] = sigs
         if (not self.ready and not self.abort
                 and len(sigs) == self.params.quorum):
             self.ready = True
@@ -193,7 +181,7 @@ class BbcaInstance:
         return []
 
     def on_ready(self, message: bytes, sig: Signature,
-                 frm: NodeId) -> CompleteEvent | None:
+                 frm: NodeId) -> Cert | None:
         signer = sig.signer
         if signer in self.received_ready:
             return None
@@ -206,13 +194,12 @@ class BbcaInstance:
             return None
         self.received_ready.add(signer)
         self.pending[digest] = message
-        sigs = self.ready_sigs.setdefault(digest, {})
-        sigs[signer] = sig
+        sigs = (*self.ready_sigs.get(digest, ()), sig)
+        self.ready_sigs[digest] = sigs
         # Completion is not blocked by abort; only READY emission is.
         if self.completed is None and len(sigs) == self.params.quorum:
-            cert = Cert(CertKind.COMPLETE, sender, view, digest,
-                        _sorted_sigs(sigs))
-            self.completed = CompleteEvent(self.instance, message, cert)
+            self.completed = Cert(CertKind.COMPLETE, sender, view, digest,
+                                  tuple(sorted(sigs)))
             return self.completed
         return None
 
@@ -229,15 +216,13 @@ class BbcaInstance:
                 return digest
         return None
 
-    def available_adopt(self) -> tuple[bytes, Cert] | None:
-        """Adopt certificate extractable from current state, without probing."""
+    def available_adopt(self) -> Cert | None:
+        """ADOPT certificate extractable from current state, without probing."""
         digest = self.adoptable_digest()
         if digest is None:
             return None
-        sender, view = self.instance
-        sigs = _sorted_sigs(self.echo_sigs[digest])[:self.params.quorum]
-        return self.pending[digest], Cert(CertKind.ADOPT, sender, view,
-                                          digest, sigs)
+        sigs = tuple(sorted(self.echo_sigs[digest])[:self.params.quorum])
+        return Cert(CertKind.ADOPT, *self.instance, digest, sigs)
 
 
 @lru_cache(maxsize=4096)
@@ -257,8 +242,3 @@ def _statement(kind: MsgKind, sender: NodeId, view: int,
     """
     build = echo_statement if kind == ECHO else ready_statement
     return build(sender, view, message_digest(message))
-
-
-def _sorted_sigs(sigs: dict[NodeId, Signature]) -> tuple[Signature, ...]:
-    # map form kept for +10.6% explore_mixed leaves/s (perfbench seed 5)
-    return tuple(map(sigs.__getitem__, sorted(sigs)))

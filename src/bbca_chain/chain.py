@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple, Union
 
-from .bbca import ECHO, BbcaInstance, BbcaMsg, CompleteEvent, InstanceId, ProbeResult
+from .bbca import ECHO, BbcaInstance, BbcaMsg, InstanceId
 from .blocks import (
     GENESIS_BLOCK,
     GENESIS_CERT,
@@ -209,7 +209,7 @@ class ChainNode:
         # anchoring above it would break the finalize recursion.
         self.held_certs: dict[int, Cert] = {0: GENESIS_CERT}
         self.instances: dict[int, BbcaInstance] = {}
-        self.pending_complete: dict[BlockRef, CompleteEvent] = {}
+        self.pending_complete: dict[BlockRef, Cert] = {}
         self.pending_commit: set[BlockRef] = set()
         self.probed: set[int] = set()
         self.proposed: set[int] = set()
@@ -223,7 +223,7 @@ class ChainNode:
     def clone(self) -> "ChainNode":
         """Snapshot for state-space exploration.
 
-        Copies every mutable container; blocks, certificates, events, params
+        Copies every mutable container; blocks, certificates, params
         and the broadcast predicates are immutable and shared.
         """
         twin = object.__new__(ChainNode)
@@ -307,7 +307,7 @@ class ChainNode:
         self.outbox.append(BlockMsg(block))
         return block
 
-    def audit_probe(self, view: int) -> ProbeResult:
+    def audit_probe(self, view: int) -> Cert | None:
         """End-of-run probe; records nothing and triggers no protocol step."""
         return self._instance_for(view).probe()
 
@@ -326,22 +326,21 @@ class ChainNode:
         if block is not None:
             self._ingest_block(block)
         inst = self._instance_for(view)
-        outs, event = inst.handle_message(frm, msg)
+        outs, cert = inst.handle_message(frm, msg)
         self.outbox.extend(outs)
         if sig is not None and kind == ECHO and view not in self.held_certs:
             # Holding an echo quorum is holding an adopt certificate, even
             # when abort suppressed the READY; the noadopt anchor must see it.
             # Only a view's first certificate is kept: stop asking after it.
-            found = inst.available_adopt()
-            if found is not None:
-                self._update_highest_certified(found[1])
-        if event is not None:
-            self._update_highest_certified(event.cert)
-            ref = event.cert.block_digest
-            if ref in self.dag:
-                self._on_bbca_complete(event)
+            adopt = inst.available_adopt()
+            if adopt is not None:
+                self.held_certs.setdefault(adopt.view, adopt)
+        if cert is not None:
+            self.held_certs.setdefault(cert.view, cert)
+            if cert.block_digest in self.dag:
+                self._on_bbca_complete(cert)
             else:
-                self.pending_complete[ref] = event
+                self.pending_complete[cert.block_digest] = cert
 
     def _ingest_block(self, block: Block) -> None:
         # A held block was validated, recorded and had its embedded blocks
@@ -365,9 +364,9 @@ class ChainNode:
 
     def _dispatch_delivered(self, block: Block) -> None:
         if block.kind == _BACKBONE:
-            event = self.pending_complete.pop(block.digest, None)
-            if event is not None:
-                self._on_bbca_complete(event)
+            cert = self.pending_complete.pop(block.digest, None)
+            if cert is not None:
+                self._on_bbca_complete(cert)
             elif block.digest in self.pending_commit:
                 self.pending_commit.discard(block.digest)
                 self.try_commit(block)
@@ -384,16 +383,13 @@ class ChainNode:
         evidence = nvb.new_view.evidence
         if evidence != _NOADOPT:
             self.top_certified_view = max(self.top_certified_view, nvb.view)
-        self._update_highest_certified(nvb.new_view.cert)
+        self.held_certs.setdefault(nvb.new_view.cert.view, nvb.new_view.cert)
         if evidence == _COMPLETE and nvb.view > 0:
             ref = nvb.certified_ref
             if ref in self.dag:
                 self.try_commit(self.dag.get(ref))
             else:
                 self.pending_commit.add(ref)
-
-    def _update_highest_certified(self, cert: Cert) -> None:
-        self.held_certs.setdefault(cert.view, cert)
 
     def _anchor_for(self, view: int) -> Cert:
         return self.held_certs[max(v for v in self.held_certs if v <= view)]
@@ -412,24 +408,24 @@ class ChainNode:
 
     # -- completion, probing, view entry -------------------------------------
 
-    def _on_bbca_complete(self, event: CompleteEvent) -> None:
-        block = self.dag.get(event.cert.block_digest)
+    def _on_bbca_complete(self, cert: Cert) -> None:
+        block = self.dag.get(cert.block_digest)
         self.try_commit(block)
         if block.view < self.view:
             return  # stale: a timeout already moved this node on
         self._make_own_new_view_block(
-            block.view, NewViewData(EvidenceKind.COMPLETE, event.cert))
+            block.view, NewViewData(EvidenceKind.COMPLETE, cert))
         self._enter_view(block.view + 1, "complete_own")
 
     def _conclude_view_by_probe(self, view: int) -> None:
         self.probed.add(view)
         self.rules_dirty = True
-        result = self._instance_for(view).probe()
-        if result.adopted:
-            self._update_highest_certified(result.cert)
-            self.outbox.append(Probed(view, True, result.cert.block_digest))
+        cert = self._instance_for(view).probe()
+        if cert is not None:
+            self.held_certs.setdefault(cert.view, cert)
+            self.outbox.append(Probed(view, True, cert.block_digest))
             self._make_own_new_view_block(
-                view, NewViewData(EvidenceKind.ADOPT, result.cert))
+                view, NewViewData(EvidenceKind.ADOPT, cert))
             self._enter_view(view + 1, "adopt_probe")
         else:
             self.outbox.append(Probed(view, False, None))

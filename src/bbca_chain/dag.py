@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass
 
 from .blocks import Block, BlockRef
 
@@ -19,18 +18,16 @@ class UnknownBlockError(KeyError):
     pass
 
 
-@dataclass
-class _Pending:
-    block: Block
-    missing: set[BlockRef]
-
-
 class DagStore:
     def __init__(self) -> None:
         self.delivered: dict[BlockRef, Block] = {}
-        self.pending: dict[BlockRef, _Pending] = {}
+        # Blocks waiting for their ancestry.  These values are immutable and
+        # a write replaces them, so ``clone`` copies each dict flat.
+        self.pending: dict[BlockRef, Block] = {}
+        # pending digest -> how many of its distinct refs are not delivered
+        self._missing: dict[BlockRef, int] = {}
         # missing ref -> digests of pending blocks waiting on it
-        self._waiters: dict[BlockRef, set[BlockRef]] = {}
+        self._waiters: dict[BlockRef, tuple[BlockRef, ...]] = {}
         # Delivered blocks no delivered block references yet.
         self._tips: set[BlockRef] = set()
 
@@ -38,10 +35,9 @@ class DagStore:
         """Snapshot for state-space exploration; shares the immutable blocks."""
         twin = object.__new__(DagStore)
         twin.delivered = dict(self.delivered)
-        twin.pending = {digest: _Pending(entry.block, set(entry.missing))
-                        for digest, entry in self.pending.items()}
-        twin._waiters = {ref: set(waiting)
-                         for ref, waiting in self._waiters.items()}
+        twin.pending = dict(self.pending)
+        twin._missing = dict(self._missing)
+        twin._waiters = dict(self._waiters)
         twin._tips = set(self._tips)
         return twin
 
@@ -71,9 +67,10 @@ class DagStore:
             raise ValueError("block references its own digest")
         missing = {r for r in block.refs if r not in self.delivered}
         if missing:
-            self.pending[digest] = _Pending(block, missing)
+            self.pending[digest] = block
+            self._missing[digest] = len(missing)
             for ref in missing:
-                self._waiters.setdefault(ref, set()).add(digest)
+                self._waiters[ref] = (*self._waiters.get(ref, ()), digest)
             return []
         newly = [block]
         self._deliver(block)
@@ -81,12 +78,15 @@ class DagStore:
         while queue:
             arrived = queue.popleft()
             for waiter in sorted(self._waiters.pop(arrived, ())):
-                entry = self.pending[waiter]
-                entry.missing.discard(arrived)
-                if not entry.missing:
-                    del self.pending[waiter]
-                    self._deliver(entry.block)
-                    newly.append(entry.block)
+                # Count down: re-checking ``refs`` against ``delivered`` would
+                # deliver a waiter twice if its other ref came in this cascade.
+                left = self._missing.pop(waiter) - 1
+                if left:
+                    self._missing[waiter] = left
+                else:
+                    held = self.pending.pop(waiter)
+                    self._deliver(held)
+                    newly.append(held)
                     queue.append(waiter)
         return newly
 

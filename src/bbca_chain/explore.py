@@ -136,11 +136,11 @@ class BbcaWorld:
         self.executed.append(step)
         if type(step) is Probe:
             node, = step
-            result = self.nodes[node].probe()
-            if result.adopted:
-                self.probe_adopt[node] = result.cert.block_digest
-            else:
+            cert = self.nodes[node].probe()
+            if cert is None:
                 self.probe_noadopt.add(node)
+            else:
+                self.probe_adopt[node] = cert.block_digest
             return
         to, frm, msg = step
         if to in self.replayers:
@@ -159,7 +159,7 @@ class BbcaWorld:
         node; integrity and validity need the correct sender's message and
         are checked here."""
         view, nodes = self.instance.view, self.nodes.values()
-        completed = [node.completed.cert.block_digest for node in nodes
+        completed = [node.completed.block_digest for node in nodes
                      if node.completed is not None]
         # What a forced probe of each node would adopt; its abort would
         # change nothing at a leaf, so the audit leaves the nodes as they are.

@@ -177,7 +177,7 @@ def _completed(result: RunResult) -> dict[int, set[bytes]]:
         for view, inst in result.nodes[node_id].instances.items():
             if inst.completed is not None:
                 per_view.setdefault(view, set()).add(
-                    inst.completed.cert.block_digest)
+                    inst.completed.block_digest)
     return per_view
 
 

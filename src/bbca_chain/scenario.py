@@ -67,13 +67,13 @@ class _Fields:
             raise ConfigError(f"{self.path}.{stray}: unknown field")
 
 
-def _parse_adversary(raw: dict, path: str, n: int) -> dict[int, Strategy]:
+def _parse_adversary(raw: dict, path: str) -> dict[int, Strategy]:
     strategies = {}
     for key, value in raw.items():
-        try:
-            node = int(key)
-        except ValueError:
-            raise ConfigError(f"{path}.{key}: node ids are integers") from None
+        # Canonical ids only: "01" or " 1" would silently replace node 1.
+        node = int(key) if str(key).isdecimal() else None
+        if key != str(node):
+            raise ConfigError(f"{path}.{key}: node ids are canonical integers")
         entry = _Fields(value, f"{path}.{key}")
         name = entry.take("strategy", str, required=True)
         max_delay = entry.take("max_delay", int, default=0)
@@ -112,7 +112,7 @@ def parse_config(raw: dict, path: str = "config") -> HarnessConfig:
             raise ConfigError(f"{path}.pre_gst: {exc}") from None
 
     adversary_raw = fields.take("adversary", dict, default={})
-    strategies = _parse_adversary(adversary_raw, f"{path}.adversary", n)
+    strategies = _parse_adversary(adversary_raw, f"{path}.adversary")
 
     payloads_raw = fields.take("payloads", list, default=[])
     injections = []
@@ -156,11 +156,14 @@ def parse_config(raw: dict, path: str = "config") -> HarnessConfig:
         invariants = list(UNCONDITIONAL)
         if audit:
             invariants.append("complete_adopt")
+    elif isinstance(invariants_raw, str):
+        raise ConfigError(f"{path}.invariants: a string must be \"all\"")
     else:
         invariants = list(invariants_raw)
-        for inv in invariants:
-            if inv not in ALL_CHECKS:
-                raise ConfigError(f"{path}.invariants: unknown check {inv!r}")
+        for index, inv in enumerate(invariants):
+            if not isinstance(inv, str) or inv not in ALL_CHECKS:
+                raise ConfigError(
+                    f"{path}.invariants[{index}]: unknown check {inv!r}")
     if noop_views:
         invariants.append("noop_views")
     if trips is not None:

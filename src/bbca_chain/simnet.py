@@ -544,11 +544,11 @@ class Simulator:
                         for view in self.nodes[node_id].instances})
         for node_id in self.correct:
             for view in views:
-                result = self.nodes[node_id].audit_probe(view)
-                ref = result.cert.block_digest if result.adopted else None
-                self.trace.audits[(node_id, view)] = (result.adopted, ref)
+                cert = self.nodes[node_id].audit_probe(view)
+                ref = None if cert is None else cert.block_digest
+                self.trace.audits[(node_id, view)] = (ref is not None, ref)
                 self.trace.record("force_probe", node_id, view,
-                                  result.adopted, ref and ref.hex()[:12])
+                                  ref is not None, ref and ref.hex()[:12])
 
 
 def run(scenario: Scenario) -> RunResult:

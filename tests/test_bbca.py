@@ -108,23 +108,22 @@ def test_invalid_echo_signature_ignored():
 def test_abort_suppresses_ready_but_not_recording():
     node = fresh()
     node.on_echo(M, echo_from(0), frm=0)
-    assert not node.probe().adopted
+    assert node.probe() is None
     assert node.abort
     assert node.on_echo(M, echo_from(2), frm=2) == []
     assert node.on_echo(M, echo_from(3), frm=3) == []  # quorum, no READY
     assert not node.ready
     # Recording continued, so a later probe upgrades to adopt.
-    result = node.probe()
-    assert result.adopted and result.message == M
-    assert verify_cert(result.cert, node.params, CertKind.ADOPT)
+    cert = node.probe()
+    assert cert is not None and node.pending[cert.block_digest] == M
+    assert verify_cert(cert, node.params, CertKind.ADOPT)
 
 
 # -- probe -------------------------------------------------------------------
 
 def test_probe_fresh_instance_noadopt_and_abort():
     node = fresh()
-    result = node.probe()
-    assert not result.adopted
+    assert node.probe() is None
     assert node.abort
 
 
@@ -132,10 +131,10 @@ def test_probe_after_quorum_adopts_with_cert():
     node = fresh()
     for signer in (0, 2, 3):
         node.on_echo(M, echo_from(signer), frm=signer)
-    result = node.probe()
-    assert result.adopted and result.message == M
-    assert len(result.cert.sigs) == 3
-    assert verify_cert(result.cert, node.params, CertKind.ADOPT)
+    cert = node.probe()
+    assert cert is not None and node.pending[cert.block_digest] == M
+    assert len(cert.sigs) == 3
+    assert verify_cert(cert, node.params, CertKind.ADOPT)
     assert not node.abort  # adopting probes do not abort
 
 
@@ -146,12 +145,12 @@ def test_adopt_cert_names_the_lowest_quorum_signers_held_at_call_time():
     node = fresh()
     for signer in (1, 2, 3):
         node.on_echo(M, echo_from(signer), frm=signer)
-    _, first = node.available_adopt()
+    first = node.available_adopt()
     assert [sig.signer for sig in first.sigs] == [1, 2, 3]
     node.on_echo(M, echo_from(0), frm=0)
-    _, later = node.available_adopt()
+    later = node.available_adopt()
     assert [sig.signer for sig in later.sigs] == [0, 1, 2]
-    assert node.probe().cert == later
+    assert node.probe() == later
     assert verify_cert(later, node.params, CertKind.ADOPT)
 
 
@@ -160,7 +159,7 @@ def test_ready_node_always_adopts():
     for signer in (0, 2, 3):
         node.on_echo(M, echo_from(signer), frm=signer)
     assert node.ready
-    assert node.probe().adopted
+    assert node.probe() is not None
 
 
 # -- READY -------------------------------------------------------------------
@@ -169,10 +168,10 @@ def test_quorum_of_readies_completes():
     node = fresh()
     assert node.on_ready(M, ready_from(0), frm=0) is None
     assert node.on_ready(M, ready_from(2), frm=2) is None
-    event = node.on_ready(M, ready_from(3), frm=3)
-    assert event is not None and event.message == M
-    assert verify_cert(event.cert, node.params, CertKind.COMPLETE)
-    assert node.completed is event
+    cert = node.on_ready(M, ready_from(3), frm=3)
+    assert cert is not None and node.pending[cert.block_digest] == M
+    assert verify_cert(cert, node.params, CertKind.COMPLETE)
+    assert node.completed is cert
 
 
 def test_ready_amplification_removed():
@@ -195,10 +194,10 @@ def test_completion_fires_once():
 
 def test_completion_not_blocked_by_abort():
     node = fresh()
-    assert not node.probe().adopted
+    assert node.probe() is None
     for signer in (0, 2, 3):
-        event = node.on_ready(M, ready_from(signer), frm=signer)
-    assert event is not None
+        cert = node.on_ready(M, ready_from(signer), frm=signer)
+    assert cert is not None
 
 
 def test_relayed_ready_counts_for_its_signer_once():
@@ -214,7 +213,7 @@ def test_cert_kind_mismatch_fails():
     node = fresh()
     for signer in (0, 2, 3):
         node.on_ready(M, ready_from(signer), frm=signer)
-    cert = node.completed.cert
+    cert = node.completed
     assert verify_cert(cert, node.params, CertKind.COMPLETE)
     assert not verify_cert(cert, node.params, CertKind.ADOPT)
 
@@ -223,7 +222,7 @@ def test_cert_tamper_detected():
     node = fresh()
     for signer in (0, 2, 3):
         node.on_echo(M, echo_from(signer), frm=signer)
-    cert = node.probe().cert
+    cert = node.probe()
     swapped = Cert(cert.kind, cert.sender, cert.view, cert.block_digest,
                    cert.sigs[:-1] + (echo_from(3, b"other"),))
     assert not verify_cert(swapped, node.params, CertKind.ADOPT)
@@ -233,20 +232,20 @@ def test_cert_tamper_detected():
 
 def test_handle_message_dispatches_each_kind():
     node = fresh()
-    outs, event = node.handle_message(0, BbcaMsg(MsgKind.INIT, BID, M))
-    assert [out.kind for out in outs] == [MsgKind.ECHO] and event is None
+    outs, cert = node.handle_message(0, BbcaMsg(MsgKind.INIT, BID, M))
+    assert [out.kind for out in outs] == [MsgKind.ECHO] and cert is None
     for signer in (0, 2):
         assert node.handle_message(
             signer, BbcaMsg(MsgKind.ECHO, BID, M, echo_from(signer))) == ([], None)
-    outs, event = node.handle_message(3, BbcaMsg(MsgKind.ECHO, BID, M,
-                                                 echo_from(3)))
-    assert [out.kind for out in outs] == [MsgKind.READY] and event is None
+    outs, cert = node.handle_message(3, BbcaMsg(MsgKind.ECHO, BID, M,
+                                                echo_from(3)))
+    assert [out.kind for out in outs] == [MsgKind.READY] and cert is None
     for signer in (0, 2):
         node.handle_message(signer, BbcaMsg(MsgKind.READY, BID, M,
                                             ready_from(signer)))
-    outs, event = node.handle_message(3, BbcaMsg(MsgKind.READY, BID, M,
-                                                 ready_from(3)))
-    assert outs == [] and event is node.completed is not None
+    outs, cert = node.handle_message(3, BbcaMsg(MsgKind.READY, BID, M,
+                                                ready_from(3)))
+    assert outs == [] and cert is node.completed is not None
 
 
 @pytest.mark.parametrize("kind", [MsgKind.ECHO, MsgKind.READY])
@@ -301,7 +300,7 @@ def test_failure_free_network_completes_everywhere():
     pump(nodes, outbox)
     for node in nodes.values():
         assert node.completed is not None
-        assert node.completed.message == M
+        assert node.completed.block_digest == digest32(M)
 
 
 def test_equivocating_sender_cannot_split_completions():
@@ -316,9 +315,9 @@ def test_equivocating_sender_cannot_split_completions():
         (0, BbcaMsg(MsgKind.ECHO, BID, b"m2", echo_from(0, b"m2")), (2, 3)),
     ]
     pump(nodes, outbox)
-    completed = {digest32(n.completed.message)
+    completed = {n.completed.block_digest
                  for n in nodes.values() if n.completed}
     assert len(completed) <= 1
-    adopted = {digest32(n.probe().message)
-               for n in nodes.values() if n.probe().adopted}
+    adopted = {cert.block_digest for n in nodes.values()
+               if (cert := n.probe()) is not None}
     assert len(adopted | completed) <= 1

@@ -87,6 +87,27 @@ def test_diamond_inserted_backwards():
     assert is_linear_extension([b.digest for b in delivered], by_ref)
 
 
+@pytest.mark.parametrize("b_sorts_first", [True, False],
+                         ids=["b_before_w", "w_before_b"])
+def test_cascade_delivers_a_waiter_after_its_last_missing_ref(b_sorts_first):
+    # W waits on A and on B, and B itself waits on A.  Inserting A wakes B
+    # and W together; W must still come after B, and only once, whichever
+    # of the two digests the cascade visits first.
+    a = data(0, 1, [], b"a")
+    for salt in range(64):
+        b = linked(a, author=1, payload=b"b%d" % salt)
+        w = linked(a, b, author=2, payload=b"w")
+        if (b.digest < w.digest) == b_sorts_first:
+            break
+    else:
+        pytest.fail("no salt gives the wanted digest order")
+    store = DagStore()
+    assert store.insert(w) == []
+    assert store.insert(b) == []
+    assert store.insert(a) == [a, b, w]
+    assert not store.pending
+
+
 def test_self_reference_rejected():
     store = DagStore()
     block = data(0, 1, [GENESIS_REF], b"x")

@@ -165,17 +165,12 @@ def _shared_mutables(a, b, path="clone"):
 
 
 def _dag_state(dag):
-    return (set(dag.delivered),
-            {ref: (entry.block, set(entry.missing))
-             for ref, entry in dag.pending.items()},
-            {ref: set(waiting) for ref, waiting in dag._waiters.items()},
-            dag.tips())
+    return (set(dag.delivered), dict(dag.pending), dict(dag._missing),
+            dict(dag._waiters), dag.tips())
 
 
 def _instance_state(inst):
-    return (dict(inst.pending),
-            {digest: dict(sigs) for digest, sigs in inst.echo_sigs.items()},
-            {digest: dict(sigs) for digest, sigs in inst.ready_sigs.items()},
+    return (dict(inst.pending), dict(inst.echo_sigs), dict(inst.ready_sigs),
             set(inst.received_echo), set(inst.received_ready),
             inst.echo, inst.ready, inst.abort, inst.completed)
 

@@ -251,6 +251,23 @@ def test_cli_exit_two_on_bad_timing(tmp_path, capsys, overrides):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("overrides, field", [
+    ({"adversary": {"1": {"strategy": "silent"},
+                    "01": {"strategy": "replay"}}},
+     "config.adversary.01: node ids are canonical integers"),
+    ({"adversary": {" 1": {"strategy": "silent"}}},
+     "config.adversary. 1: node ids are canonical integers"),
+    ({"invariants": "agreement"},
+     'config.invariants: a string must be "all"'),
+    ({"invariants": [["agreement"]]},
+     "config.invariants[0]: unknown check ['agreement']"),
+], ids=["noncanonical_adversary_key", "padded_adversary_key",
+        "invariants_string_not_all", "invariants_nested_list"])
+def test_cli_exit_two_on_malformed_field(tmp_path, capsys, overrides, field):
+    path = write_config(tmp_path, overrides=overrides)
+    _assert_config_error(["run", "--config", path], capsys, field)
+
+
 def test_cli_exit_two_on_missing_file(capsys):
     assert cli.main(["run", "--config", "/nonexistent.json"]) == 2
 

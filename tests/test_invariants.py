@@ -59,7 +59,7 @@ def audited_run():
 
 
 def view_one_block(result):
-    return result.nodes[0].instances[1].completed.cert.block_digest
+    return result.nodes[0].instances[1].completed.block_digest
 
 
 def test_clean_leaf_and_run_report_nothing():

@@ -12,8 +12,11 @@ it.  The containers audited for this are:
   counts differ (pinned below);
 - ``BbcaWorld._replayed``: ``BbcaMsg`` values only;
 - the ``SendCounts`` keys: ``(node, MsgKind, InstanceId)`` tuples only;
-- ``ChainNode.held_certs``: ``Cert`` values only;
-- ``ChainNode.pending_complete``: ``CompleteEvent`` values only;
+- ``ChainNode.held_certs`` and ``ChainNode.pending_complete``: ``Cert``
+  values only;
+- ``BbcaInstance.echo_sigs`` and ``BbcaInstance.ready_sigs``: tuples of
+  ``Signature`` values only, sorted into certificates; a signer appears at
+  most once per instance, so the sort is by signer;
 - ``ChainNode.outbox``: wire messages, ``ViewEntered``, ``Committed`` and
   ``Probed``, routed by type and never compared;
 - the explorer's ``pool`` and ``executed``: ``Deliver`` with ``Probe`` in a
@@ -23,7 +26,7 @@ it.  The containers audited for this are:
 
 import pytest
 
-from bbca_chain.bbca import BbcaMsg, CompleteEvent, InstanceId, MsgKind, ProbeResult
+from bbca_chain.bbca import BbcaMsg, InstanceId, MsgKind
 from bbca_chain.blocks import GENESIS_BLOCK, Cert, CertKind
 from bbca_chain.chain import BlockMsg, Committed, Probed, ViewEntered
 from bbca_chain.explore import Probe, Timer
@@ -47,10 +50,6 @@ RECORDS = [
      ("kind", "instance", "message", "sig"),
      f"BbcaMsg(kind=<MsgKind.ECHO: 2>, instance={IID_REPR}, message=b'm', "
      f"sig={SIG_REPR})"),
-    (ProbeResult(False), ("adopted", "message", "cert"),
-     "ProbeResult(adopted=False, message=None, cert=None)"),
-    (CompleteEvent(IID, b"m", CERT), ("instance", "message", "cert"),
-     f"CompleteEvent(instance={IID_REPR}, message=b'm', cert={CERT_REPR})"),
     (BlockMsg(GENESIS_BLOCK), ("block",),
      "BlockMsg(block=Block(BACKBONE v=0 a=0 dc2dd5fe7e60))"),
     (ViewEntered(2, "init"), ("view", "cause"),
@@ -82,8 +81,6 @@ def test_instance_ids_sort_by_sender_then_view():
 
 
 def test_defaults_are_the_dataclass_defaults():
-    result = ProbeResult(False)
-    assert result.message is None and result.cert is None
     assert BbcaMsg(MsgKind.INIT, IID, b"m").sig is None
 
 

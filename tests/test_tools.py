@@ -1,0 +1,40 @@
+"""Smoke tests of the scripts under ``tools/``, run in process."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+from bbca_chain.bbca import InstanceId
+from bbca_chain.simnet import Scenario, run
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load_tool(name, monkeypatch):
+    # The tool puts ``perfbench/`` on ``sys.path``; undo it after the test.
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location(
+        f"tool_{name}", ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_frame_count_is_deterministic_and_names_record_constructors(
+        monkeypatch):
+    frame_count = _load_tool("frame_count", monkeypatch)
+
+    def tiny_run():
+        run(Scenario(n=4, horizon=2))
+
+    # The memoized digests and statements are warm after one run, so two
+    # later runs execute the same Python frames.
+    tiny_run()
+    first = frame_count.count_calls(tiny_run)
+    second = frame_count.count_calls(tiny_run)
+    assert sum(first.values()) > 0
+    assert first == second
+    # A named tuple's generated ``__new__`` is a ``<lambda>``; only its
+    # field names tell one record type from another.
+    assert frame_count.describe(InstanceId.__new__.__code__).endswith(
+        ":<lambda>(sender, view)")
