@@ -307,10 +307,6 @@ class ChainNode:
         self.outbox.append(BlockMsg(block))
         return block
 
-    def audit_probe(self, view: int) -> Cert | None:
-        """End-of-run probe; records nothing and triggers no protocol step."""
-        return self._instance_for(view).probe()
-
     # -- broadcast plumbing -------------------------------------------------
 
     def _handle_bbca_message(self, frm: NodeId, msg: BbcaMsg) -> None:

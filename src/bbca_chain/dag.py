@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
+from itertools import filterfalse
 
 from .blocks import Block, BlockRef
 
@@ -65,7 +66,7 @@ class DagStore:
             return []
         if digest in block.refs:
             raise ValueError("block references its own digest")
-        missing = {r for r in block.refs if r not in self.delivered}
+        missing = set(filterfalse(self.delivered.__contains__, block.refs))
         if missing:
             self.pending[digest] = block
             self._missing[digest] = len(missing)

@@ -146,8 +146,8 @@ def bbca_consistency(view: int, decided: set[bytes]) -> list[str]:
 def complete_adopt(view: int, noadopt_probers: int, adopters: int,
                    f: int) -> list[str]:
     """Both halves of Complete-Adopt for an instance some correct node
-    completed: at least f+1 correct end-of-run probes adopt the completed
-    message, and no f+1 correct probes answered noadopt."""
+    completed: at least f+1 correct nodes would adopt the completed message
+    at the end of the run, and no f+1 correct probes answered noadopt."""
     problems = []
     if adopters < f + 1:
         problems.append(f"complete-adopt: view {view} completed with only "
@@ -170,51 +170,51 @@ def echo_once(sends: SendCounts) -> list[str]:
             for (node_id, kind, instance), count in twice]
 
 
-def _completed(result: RunResult) -> dict[int, set[bytes]]:
-    """view -> digests completed by correct nodes."""
-    per_view: dict[int, set[bytes]] = {}
+def _outcomes(result: RunResult) -> tuple[dict[int, set[bytes]],
+                                           dict[int, list[bytes]]]:
+    """Per view, the digests correct nodes completed, and what each correct
+    node's instance would adopt now: an end-of-run probe's answers, read
+    without probing."""
+    completed: dict[int, set[bytes]] = {}
+    adoptable: dict[int, list[bytes]] = {}
     for node_id in result.scenario.correct_nodes():
         for view, inst in result.nodes[node_id].instances.items():
             if inst.completed is not None:
-                per_view.setdefault(view, set()).add(
+                completed.setdefault(view, set()).add(
                     inst.completed.block_digest)
-    return per_view
+            if (digest := inst.adoptable_digest()) is not None:
+                adoptable.setdefault(view, []).append(digest)
+    return completed, adoptable
 
 
 def check_bbca_consistency(result: RunResult, cfg=None) -> list[str]:
     """Per broadcast instance: completions, runtime-probe adoptions and
-    audited adoptions of correct nodes never disagree."""
-    trace = result.trace
-    decided = _completed(result)
+    end-of-run adoptions of correct nodes never disagree."""
+    decided, adoptable = _outcomes(result)
+    for view, digests in adoptable.items():
+        decided.setdefault(view, set()).update(digests)
     for node_id in result.scenario.correct_nodes():
-        for _tick, view, adopted, ref in trace.probes.get(node_id, []):
+        for _tick, view, adopted, ref in result.trace.probes.get(node_id, []):
             if adopted:
                 decided.setdefault(view, set()).add(ref)
-    for (node_id, view), (adopted, ref) in trace.audits.items():
-        if adopted:
-            decided.setdefault(view, set()).add(ref)
     return [problem for view, digests in sorted(decided.items())
             for problem in bbca_consistency(view, digests)]
 
 
 def check_bbca_complete_adopt(result: RunResult, cfg=None) -> list[str]:
-    """Needs an end-of-run audit: Complete-Adopt over runtime probes and
-    the audit of every completed instance."""
-    trace = result.trace
-    if not trace.audits:
-        return ["complete-adopt: scenario ran without audit probes"]
-    correct = result.scenario.correct_nodes()
+    """Complete-Adopt for every completed instance, over the runtime probes
+    and the end-of-run adoptions."""
+    noadopts: dict[int, set[NodeId]] = {}
+    for node_id in result.scenario.correct_nodes():
+        for _tick, view, adopted, _ref in result.trace.probes.get(node_id, []):
+            if not adopted:
+                noadopts.setdefault(view, set()).add(node_id)
+    completed, adoptable = _outcomes(result)
     problems = []
-    for view, digests in sorted(_completed(result).items()):
-        audited = (True, min(digests))
-        adopters = sum(1 for node_id in correct
-                       if trace.audits.get((node_id, view)) == audited)
-        noadopts = {node_id for node_id in correct
-                    for _tick, v, adopted, _ref
-                    in trace.probes.get(node_id, [])
-                    if v == view and not adopted}
-        problems += complete_adopt(view, len(noadopts), adopters,
-                                   result.scenario.params.f)
+    for view, digests in sorted(completed.items()):
+        adopters = adoptable.get(view, []).count(min(digests))
+        problems += complete_adopt(view, len(noadopts.get(view, ())),
+                                   adopters, result.scenario.params.f)
     return problems
 
 
@@ -364,11 +364,11 @@ UNCONDITIONAL = {
     "delay_soundness": check_delay_soundness,
     "fault_budget": check_fault_budget,
     "bbca_consistency": check_bbca_consistency,
+    "complete_adopt": check_bbca_complete_adopt,
     "echo_once": check_echo_once,
 }
 
 SCENARIO_SCOPED = {
-    "complete_adopt": check_bbca_complete_adopt,
     "noop_views": check_noop_views,
     "trips": check_trips,
     "liveness": check_liveness_deadline,

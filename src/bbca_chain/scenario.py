@@ -97,7 +97,6 @@ def parse_config(raw: dict, path: str = "config") -> HarnessConfig:
     horizon = fields.take("horizon", int, default=8)
     stop_after = fields.take("stop_after_committed", int, default=None)
     max_ticks = fields.take("max_ticks", int, default=1_000_000)
-    audit = fields.take("audit_probe", bool, default=False)
 
     pre_raw = fields.take("pre_gst", dict, default=None)
     pre = None
@@ -133,8 +132,7 @@ def parse_config(raw: dict, path: str = "config") -> HarnessConfig:
             n=n, seed=seed, gst=gst, delta_post=delta_post,
             delay_mode=delay_mode, pre_gst=pre, t_max=t_max, horizon=horizon,
             stop_after_committed=stop_after, max_ticks=max_ticks,
-            strategies=strategies, injections=tuple(injections),
-            audit_probe=audit)
+            strategies=strategies, injections=tuple(injections))
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
@@ -154,8 +152,6 @@ def parse_config(raw: dict, path: str = "config") -> HarnessConfig:
 
     if invariants_raw == "all":
         invariants = list(UNCONDITIONAL)
-        if audit:
-            invariants.append("complete_adopt")
     elif isinstance(invariants_raw, str):
         raise ConfigError(f"{path}.invariants: a string must be \"all\"")
     else:
@@ -205,10 +201,21 @@ def parse_config(raw: dict, path: str = "config") -> HarnessConfig:
         censorship_cutoff=cutoff, explore=explore)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """``object_pairs_hook`` for every object: ``json`` would keep the last
+    of two equal keys without a word."""
+    raw = {}
+    for key, value in pairs:
+        if key in raw:
+            raise ConfigError(f"repeated key {key!r}")
+        raw[key] = value
+    return raw
+
+
 def load_config(path: str) -> HarnessConfig:
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            raw = json.load(handle)
+            raw = json.load(handle, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: not valid JSON ({exc})") from None
     return parse_config(raw)

@@ -88,7 +88,6 @@ class Scenario:
     max_ticks: int = 1_000_000
     strategies: dict[NodeId, Strategy] = field(default_factory=dict)
     injections: tuple[tuple[int, NodeId], ...] = ()
-    audit_probe: bool = False
 
     def __post_init__(self):
         params = self.params
@@ -302,8 +301,6 @@ class Trace:
         default_factory=list)  # (entry tick, delivery tick, frm, to)
     probes: dict[NodeId, list[tuple[int, int, bool, BlockRef | None]]] = \
         field(default_factory=dict)  # node -> [(tick, view, adopted, ref)]
-    audits: dict[tuple[NodeId, int], tuple[bool, BlockRef | None]] = field(
-        default_factory=dict)  # (node, view) -> (adopted, ref)
     injected: list[tuple[int, NodeId, BlockRef]] = field(default_factory=list)
     failure: tuple[int, str] | None = None  # (event index, description)
     stop_reason: str = ""
@@ -486,8 +483,6 @@ class Simulator:
         if not stop:
             stop = "quiesced"
         self.trace.stop_reason = stop
-        if scenario.audit_probe:
-            self._audit()
         for node_id in sorted(self.nodes):
             node = self.nodes[node_id]
             log_digest = hashlib.sha256(
@@ -534,21 +529,6 @@ class Simulator:
             return False
         return all(self.nodes[i].last_committed >= target
                    for i in self.correct)
-
-    def _audit(self) -> None:
-        """End-of-run probe sweep of every correct node and instance.
-
-        Undelivered traffic is dead once the run stopped; it stays unread.
-        """
-        views = sorted({view for node_id in self.correct
-                        for view in self.nodes[node_id].instances})
-        for node_id in self.correct:
-            for view in views:
-                cert = self.nodes[node_id].audit_probe(view)
-                ref = None if cert is None else cert.block_digest
-                self.trace.audits[(node_id, view)] = (ref is not None, ref)
-                self.trace.record("force_probe", node_id, view,
-                                  ref is not None, ref and ref.hex()[:12])
 
 
 def run(scenario: Scenario) -> RunResult:

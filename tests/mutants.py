@@ -1,0 +1,56 @@
+"""Named protocol mutants: deliberately broken handlers for checking that a
+named invariant kills them.
+
+Each mutant is a ``(owner, attribute, replacement)`` triple; ``apply`` sets
+it with ``monkeypatch``, so the original is restored after the test.  A
+mutant body is the original handler with one rule changed, and the comment
+on that rule says what changed.
+"""
+
+from bbca_chain.bbca import ECHO, READY, BbcaInstance, message_digest
+from bbca_chain.bbca import _statement as statement
+from bbca_chain.identity import verify
+
+
+def _on_echo_sending_ready_when(ready_rule):
+    """``BbcaInstance.on_echo`` with its READY condition replaced by
+    ``ready_rule(inst, echo_count)``."""
+
+    def on_echo(self, message, sig, frm):
+        signer = sig.signer
+        if signer in self.received_echo:
+            return []
+        digest = message_digest(message)
+        if digest not in self.pending and not self.predicate(message):
+            return []
+        sender, view = self.instance
+        if not verify(sig, statement(ECHO, sender, view, message), signer):
+            return []
+        self.received_echo.add(signer)
+        self.pending[digest] = message
+        sigs = (*self.echo_sigs.get(digest, ()), sig)
+        self.echo_sigs[digest] = sigs
+        if not self.ready and ready_rule(self, len(sigs)):  # mutated
+            self.ready = True
+            return [self._signed(READY, message)]
+        return []
+
+    return on_echo
+
+
+MUTANTS = {
+    # READY is sent on an echo quorum even after a probe aborted.
+    "ready_despite_abort": (
+        BbcaInstance, "on_echo", _on_echo_sending_ready_when(
+            lambda inst, count: count == inst.params.quorum)),
+    # READY is sent one echo short of the quorum.
+    "ready_at_quorum_minus_one": (
+        BbcaInstance, "on_echo", _on_echo_sending_ready_when(
+            lambda inst, count: (not inst.abort
+                                 and count == inst.params.quorum - 1))),
+}
+
+
+def apply(monkeypatch, name: str) -> None:
+    owner, attribute, replacement = MUTANTS[name]
+    monkeypatch.setattr(owner, attribute, replacement)

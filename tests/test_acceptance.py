@@ -197,7 +197,7 @@ def test_criterion_7_deterministic_replay():
                  strategies={1: Strategy("equivocate_init")}),
         Scenario(n=4, seed=14, delta_post=6, gst=50,
                  pre_gst=PreGstPolicy("drop"), horizon=4,
-                 strategies={2: Strategy("replay")}, audit_probe=True),
+                 strategies={2: Strategy("replay")}),
     ]
     mismatches = []
     for scenario in shapes:

@@ -28,13 +28,12 @@ SHAPES = {
         "c05e11569daed7e1709d7f0ffc5b0521fc0cc892ac90f5a965c88ad4306adf64"),
     "n4-payloads-audit": (
         Scenario(n=4, seed=2, delta_post=10, horizon=3,
-                 injections=((20, 0), (25, 3)), audit_probe=True),
-        "99d79ea97e48ed6c9eac814313f048f303ffe78cc0c34d0ef6ab97ca9ac20461"),
+                 injections=((20, 0), (25, 3))),
+        "40dfa3da99695ac1e8ccd63ed741a6ecee101166ef58e6249f515b43242abb2f"),
     "n4-equivocate-init-audit": (
         Scenario(n=4, seed=5, delta_post=5, delay_mode="random", horizon=4,
-                 strategies={1: Strategy("equivocate_init")},
-                 audit_probe=True),
-        "636d9a1bd1010ea8fac178d704e69a650942dbaf8e734912e99f0551e517e423"),
+                 strategies={1: Strategy("equivocate_init")}),
+        "9d3f17c3cb7d5ea7635c16c12b3e367a115a0fd0e35bac448fa2d7c73a3553ae"),
     "n7-silent": (
         Scenario(n=7, seed=11, delta_post=5, delay_mode="random", horizon=4,
                  strategies={1: Strategy("silent")}),
@@ -57,8 +56,8 @@ SHAPES = {
         "bbbb2a954a1c27fa856e295882394e67bd8796368cf378d13ac287b52629d132"),
     "n7-replay-audit": (
         Scenario(n=7, seed=15, delta_post=5, delay_mode="random", horizon=3,
-                 strategies={3: Strategy("replay")}, audit_probe=True),
-        "7d227d4d2675951a7a94200523e920c803d2c7159608b044997ffc2f79217d6a"),
+                 strategies={3: Strategy("replay")}),
+        "d09212000d658d425f42310fdfe81786824ae619737ee4ac13f05f8406095e47"),
     "n7-delay-own": (
         Scenario(n=7, seed=16, delta_post=5, delay_mode="random", gst=20,
                  pre_gst=PreGstPolicy("drop"), t_max=30, horizon=4,

@@ -261,8 +261,13 @@ def test_cli_exit_two_on_bad_timing(tmp_path, capsys, overrides):
      'config.invariants: a string must be "all"'),
     ({"invariants": [["agreement"]]},
      "config.invariants[0]: unknown check ['agreement']"),
+    # json.dumps writes the int key 1 as "1": the file repeats the key.
+    ({"adversary": {1: {"strategy": "silent"}, "1": {"strategy": "replay"}}},
+     "repeated key '1'"),
+    ({"audit_probe": True}, "config.audit_probe: unknown field"),
 ], ids=["noncanonical_adversary_key", "padded_adversary_key",
-        "invariants_string_not_all", "invariants_nested_list"])
+        "invariants_string_not_all", "invariants_nested_list",
+        "repeated_adversary_key", "audit_probe_key"])
 def test_cli_exit_two_on_malformed_field(tmp_path, capsys, overrides, field):
     path = write_config(tmp_path, overrides=overrides)
     _assert_config_error(["run", "--config", path], capsys, field)

@@ -49,10 +49,9 @@ def explored_leaf():
 
 
 def audited_run():
-    """n=4 failure-free run with an end-of-run audit: views 1 and 2 complete
-    everywhere; view 1 is node 1's."""
-    result = run(Scenario(n=4, seed=1, delta_post=10, horizon=2,
-                          audit_probe=True))
+    """n=4 failure-free run, audited from its final node state: views 1 and
+    2 complete everywhere; view 1 is node 1's."""
+    result = run(Scenario(n=4, seed=1, delta_post=10, horizon=2))
     assert check_bbca_consistency(result) == []
     assert check_bbca_complete_adopt(result) == []
     return result
@@ -72,14 +71,21 @@ def runtime_adoption(world):
     world.probe_adopt[1] = NEVER_PROPOSED
 
 
-def audited_adoption(world):
-    # Node 3 restarts and collects an echo quorum for another message, so
-    # the end-of-run audit finds it adopting that message.
-    node = world.nodes[3] = BbcaInstance(world.params, world.instance, 3)
+def restarted_with_echo_quorum(params, instance, node_id):
+    """An instance that restarted and collected an echo quorum for another
+    message, so the end-of-run audit finds it adopting that message."""
+    node = BbcaInstance(params, instance, node_id)
+    sender, view = instance
     for signer in (0, 1, 2):
-        sig = sign(signer, echo_statement(0, 1, NEVER_PROPOSED))
+        sig = sign(signer, echo_statement(sender, view, NEVER_PROPOSED))
         node.on_echo(b"never proposed", sig, signer)
-    assert node.available_adopt() is not None
+    assert node.adoptable_digest() == NEVER_PROPOSED
+    return node
+
+
+def audited_adoption(world):
+    world.nodes[3] = restarted_with_echo_quorum(world.params,
+                                                world.instance, 3)
 
 
 @pytest.mark.parametrize("sabotage", [runtime_adoption, audited_adoption])
@@ -92,7 +98,9 @@ def test_consistency_has_one_wording(sabotage):
 
 def test_consistency_has_one_wording_in_a_run():
     result = audited_run()
-    result.trace.audits[(2, 1)] = (True, NEVER_PROPOSED)
+    node = result.nodes[2]
+    node.instances[1] = restarted_with_echo_quorum(
+        node.params, node.instances[1].instance, 2)
     assert check_bbca_consistency(result) == [
         consistency_text(1, {view_one_block(result), NEVER_PROPOSED})]
 
@@ -101,7 +109,7 @@ def test_runtime_probe_adoptions_count_for_consistency_in_a_run():
     # The golden shape n4-equivocate-init-audit: node 1 equivocates its
     # view-1 proposal and correct nodes adopt when their timers fire.
     result = run(Scenario(n=4, seed=5, delta_post=5, delay_mode="random",
-                          horizon=4, audit_probe=True,
+                          horizon=4,
                           strategies={1: Strategy("equivocate_init")}))
     adoptions = [(node_id, index, entry) for node_id in
                  result.scenario.correct_nodes()
@@ -135,7 +143,7 @@ def test_adopter_half_of_complete_adopt_has_one_wording():
 
     result = audited_run()
     for node_id in result.scenario.correct_nodes():
-        result.trace.audits[(node_id, 1)] = (False, None)
+        result.nodes[node_id].instances[1].echo_sigs.clear()
     assert check_bbca_complete_adopt(result) == [adopters_text(1, 0)]
 
 

@@ -1,0 +1,39 @@
+"""Mutant kill matrix: each named mutant in ``mutants`` must be reported by
+a named invariant check under a small fixed budget.  A runtime safety
+violation alone is not a kill: the named check must report the mutant."""
+
+import pytest
+
+import mutants
+from bbca_chain import harness
+from bbca_chain.scenario import parse_config
+
+# n=4 with a byzantine node 1 that withholds its READYs; timers fire before
+# GST, so correct nodes probe while echoes are still in flight.
+WITHHOLD_READY_N4 = {
+    "n": 4, "delay": "random", "delta_post": 5, "gst": 40,
+    "pre_gst": {"policy": "adversarial", "max_delay": 30}, "t_max": 25,
+    "horizon": 6, "adversary": {"1": {"strategy": "withhold_ready"}},
+    "invariants": "all",
+}
+SEEDS = range(4)
+
+
+def complete_adopt_problems() -> list[str]:
+    problems = []
+    for seed in SEEDS:
+        config = parse_config({**WITHHOLD_READY_N4, "seed": seed})
+        problems += harness.run_config(config).verdicts["complete_adopt"]
+    return problems
+
+
+def test_campaign_is_clean_without_a_mutant():
+    assert complete_adopt_problems() == []
+
+
+@pytest.mark.parametrize("name", sorted(mutants.MUTANTS))
+def test_complete_adopt_kills_mutant(monkeypatch, name):
+    mutants.apply(monkeypatch, name)
+    problems = complete_adopt_problems()
+    assert problems and all(p.startswith("complete-adopt: ")
+                            for p in problems)

@@ -273,13 +273,18 @@ def test_max_ticks_stops_the_run():
     assert max(r[1] for r in trace.records if r[0] == "deliver") == 20
 
 
-def test_audit_probe_records_results():
-    result = run(Scenario(n=4, seed=1, delta_post=10, horizon=2,
-                          audit_probe=True))
-    assert result.trace.audits
-    # Every correct node completed both views, so every audit adopts.
-    for (node, view), (adopted, ref) in result.trace.audits.items():
-        assert adopted and ref is not None
+@pytest.mark.parametrize("name", ["n4-payloads-audit",
+                                  "n4-equivocate-init-audit",
+                                  "n7-replay-audit"])
+def test_adoptable_digest_is_what_a_forced_probe_answers(name):
+    # The end-of-run Complete-Adopt checks read ``adoptable_digest`` in
+    # place of probing; a probe of a copy must answer the same.
+    result = run(SHAPES[name][0])
+    for node_id in result.scenario.correct_nodes():
+        for inst in result.nodes[node_id].instances.values():
+            cert = inst.clone().probe()
+            probed = None if cert is None else cert.block_digest
+            assert inst.adoptable_digest() == probed
 
 
 def test_trace_lines_and_summary_present():
@@ -484,7 +489,7 @@ def test_export_formats_every_record_kind_like_the_generic_join(monkeypatch):
         assert lines[-1] == f"stop {trace.stop_reason}"
         kinds.update(record[0] for record in trace.records)
     assert kinds == {"send", "deliver", "view", "commit", "probe", "timer",
-                     "inject", "violation", "summary", "force_probe"}
+                     "inject", "violation", "summary"}
 
 
 def _joined_digest(trace):
