@@ -100,7 +100,10 @@ class BbcaInstance:
     def _signed(self, kind: MsgKind, message: bytes) -> BbcaMsg:
         instance = self.instance
         stmt = _statement(kind, instance.sender, instance.view, message)
-        return BbcaMsg(kind, instance, message, sign(self.node, stmt))
+        # ``tuple.__new__`` skips the generated constructor, as in
+        # ``identity.sign``: 375-381 -> 244-247 ns per message (timeit).
+        return tuple.__new__(
+            BbcaMsg, (kind, instance, message, sign(self.node, stmt)))
 
     # -- interfaces -------------------------------------------------------
 

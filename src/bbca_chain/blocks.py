@@ -209,7 +209,7 @@ def encode_block(block: Block) -> bytes:
             raise EncodingError("backbone block without justification")
         out.append(u8(just.kind))
         out.append(u32(len(just.new_view_blocks)))
-        out.extend(lp(encode_block(b)) for b in just.new_view_blocks)
+        out.extend(lp(b.encoded) for b in just.new_view_blocks)
     elif block.kind == BlockKind.NEW_VIEW:
         data = block.new_view
         if data is None:
@@ -263,9 +263,11 @@ def _decode_body(r: Reader) -> Block:
             raise EncodingError("too many justification blocks")
         nvbs = []
         for _ in range(count):
-            inner = Reader(r.lp())
+            raw = r.lp()
+            inner = Reader(raw)
             nvb = _decode_body(inner)
             inner.done()
+            nvb.__dict__["encoded"] = raw
             if nvb.kind != BlockKind.NEW_VIEW:
                 raise EncodingError("justification holds a non new-view block")
             nvbs.append(nvb)
@@ -290,6 +292,9 @@ def decode_block(data: bytes) -> Block:
     r = Reader(data)
     block = _decode_body(r)
     r.done()
+    # Decoding normalizes no field, so the input is the block's encoding;
+    # keeping it spares ``digest`` a re-encode.
+    block.__dict__["encoded"] = data
     return block
 
 

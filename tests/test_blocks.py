@@ -2,6 +2,7 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bbca_chain.blocks import (
     Block,
@@ -14,6 +15,7 @@ from bbca_chain.blocks import (
     GENESIS_NEW_VIEW,
     GENESIS_REF,
     Justification,
+    NewViewData,
     decode_block,
     encode_block,
     make_backbone,
@@ -22,7 +24,7 @@ from bbca_chain.blocks import (
 )
 from bbca_chain.chain import BlockMsg
 from bbca_chain.encoding import EncodingError, digest32
-from bbca_chain.identity import params_for
+from bbca_chain.identity import Signature, params_for
 
 from conftest import make_cert, make_complete_nvb, make_noadopt_nvb
 
@@ -67,6 +69,22 @@ def test_new_view_roundtrips():
     for block in (backbone, complete, noadopt):
         assert decode_block(encode_block(block)) == block
         assert decode_block(encode_block(block)).digest == block.digest
+
+
+def test_decoded_block_keeps_its_wire_bytes(params4):
+    backbone = make_backbone(
+        1, 1, Justification(EvidenceKind.COMPLETE, (GENESIS_NEW_VIEW,)),
+        payload=b"keeps its wire bytes")
+    nvb = make_complete_nvb(params4, 3, 1, backbone)
+    outer = make_backbone(2, 2, Justification(EvidenceKind.COMPLETE, (nvb,)))
+    for block in (backbone, nvb, outer):
+        b = encode_block(block)
+        decoded = decode_block(b)
+        assert decoded.encoded is b
+        assert decoded.digest == block.digest
+    # An embedded new-view block holds its slice of the bytes from the start.
+    embedded, = decoded.justification.new_view_blocks
+    assert vars(embedded)["encoded"] == nvb.encoded
 
 
 def test_roundtrip_random_blocks():
@@ -146,3 +164,63 @@ def test_backbone_requires_justification():
     bare = Block(BlockKind.BACKBONE, 1, 1, (), b"")
     with pytest.raises(EncodingError):
         encode_block(bare)
+
+
+# -- codec property ----------------------------------------------------------
+
+_refs = st.lists(st.binary(min_size=32, max_size=32), max_size=3).map(tuple)
+_payloads = st.binary(max_size=12)
+_sigs = st.builds(Signature, st.integers(0, 9),
+                  st.binary(min_size=8, max_size=8))
+_certs = st.builds(Cert, st.sampled_from(CertKind), st.integers(0, 9),
+                   st.integers(0, 2**64 - 1),
+                   st.binary(min_size=32, max_size=32),
+                   st.lists(_sigs, max_size=3).map(tuple))
+
+
+@st.composite
+def _new_view_blocks(draw):
+    evidence = draw(st.sampled_from([EvidenceKind.COMPLETE, EvidenceKind.ADOPT,
+                                     EvidenceKind.NOADOPT]))
+    sig = draw(_sigs) if evidence == EvidenceKind.NOADOPT else None
+    return Block(BlockKind.NEW_VIEW, draw(st.integers(0, 9)),
+                 draw(st.integers(0, 2**64 - 1)), draw(_refs),
+                 draw(_payloads),
+                 new_view=NewViewData(evidence, draw(_certs), sig))
+
+
+@st.composite
+def _blocks(draw):
+    kind = draw(st.sampled_from(BlockKind))
+    if kind == BlockKind.NEW_VIEW:
+        return draw(_new_view_blocks())
+    justification = None
+    if kind == BlockKind.BACKBONE:
+        justification = Justification(
+            draw(st.sampled_from(EvidenceKind)),
+            tuple(draw(st.lists(_new_view_blocks(), max_size=3))))
+    return Block(kind, draw(st.integers(0, 9)),
+                 draw(st.integers(0, 2**64 - 1)), draw(_refs),
+                 draw(_payloads), justification=justification)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(block=_blocks(), mutation=st.none() | st.tuples(
+    st.integers(min_value=0), st.integers(1, 255)))
+def test_codec_round_trips_valid_and_mutated_bytes(block, mutation):
+    # A valid encoding, or one byte of it flipped, either fails to decode
+    # with ``EncodingError`` or decodes to a block that re-encodes to
+    # exactly those bytes: decoding normalizes no field.
+    data = encode_block(block)
+    if mutation is not None:
+        at, flip = mutation[0] % len(data), mutation[1]
+        data = data[:at] + bytes([data[at] ^ flip]) + data[at + 1:]
+    try:
+        decoded = decode_block(data)
+    except EncodingError:
+        assert mutation is not None
+        return
+    assert encode_block(decoded) == data
+    for embedded in (decoded.justification.new_view_blocks
+                     if decoded.justification else ()):
+        assert encode_block(embedded) == embedded.encoded

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -181,6 +185,28 @@ def test_campaign_parallel_jobs_match_serial(tmp_path):
     parallel = harness.run_campaign(config, count=6, jobs=2)
     assert serial.ok and parallel.ok
     assert serial.runs == parallel.runs == 6
+
+
+def test_serial_paths_never_import_the_process_pool(tmp_path):
+    # Only ``--jobs N`` with N > 1 pays for ``multiprocessing``; importing
+    # the CLI or running a serial campaign must not load it.
+    path = write_config(tmp_path, overrides={
+        "stop_after_committed": 2, "horizon": 4})
+    script = ("import sys\n"
+              "import bbca_chain.cli\n"
+              "pool = ('multiprocessing', 'concurrent.futures')\n"
+              "print(sorted(m for m in pool if m in sys.modules))\n"
+              "from bbca_chain import harness\n"
+              "from bbca_chain.scenario import load_config\n"
+              "assert harness.run_campaign(load_config(sys.argv[1]), 2,\n"
+              "                            jobs=1).ok\n"
+              "print(sorted(m for m in pool if m in sys.modules))\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = os.environ | {"PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", script, path], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[]"]
 
 
 def test_explore_config(tmp_path):

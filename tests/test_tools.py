@@ -1,6 +1,7 @@
 """Smoke tests of the scripts under ``tools/``, run in process."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -38,3 +39,20 @@ def test_frame_count_is_deterministic_and_names_record_constructors(
     # field names tell one record type from another.
     assert frame_count.describe(InstanceId.__new__.__code__).endswith(
         ":<lambda>(sender, view)")
+
+
+def test_frame_check_fails_a_rise_past_tolerance_or_a_new_digest(
+        monkeypatch):
+    frame_count = _load_tool("frame_count", monkeypatch)
+    pinned = {"frames": 100_000, "digest": "ab" * 32}
+    assert frame_count.regressions(pinned, dict(pinned, frames=90_000)) == []
+    assert frame_count.regressions(pinned, dict(pinned, frames=100_500)) == []
+    rise, = frame_count.regressions(pinned, dict(pinned, frames=100_501))
+    assert "100501 frames exceed the pinned 100000" in rise
+    moved, = frame_count.regressions(pinned, dict(pinned, digest="cd" * 32))
+    assert "behaviour digest" in moved
+    # The checked-in pin covers every benchmark workload.
+    pins = json.loads((ROOT / "BENCH_frames.json").read_text())
+    assert set(pins["workloads"]) == set(frame_count.workloads.WORKLOADS)
+    assert all(len(entry["top"]) == frame_count.PIN_TOP
+               for entry in pins["workloads"].values())

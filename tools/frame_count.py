@@ -1,6 +1,8 @@
 """Count the Python frames one benchmark workload's fixed work runs.
 
     python3 tools/frame_count.py --workload explore_mixed --seed 3 --top 15
+    python3 tools/frame_count.py --check     # recount against BENCH_frames.json
+    python3 tools/frame_count.py --pin       # rewrite BENCH_frames.json
 
 Builds the workload exactly as ``perfbench`` does (same inputs from the
 seed, same ``Work.setup``), then counts every Python-level ``call`` event
@@ -9,11 +11,23 @@ not counted.  The work is deterministic, so the count is too: unlike wall
 time it can tell apart two versions of a hot path whose speed differs by
 less than the benchmark's run-to-run spread.  Prints the total and the
 ``--top`` functions by call count.
+
+``--pin`` counts every workload at seed 3, each in a fresh interpreter (the
+program's caches start cold, as in a perfbench worker), and writes the
+totals, the top 20 functions, the behaviour digests and the Python version
+to ``BENCH_frames.json``.  ``--check`` recounts at the pinned seed and
+exits 1 if a total rose by more than 0.5% or a behaviour digest changed
+(re-pin in the same commit as a change that means it), and 2 under another
+Python version, whose counts are not comparable.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
+import json
+import platform
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -22,6 +36,11 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import workloads  # noqa: E402  (perfbench/workloads.py, read-only)
+
+PIN_FILE = ROOT / "BENCH_frames.json"
+PIN_SEED = 3
+PIN_TOP = 20
+TOLERANCE = 0.005  # a pinned total may rise by this share before --check fails
 
 
 def count_calls(fn) -> Counter:
@@ -32,11 +51,17 @@ def count_calls(fn) -> Counter:
         if event == "call":
             calls[frame.f_code] += 1
 
+    # A collector callback (a test framework may install one) runs Python
+    # code whenever a collection happens to fall inside ``fn``; its frames
+    # are not the work's, so none is called while counting.
+    callbacks = gc.callbacks[:]
+    gc.callbacks.clear()
     sys.setprofile(profile)
     try:
         fn()
     finally:
         sys.setprofile(None)
+        gc.callbacks[:] = callbacks
     return calls
 
 
@@ -53,25 +78,100 @@ def describe(code) -> str:
     return f"{where}:{code.co_firstlineno}:{name}"
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", required=True,
-                        choices=workloads.WORKLOADS)
-    parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--top", type=int, default=10)
-    args = parser.parse_args(argv)
-
+def measure(workload: str, seed: int, top: int) -> dict:
+    """One workload's frame total, top functions, digest and failures."""
     workloads.import_program(ROOT)
-    work = workloads.Work(args.workload,
-                          workloads.make_inputs(args.workload, args.seed))
+    work = workloads.Work(workload, workloads.make_inputs(workload, seed))
     work.setup()
     calls = count_calls(work.run)
-    summary = workloads.summarize(args.workload, work.ops)
+    summary = workloads.summarize(workload, work.ops)
+    return {"frames": sum(calls.values()), "digest": summary["digest"],
+            "failed": summary["counts"]["failed"],
+            "top": {describe(code): count
+                    for code, count in calls.most_common(top)}}
+
+
+def measure_fresh(workload: str, seed: int) -> dict:
+    """``measure`` in a new interpreter, so no earlier work warms a cache."""
+    done = subprocess.run(
+        [sys.executable, __file__, "--workload", workload, "--seed",
+         str(seed), "--top", str(PIN_TOP), "--json"],
+        capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+def regressions(pinned: dict, fresh: dict) -> list[str]:
+    """Why a fresh count breaks its pin; empty if it holds."""
+    problems = []
+    if fresh["digest"] != pinned["digest"]:
+        problems.append(f"behaviour digest {fresh['digest'][:8]}... differs "
+                        f"from the pinned {pinned['digest'][:8]}...")
+    if (fresh["frames"] - pinned["frames"]) / pinned["frames"] > TOLERANCE:
+        problems.append(f"{fresh['frames']} frames exceed the pinned "
+                        f"{pinned['frames']} by more than {TOLERANCE:.1%}")
+    return problems
+
+
+def pin() -> int:
+    entries = {}
+    for workload in workloads.WORKLOADS:
+        entries[workload] = measure_fresh(workload, PIN_SEED)
+        if entries[workload]["failed"]:
+            print(f"{workload}: failed operations; not pinned")
+            return 1
+        print(f"{workload}: {entries[workload]['frames']} frames")
+    PIN_FILE.write_text(json.dumps(
+        {"python": platform.python_version(), "seed": PIN_SEED,
+         "workloads": entries}, indent=1) + "\n")
+    return 0
+
+
+def check() -> int:
+    pinned = json.loads(PIN_FILE.read_text())
+    if pinned["python"] != platform.python_version():
+        print(f"counts pinned under Python {pinned['python']}, this is "
+              f"{platform.python_version()}: not comparable; re-pin here")
+        return 2
+    failed = False
+    for workload, entry in pinned["workloads"].items():
+        fresh = measure_fresh(workload, pinned["seed"])
+        change = fresh["frames"] / entry["frames"] - 1
+        problems = regressions(entry, fresh)
+        failed = failed or bool(problems)
+        print(f"{workload}: {entry['frames']} -> {fresh['frames']} frames "
+              f"({change:+.2%}) {'FAIL' if problems else 'ok'}")
+        for problem in problems:
+            print(f"  {problem}")
+    return 1 if failed else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--workload", choices=workloads.WORKLOADS)
+    mode.add_argument("--pin", action="store_true")
+    mode.add_argument("--check", action="store_true")
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--top", type=int, default=10)
+    parser.add_argument("--json", action="store_true",
+                        help="print the count as one JSON object")
+    args = parser.parse_args(argv)
+    if args.pin:
+        return pin()
+    if args.check:
+        return check()
+    if args.seed is None:
+        parser.error("--workload needs --seed")
+
+    result = measure(args.workload, args.seed, args.top)
+    if args.json:
+        print(json.dumps(result))
+        return 0
     print(f"workload {args.workload} seed {args.seed}: "
-          f"{sum(calls.values())} Python frames, digest {summary['digest']}, "
-          f"failed {summary['counts']['failed']}")
-    for code, count in calls.most_common(args.top):
-        print(f"{count:>10}  {describe(code)}")
+          f"{result['frames']} Python frames, digest {result['digest']}, "
+          f"failed {result['failed']}")
+    for where, count in result["top"].items():
+        print(f"{count:>10}  {where}")
     return 0
 
 
