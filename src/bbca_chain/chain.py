@@ -165,8 +165,10 @@ def validate_backbone_block(block: Block, params: SystemParams) -> bool:
     return False  # GENESIS justification is only for the genesis constant
 
 
+@lru_cache(maxsize=1024)
 def make_predicate(view: int, params: SystemParams):
-    """Validity predicate bound to one broadcast instance."""
+    """Validity predicate bound to one view's broadcast instance; one closure
+    per view, shared by every node."""
 
     def predicate(message: bytes) -> bool:
         try:
@@ -388,7 +390,12 @@ class ChainNode:
                 self.pending_commit.add(ref)
 
     def _anchor_for(self, view: int) -> Cert:
-        return self.held_certs[max(v for v in self.held_certs if v <= view)]
+        # Walk down to the highest held view: view 0 is always held, and a
+        # node holds a certificate for most recent views.
+        held = self.held_certs
+        while view not in held:
+            view -= 1
+        return held[view]
 
     def _make_own_new_view_block(self, view: int, data: NewViewData) -> None:
         if view in self.emitted_nvb:
@@ -433,6 +440,13 @@ class ChainNode:
     def _enter_view(self, view: int, cause: str) -> None:
         if view <= self.view:
             return
+        # Offer each instance to ``settle`` once, on entering the view two
+        # past it; views skipped by a catch-up are offered too.
+        instances = self.instances
+        for old in range(max(self.view - 1, 1), view - 1):
+            inst = instances.get(old)
+            if inst is not None:
+                inst.settle()
         self.view = view
         self.rules_dirty = True
         if self._terminal():

@@ -9,6 +9,7 @@ on that rule says what changed.
 
 from bbca_chain.bbca import ECHO, READY, BbcaInstance, message_digest
 from bbca_chain.bbca import _statement as statement
+from bbca_chain.blocks import Cert, CertKind
 from bbca_chain.identity import verify
 
 
@@ -18,7 +19,7 @@ def _on_echo_sending_ready_when(ready_rule):
 
     def on_echo(self, message, sig, frm):
         signer = sig.signer
-        if signer in self.received_echo:
+        if signer in self.received_echo or not 0 <= signer < self.params.n:
             return []
         digest = message_digest(message)
         if digest not in self.pending and not self.predicate(message):
@@ -38,6 +39,52 @@ def _on_echo_sending_ready_when(ready_rule):
     return on_echo
 
 
+def _on_echo_counting_repeats(self, message, sig, frm):
+    """``BbcaInstance.on_echo`` without its dedupe by signer, except that a
+    settled instance, whose tables are read-only, still drops every vote."""
+    signer = sig.signer
+    if self.settled or not 0 <= signer < self.params.n:  # mutated
+        return []
+    digest = message_digest(message)
+    if digest not in self.pending and not self.predicate(message):
+        return []
+    sender, view = self.instance
+    if not verify(sig, statement(ECHO, sender, view, message), signer):
+        return []
+    self.received_echo.add(signer)
+    self.pending[digest] = message
+    sigs = (*self.echo_sigs.get(digest, ()), sig)
+    self.echo_sigs[digest] = sigs
+    if (not self.ready and not self.abort
+            and len(sigs) == self.params.quorum):
+        self.ready = True
+        return [self._signed(READY, message)]
+    return []
+
+
+def _on_ready_completing_at_quorum_minus_one(self, message, sig, frm):
+    """``BbcaInstance.on_ready`` completing one READY short of the quorum."""
+    signer = sig.signer
+    if signer in self.received_ready or not 0 <= signer < self.params.n:
+        return None
+    digest = message_digest(message)
+    if digest not in self.pending and not self.predicate(message):
+        return None
+    sender, view = self.instance
+    if not verify(sig, statement(READY, sender, view, message), signer):
+        return None
+    self.received_ready.add(signer)
+    self.pending[digest] = message
+    sigs = (*self.ready_sigs.get(digest, ()), sig)
+    self.ready_sigs[digest] = sigs
+    if (self.completed is None
+            and len(sigs) == self.params.quorum - 1):  # mutated
+        self.completed = Cert(CertKind.COMPLETE, sender, view, digest,
+                              tuple(sorted(sigs)))
+        return self.completed
+    return None
+
+
 MUTANTS = {
     # READY is sent on an echo quorum even after a probe aborted.
     "ready_despite_abort": (
@@ -48,6 +95,12 @@ MUTANTS = {
         BbcaInstance, "on_echo", _on_echo_sending_ready_when(
             lambda inst, count: (not inst.abort
                                  and count == inst.params.quorum - 1))),
+    # A signer's repeated or relayed ECHO counts again.
+    "no_echo_dedupe": (
+        BbcaInstance, "on_echo", _on_echo_counting_repeats),
+    # Completion one READY short of the quorum.
+    "completion_at_quorum_minus_one": (
+        BbcaInstance, "on_ready", _on_ready_completing_at_quorum_minus_one),
 }
 
 

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bbca_chain.bbca import (
     BbcaInstance,
@@ -8,7 +9,7 @@ from bbca_chain.bbca import (
 )
 from bbca_chain.blocks import Cert, CertKind, verify_cert
 from bbca_chain.encoding import digest32, echo_statement, ready_statement
-from bbca_chain.identity import params_for, sign
+from bbca_chain.identity import Signature, params_for, sign
 
 BID = InstanceId(sender=0, view=1)
 M = b"proposal"
@@ -29,6 +30,9 @@ def echo_from(node, message=M):
 def ready_from(node, message=M):
     stmt = ready_statement(BID.sender, BID.view, digest32(message))
     return sign(node, stmt)
+
+
+VOTE = {MsgKind.ECHO: echo_from, MsgKind.READY: ready_from}
 
 
 # -- broadcast ---------------------------------------------------------------
@@ -257,6 +261,21 @@ def test_signature_less_echo_or_ready_is_dropped(kind):
 
 
 @pytest.mark.parametrize("kind", [MsgKind.ECHO, MsgKind.READY])
+def test_votes_signed_by_unknown_ids_are_dropped(kind):
+    # Signatures are checked against the claimed signer only; without a
+    # range check, three votes signed as ids 100-102 made a READY and a
+    # COMPLETE certificate that ``verify_cert`` rejects.
+    node = fresh()
+    vote = VOTE[kind]
+    for signer in (-1, 4, 100, 101, 102):
+        msg = BbcaMsg(kind, BID, M, vote(signer))
+        assert node.handle_message(3, msg) == ([], None)
+    assert not node.received_echo and not node.received_ready
+    assert not node.echo_sigs and not node.ready_sigs and not node.pending
+    assert node.completed is None and not node.ready
+
+
+@pytest.mark.parametrize("kind", [MsgKind.ECHO, MsgKind.READY])
 def test_invalid_proposal_is_rejected_on_every_delivery(kind):
     # A byzantine signer relays a proposal the predicate rejects; each copy
     # is checked again and none counts its signer.
@@ -321,3 +340,119 @@ def test_equivocating_sender_cannot_split_completions():
     adopted = {cert.block_digest for n in nodes.values()
                if (cert := n.probe()) is not None}
     assert len(adopted | completed) <= 1
+
+
+# -- settling ---------------------------------------------------------------------
+# Once a node sent its own ECHO and holds the ECHO and the READY of all n
+# nodes, ``settle`` drops its vote tables and keeps its answers.
+
+M2 = b"other proposal"
+
+
+def answers(node):
+    return node.completed, node.adoptable_digest(), node.available_adopt()
+
+
+def driven(steps):
+    """Node 1 after ``steps``: (frm, msg) deliveries, ``None`` a probe."""
+    node = fresh()
+    for step in steps:
+        if step is None:
+            node.probe()
+        else:
+            node.handle_message(*step)
+    return node
+
+
+def votes(kind, messages):
+    return [(signer, BbcaMsg(kind, BID, message, VOTE[kind](signer, message)))
+            for signer, message in enumerate(messages)]
+
+
+@st.composite
+def _every_vote(draw):
+    """The sender's INIT, then an ECHO and a READY from each of the n nodes,
+    each for one of two messages, in any order, with up to two probes."""
+    messages = st.lists(st.sampled_from([M, M2]), min_size=4, max_size=4)
+    steps = [(0, BbcaMsg(MsgKind.INIT, BID, M)),
+             *votes(MsgKind.ECHO, draw(messages)),
+             *votes(MsgKind.READY, draw(messages)),
+             *[None] * draw(st.integers(0, 2))]
+    return draw(st.permutations(steps))
+
+
+_SIGNERS = st.integers(-1, 5) | st.sampled_from([100, 101, 102])
+
+
+@st.composite
+def _any_input(draw):
+    """A probe (``None``) or a delivery: INIT from anyone, or an ECHO or
+    READY that is valid, forged or unsigned, by any id, replayed or not."""
+    kind = draw(st.sampled_from([None, *MsgKind]))
+    if kind is None:
+        return None
+    message = draw(st.sampled_from([M, M2, b"junk"]))
+    frm = draw(st.integers(0, 5))
+    if kind == MsgKind.INIT:
+        return frm, BbcaMsg(kind, BID, message)
+    signer = draw(_SIGNERS)
+    sig = draw(st.sampled_from([VOTE[kind](signer, message),
+                                Signature(signer, bytes(8)), None]))
+    return frm, BbcaMsg(kind, BID, message, sig)
+
+
+@st.composite
+def _stranger_vote(draw):
+    """A validly signed ECHO or READY from an id outside [0, n)."""
+    kind = draw(st.sampled_from([MsgKind.ECHO, MsgKind.READY]))
+    signer = draw(st.sampled_from([-1, 4, 5, 100]))
+    message = draw(st.sampled_from([M, M2]))
+    return signer, BbcaMsg(kind, BID, message, VOTE[kind](signer, message))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(steps=_every_vote(), later=st.lists(_any_input(), max_size=20))
+def test_a_settled_instance_and_its_clone_ignore_every_input(steps, later):
+    node = driven(steps)
+    before = answers(node)
+    assert node.settle() and node.settled
+    assert answers(node) == before
+    assert not node.pending and not node.echo_sigs and not node.ready_sigs
+    twin = node.clone()
+    assert twin.settled and answers(twin) == before
+    for inst in (node, twin):
+        for step in later:
+            if step is None:
+                assert inst.probe() == before[2]
+            else:
+                assert inst.handle_message(*step) == ([], None)
+            assert answers(inst) == before
+        assert not inst.settle()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(steps=_every_vote(), missing=st.integers(0, 8),
+       strangers=st.lists(_stranger_vote(), max_size=4))
+def test_an_instance_missing_any_vote_never_settles(steps, missing,
+                                                      strangers):
+    # Missing the INIT means the node never sent its own ECHO.  Votes from
+    # ids outside [0, n) must not stand in for the missing one.
+    dropped = [step for step in steps if step is not None][missing]
+    kept = [step for step in steps if step is not dropped]
+    node = driven([*kept, *strangers, *kept])
+    before = answers(node)
+    assert not node.settle() and not node.settled
+    assert answers(node) == before
+
+
+def test_settled_instances_share_their_tables():
+    steps = [(0, BbcaMsg(MsgKind.INIT, BID, M)),
+             *votes(MsgKind.ECHO, [M] * 4), *votes(MsgKind.READY, [M] * 4)]
+    one, other = driven(steps), driven(steps)
+    assert one.settle() and other.settle()
+    assert one.received_echo is other.received_ready == frozenset(range(4))
+    assert one.echo_sigs is other.pending
+    with pytest.raises(TypeError):
+        one.pending[digest32(M)] = M
+    assert one.available_adopt() == other.probe()
+    assert [sig.signer for sig in one.available_adopt().sigs] == [0, 1, 2]

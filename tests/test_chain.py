@@ -1,6 +1,9 @@
-import pytest
+from collections import Counter
 
-from bbca_chain.bbca import BbcaMsg, InstanceId, MsgKind
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from bbca_chain.bbca import BbcaInstance, BbcaMsg, InstanceId, MsgKind
 from bbca_chain.blocks import (
     CertKind,
     EvidenceKind,
@@ -28,7 +31,8 @@ from bbca_chain.chain import (
     validate_new_view_block,
 )
 from bbca_chain.encoding import echo_statement, ready_statement
-from bbca_chain.identity import sign
+from bbca_chain.identity import params_for, sign
+from bbca_chain.simnet import Scenario, run
 from conftest import (
     make_adopt_nvb,
     make_cert,
@@ -583,3 +587,85 @@ def test_submit_payload_builds_connected_data_block(params4):
     assert node.my_last_ref == block.digest
     second = node.submit_payload(b"tx2")
     assert block.digest in second.refs
+
+
+# -- votes from unknown ids --------------------------------------------------------
+
+def test_votes_signed_by_unknown_ids_never_finalize_a_forged_block(params4):
+    # A byzantine node 3 delivers a view-1 backbone that node 1 never
+    # proposed; it passes the predicate, since a block carries no author
+    # signature.  Its three ECHOs and three READYs are signed as ids
+    # 100-102, which once made node 0 send READY, complete and commit it.
+    blocks, _ = make_complete_chain(params4, 1)
+    forged = blocks[1]
+    node = ChainNode(0, params4)
+    node.start()
+    node.take_outbox()
+    bid = InstanceId(1, 1)
+    for kind, statement in ((MsgKind.ECHO, echo_statement),
+                            (MsgKind.READY, ready_statement)):
+        for signer in (100, 101, 102):
+            sig = sign(signer, statement(1, 1, forged.digest))
+            node.handle_message(3, BbcaMsg(kind, bid, forged.encoded, sig))
+    assert broadcasts(node) == []
+    assert node.instances[1].completed is None
+    assert 1 not in node.finalized and node.last_committed == 0
+    assert 1 not in node.held_certs and node.view == 1
+
+
+# -- settling finished instances ------------------------------------------------------
+
+@pytest.fixture
+def offers(monkeypatch):
+    """Each ``BbcaInstance.settle`` call as (node, instance view)."""
+    calls = []
+    settle = BbcaInstance.settle
+
+    def counted(inst):
+        calls.append((inst.node, inst.instance.view))
+        return settle(inst)
+
+    monkeypatch.setattr(BbcaInstance, "settle", counted)
+    return calls
+
+
+def test_each_instance_is_offered_once_two_views_on(offers):
+    result = run(Scenario(n=4, seed=1, delta_post=10, horizon=6))
+    assert max(Counter(offers).values()) == 1
+    for node in result.nodes.values():
+        assert {view for node_id, view in offers if node_id == node.id} == {
+            view for view in node.instances if view <= node.view - 2}
+    settled = [(node.id, view) for node in result.nodes.values()
+               for view, inst in node.instances.items() if inst.settled]
+    assert settled and set(settled) <= set(offers)
+
+
+def test_views_skipped_by_a_catch_up_are_offered(params4, offers):
+    # The shape of ``test_jump_over_views_on_higher_evidence``: node 0 jumps
+    # from view 1 to view 4, past instances that hold only an INIT.
+    blocks, _ = make_complete_chain(params4, 3)
+    node = ChainNode(0, params4)
+    node.start()
+    for view in (1, 2, 3):
+        node.handle_message(1, BbcaMsg(
+            MsgKind.INIT, InstanceId(get_proposer(view, params4), view),
+            blocks[view].encoded))
+    node.handle_message(3, BlockMsg(make_complete_nvb(params4, 3, 3,
+                                                      blocks[3])))
+    assert node.view == 4
+    assert offers == [(0, 1), (0, 2)]
+    assert not any(inst.settled for inst in node.instances.values())
+
+
+# -- the noadopt anchor ------------------------------------------------------------
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(held=st.sets(st.integers(1, 60), max_size=30),
+       view=st.integers(0, 70))
+def test_anchor_is_the_highest_held_certificate_at_or_below_the_view(
+        held, view):
+    node = ChainNode(0, params_for(4))
+    node.held_certs = {v: GENESIS_CERT._replace(view=v)
+                       for v in sorted({0, *held})}
+    highest = max(v for v in node.held_certs if v <= view)
+    assert node._anchor_for(view) is node.held_certs[highest]

@@ -135,6 +135,15 @@ def test_noadopt_half_of_complete_adopt_has_one_wording():
     assert check_bbca_complete_adopt(result) == [noadopt_text(1)]
 
 
+def completed_without_echoes(inst):
+    """A fresh instance that holds ``inst``'s completion and no echo: nothing
+    left to adopt.  A run's instance may have settled, and a settled one
+    answers from what it kept, so the state is built, not edited."""
+    twin = BbcaInstance(inst.params, inst.instance, inst.node)
+    twin.completed = inst.completed
+    return twin
+
+
 def test_adopter_half_of_complete_adopt_has_one_wording():
     world = explored_leaf()
     for node in world.nodes.values():
@@ -143,7 +152,8 @@ def test_adopter_half_of_complete_adopt_has_one_wording():
 
     result = audited_run()
     for node_id in result.scenario.correct_nodes():
-        result.nodes[node_id].instances[1].echo_sigs.clear()
+        instances = result.nodes[node_id].instances
+        instances[1] = completed_without_echoes(instances[1])
     assert check_bbca_complete_adopt(result) == [adopters_text(1, 0)]
 
 

@@ -16,14 +16,26 @@ WITHHOLD_READY_N4 = {
     "horizon": 6, "adversary": {"1": {"strategy": "withhold_ready"}},
     "invariants": "all",
 }
-SEEDS = range(4)
+# The same shape with node 1 replaying what it receives.
+REPLAY_N4 = {**WITHHOLD_READY_N4,
+             "adversary": {"1": {"strategy": "replay"}}}
+CAMPAIGN = [(WITHHOLD_READY_N4, range(4)), (REPLAY_N4, range(8))]
+
+# Mutants that no named check reports within the campaign; each has a
+# ``FOUND:`` line in CHANGES.md.
+SURVIVORS = {
+    # Neither a relayed nor a replayed ECHO makes a correct node break a
+    # checked rule here; no explorer case kills it either.
+    "no_echo_dedupe": "a repeated ECHO breaks no checked rule",
+}
 
 
 def complete_adopt_problems() -> list[str]:
     problems = []
-    for seed in SEEDS:
-        config = parse_config({**WITHHOLD_READY_N4, "seed": seed})
-        problems += harness.run_config(config).verdicts["complete_adopt"]
+    for raw, seeds in CAMPAIGN:
+        for seed in seeds:
+            config = parse_config({**raw, "seed": seed})
+            problems += harness.run_config(config).verdicts["complete_adopt"]
     return problems
 
 
@@ -31,7 +43,10 @@ def test_campaign_is_clean_without_a_mutant():
     assert complete_adopt_problems() == []
 
 
-@pytest.mark.parametrize("name", sorted(mutants.MUTANTS))
+@pytest.mark.parametrize("name", [
+    name if name not in SURVIVORS else pytest.param(
+        name, marks=pytest.mark.xfail(strict=True, reason=SURVIVORS[name]))
+    for name in sorted(mutants.MUTANTS)])
 def test_complete_adopt_kills_mutant(monkeypatch, name):
     mutants.apply(monkeypatch, name)
     problems = complete_adopt_problems()

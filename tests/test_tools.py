@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import sys
+import tracemalloc
 from pathlib import Path
 
 from bbca_chain.bbca import InstanceId
@@ -56,3 +57,28 @@ def test_frame_check_fails_a_rise_past_tolerance_or_a_new_digest(
     assert set(pins["workloads"]) == set(frame_count.workloads.WORKLOADS)
     assert all(len(entry["top"]) == frame_count.PIN_TOP
                for entry in pins["workloads"].values())
+
+
+def test_peak_memory_releases_each_retained_structure(monkeypatch):
+    peak_memory = _load_tool("peak_memory", monkeypatch)
+    tracemalloc.start()
+    try:
+        result = run(Scenario(n=4, seed=1, delta_post=10, horizon=6))
+        to_release = peak_memory.releases(result)
+        # The program's caches are shared with the other tests: kept.
+        rows = peak_memory.retained([(label, release)
+                                     for label, release in to_release
+                                     if not label.startswith("cache ")])
+    finally:
+        tracemalloc.stop()
+    labels = [label for label, _ in to_release]
+    assert labels[:2] == ["trace records", "trace view_entries"]
+    for prefix in ("node DAGs", "BBCA instances, settled (",
+                   "BBCA instances, unsettled (", "other per-view chain",
+                   "cache chain.make_predicate ("):
+        assert any(label.startswith(prefix) for label in labels), prefix
+    assert sum(freed for _, freed in rows) > 0
+    for node in result.nodes.values():
+        assert node.dag is None and not node.instances
+        assert not node.finalized and not node.committed_log
+    assert not result.trace.records

@@ -11,6 +11,16 @@ held when the phase began, the most they held at once during it, and what
 they held when it ended.  Unlike peak RSS these figures do not depend on
 the allocator or on what the process did before, so they are the same
 on every run of one seed and one Python version.
+
+It then reports where the run-end memory sits: it releases, one at a
+time and in this order, the trace ``records``, each trace side table, the
+per-node DAGs, the settled and then the unsettled BBCA instances, the
+other per-view chain state, the committed logs and each ``lru_cache`` of
+the program, and prints the memory each release freed.  An object held by
+two structures is counted with the later one, so the order is part of the
+figures.  Deriving the inputs runs the workload once before tracing
+starts, so the cache entries and the decoded blocks they hold are not
+traced: the cache rows read about 0 and give each cache's entry count.
 """
 
 from __future__ import annotations
@@ -18,6 +28,7 @@ from __future__ import annotations
 import argparse
 import sys
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -26,6 +37,71 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402  (perfbench/workloads.py, read-only)
 
 MIB = 1024 * 1024
+
+# Per-view chain state other than the BBCA instances, the DAG and the log.
+CHAIN_TABLES = ("new_view_blocks", "held_certs", "finalized",
+                "pending_complete", "pending_commit", "probed", "proposed",
+                "emitted_nvb")
+
+
+def releases(result) -> list[tuple[str, object]]:
+    """(label, release) for each structure a finished run retains, in the
+    order to release them; releasing empties ``result`` and the caches."""
+    trace, nodes = result.trace, list(result.nodes.values())
+
+    def drop_instances(settled):
+        def release():
+            for node in nodes:
+                node.instances = {view: inst for view, inst
+                                  in node.instances.items()
+                                  if inst.settled != settled}
+        return release
+
+    def clear_each(names):
+        def release():
+            for node in nodes:
+                for name in names:
+                    getattr(node, name).clear()
+        return release
+
+    def drop_dags():
+        for node in nodes:
+            node.dag = None
+
+    settled = sum(inst.settled for node in nodes
+                  for inst in node.instances.values())
+    unsettled = sum(len(node.instances) for node in nodes) - settled
+    out = [(f"trace {field.name}", getattr(trace, field.name).clear)
+           for field in fields(trace)
+           if isinstance(getattr(trace, field.name), (list, dict))]
+    out += [("node DAGs", drop_dags),
+            (f"BBCA instances, settled ({settled})", drop_instances(True)),
+            (f"BBCA instances, unsettled ({unsettled})",
+             drop_instances(False)),
+            ("other per-view chain state", clear_each(CHAIN_TABLES)),
+            ("committed logs", clear_each(("committed_log",
+                                           "committed_set")))]
+    for module in sorted(
+            (m for name, m in sys.modules.items()
+             if name.startswith("bbca_chain.")), key=lambda m: m.__name__):
+        for name, value in sorted(vars(module).items()):
+            if (hasattr(value, "cache_clear")
+                    and getattr(value, "__module__", None) == module.__name__):
+                label = (f"cache {module.__name__.split('.')[-1]}.{name} "
+                         f"({value.cache_info().currsize})")
+                out.append((label, value.cache_clear))
+    return out
+
+
+def retained(to_release) -> list[tuple[str, int]]:
+    """Run each ``(label, release)`` in turn; return the bytes of traced
+    memory each release freed."""
+    rows = []
+    for label, release in to_release:
+        before = tracemalloc.get_traced_memory()[0]
+        release()
+        rows.append((label, before - tracemalloc.get_traced_memory()[0]))
+    return rows
 
 
 def main(argv=None) -> int:
@@ -54,11 +130,14 @@ def main(argv=None) -> int:
         result = traced("run", work.simulator.run)
         traced("evaluate", lambda: harness.evaluate(result, work.config))
         digest = traced("digest", result.trace.digest)
+        records = len(result.trace.records)
+        held = retained(releases(result))
+        left = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
 
     same = digest == work.inputs["reference_digest"]
-    print(f"workload sim_long seed {args.seed}: {len(result.trace.records)} "
+    print(f"workload sim_long seed {args.seed}: {records} "
           f"trace records, digest {digest[:16]}"
           f"{'' if same else ' (differs from the derived reference)'}")
     print(f"{'phase':<10}{'start MiB':>11}{'peak MiB':>10}{'end MiB':>9}"
@@ -66,6 +145,10 @@ def main(argv=None) -> int:
     for name, before, peak, after in rows:
         print(f"{name:<10}{before / MIB:>11.2f}{peak / MIB:>10.2f}"
               f"{after / MIB:>9.2f}{(peak - before) / MIB:>14.2f}")
+    print(f"\n{'retained at run end, released in turn':<46}{'MiB':>8}")
+    for label, freed in held:
+        print(f"{label:<46}{freed / MIB:>8.2f}")
+    print(f"{'left':<46}{left / MIB:>8.2f}")
     return 0 if same else 1
 
 
