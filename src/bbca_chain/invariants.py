@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .bbca import BbcaMsg, InstanceId, MsgKind
+from .bbca import InstanceId, MsgKind
 from .blocks import GENESIS_NEW_VIEW, GENESIS_REF
 from .chain import CERT_DRIVEN_CAUSES, NO_OP, ChainNode, get_proposer
 from .identity import NodeId
@@ -220,15 +220,9 @@ def check_bbca_complete_adopt(result: RunResult, cfg=None) -> list[str]:
 
 def check_echo_once(result: RunResult, cfg=None) -> list[str]:
     correct = set(result.scenario.correct_nodes())
-    sends: SendCounts = {}
-    for record in result.trace.records:
-        if record[0] != "send" or record[2] not in correct:
-            continue
-        msg = record[3]
-        if isinstance(msg, BbcaMsg):
-            key = (record[2], msg.kind, msg.instance)
-            sends[key] = sends.get(key, 0) + 1
-    return echo_once(sends)
+    return echo_once({key: count
+                      for key, count in result.trace.bbca_sends.items()
+                      if key[0] in correct})
 
 
 def check_noop_views(result: RunResult, cfg) -> list[str]:

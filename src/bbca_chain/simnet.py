@@ -18,9 +18,9 @@ import dataclasses
 import hashlib
 import heapq
 import random
+import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
 from typing import Iterator, NamedTuple
 
 from .bbca import INIT, READY, BbcaInstance, BbcaMsg, message_digest
@@ -273,77 +273,118 @@ class Adversary:
 
 # -- trace --------------------------------------------------------------------
 
-# Lines joined and hashed per sha256 update in Trace.digest, and the most
-# message texts Trace._lines keeps memoized: together they bound the memory
-# of a digest, whatever the run's length.
+# The simulator hashes the waiting trace records once this many have
+# gathered, so ``Trace.records`` never holds much more than one chunk.
 _DIGEST_CHUNK_LINES = 128
+
+# One (entry tick, delivery tick, frm, to) row of ``Trace.deliveries``: 24
+# bytes, against about 110 for a tuple in a list.
+_DELIVERY = struct.Struct("=qqII")
+
+
+class Deliveries:
+    """The (entry tick, delivery tick, frm, to) row of every scheduled
+    delivery, packed into one ``bytearray``; ``len()`` counts the rows and
+    iterating yields them as 4-tuples."""
+
+    __slots__ = ("packed",)
+
+    def __init__(self):
+        self.packed = bytearray()
+
+    def append(self, row: tuple[int, int, NodeId, NodeId]) -> None:
+        self.packed += _DELIVERY.pack(*row)
+
+    def clear(self) -> None:
+        self.packed.clear()
+
+    def __len__(self) -> int:
+        return len(self.packed) // _DELIVERY.size
+
+    def __iter__(self) -> Iterator[tuple[int, int, NodeId, NodeId]]:
+        return _DELIVERY.iter_unpack(self.packed)
 
 
 @dataclass
 class Trace:
     """Everything one simulator run recorded, in event order.
 
-    ``export_lines()`` formats ``records`` one line each, then a final
-    ``stop`` line.  ``digest()`` is ``sha256("\n".join(export_lines()))``
-    in hex, byte for byte, but it never builds that list, string or bytes
-    object: it formats and hashes ``_DIGEST_CHUNK_LINES`` lines at a time,
-    so the memory it needs beyond ``records`` does not grow with the run.
+    The trace lines are hashed as the run goes: ``flush()`` formats the
+    waiting ``records`` one line each into a running sha256 and empties
+    the list.  ``digest()`` flushes, then adds the final ``stop`` line to a
+    copy of that sha256: in hex, ``sha256("\n".join(export_lines()))``
+    byte for byte, and the same however often it is called.  Only a trace
+    whose ``kept`` is a list from the start can ``export_lines()``: each
+    flush appends its records there.
     """
 
-    # send/deliver records end with the message object; _lines formats it
+    # Not yet hashed; send/deliver records end with the message object.
     records: list[tuple] = field(default_factory=list)
+    kept: list[tuple] | None = None  # every flushed record, when a list
     view_entries: dict[NodeId, dict[int, tuple[int, str]]] = field(
         default_factory=dict)
     commit_ticks: dict[BlockRef, dict[NodeId, int]] = field(
         default_factory=dict)
     send_ticks: dict[BlockRef, int] = field(default_factory=dict)
-    deliveries: list[tuple[int, int, NodeId, NodeId]] = field(
-        default_factory=list)  # (entry tick, delivery tick, frm, to)
+    deliveries: Deliveries = field(default_factory=Deliveries)
+    # (sender, MsgKind, InstanceId) -> BBCA messages sent
+    bbca_sends: dict[tuple, int] = field(default_factory=dict)
     probes: dict[NodeId, list[tuple[int, int, bool, BlockRef | None]]] = \
         field(default_factory=dict)  # node -> [(tick, view, adopted, ref)]
     injected: list[tuple[int, NodeId, BlockRef]] = field(default_factory=list)
     failure: tuple[int, str] | None = None  # (event index, description)
     stop_reason: str = ""
     events_processed: int = 0
+    _sha: object = field(default_factory=hashlib.sha256, init=False,
+                         repr=False, compare=False)
 
     def record(self, *fields) -> None:
         self.records.append(fields)
 
-    def _lines(self) -> Iterator[str]:
-        # id(msg) -> text, for this pass only; a message is sent once and
-        # delivered n times within a few ticks, so a bounded memo suffices.
-        described: dict[int, str] = {}
-        for record in self.records:
-            kind = record[0]
-            if kind == "send" or kind == "deliver":
-                msg = record[-1]
-                text = described.get(id(msg))
-                if text is None:
-                    if len(described) == _DIGEST_CHUNK_LINES:
-                        described.clear()
-                    text = described[id(msg)] = _describe(msg)
-                # Byte-identical to the generic join below with the text in
-                # place of msg; kept for +15% campaign_byz runs/s (seed 5).
-                if kind == "send":
-                    yield f"send {record[1]} {record[2]} {text}"
-                else:
-                    yield f"deliver {record[1]} {record[2]} {record[3]} {text}"
-            else:
-                yield " ".join(map(str, record))
-        yield f"stop {self.stop_reason}"
+    def flush(self) -> None:
+        """Hash the waiting records, one line each, and empty ``records``."""
+        records = self.records
+        if records:
+            if self.kept is not None:
+                self.kept.extend(records)
+            self._sha.update("\n".join(_lines(records)).encode())
+            self._sha.update(b"\n")
+            records.clear()
 
     def export_lines(self) -> list[str]:
-        return list(self._lines())
+        if self.kept is None:
+            raise ValueError("export_lines() needs a trace whose kept is a "
+                             "list before the first record")
+        self.flush()
+        return [*_lines(self.kept), f"stop {self.stop_reason}"]
 
     def digest(self) -> str:
-        sha = hashlib.sha256()
-        lines = self._lines()
-        separator = b""  # then b"\n" between chunks, as between lines
-        while chunk := list(islice(lines, _DIGEST_CHUNK_LINES)):
-            sha.update(separator)
-            sha.update("\n".join(chunk).encode())
-            separator = b"\n"
+        self.flush()
+        sha = self._sha.copy()
+        sha.update(f"stop {self.stop_reason}".encode())
         return sha.hexdigest()
+
+
+def _lines(records: list[tuple]) -> Iterator[str]:
+    # id(msg) -> text, for this pass only: the records hold their messages,
+    # so no id is reused while the memo lives.  A message is sent once and
+    # delivered n times within a few ticks, so most repeats fall in one pass.
+    described: dict[int, str] = {}
+    for record in records:
+        kind = record[0]
+        if kind == "send" or kind == "deliver":
+            msg = record[-1]
+            text = described.get(id(msg))
+            if text is None:
+                text = described[id(msg)] = _describe(msg)
+            # Byte-identical to the generic join below with the text in
+            # place of msg; kept for +15% campaign_byz runs/s (seed 5).
+            if kind == "send":
+                yield f"send {record[1]} {record[2]} {text}"
+            else:
+                yield f"deliver {record[1]} {record[2]} {record[3]} {text}"
+        else:
+            yield " ".join(map(str, record))
 
 
 @dataclass
@@ -408,16 +449,22 @@ class Simulator:
     def _transmit(self, frm: NodeId, msg: WireMsg,
                   targets: tuple[NodeId, ...], lag: int) -> None:
         """Send ``msg`` to ``targets`` (ascending), entering the net after
-        ``lag`` ticks.  Inlines ``_push`` and ``Trace.record``, kept for
-        +2.2% sim_long events/s (perfbench seed 5)."""
+        ``lag`` ticks.  Inlines ``_push``, ``Trace.record`` and
+        ``Deliveries.append``; the first two kept for +2.2% sim_long
+        events/s (perfbench seed 5)."""
         entry = self.now + lag
         self._note_block_send(msg, entry)
         trace = self.trace
         trace.records.append(("send", entry, frm, msg))
-        deliveries, heap, seq = trace.deliveries, self._heap, self._seq
+        if isinstance(msg, BbcaMsg):
+            key = (frm, msg.kind, msg.instance)
+            sends = trace.bbca_sends
+            sends[key] = sends.get(key, 0) + 1
+        packed, heap, seq = trace.deliveries.packed, self._heap, self._seq
+        pack = _DELIVERY.pack
         ticks = self.delay_model.delivery_ticks(entry, len(targets), self.rng)
         for target, tick in zip(targets, ticks):
-            deliveries.append((entry, tick, frm, target))
+            packed += pack(entry, tick, frm, target)
             heapq.heappush(heap, (tick, seq, Deliver(target, frm, msg)))
             seq += 1
         self._seq = seq
@@ -461,6 +508,7 @@ class Simulator:
             self.nodes[node_id].start()
             self._drain(node_id)
         stop = ""
+        records = self.trace.records
         while self._heap:
             tick, _, event = heapq.heappop(self._heap)
             if tick > scenario.max_ticks:
@@ -477,6 +525,8 @@ class Simulator:
                                   self.trace.events_processed, str(violation))
                 stop = "violation"
                 break
+            if len(records) >= _DIGEST_CHUNK_LINES:
+                self.trace.flush()
             if self._target_reached(node_id):
                 stop = "target"
                 break

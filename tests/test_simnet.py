@@ -3,7 +3,6 @@ import os
 import random
 import subprocess
 import sys
-import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -27,6 +26,7 @@ from bbca_chain.simnet import (
     _DIGEST_CHUNK_LINES,
     Adversary,
     DelayModel,
+    Deliveries,
     PreGstPolicy,
     RunResult,
     Scenario,
@@ -40,6 +40,14 @@ from bbca_chain.simnet import (
 )
 
 from test_golden_digests import SHAPES
+
+
+def run_kept(scenario):
+    """``run(scenario)`` with every trace record kept, so that the trace
+    can ``export_lines()``."""
+    sim = Simulator(scenario)
+    sim.trace.kept = []
+    return sim.run()
 
 
 def assert_clean(result):
@@ -63,8 +71,8 @@ def test_same_seed_reproduces_identical_trace():
     scenario = Scenario(n=4, seed=9, delta_post=6, delay_mode="random",
                         gst=30, pre_gst=PreGstPolicy("adversarial", 25),
                         horizon=4)
-    first = Simulator(scenario).run()
-    second = Simulator(scenario).run()
+    first = run_kept(scenario)
+    second = run_kept(scenario)
     assert first.trace.digest() == second.trace.digest()
     assert first.trace.export_lines() == second.trace.export_lines()
 
@@ -209,11 +217,13 @@ def test_delay_soundness_reports_only_late_deliveries(monkeypatch):
     # entering at 120 by 130.
     scenario = Scenario(n=4, gst=100, delta_post=10)
     result = RunResult(scenario, Trace(), {})
-    result.trace.deliveries.extend([
+    rows = [
         (50, 110, 0, 1),   # pre-GST, on time at its bound
         (120, 130, 1, 2),  # post-GST, on time at its bound
         (120, 131, 2, 3),  # post-GST, one tick late
-    ])
+    ]
+    for row in rows:
+        result.trace.deliveries.append(row)
     entries = []
     bound = DelayModel.bound
 
@@ -225,7 +235,9 @@ def test_delay_soundness_reports_only_late_deliveries(monkeypatch):
     assert check_delay_soundness(result) == [
         "delay: message 2->3 entered at 120 but delivered at 131 (bound 130)"]
     assert sorted(entries) == [50, 120]  # once per distinct entry tick
-    del result.trace.deliveries[-1]
+    result.trace.deliveries = Deliveries()
+    for row in rows[:-1]:
+        result.trace.deliveries.append(row)
     assert check_delay_soundness(result) == []
 
 
@@ -263,14 +275,14 @@ def test_bad_timing_rejected_at_construction(build):
 
 
 def test_max_ticks_stops_the_run():
-    result = run(Scenario(n=4, seed=1, delta_post=10, horizon=8,
-                          max_ticks=25))
+    result = run_kept(Scenario(n=4, seed=1, delta_post=10, horizon=8,
+                               max_ticks=25))
     trace = result.trace
     assert trace.stop_reason == "max_ticks"
     assert trace.export_lines()[-1] == "stop max_ticks"
     # The first event past tick 25 is popped but not processed.
     assert trace.events_processed == 20
-    assert max(r[1] for r in trace.records if r[0] == "deliver") == 20
+    assert max(r[1] for r in trace.kept if r[0] == "deliver") == 20
 
 
 @pytest.mark.parametrize("name", ["n4-payloads-audit",
@@ -288,21 +300,26 @@ def test_adoptable_digest_is_what_a_forced_probe_answers(name):
 
 
 def test_trace_lines_and_summary_present():
-    result = run(Scenario(n=4, seed=1, delta_post=10, horizon=2))
+    result = run_kept(Scenario(n=4, seed=1, delta_post=10, horizon=2))
     lines = result.trace.export_lines()
     prefixes = {line.split(" ", 1)[0] for line in lines}
     assert {"send", "deliver", "view", "commit", "summary", "stop"} <= prefixes
 
 
-def test_echo_once_flags_a_node_that_sends_twice():
-    # Sending node 0's traffic a second time makes it look like node 0
-    # echoed and readied twice in every instance it took part in.
-    result = run(Scenario(n=4, seed=1, delta_post=10, horizon=2))
-    assert check_echo_once(result) == []
-    for record in list(result.trace.records):
-        if record[0] == "send" and record[2] == 0:
-            result.trace.record(*record)
-    problems = check_echo_once(result)
+def test_echo_once_flags_a_node_that_sends_twice(monkeypatch):
+    # Sending node 0's BBCA messages a second time makes it look like node
+    # 0 echoed and readied twice in every instance it took part in.
+    scenario = Scenario(n=4, seed=1, delta_post=10, horizon=2)
+    assert check_echo_once(run(scenario)) == []
+    transmit = Simulator._transmit
+
+    def twice(sim, frm, msg, targets, lag):
+        transmit(sim, frm, msg, targets, lag)
+        if frm == 0 and isinstance(msg, BbcaMsg):
+            transmit(sim, frm, msg, targets, lag)
+
+    monkeypatch.setattr(Simulator, "_transmit", twice)
+    problems = check_echo_once(run(scenario))
     assert problems
     assert all(p.startswith("echo-once: node 0 ") for p in problems)
     assert any("ECHO" in p for p in problems)
@@ -475,19 +492,19 @@ def _violating_run(monkeypatch):
         return handle(self, frm, msg)
 
     monkeypatch.setattr(ChainNode, "handle_message", failing_handle)
-    return run(SHAPES["n4-uniform"][0])
+    return run_kept(SHAPES["n4-uniform"][0])
 
 
 def test_export_formats_every_record_kind_like_the_generic_join(monkeypatch):
-    results = [run(scenario) for scenario, _ in SHAPES.values()]
+    results = [run_kept(scenario) for scenario, _ in SHAPES.values()]
     results.append(_violating_run(monkeypatch))
     kinds = set()
     for result in results:
         trace = result.trace
         lines = trace.export_lines()
-        assert lines[:-1] == [_reference_line(r) for r in trace.records]
+        assert lines[:-1] == [_reference_line(r) for r in trace.kept]
         assert lines[-1] == f"stop {trace.stop_reason}"
-        kinds.update(record[0] for record in trace.records)
+        kinds.update(record[0] for record in trace.kept)
     assert kinds == {"send", "deliver", "view", "commit", "probe", "timer",
                      "inject", "violation", "summary"}
 
@@ -498,8 +515,9 @@ def _joined_digest(trace):
 
 def _hand_built_trace(line_count):
     """``line_count`` lines: send/deliver pairs of distinct messages and
-    timer records, then the stop line; one message per three lines."""
-    trace = Trace(stop_reason="horizon")
+    timer records, then the stop line; one message per three lines.  The
+    records are flushed as the simulator flushes them."""
+    trace = Trace(stop_reason="horizon", kept=[])
     msg = None
     for index in range(line_count - 1):
         if index % 3 == 0:
@@ -510,6 +528,8 @@ def _hand_built_trace(line_count):
             trace.record("deliver", index, 1, 0, msg)
         else:
             trace.record("timer", index, 2, index)
+        if len(trace.records) >= _DIGEST_CHUNK_LINES:
+            trace.flush()
     return trace
 
 
@@ -522,25 +542,89 @@ def test_streamed_digest_equals_digest_of_joined_lines(line_count):
     trace = _hand_built_trace(line_count)
     lines = trace.export_lines()
     assert len(lines) == line_count
-    assert lines[:-1] == [_reference_line(r) for r in trace.records]
+    assert lines[:-1] == [_reference_line(r) for r in trace.kept]
     assert trace.digest() == _joined_digest(trace)
 
 
-def test_digest_memory_stays_below_a_quarter_of_the_trace_text():
-    result = run(Scenario(n=4, seed=1, delta_post=5, delay_mode="random",
-                          horizon=100))
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_golden_digest_is_the_digest_of_the_captured_lines(name):
+    scenario, pinned = SHAPES[name]
+    trace = run_kept(scenario).trace
+    first = trace.digest()
+    assert first == _joined_digest(trace) == pinned
+    assert trace.digest() == first
+
+
+def test_export_lines_needs_the_records_kept():
+    trace = run(Scenario(n=4, seed=1, delta_post=10, horizon=2)).trace
+    with pytest.raises(ValueError, match="kept"):
+        trace.export_lines()
+
+
+def test_a_run_holds_at_most_one_chunk_plus_one_event_of_records(
+        monkeypatch):
+    dispatch = Simulator._dispatch
+    held = []  # (records held after an event, records it added)
+
+    def checked(sim, event):
+        before = len(sim.trace.records)
+        node_id = dispatch(sim, event)
+        after = len(sim.trace.records)
+        held.append((after, after - before))
+        return node_id
+
+    monkeypatch.setattr(Simulator, "_dispatch", checked)
+    result = run_kept(Scenario(n=4, seed=1, delta_post=5,
+                               delay_mode="random", horizon=100))
     trace = result.trace
-    text_bytes = len("\n".join(trace.export_lines()).encode())
-    started = not tracemalloc.is_tracing()
-    if started:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        digest = trace.digest()
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if started:
-            tracemalloc.stop()
-    assert digest == _joined_digest(trace)
-    assert peak < text_bytes / 4, (peak, text_bytes)
+    assert all(after < _DIGEST_CHUNK_LINES + added for after, added in held)
+    assert len(trace.kept) > 50 * _DIGEST_CHUNK_LINES  # flushed many times
+    assert trace.digest() == _joined_digest(trace)
+
+
+def test_the_message_memo_lives_for_one_flush():
+    # Each message is freed once its records are hashed, so a later
+    # message may reuse its id(); a memo kept across flushes would then
+    # describe the new message with the old one's text.
+    trace = Trace(stop_reason="horizon")
+    lines, ids = [], []
+    for index in range(64):
+        msg = BbcaMsg(MsgKind.ECHO, InstanceId(index % 4, index),
+                      b"message %d" % index)
+        ids.append(id(msg))
+        trace.record("send", index, 0, msg)
+        trace.record("deliver", index, 1, 0, msg)
+        lines += [_reference_line(record) for record in trace.records]
+        del msg
+        trace.flush()
+    assert len(set(ids)) < len(ids)  # some id was reused
+    lines.append("stop horizon")
+    assert trace.digest() == hashlib.sha256(
+        "\n".join(lines).encode()).hexdigest()
+
+
+def test_packed_deliveries_are_the_scheduled_rows(monkeypatch):
+    rows = []  # (entry, tick, frm, to) of every scheduled copy
+    sending = []  # (frm, targets) of the transmit in progress
+    transmit = Simulator._transmit
+    delivery_ticks = DelayModel.delivery_ticks
+
+    def tracking_transmit(sim, frm, msg, targets, lag):
+        sending.append((frm, targets))
+        transmit(sim, frm, msg, targets, lag)
+        sending.pop()
+
+    def listing_ticks(model, sent, count, rng):
+        ticks = delivery_ticks(model, sent, count, rng)
+        frm, targets = sending[-1]
+        rows.extend((sent, tick, frm, to) for to, tick in zip(targets, ticks))
+        return ticks
+
+    monkeypatch.setattr(Simulator, "_transmit", tracking_transmit)
+    monkeypatch.setattr(DelayModel, "delivery_ticks", listing_ticks)
+    for scenario, digest in SHAPES.values():
+        rows.clear()
+        result = run(scenario)
+        assert result.trace.digest() == digest
+        assert len(result.trace.deliveries) == len(rows) > 0
+        assert list(result.trace.deliveries) == rows

@@ -7,7 +7,7 @@ import tracemalloc
 from pathlib import Path
 
 from bbca_chain.bbca import InstanceId
-from bbca_chain.simnet import Scenario, run
+from bbca_chain.simnet import Scenario, Simulator, run
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -73,7 +73,8 @@ def test_peak_memory_releases_each_retained_structure(monkeypatch):
         tracemalloc.stop()
     labels = [label for label, _ in to_release]
     assert labels[:2] == ["trace records", "trace view_entries"]
-    for prefix in ("node DAGs", "BBCA instances, settled (",
+    for prefix in ("trace deliveries", "trace bbca_sends", "node DAGs",
+                   "BBCA instances, settled (",
                    "BBCA instances, unsettled (", "other per-view chain",
                    "cache chain.make_predicate ("):
         assert any(label.startswith(prefix) for label in labels), prefix
@@ -82,3 +83,17 @@ def test_peak_memory_releases_each_retained_structure(monkeypatch):
         assert node.dag is None and not node.instances
         assert not node.finalized and not node.committed_log
     assert not result.trace.records
+    assert not len(result.trace.deliveries) and not result.trace.bbca_sends
+
+
+def test_peak_memory_counts_the_records_a_run_hashes(monkeypatch):
+    peak_memory = _load_tool("peak_memory", monkeypatch)
+    scenario = Scenario(n=4, seed=1, delta_post=10, horizon=6)
+    kept = Simulator(scenario)
+    kept.trace.kept = []
+    kept.run().trace.digest()
+    counted = Simulator(scenario)
+    hashed = peak_memory.count_hashed(counted.trace)
+    counted.run().trace.digest()
+    assert hashed == [len(kept.trace.kept)]
+    assert not counted.trace.records

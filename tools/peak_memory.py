@@ -12,8 +12,9 @@ they held when it ended.  Unlike peak RSS these figures do not depend on
 the allocator or on what the process did before, so they are the same
 on every run of one seed and one Python version.
 
-It then reports where the run-end memory sits: it releases, one at a
-time and in this order, the trace ``records``, each trace side table, the
+The header counts the trace records the run hashed.  The report then
+says where the run-end memory sits: it releases, one at a time and in
+this order, the unhashed trace ``records``, each trace side table, the
 per-node DAGs, the settled and then the unsettled BBCA instances, the
 other per-view chain state, the committed logs and each ``lru_cache`` of
 the program, and prints the memory each release freed.  An object held by
@@ -71,9 +72,11 @@ def releases(result) -> list[tuple[str, object]]:
     settled = sum(inst.settled for node in nodes
                   for inst in node.instances.values())
     unsettled = sum(len(node.instances) for node in nodes) - settled
+    # Every field that can be emptied: the lists and dicts, and the packed
+    # deliveries.
     out = [(f"trace {field.name}", getattr(trace, field.name).clear)
            for field in fields(trace)
-           if isinstance(getattr(trace, field.name), (list, dict))]
+           if hasattr(getattr(trace, field.name), "clear")]
     out += [("node DAGs", drop_dags),
             (f"BBCA instances, settled ({settled})", drop_instances(True)),
             (f"BBCA instances, unsettled ({unsettled})",
@@ -91,6 +94,20 @@ def releases(result) -> list[tuple[str, object]]:
                          f"({value.cache_info().currsize})")
                 out.append((label, value.cache_clear))
     return out
+
+
+def count_hashed(trace) -> list[int]:
+    """Make ``trace.flush`` count the records it hashes, into the one-item
+    list returned: a run leaves only the unhashed tail in ``records``."""
+    hashed = [0]
+    flush = trace.flush
+
+    def counting():
+        hashed[0] += len(trace.records)
+        flush()
+
+    trace.flush = counting
+    return hashed
 
 
 def retained(to_release) -> list[tuple[str, int]]:
@@ -127,10 +144,11 @@ def main(argv=None) -> int:
     tracemalloc.start()
     try:
         traced("setup", work.setup)
+        hashed = count_hashed(work.simulator.trace)
         result = traced("run", work.simulator.run)
         traced("evaluate", lambda: harness.evaluate(result, work.config))
         digest = traced("digest", result.trace.digest)
-        records = len(result.trace.records)
+        records = hashed[0]
         held = retained(releases(result))
         left = tracemalloc.get_traced_memory()[0]
     finally:
