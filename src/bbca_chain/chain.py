@@ -15,7 +15,11 @@ or a random source.
 
 from __future__ import annotations
 
-from functools import lru_cache
+import struct
+from functools import lru_cache, update_wrapper
+from itertools import starmap
+from operator import attrgetter
+from types import SimpleNamespace
 from typing import NamedTuple, Union
 
 from .bbca import ECHO, BbcaInstance, BbcaMsg, InstanceId
@@ -43,6 +47,12 @@ from .encoding import EncodingError, noadopt_statement
 from .identity import NodeId, SystemParams, sign, verify
 
 NO_OP = "NO-OP"
+
+# One (view, kind, author) row per committed block, packed like the
+# simulator's delivery rows: the bodies of most committed blocks are
+# collected, and the exported log still names them.
+_COMMIT_ROW = struct.Struct("=QBI")
+_ROW_FIELDS = attrgetter("view", "kind", "author")
 
 # Enum members as module constants, like ``bbca.ECHO``.
 # Kept for +4.3% sim_long events/s (perfbench seed 5).
@@ -105,7 +115,43 @@ NOADOPT_CAUSE = "noadopt_quorum"
 # Validation is pure in (block, params) and blocks are immutable, so results
 # are memoized globally; every node revalidates the same bytes otherwise.
 
-@lru_cache(maxsize=8192)
+def memo_by_digest(fn, maxsize: int = 8192):
+    """``fn(block, params)`` memoized by ``(block.digest, params)``.
+
+    Offers ``cache_clear()`` and a ``cache_info()`` with the fields of an
+    ``lru_cache``'s, but its keys hold 32 bytes where a block would pin its
+    whole body, and hashing them runs no Python code (``Block.__hash__``
+    does).  Past ``maxsize`` keys the oldest is dropped.
+    """
+    memo: dict = {}
+    counts = [0, 0]  # hits, misses
+
+    def memoized(block: Block, params: SystemParams):
+        key = (block.digest, params)
+        value = memo.get(key)
+        if value is not None:
+            counts[0] += 1
+            return value
+        counts[1] += 1
+        value = memo[key] = fn(block, params)
+        if len(memo) > maxsize:
+            del memo[next(iter(memo))]
+        return value
+
+    def cache_info() -> SimpleNamespace:
+        return SimpleNamespace(hits=counts[0], misses=counts[1],
+                               maxsize=maxsize, currsize=len(memo))
+
+    def cache_clear() -> None:
+        memo.clear()
+        counts[:] = [0, 0]
+
+    memoized.cache_info = cache_info
+    memoized.cache_clear = cache_clear
+    return update_wrapper(memoized, fn)
+
+
+@memo_by_digest
 def validate_new_view_block(block: Block, params: SystemParams) -> bool:
     if block.kind != BlockKind.NEW_VIEW or block.new_view is None:
         return False
@@ -138,7 +184,7 @@ def _valid_cert_for_view(cert: Cert, params: SystemParams,
             and verify_cert(cert, params, kind))
 
 
-@lru_cache(maxsize=8192)
+@memo_by_digest
 def validate_backbone_block(block: Block, params: SystemParams) -> bool:
     """Structural core of the broadcast validity predicate."""
     if block.kind != BlockKind.BACKBONE or block.justification is None:
@@ -191,9 +237,11 @@ class ChainNode:
         self.dag = DagStore()
         self.dag.insert(GENESIS_BLOCK)
         self.dag.insert(GENESIS_NEW_VIEW)
+        self.dag.committed.update((GENESIS_REF, GENESIS_NEW_VIEW.digest))
         self.view = 0
         # Each view's blocks are kept in author order, so that the evidence
-        # scans never sort.
+        # scans never sort.  Only views from ``view - 1`` on are kept: no
+        # rule reads an older one.
         self.new_view_blocks: dict[int, dict[NodeId, Block]] = {
             0: {0: GENESIS_NEW_VIEW}}
         # Highest view holding a complete or adopt new-view block; the
@@ -202,14 +250,16 @@ class ChainNode:
         self.finalized: dict[int, Block | str] = {0: GENESIS_BLOCK}
         self.last_committed = 0
         self.committed_log: list[BlockRef] = []
-        self.committed_set: set[BlockRef] = {GENESIS_REF,
-                                             GENESIS_NEW_VIEW.digest}
-        # Every certificate this node ever held, by view.  Becoming ready
-        # counts (the echo quorum is an adopt certificate), and so do
+        self.committed_rows = bytearray()  # a _COMMIT_ROW per log entry
+        # The first certificate this node held for each view.  Becoming
+        # ready counts (the echo quorum is an adopt certificate), and so do
         # certificates seen in valid new-view blocks.  The noadopt anchor is
         # the highest held certificate at or below the concluded view;
-        # anchoring above it would break the finalize recursion.
+        # anchoring above it would break the finalize recursion.  Views
+        # below ``anchor_floor``, the highest held at or below ``view``,
+        # are neither kept nor stored: no anchor can name them again.
         self.held_certs: dict[int, Cert] = {0: GENESIS_CERT}
+        self.anchor_floor = 0
         self.instances: dict[int, BbcaInstance] = {}
         self.pending_complete: dict[BlockRef, Cert] = {}
         self.pending_commit: set[BlockRef] = set()
@@ -240,8 +290,9 @@ class ChainNode:
         twin.finalized = dict(self.finalized)
         twin.last_committed = self.last_committed
         twin.committed_log = list(self.committed_log)
-        twin.committed_set = set(self.committed_set)
+        twin.committed_rows = bytearray(self.committed_rows)
         twin.held_certs = dict(self.held_certs)
+        twin.anchor_floor = self.anchor_floor
         twin.instances = {view: inst.clone()
                           for view, inst in self.instances.items()}
         twin.pending_complete = dict(self.pending_complete)
@@ -272,8 +323,14 @@ class ChainNode:
             self.instances[view] = inst
         return inst
 
+    @property
+    def committed_set(self) -> set[BlockRef]:
+        """Every committed digest, genesis included: the DAG's set."""
+        return self.dag.committed
+
     def _frontier(self) -> list[BlockRef]:
-        return [t for t in self.dag.tips() if t not in self.committed_set]
+        committed = self.dag.committed
+        return [t for t in self.dag.tips() if t not in committed]
 
     def _own_refs(self) -> set[BlockRef]:
         refs = set(self._frontier())
@@ -290,6 +347,8 @@ class ChainNode:
         self._evaluate_view_rules()
 
     def handle_message(self, frm: NodeId, msg: WireMsg) -> None:
+        if self.dag.newly_committed:
+            self.dag.collect()
         if isinstance(msg, BlockMsg):
             self._ingest_block(msg.block)
         elif isinstance(msg, BbcaMsg):
@@ -298,12 +357,16 @@ class ChainNode:
             self._evaluate_view_rules()
 
     def handle_timer(self, view: int) -> None:
+        if self.dag.newly_committed:
+            self.dag.collect()
         if view != self.view or self._terminal() or view in self.probed:
             return
         self._conclude_view_by_probe(view)
         self._evaluate_view_rules()
 
     def submit_payload(self, payload: bytes) -> Block:
+        if self.dag.newly_committed:
+            self.dag.collect()
         block = make_data(self.id, self.view, self._own_refs(), payload)
         self.my_last_ref = block.digest
         self.outbox.append(BlockMsg(block))
@@ -326,15 +389,17 @@ class ChainNode:
         inst = self._instance_for(view)
         outs, cert = inst.handle_message(frm, msg)
         self.outbox.extend(outs)
-        if sig is not None and kind == ECHO and view not in self.held_certs:
+        if (sig is not None and kind == ECHO and view not in self.held_certs
+                and view >= self.anchor_floor):
             # Holding an echo quorum is holding an adopt certificate, even
             # when abort suppressed the READY; the noadopt anchor must see it.
             # Only a view's first certificate is kept: stop asking after it.
             adopt = inst.available_adopt()
             if adopt is not None:
-                self.held_certs.setdefault(adopt.view, adopt)
+                self.held_certs.setdefault(view, adopt)
         if cert is not None:
-            self.held_certs.setdefault(cert.view, cert)
+            if view >= self.anchor_floor:
+                self.held_certs.setdefault(view, cert)
             if cert.block_digest in self.dag:
                 self._on_bbca_complete(cert)
             else:
@@ -372,17 +437,23 @@ class ChainNode:
     # -- new-view bookkeeping ------------------------------------------------
 
     def _record_new_view_block(self, nvb: Block) -> None:
-        per_view = self.new_view_blocks.get(nvb.view, {})
-        if nvb.author in per_view:
-            return
-        self.new_view_blocks[nvb.view] = dict(
-            sorted([*per_view.items(), (nvb.author, nvb)]))
-        self.rules_dirty = True
+        view = nvb.view
         evidence = nvb.new_view.evidence
-        if evidence != _NOADOPT:
-            self.top_certified_view = max(self.top_certified_view, nvb.view)
-        self.held_certs.setdefault(nvb.new_view.cert.view, nvb.new_view.cert)
-        if evidence == _COMPLETE and nvb.view > 0:
+        # A block for a view below ``self.view - 1`` is late: no view rule
+        # reads it, but its certificate and its commit still count.
+        if view >= self.view - 1:
+            per_view = self.new_view_blocks.get(view, {})
+            if nvb.author in per_view:
+                return
+            self.new_view_blocks[view] = dict(
+                sorted([*per_view.items(), (nvb.author, nvb)]))
+            self.rules_dirty = True
+            if evidence != _NOADOPT:
+                self.top_certified_view = max(self.top_certified_view, view)
+        cert = nvb.new_view.cert
+        if cert.view >= self.anchor_floor:
+            self.held_certs.setdefault(cert.view, cert)
+        if evidence == _COMPLETE and view > 0:
             ref = nvb.certified_ref
             if ref in self.dag:
                 self.try_commit(self.dag.get(ref))
@@ -425,7 +496,7 @@ class ChainNode:
         self.rules_dirty = True
         cert = self._instance_for(view).probe()
         if cert is not None:
-            self.held_certs.setdefault(cert.view, cert)
+            self.held_certs.setdefault(view, cert)
             self.outbox.append(Probed(view, True, cert.block_digest))
             self._make_own_new_view_block(
                 view, NewViewData(EvidenceKind.ADOPT, cert))
@@ -441,12 +512,22 @@ class ChainNode:
         if view <= self.view:
             return
         # Offer each instance to ``settle`` once, on entering the view two
-        # past it; views skipped by a catch-up are offered too.
-        instances = self.instances
-        for old in range(max(self.view - 1, 1), view - 1):
+        # past it, and drop that view's new-view blocks; views skipped by a
+        # catch-up are passed too.
+        instances, nvbs = self.instances, self.new_view_blocks
+        for old in range(max(self.view - 1, 0), view - 1):
+            nvbs.pop(old, None)
             inst = instances.get(old)
             if inst is not None:
                 inst.settle()
+        # Raise the anchor floor; every held view below it is one passed
+        # since the last raise.
+        held, floor = self.held_certs, view
+        while floor not in held:
+            floor -= 1
+        for old in range(self.anchor_floor, floor):
+            held.pop(old, None)
+        self.anchor_floor = floor
         self.view = view
         self.rules_dirty = True
         if self._terminal():
@@ -545,9 +626,13 @@ class ChainNode:
             self.last_committed += 1
             entry = self.finalized[self.last_committed]
             if entry is not NO_OP:
-                added = self.dag.order_under(entry.digest, self.committed_set)
-                self.committed_log.extend(added)
-                self.committed_set.update(added)
+                added = self.dag.commit(entry.digest)
+                self.committed_log += added
+                # ``collect`` drops most of these bodies at the node's next
+                # event; the exported log reads these rows instead.
+                bodies = map(self.dag.delivered.__getitem__, added)
+                self.committed_rows += b"".join(
+                    starmap(_COMMIT_ROW.pack, map(_ROW_FIELDS, bodies)))
                 self.outbox.append(Committed(self.last_committed, tuple(added)))
 
     def _finalize(self, block: Block) -> None:
@@ -575,9 +660,7 @@ class ChainNode:
 
     def committed_log_export(self) -> list[tuple[int, int, str, str, int]]:
         """(position, view, digest hex, kind, author) per committed block."""
-        out = []
-        for position, ref in enumerate(self.committed_log):
-            block = self.dag.get(ref)
-            out.append((position, block.view, ref.hex(), block.kind.name,
-                        block.author))
-        return out
+        rows = _COMMIT_ROW.iter_unpack(self.committed_rows)
+        return [(position, view, ref.hex(), BlockKind(kind).name, author)
+                for position, (ref, (view, kind, author))
+                in enumerate(zip(self.committed_log, rows))]

@@ -4,6 +4,11 @@ Blocks are delivered only once their full referenced ancestry is delivered;
 anything early is buffered and cascades out when the missing pieces arrive.
 On top of the store sits the deterministic traversal that linearizes
 everything a committed backbone block causally covers.
+
+A committed block's digest stays in ``committed``, which counts as
+delivered; ``collect`` then drops the bodies of committed DATA and NEW_VIEW
+blocks.  Committed backbones stay: every lookup the protocol makes names a
+backbone.
 """
 
 from __future__ import annotations
@@ -12,7 +17,9 @@ import heapq
 from collections import deque
 from itertools import filterfalse
 
-from .blocks import Block, BlockRef
+from .blocks import Block, BlockKind, BlockRef
+
+_BACKBONE = BlockKind.BACKBONE
 
 
 class UnknownBlockError(KeyError):
@@ -22,6 +29,10 @@ class UnknownBlockError(KeyError):
 class DagStore:
     def __init__(self) -> None:
         self.delivered: dict[BlockRef, Block] = {}
+        # Every committed digest: downward-closed, as ``order_under`` needs.
+        self.committed: set[BlockRef] = set()
+        # Committed since the last ``collect``, in commit order.
+        self.newly_committed: list[BlockRef] = []
         # Blocks waiting for their ancestry.  These values are immutable and
         # a write replaces them, so ``clone`` copies each dict flat.
         self.pending: dict[BlockRef, Block] = {}
@@ -36,6 +47,8 @@ class DagStore:
         """Snapshot for state-space exploration; shares the immutable blocks."""
         twin = object.__new__(DagStore)
         twin.delivered = dict(self.delivered)
+        twin.committed = set(self.committed)
+        twin.newly_committed = list(self.newly_committed)
         twin.pending = dict(self.pending)
         twin._missing = dict(self._missing)
         twin._waiters = dict(self._waiters)
@@ -43,13 +56,16 @@ class DagStore:
         return twin
 
     def __contains__(self, ref: BlockRef) -> bool:
-        return ref in self.delivered
+        """Delivered, committed included."""
+        return ref in self.delivered or ref in self.committed
 
     def holds(self, ref: BlockRef) -> bool:
         """Delivered or pending: ``insert`` would ignore this block."""
-        return ref in self.delivered or ref in self.pending
+        return (ref in self.delivered or ref in self.pending
+                or ref in self.committed)
 
     def get(self, ref: BlockRef) -> Block:
+        """A delivered block whose body ``collect`` has not dropped."""
         try:
             return self.delivered[ref]
         except KeyError:
@@ -67,6 +83,9 @@ class DagStore:
         if digest in block.refs:
             raise ValueError("block references its own digest")
         missing = set(filterfalse(self.delivered.__contains__, block.refs))
+        if missing:
+            # Rare: a ref not yet delivered, or a collected body.
+            missing = missing.difference(self.committed)
         if missing:
             self.pending[digest] = block
             self._missing[digest] = len(missing)
@@ -97,6 +116,23 @@ class DagStore:
         self.delivered[block.digest] = block
         self._tips.difference_update(block.refs)
         self._tips.add(block.digest)
+
+    def commit(self, backbone: BlockRef) -> list[BlockRef]:
+        """Commit the backbone's uncommitted ancestry and return it, in
+        ``order_under`` order."""
+        added = self.order_under(backbone, self.committed)
+        self.committed.update(added)
+        self.newly_committed += added
+        return added
+
+    def collect(self) -> None:
+        """Drop the bodies of the DATA and NEW_VIEW blocks committed since
+        the last call; their digests stay in ``committed``."""
+        delivered = self.delivered
+        for ref in self.newly_committed:
+            if delivered[ref].kind != _BACKBONE:
+                del delivered[ref]
+        self.newly_committed.clear()
 
     def order_under(self, backbone: BlockRef,
                     already_committed: set[BlockRef]) -> list[BlockRef]:

@@ -7,18 +7,26 @@ views, trip counts, liveness deadlines, censorship cutoffs) read their
 parameters from the harness config's ``expect`` block.  Agreement, prefix
 consistency and the per-instance BBCA rules take plain values, so the
 explorer checks its chain and BBCA leaves with the same functions.
+Commit ancestry needs the bodies of committed blocks, which a node drops
+at its next event, so the simulator checks it as it runs and
+``check_commit_ancestry`` reads what it found.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .bbca import InstanceId, MsgKind
-from .blocks import GENESIS_NEW_VIEW, GENESIS_REF
+from .blocks import BlockRef
 from .chain import CERT_DRIVEN_CAUSES, NO_OP, ChainNode, get_proposer
 from .identity import NodeId
-from .simnet import DelayModel, RunResult, trips_to_commit
+# A module reference: the simulator calls ``commit_ancestry`` as it runs,
+# so each of the two modules imports the other.
+from . import simnet
+
+if TYPE_CHECKING:
+    from .simnet import RunResult
 
 
 def agreement(nodes: dict[NodeId, ChainNode],
@@ -59,21 +67,29 @@ def check_prefix_consistency(result: RunResult, cfg=None) -> list[str]:
     return prefix_consistency(result.nodes, result.scenario.correct_nodes())
 
 
-def check_commit_ancestry(result: RunResult, cfg=None) -> list[str]:
-    """Everything a committed block references is committed at or before it."""
+def commit_ancestry(node: ChainNode, refs: list[BlockRef]) -> list[str]:
+    """Everything a committed block references is committed at or before it.
+
+    ``refs`` is what ``node`` committed in one event, in log order, read
+    while the node still holds their bodies (before its next event).
+    """
     problems = []
-    seeds = {GENESIS_REF, GENESIS_NEW_VIEW.digest}
-    for node_id in result.scenario.correct_nodes():
-        node = result.nodes[node_id]
-        seen = set(seeds)
-        for ref in node.committed_log:
-            block = node.dag.get(ref)
-            if not seen.issuperset(block.refs):
-                problems.append(
-                    f"ancestry: node {node_id} committed {ref.hex()[:12]} "
-                    f"before one of its references")
-            seen.add(ref)
+    committed, blocks = node.dag.committed, node.dag.delivered
+    later = set(refs)  # committed in this event, not before the one checked
+    for ref in refs:
+        parents = blocks[ref].refs
+        if not committed.issuperset(parents) or not later.isdisjoint(parents):
+            problems.append(
+                f"ancestry: node {node.id} committed {ref.hex()[:12]} "
+                f"before one of its references")
+        later.discard(ref)
     return problems
+
+
+def check_commit_ancestry(result: RunResult, cfg=None) -> list[str]:
+    """``commit_ancestry``, as the simulator checked it after each event."""
+    return [problem for node_id in result.scenario.correct_nodes()
+            for problem in result.trace.ancestry.get(node_id, ())]
 
 
 def check_log_identical(result: RunResult, cfg=None) -> list[str]:
@@ -112,7 +128,7 @@ def check_view_sync(result: RunResult, cfg=None) -> list[str]:
 
 
 def check_delay_soundness(result: RunResult, cfg=None) -> list[str]:
-    model = DelayModel(result.scenario)
+    model = simnet.DelayModel(result.scenario)
     deliveries = result.trace.deliveries
     # One bound per distinct entry tick: every copy of a broadcast, and
     # every broadcast of that tick, shares it.
@@ -221,7 +237,7 @@ def check_bbca_complete_adopt(result: RunResult, cfg=None) -> list[str]:
 def check_echo_once(result: RunResult, cfg=None) -> list[str]:
     correct = set(result.scenario.correct_nodes())
     return echo_once({key: count
-                      for key, count in result.trace.bbca_sends.items()
+                      for key, count in result.trace.bbca_sends.aside.items()
                       if key[0] in correct})
 
 
@@ -250,7 +266,7 @@ def _trips_or_none(result: RunResult, ref) -> Fraction | None:
     if ref is None:
         return None
     try:
-        return trips_to_commit(result, ref)
+        return simnet.trips_to_commit(result, ref)
     except ValueError:
         return None
 

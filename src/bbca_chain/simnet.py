@@ -23,7 +23,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-from .bbca import INIT, READY, BbcaInstance, BbcaMsg, message_digest
+from . import invariants
+from .bbca import INIT, READY, BbcaInstance, BbcaMsg, InstanceId, MsgKind, \
+    message_digest
 from .blocks import Block, BlockKind, BlockRef, decode_block
 from .chain import (
     WIRE_TYPES,
@@ -305,6 +307,75 @@ class Deliveries:
         return _DELIVERY.iter_unpack(self.packed)
 
 
+class BbcaSends:
+    """How often each node sent each kind of BBCA message per instance,
+    for ``echo_once``, which reports only counts above 1.
+
+    A first send sets one byte of ``first``: per view, one byte for each
+    (instance sender, sending node, kind), for instance senders below
+    ``n``.  The bytes cover the views below ``views``, which ``cover``
+    raises as nodes enter views, never as far as a message names: a
+    byzantine INIT can name any view.  ``aside`` maps (sending node,
+    ``MsgKind``, ``InstanceId``) to the total sends, for each key sent
+    more than once or while the bytes did not cover it; ``beyond`` lists
+    the latter, for ``cover`` to mark once it reaches them.
+    """
+
+    __slots__ = ("n", "views", "first", "aside", "beyond")
+
+    def __init__(self, n: int = 0):
+        self.n = n
+        self.views = 0
+        self.first = bytearray()
+        self.aside: dict[tuple[NodeId, MsgKind, InstanceId], int] = {}
+        self.beyond: list[tuple[NodeId, MsgKind, InstanceId]] = []
+
+    def _index(self, frm: NodeId, kind: MsgKind, instance: InstanceId):
+        """The byte of a send, or None where the bytes do not cover it."""
+        sender, view = instance
+        n = self.n
+        if 0 <= view < self.views and 0 <= sender < n:
+            return ((view * n + sender) * n + frm) * 3 + kind - 1
+        return None
+
+    def cover(self, views: int) -> None:
+        """Let the bytes cover every view below ``views``."""
+        if views > self.views:
+            self.views = views
+            self.first += bytes(views * self.n * self.n * 3 - len(self.first))
+            beyond, self.beyond = self.beyond, []
+            for key in beyond:
+                index = self._index(*key)
+                if index is None:
+                    self.beyond.append(key)
+                else:
+                    self.first[index] = 1
+
+    def add(self, frm: NodeId, kind: MsgKind, instance: InstanceId) -> None:
+        # ``_index`` inlined: its call was a sixth of the bytecode add ran.
+        sender, view = instance
+        n = self.n
+        if 0 <= view < self.views and 0 <= sender < n:
+            index = ((view * n + sender) * n + frm) * 3 + kind - 1
+            if not self.first[index]:
+                self.first[index] = 1
+                return
+            key = (frm, kind, instance)
+            count = self.aside.get(key, 1)
+        else:
+            key = (frm, kind, instance)
+            count = self.aside.get(key, 0)
+            if not count:
+                self.beyond.append(key)
+        self.aside[key] = count + 1
+
+    def clear(self) -> None:
+        self.views = 0
+        self.first.clear()
+        self.aside.clear()
+        self.beyond.clear()
+
+
 @dataclass
 class Trace:
     """Everything one simulator run recorded, in event order.
@@ -327,8 +398,9 @@ class Trace:
         default_factory=dict)
     send_ticks: dict[BlockRef, int] = field(default_factory=dict)
     deliveries: Deliveries = field(default_factory=Deliveries)
-    # (sender, MsgKind, InstanceId) -> BBCA messages sent
-    bbca_sends: dict[tuple, int] = field(default_factory=dict)
+    bbca_sends: BbcaSends = field(default_factory=BbcaSends)
+    # node -> ``invariants.commit_ancestry`` problems, found as it ran
+    ancestry: dict[NodeId, list[str]] = field(default_factory=dict)
     probes: dict[NodeId, list[tuple[int, int, bool, BlockRef | None]]] = \
         field(default_factory=dict)  # node -> [(tick, view, adopted, ref)]
     injected: list[tuple[int, NodeId, BlockRef]] = field(default_factory=list)
@@ -413,7 +485,7 @@ class Simulator:
         self.scenario = scenario
         self.rng = random.Random(scenario.seed)
         self.delay_model = DelayModel(scenario)
-        self.trace = Trace()
+        self.trace = Trace(bbca_sends=BbcaSends(scenario.n))
         self.now = 0
         self._seq = 0
         self._heap: list[tuple[int, int, object]] = []
@@ -457,9 +529,7 @@ class Simulator:
         trace = self.trace
         trace.records.append(("send", entry, frm, msg))
         if isinstance(msg, BbcaMsg):
-            key = (frm, msg.kind, msg.instance)
-            sends = trace.bbca_sends
-            sends[key] = sends.get(key, 0) + 1
+            trace.bbca_sends.add(frm, msg.kind, msg.instance)
         packed, heap, seq = trace.deliveries.packed, self._heap, self._seq
         pack = _DELIVERY.pack
         ticks = self.delay_model.delivery_ticks(entry, len(targets), self.rng)
@@ -472,6 +542,7 @@ class Simulator:
     def _drain(self, node_id: NodeId) -> None:
         adversary = self.adversaries.get(node_id)
         trace, now = self.trace, self.now
+        committed = False
         for out in self.nodes[node_id].take_outbox():
             if isinstance(out, WIRE_TYPES):  # most outputs: tested first
                 if adversary is None:
@@ -482,6 +553,9 @@ class Simulator:
             elif isinstance(out, ViewEntered):
                 view, cause = out
                 trace.view_entries.setdefault(node_id, {})[view] = (now, cause)
+                # A node in view v may send for view v + 1.
+                if view + 2 > trace.bbca_sends.views:
+                    trace.bbca_sends.cover(view + 2)
                 trace.record("view", now, node_id, view, cause)
                 self._push(now + self.scenario.timer_ticks,
                            TimerFire(node_id, view))
@@ -491,11 +565,20 @@ class Simulator:
                     trace.commit_ticks.setdefault(ref, {})[node_id] = now
                 trace.record("commit", now, node_id, view,
                              ",".join(r.hex()[:12] for r in refs))
+                committed = True
             else:  # Probed
                 view, adopted, ref = out
                 trace.probes.setdefault(node_id, []).append(
                     (now, view, adopted, ref))
                 trace.record("probe", now, node_id, view, adopted)
+        # ``newly_committed`` is what the node committed in this event; it
+        # keeps their bodies until its next one.
+        if committed and adversary is None:
+            node = self.nodes[node_id]
+            problems = invariants.commit_ancestry(node,
+                                                  node.dag.newly_committed)
+            if problems:
+                trace.ancestry.setdefault(node_id, []).extend(problems)
 
     # -- main loop ----------------------------------------------------------
 

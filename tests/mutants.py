@@ -10,6 +10,7 @@ on that rule says what changed.
 from bbca_chain.bbca import ECHO, READY, BbcaInstance, message_digest
 from bbca_chain.bbca import _statement as statement
 from bbca_chain.blocks import Cert, CertKind
+from bbca_chain.dag import DagStore
 from bbca_chain.identity import verify
 
 
@@ -85,6 +86,15 @@ def _on_ready_completing_at_quorum_minus_one(self, message, sig, frm):
     return None
 
 
+def _commit_in_reverse(self, backbone):
+    """``DagStore.commit`` committing its batch backbone first, each block
+    before the blocks it references."""
+    added = self.order_under(backbone, self.committed)[::-1]  # mutated
+    self.committed.update(added)
+    self.newly_committed += added
+    return added
+
+
 MUTANTS = {
     # READY is sent on an echo quorum even after a probe aborted.
     "ready_despite_abort": (
@@ -101,6 +111,8 @@ MUTANTS = {
     # Completion one READY short of the quorum.
     "completion_at_quorum_minus_one": (
         BbcaInstance, "on_ready", _on_ready_completing_at_quorum_minus_one),
+    # Each commit batch in reverse order.
+    "reversed_commit_batches": (DagStore, "commit", _commit_in_reverse),
 }
 
 

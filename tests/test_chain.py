@@ -1,3 +1,4 @@
+import weakref
 from collections import Counter
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from bbca_chain.bbca import BbcaInstance, BbcaMsg, InstanceId, MsgKind
 from bbca_chain.blocks import (
+    BlockKind,
     CertKind,
     EvidenceKind,
     GENESIS_CERT,
@@ -27,9 +29,11 @@ from bbca_chain.chain import (
     ViewEntered,
     get_proposer,
     make_predicate,
+    memo_by_digest,
     validate_backbone_block,
     validate_new_view_block,
 )
+from bbca_chain.dag import DagStore
 from bbca_chain.encoding import echo_statement, ready_statement
 from bbca_chain.identity import params_for, sign
 from bbca_chain.simnet import Scenario, run
@@ -124,6 +128,31 @@ def test_predicate_rejects_duplicate_noadopt_authors(params4):
                             (one, other,
                              make_noadopt_nvb(params4, 0, 1, GENESIS_CERT))))
     assert not validate_backbone_block(block, params4)
+
+
+def test_validation_memo_is_keyed_by_digest_and_bounded(params4):
+    calls = []
+
+    def valid(block, params):
+        calls.append(block.digest)
+        return True
+
+    memo = memo_by_digest(valid, maxsize=2)
+    blocks = [make_data(0, 1, {GENESIS_REF}, bytes([i])) for i in range(3)]
+    twin = decode_block(blocks[0].encoded)  # equal, not the same object
+    assert memo(blocks[0], params4) and memo(twin, params4)
+    assert vars(memo.cache_info()) == {"hits": 1, "misses": 1,
+                                       "maxsize": 2, "currsize": 1}
+    # The key holds the digest, not the block.
+    probe = weakref.ref(blocks[0])
+    del blocks[0], twin
+    assert probe() is None
+    memo(blocks[0], params4)
+    memo(blocks[1], params4)  # a third key drops the oldest
+    assert memo.cache_info().currsize == 2
+    memo.cache_clear()
+    assert (memo.cache_info().hits, memo.cache_info().currsize) == (0, 0)
+    assert len(calls) == 3
 
 
 # -- node behavior ----------------------------------------------------------------
@@ -669,3 +698,104 @@ def test_anchor_is_the_highest_held_certificate_at_or_below_the_view(
                        for v in sorted({0, *held})}
     highest = max(v for v in node.held_certs if v <= view)
     assert node._anchor_for(view) is node.held_certs[highest]
+
+
+# -- collection ------------------------------------------------------------------
+# A node drops what no rule reads again: new-view blocks below view - 1,
+# certificates below the anchor floor, and the bodies of committed DATA and
+# NEW_VIEW blocks.  What such a block does apart from being stored stays.
+
+def _adopted_to_view_4(params, proposal_first):
+    """Node 0 after adopt-driven entries into views 2, 3 and 4, and view
+    1's proposal, which the node holds uncommitted if ``proposal_first``
+    and has not received otherwise."""
+    proposal = make_backbone(1, 1, Justification(EvidenceKind.COMPLETE,
+                                                 (GENESIS_NEW_VIEW,)))
+    node = ChainNode(0, params)
+    node.start()
+    if proposal_first:
+        node.handle_message(1, BlockMsg(proposal))
+    block = proposal
+    for view in (1, 2, 3):
+        adopt = make_adopt_nvb(params, 3, view, block)
+        node.handle_message(3, BlockMsg(adopt))
+        block = make_backbone(get_proposer(view + 1, params), view + 1,
+                              Justification(EvidenceKind.ADOPT, (adopt,)))
+    assert (node.view, node.anchor_floor, node.last_committed) == (4, 3, 0)
+    return node, proposal
+
+
+@pytest.mark.parametrize("proposal_first", [True, False])
+def test_a_late_new_view_block_still_commits_and_becomes_a_tip(
+        params4, proposal_first):
+    node, proposal = _adopted_to_view_4(params4, proposal_first)
+    assert sorted(node.new_view_blocks) == [3]
+    assert sorted(node.held_certs) == [3]
+    node.take_outbox()
+    late = make_complete_nvb(params4, 2, 1, proposal)
+    node.handle_message(2, BlockMsg(late))
+    if not proposal_first:
+        assert node.pending_commit == {proposal.digest}
+        node.handle_message(1, BlockMsg(proposal))
+    assert node.committed_log[-1] == proposal.digest
+    assert Committed(1, (proposal.digest,)) in node.take_outbox()
+    assert late.digest in node.dag.tips()
+    # Stored nowhere a rule reads: view 1 is below view 4 - 1, and the
+    # view-1 certificate below the anchor floor.
+    assert sorted(node.new_view_blocks) == [3]
+    assert sorted(node.held_certs) == [3]
+
+
+def _long_run(horizon):
+    injections = tuple((tick, tick // 20 % 4) for tick in range(20, 2000, 20))
+    return run(Scenario(n=4, seed=3, delta_post=5, delay_mode="random",
+                        horizon=horizon, injections=injections))
+
+
+def _held_bodies_committed(node):
+    """Committed DATA and NEW_VIEW blocks whose bodies the node holds."""
+    return [ref for ref in node.committed_log
+            if ref in node.dag.delivered
+            and node.dag.delivered[ref].kind != BlockKind.BACKBONE]
+
+
+def test_collected_tables_do_not_grow_with_run_length():
+    sizes = {}
+    for horizon in (100, 400):
+        result = _long_run(horizon)
+        assert not result.failed and result.trace.stop_reason == "quiesced"
+        kinds = Counter(kind for node in result.nodes.values()
+                        for _, _, _, kind, _ in node.committed_log_export())
+        assert kinds[BlockKind.DATA.name] > 0
+        assert kinds[BlockKind.NEW_VIEW.name] > 0
+        for node in result.nodes.values():
+            assert node.last_committed >= horizon - 2
+            assert _held_bodies_committed(node) == []
+        sizes[horizon] = [
+            (sum(map(len, node.new_view_blocks.values())),
+             len(node.held_certs)) for node in result.nodes.values()]
+    assert sizes[100] == sizes[400]
+    assert all(blocks <= 8 and certs <= 2 for blocks, certs in sizes[400])
+
+
+def test_exported_log_names_every_committed_body(monkeypatch):
+    captured = {}
+    commit = DagStore.commit
+
+    def capturing(dag, backbone):
+        added = commit(dag, backbone)
+        for ref in added:
+            body = dag.delivered[ref]
+            captured[ref] = (body.view, body.kind.name, body.author)
+        return added
+
+    monkeypatch.setattr(DagStore, "commit", capturing)
+    result = _long_run(30)
+    for node in result.nodes.values():
+        assert _held_bodies_committed(node) == []
+        assert [(view, kind, author) for _, view, _, kind, author
+                in node.committed_log_export()] == [
+            captured[ref] for ref in node.committed_log]
+        assert [digest for _, _, digest, _, _
+                in node.committed_log_export()] == [
+            ref.hex() for ref in node.committed_log]

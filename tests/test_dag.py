@@ -2,7 +2,15 @@ import random
 
 import pytest
 
-from bbca_chain.blocks import GENESIS_BLOCK, GENESIS_REF, make_data
+from bbca_chain.blocks import (
+    GENESIS_BLOCK,
+    GENESIS_NEW_VIEW,
+    GENESIS_REF,
+    EvidenceKind,
+    Justification,
+    make_backbone,
+    make_data,
+)
 from bbca_chain.dag import DagStore, UnknownBlockError
 from bbca_chain.simnet import Scenario, run
 
@@ -239,6 +247,39 @@ def test_order_under_matches_definition_across_successive_commits():
                 - committed)
             assert store.order_under(backbone.digest, committed) == expected
             committed.update(expected)
+
+
+# -- commit and collect ------------------------------------------------------------
+
+def test_collected_bodies_still_count_as_delivered():
+    store = DagStore()
+    store.insert(GENESIS_BLOCK)
+    payload = linked(GENESIS_BLOCK, payload=b"tx")
+    backbone = make_backbone(1, 1, Justification(EvidenceKind.COMPLETE,
+                                                 (GENESIS_NEW_VIEW,)),
+                             extra_refs={payload.digest, GENESIS_REF})
+    store.insert(GENESIS_NEW_VIEW)
+    store.insert(payload)
+    store.insert(backbone)
+    added = store.commit(backbone.digest)
+    assert added[-1] == backbone.digest and payload.digest in added
+    assert store.newly_committed == added
+    store.collect()
+    assert store.newly_committed == []
+    # The DATA and NEW_VIEW bodies are gone; the backbone stays.
+    assert payload.digest not in store.delivered
+    assert GENESIS_NEW_VIEW.digest not in store.delivered
+    assert store.get(backbone.digest) is backbone
+    with pytest.raises(UnknownBlockError):
+        store.get(payload.digest)
+    # The digests still answer ``in``, ``holds`` and ``insert``; a late
+    # block on top of a collected one is delivered at once.
+    assert payload.digest in store and store.holds(payload.digest)
+    assert store.insert(payload) == []
+    late = linked(payload, backbone, view=2, payload=b"late")
+    assert store.insert(late) == [late]
+    assert late.digest in store.tips()
+    assert store.order_under(late.digest, store.committed) == [late.digest]
 
 
 # -- tips ------------------------------------------------------------------------

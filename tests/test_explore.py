@@ -155,8 +155,8 @@ def _shared_mutables(a, b, path="clone"):
         pairs = [(f"{path}[{key!r}]", a[key], b[key]) for key in a if key in b]
     elif isinstance(a, (list, tuple)):
         pairs = [(f"{path}[{i}]", x, y) for i, (x, y) in enumerate(zip(a, b))]
-    elif isinstance(a, set):
-        pairs = []  # members are hashable, hence immutable here
+    elif isinstance(a, (set, bytearray)):
+        pairs = []  # members are hashable or bytes, hence immutable here
     else:
         pairs = [(f"{path}.{name}", value, getattr(b, name))
                  for name, value in vars(a).items()]
@@ -166,7 +166,8 @@ def _shared_mutables(a, b, path="clone"):
 
 def _dag_state(dag):
     return (set(dag.delivered), dict(dag.pending), dict(dag._missing),
-            dict(dag._waiters), dag.tips())
+            dict(dag._waiters), dag.tips(), set(dag.committed),
+            list(dag.newly_committed))
 
 
 def _instance_state(inst):
@@ -179,7 +180,7 @@ def _node_state(node):
     return (node.view,
             {view: entry if entry == NO_OP else entry.digest
              for view, entry in node.finalized.items()},
-            list(node.committed_log),
+            list(node.committed_log), bytes(node.committed_rows),
             _dag_state(node.dag),
             set(node.pending_commit), set(node.pending_complete),
             {view: (inst.echo, inst.ready, inst.abort, inst.completed)

@@ -15,7 +15,7 @@ from bbca_chain.invariants import (
     check_commit_ancestry,
     check_echo_once,
 )
-from bbca_chain.simnet import Deliver, Scenario, Strategy, run
+from bbca_chain.simnet import Deliver, Scenario, Simulator, Strategy, run
 
 NEVER_PROPOSED = digest32(b"never proposed")
 
@@ -217,13 +217,26 @@ def test_bbca_world_drops_signature_less_traffic(kind):
 
 
 def test_commit_ancestry_names_a_block_committed_before_its_reference():
-    result = run(Scenario(n=4, seed=1, delta_post=10, horizon=3))
-    assert check_commit_ancestry(result) == []
-    # Node 2's last commit, a view-3 block, references earlier commits;
-    # moving it to the front of the log commits it before them.
-    log = result.nodes[2].committed_log
-    moved = log.pop()
-    log.insert(0, moved)
+    scenario = Scenario(n=4, seed=1, delta_post=10, horizon=3)
+    assert check_commit_ancestry(run(scenario)) == []
+    # Node 2's last commit, a view-3 block, references earlier commits of
+    # its batch; moving it to the front of the batch commits it before
+    # them.  The simulator checks each batch as it drains it.
+    sim = Simulator(scenario)
+    dag = sim.nodes[2].dag
+    order_under = dag.order_under
+    moved = []
+
+    def view_3_block_first(backbone, already_committed):
+        batch = order_under(backbone, already_committed)
+        if dag.get(backbone).view != 3:
+            return batch
+        moved.append(batch[-1])
+        return [batch[-1], *batch[:-1]]
+
+    dag.order_under = view_3_block_first
+    result = sim.run()
+    assert moved == [result.nodes[2].finalized[3].digest]
     assert check_commit_ancestry(result) == [
-        f"ancestry: node 2 committed {moved.hex()[:12]} before one of its "
+        f"ancestry: node 2 committed {moved[0].hex()[:12]} before one of its "
         f"references"]

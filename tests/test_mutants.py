@@ -21,6 +21,9 @@ REPLAY_N4 = {**WITHHOLD_READY_N4,
              "adversary": {"1": {"strategy": "replay"}}}
 CAMPAIGN = [(WITHHOLD_READY_N4, range(4)), (REPLAY_N4, range(8))]
 
+# Chain mutants, and the one check that alone must report each of them.
+CHAIN_KILLERS = {"reversed_commit_batches": "commit_ancestry"}
+
 # Mutants that no named check reports within the campaign; each has a
 # ``FOUND:`` line in CHANGES.md.
 SURVIVORS = {
@@ -46,9 +49,25 @@ def test_campaign_is_clean_without_a_mutant():
 @pytest.mark.parametrize("name", [
     name if name not in SURVIVORS else pytest.param(
         name, marks=pytest.mark.xfail(strict=True, reason=SURVIVORS[name]))
-    for name in sorted(mutants.MUTANTS)])
+    for name in sorted(set(mutants.MUTANTS) - set(CHAIN_KILLERS))])
 def test_complete_adopt_kills_mutant(monkeypatch, name):
     mutants.apply(monkeypatch, name)
     problems = complete_adopt_problems()
     assert problems and all(p.startswith("complete-adopt: ")
                             for p in problems)
+
+
+def reporting_checks(raw, seeds) -> set[str]:
+    """The checks that report a problem in some run of the sweep."""
+    return {name for seed in seeds
+            for name, problems in harness.run_config(
+                parse_config({**raw, "seed": seed})).verdicts.items()
+            if problems}
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_KILLERS))
+def test_one_named_check_alone_kills_chain_mutant(monkeypatch, name):
+    raw, seeds = WITHHOLD_READY_N4, range(4)
+    assert reporting_checks(raw, seeds) == set()
+    mutants.apply(monkeypatch, name)
+    assert reporting_checks(raw, seeds) == {CHAIN_KILLERS[name]}

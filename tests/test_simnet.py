@@ -21,10 +21,12 @@ from bbca_chain.invariants import (
     check_growth,
     check_prefix_consistency,
     check_view_sync,
+    echo_once,
 )
 from bbca_chain.simnet import (
     _DIGEST_CHUNK_LINES,
     Adversary,
+    BbcaSends,
     DelayModel,
     Deliveries,
     PreGstPolicy,
@@ -324,6 +326,26 @@ def test_echo_once_flags_a_node_that_sends_twice(monkeypatch):
     assert all(p.startswith("echo-once: node 0 ") for p in problems)
     assert any("ECHO" in p for p in problems)
     assert any("READY" in p for p in problems)
+
+
+def test_bbca_sends_counts_a_repeat_across_a_raised_cover():
+    echo, ready = MsgKind.ECHO, MsgKind.READY
+    near, far, odd = InstanceId(2, 2), InstanceId(1, 5), InstanceId(9, 1)
+    sends = BbcaSends(4)
+    sends.cover(3)
+    for instance in (near, far, odd):
+        sends.add(0, echo, instance)
+    # View 5 lies beyond the bytes, and sender 9 beyond n: both go aside.
+    assert sends.aside == {(0, echo, far): 1, (0, echo, odd): 1}
+    sends.cover(7)
+    assert len(sends.first) == 7 * 4 * 4 * 3
+    for kind, instance in ((echo, far), (echo, near), (ready, near)):
+        sends.add(0, kind, instance)
+    assert sends.aside == {(0, echo, far): 2, (0, echo, near): 2,
+                           (0, echo, odd): 1}
+    assert echo_once(sends.aside) == [
+        "echo-once: node 0 sent 2 x ECHO s1 v5",
+        "echo-once: node 0 sent 2 x ECHO s2 v2"]
 
 
 def test_each_proposal_is_processed_once_per_node(monkeypatch):

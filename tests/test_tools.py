@@ -7,6 +7,8 @@ import tracemalloc
 from pathlib import Path
 
 from bbca_chain.bbca import InstanceId
+from bbca_chain.blocks import decode_block
+from bbca_chain.chain import validate_backbone_block, validate_new_view_block
 from bbca_chain.simnet import Scenario, Simulator, run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -73,17 +75,25 @@ def test_peak_memory_releases_each_retained_structure(monkeypatch):
         tracemalloc.stop()
     labels = [label for label, _ in to_release]
     assert labels[:2] == ["trace records", "trace view_entries"]
-    for prefix in ("trace deliveries", "trace bbca_sends", "node DAGs",
+    for prefix in ("trace deliveries", "trace bbca_sends", "trace ancestry",
+                   "DAG committed digests", "node DAGs",
                    "BBCA instances, settled (",
-                   "BBCA instances, unsettled (", "other per-view chain",
-                   "cache chain.make_predicate ("):
+                   "BBCA instances, unsettled (", "new_view_blocks",
+                   "held_certs", "other per-view chain",
+                   "cache chain.make_predicate (",
+                   "cache chain.validate_new_view_block (",
+                   "cache chain.validate_backbone_block ("):
         assert any(label.startswith(prefix) for label in labels), prefix
     assert sum(freed for _, freed in rows) > 0
     for node in result.nodes.values():
         assert node.dag is None and not node.instances
+        assert not node.new_view_blocks and not node.held_certs
         assert not node.finalized and not node.committed_log
+        assert not node.committed_rows
     assert not result.trace.records
-    assert not len(result.trace.deliveries) and not result.trace.bbca_sends
+    assert not len(result.trace.deliveries)
+    assert not result.trace.bbca_sends.first
+    assert not result.trace.bbca_sends.aside
 
 
 def test_peak_memory_counts_the_records_a_run_hashes(monkeypatch):
@@ -97,3 +107,16 @@ def test_peak_memory_counts_the_records_a_run_hashes(monkeypatch):
     counted.run().trace.digest()
     assert hashed == [len(kept.trace.kept)]
     assert not counted.trace.records
+
+
+def test_peak_memory_derives_the_inputs_outside_the_measuring_process(
+        monkeypatch):
+    peak_memory = _load_tool("peak_memory", monkeypatch)
+    memos = (validate_new_view_block, validate_backbone_block, decode_block)
+    before = [memo.cache_info() for memo in memos]
+    inputs = peak_memory.derive_inputs(3)
+    # A perfbench worker starts with cold caches: deriving the inputs here
+    # would have filled them before the measurement.
+    assert [memo.cache_info() for memo in memos] == before
+    assert inputs["raw"]["name"] == "sim_long" and inputs["raw"]["payloads"]
+    assert len(inputs["reference_digest"]) == 64

@@ -2,31 +2,34 @@
 
     python3 tools/peak_memory.py --seed 3
 
-Builds the workload exactly as ``perfbench`` does (same inputs from the
-seed, same ``Work.setup``), then runs the three phases of its one
+Builds the workload as a ``perfbench`` worker does: a child interpreter
+derives the inputs from the seed, and this process, whose program caches
+are still cold, runs ``Work.setup`` and then the three phases of the one
 operation in the same order: ``Simulator.run``, ``harness.evaluate`` and
-``Trace.digest``.  ``tracemalloc`` starts after the inputs are derived and
-before the set-up; for each phase it prints the memory Python allocations
-held when the phase began, the most they held at once during it, and what
-they held when it ended.  Unlike peak RSS these figures do not depend on
-the allocator or on what the process did before, so they are the same
-on every run of one seed and one Python version.
+``Trace.digest``.  ``tracemalloc`` starts after the program is imported
+and before the set-up; for each phase it prints the memory Python
+allocations held when the phase began, the most they held at once during
+it, and what they held when it ended.  Unlike peak RSS these figures do
+not depend on the allocator or on what the process did before, so they
+are the same on every run of one seed and one Python version.
 
 The header counts the trace records the run hashed.  The report then
 says where the run-end memory sits: it releases, one at a time and in
 this order, the unhashed trace ``records``, each trace side table, the
-per-node DAGs, the settled and then the unsettled BBCA instances, the
-other per-view chain state, the committed logs and each ``lru_cache`` of
-the program, and prints the memory each release freed.  An object held by
+DAGs' committed digests and then the DAGs, the settled and then the
+unsettled BBCA instances, each node's ``new_view_blocks`` and
+``held_certs`` (the tables a node collects as it runs), the other
+per-view chain state, the committed logs and each cache or memo of the
+program, and prints the memory each release freed.  An object held by
 two structures is counted with the later one, so the order is part of the
-figures.  Deriving the inputs runs the workload once before tracing
-starts, so the cache entries and the decoded blocks they hold are not
-traced: the cache rows read about 0 and give each cache's entry count.
+figures.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import subprocess
 import sys
 import tracemalloc
 from dataclasses import fields
@@ -39,10 +42,31 @@ import workloads  # noqa: E402  (perfbench/workloads.py, read-only)
 
 MIB = 1024 * 1024
 
-# Per-view chain state other than the BBCA instances, the DAG and the log.
-CHAIN_TABLES = ("new_view_blocks", "held_certs", "finalized",
-                "pending_complete", "pending_commit", "probed", "proposed",
-                "emitted_nvb")
+# Per-view chain state other than the BBCA instances, the DAG, the log and
+# the tables a node collects as it runs (released first, one row each).
+COLLECTED_TABLES = ("new_view_blocks", "held_certs")
+CHAIN_TABLES = ("finalized", "pending_complete", "pending_commit", "probed",
+                "proposed", "emitted_nvb")
+
+# Run in a child interpreter: derives the sim_long inputs of a seed there,
+# so that the caches the derivation fills stay out of this process.
+DERIVE = """
+import json, sys
+from pathlib import Path
+root = Path(sys.argv[1])
+sys.path.insert(0, str(root / "perfbench"))
+import workloads
+workloads.import_program(root)
+print(json.dumps(workloads.make_inputs("sim_long", int(sys.argv[2]))))
+"""
+
+
+def derive_inputs(seed: int) -> dict:
+    """The sim_long inputs of ``seed``, derived in a child interpreter."""
+    proc = subprocess.run([sys.executable, "-c", DERIVE, str(ROOT),
+                           str(seed)], capture_output=True, text=True,
+                          check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def releases(result) -> list[tuple[str, object]]:
@@ -77,13 +101,15 @@ def releases(result) -> list[tuple[str, object]]:
     out = [(f"trace {field.name}", getattr(trace, field.name).clear)
            for field in fields(trace)
            if hasattr(getattr(trace, field.name), "clear")]
-    out += [("node DAGs", drop_dags),
+    out += [("DAG committed digests", clear_each(("committed_set",))),
+            ("node DAGs", drop_dags),
             (f"BBCA instances, settled ({settled})", drop_instances(True)),
             (f"BBCA instances, unsettled ({unsettled})",
-             drop_instances(False)),
-            ("other per-view chain state", clear_each(CHAIN_TABLES)),
+             drop_instances(False))]
+    out += [(name, clear_each((name,))) for name in COLLECTED_TABLES]
+    out += [("other per-view chain state", clear_each(CHAIN_TABLES)),
             ("committed logs", clear_each(("committed_log",
-                                           "committed_set")))]
+                                           "committed_rows")))]
     for module in sorted(
             (m for name, m in sys.modules.items()
              if name.startswith("bbca_chain.")), key=lambda m: m.__name__):
@@ -126,11 +152,11 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     args = parser.parse_args(argv)
 
+    inputs = derive_inputs(args.seed)
     workloads.import_program(ROOT)
     from bbca_chain import harness
 
-    work = workloads.Work("sim_long",
-                          workloads.make_inputs("sim_long", args.seed))
+    work = workloads.Work("sim_long", inputs)
     rows = []
 
     def traced(name, fn):
