@@ -6,14 +6,14 @@ Answers are certificates: completion yields a COMPLETE ``Cert`` (a quorum
 of READY signatures), a probe an ADOPT ``Cert`` (a quorum of ECHO
 signatures) or ``None`` for NoAdopt, which flags the instance so it never
 sends a READY afterwards; the message stays in ``pending`` under the
-certificate's ``block_digest`` until the instance settles.  If any correct
-node completes m, at least f+1 correct probers adopt m; conversely f+1
-correct NoAdopt answers preclude completion anywhere.
+certificate's ``block_digest``.  If any correct node completes m, at least
+f+1 correct probers adopt m; conversely f+1 correct NoAdopt answers
+preclude completion anywhere.
 
 An ECHO or READY counts only if its signer is one of the n nodes.  Once a
-node sent its own ECHO and holds the ECHO and the READY of all n nodes, no
-input can change its answers: ``settle`` then keeps the completion and the
-adopt certificate and drops the vote tables and the message.
+node sent its own ECHO and holds the ECHO and the READY of all n nodes, the
+instance is ``final``: no input can change its answers, so the enclosing
+node may keep its ``outcome`` and drop the instance.
 
 Handlers are pure state transitions: one inbound message in, a list of
 outbound messages (or a COMPLETE certificate) out.  The enclosing runtime
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import enum
 from functools import lru_cache
-from types import MappingProxyType
 from typing import Callable, NamedTuple
 
 from .blocks import BlockRef, Cert, CertKind
@@ -36,17 +35,6 @@ Predicate = Callable[[bytes], bool]
 
 def _accept_all(_message: bytes) -> bool:
     return True
-
-
-# A settled instance's ``pending``, ``echo_sigs`` and ``ready_sigs``: one
-# shared table, read-only so that no handler can fill it.
-_SETTLED = MappingProxyType({})
-
-
-@lru_cache(maxsize=64)
-def _everyone(n: int) -> frozenset[NodeId]:
-    """A settled instance's signer sets, shared by every instance of size n."""
-    return frozenset(range(n))
 
 
 # Per-message records are named tuples: cheaper to build and to hash than
@@ -97,9 +85,6 @@ class BbcaInstance:
         self.ready = False
         self.abort = False
         self.completed: Cert | None = None
-        # Set by ``settle``, with the adopt certificate it keeps.
-        self.settled = False
-        self._adopt: Cert | None = None
 
     def clone(self) -> "BbcaInstance":
         """Snapshot for state-space exploration; shares immutable pieces."""
@@ -113,27 +98,7 @@ class BbcaInstance:
         twin.received_ready = set(self.received_ready)
         twin.echo, twin.ready, twin.abort = self.echo, self.ready, self.abort
         twin.completed = self.completed
-        twin.settled, twin._adopt = self.settled, self._adopt
         return twin
-
-    def settle(self) -> bool:
-        """Drop the vote tables once no input can change an answer.
-
-        Acts only if this node sent its own ECHO and holds the ECHO and the
-        READY of all n nodes: every later ECHO or READY is then a duplicate
-        or has an unknown signer, every later INIT finds the ECHO sent, and
-        all are dropped.  Keeps ``completed`` and the adopt certificate that
-        ``available_adopt`` returns; returns whether it acted.
-        """
-        n = self.params.n
-        if (self.settled or not self.echo or len(self.received_echo) < n
-                or len(self.received_ready) < n):
-            return False
-        self._adopt = self._adopt_cert()
-        self.received_echo = self.received_ready = _everyone(n)
-        self.pending = self.echo_sigs = self.ready_sigs = _SETTLED
-        self.settled = True
-        return True
 
     # -- outbound construction ------------------------------------------
 
@@ -248,11 +213,23 @@ class BbcaInstance:
 
     # -- local queries -----------------------------------------------------
 
+    def final(self) -> bool:
+        """Whether no input can change an answer: this node sent its own
+        ECHO and holds the ECHO and the READY of all n nodes, so every later
+        vote is a duplicate or has an unknown signer, and every later INIT
+        finds the ECHO sent."""
+        n = self.params.n
+        return (self.echo and len(self.received_echo) >= n
+                and len(self.received_ready) >= n)
+
+    def outcome(self) -> tuple[BlockRef | None, BlockRef | None]:
+        """(completed digest, adoptable digest), ``None`` where absent."""
+        completed = self.completed
+        return (None if completed is None else completed.block_digest,
+                self.adoptable_digest())
+
     def adoptable_digest(self) -> BlockRef | None:
         """Digest of the message a probe would adopt now, if any."""
-        if self.settled:
-            adopt = self._adopt
-            return None if adopt is None else adopt.block_digest
         # At most one message can hold an echo quorum: each node's first
         # echo is the only one counted, so quorums for two messages would
         # need more distinct nodes than exist.
@@ -264,18 +241,11 @@ class BbcaInstance:
 
     def available_adopt(self) -> Cert | None:
         """ADOPT certificate extractable from current state, without probing."""
-        if self.settled:
-            return self._adopt
         digest = self.adoptable_digest()
         if digest is None:
             return None
         sigs = tuple(sorted(self.echo_sigs[digest])[:self.params.quorum])
         return Cert(CertKind.ADOPT, *self.instance, digest, sigs)
-
-    # The same function under a private name, for ``settle``: a wrapper set
-    # on the public name (a tracer, a test counting calls) sees only the
-    # callers outside this class, and no call pays a second frame.
-    _adopt_cert = available_adopt
 
 
 @lru_cache(maxsize=4096)

@@ -261,11 +261,15 @@ class ChainNode:
         self.held_certs: dict[int, Cert] = {0: GENESIS_CERT}
         self.anchor_floor = 0
         self.instances: dict[int, BbcaInstance] = {}
+        # A final instance leaves ``instances`` on entering the view two past
+        # it, and its ``outcome`` row stays here.
+        self.outcomes: dict[int, tuple[BlockRef | None, BlockRef | None]] = {}
         self.pending_complete: dict[BlockRef, Cert] = {}
         self.pending_commit: set[BlockRef] = set()
-        self.probed: set[int] = set()
-        self.proposed: set[int] = set()
-        self.emitted_nvb: set[int] = set()
+        # The highest view this node probed, proposed in and emitted its own
+        # new-view block for (0: genesis).  Each is asked only about views
+        # from ``view`` on and holds none past it: at or below it is done.
+        self.probed = self.proposed = self.emitted_nvb = 0
         self.my_last_ref: BlockRef | None = None
         self.outbox: list[Output] = []
         # Set when a view rule's input changes (the view, a stored new-view
@@ -295,11 +299,11 @@ class ChainNode:
         twin.anchor_floor = self.anchor_floor
         twin.instances = {view: inst.clone()
                           for view, inst in self.instances.items()}
+        twin.outcomes = dict(self.outcomes)
         twin.pending_complete = dict(self.pending_complete)
         twin.pending_commit = set(self.pending_commit)
-        twin.probed = set(self.probed)
-        twin.proposed = set(self.proposed)
-        twin.emitted_nvb = set(self.emitted_nvb)
+        twin.probed, twin.proposed = self.probed, self.proposed
+        twin.emitted_nvb = self.emitted_nvb
         twin.my_last_ref = self.my_last_ref
         twin.outbox = list(self.outbox)
         twin.rules_dirty = self.rules_dirty
@@ -314,9 +318,12 @@ class ChainNode:
     def _terminal(self) -> bool:
         return self.horizon is not None and self.view > self.horizon
 
-    def _instance_for(self, view: int) -> BbcaInstance:
+    def _instance_for(self, view: int) -> BbcaInstance | None:
+        """The view's instance, created on first use; ``None`` once dropped."""
         inst = self.instances.get(view)
         if inst is None:
+            if view in self.outcomes:
+                return None
             bid = InstanceId(get_proposer(view, self.params), view)
             inst = BbcaInstance(self.params, bid, self.id,
                                 make_predicate(view, self.params))
@@ -359,7 +366,7 @@ class ChainNode:
     def handle_timer(self, view: int) -> None:
         if self.dag.newly_committed:
             self.dag.collect()
-        if view != self.view or self._terminal() or view in self.probed:
+        if view != self.view or self._terminal() or view <= self.probed:
             return
         self._conclude_view_by_probe(view)
         self._evaluate_view_rules()
@@ -387,6 +394,8 @@ class ChainNode:
         if block is not None:
             self._ingest_block(block)
         inst = self._instance_for(view)
+        if inst is None:
+            return  # a final instance answers nothing new
         outs, cert = inst.handle_message(frm, msg)
         self.outbox.extend(outs)
         if (sig is not None and kind == ECHO and view not in self.held_certs
@@ -469,9 +478,9 @@ class ChainNode:
         return held[view]
 
     def _make_own_new_view_block(self, view: int, data: NewViewData) -> None:
-        if view in self.emitted_nvb:
+        if view <= self.emitted_nvb:
             return
-        self.emitted_nvb.add(view)
+        self.emitted_nvb = view
         nvb = make_new_view(self.id, view, data, extra_refs=self._own_refs())
         self.my_last_ref = nvb.digest
         # Ingest records it and files it into the DAG so later blocks can
@@ -492,7 +501,7 @@ class ChainNode:
         self._enter_view(block.view + 1, "complete_own")
 
     def _conclude_view_by_probe(self, view: int) -> None:
-        self.probed.add(view)
+        self.probed = view
         self.rules_dirty = True
         cert = self._instance_for(view).probe()
         if cert is not None:
@@ -511,15 +520,16 @@ class ChainNode:
     def _enter_view(self, view: int, cause: str) -> None:
         if view <= self.view:
             return
-        # Offer each instance to ``settle`` once, on entering the view two
-        # past it, and drop that view's new-view blocks; views skipped by a
-        # catch-up are passed too.
+        # On entering the view two past a view, drop its new-view blocks
+        # and, if final, its instance for an outcome row; views skipped by
+        # a catch-up are passed too.
         instances, nvbs = self.instances, self.new_view_blocks
         for old in range(max(self.view - 1, 0), view - 1):
             nvbs.pop(old, None)
             inst = instances.get(old)
-            if inst is not None:
-                inst.settle()
+            if inst is not None and inst.final():
+                del instances[old]
+                self.outcomes[old] = inst.outcome()
         # Raise the anchor floor; every held view below it is one passed
         # since the last raise.
         held, floor = self.held_certs, view
@@ -551,7 +561,7 @@ class ChainNode:
             found = self._best_certified_conclusion(view)
             if found is not None:
                 w, nvb = found
-                if w not in self.emitted_nvb:
+                if w > self.emitted_nvb:
                     self._make_own_new_view_block(w, nvb.new_view)
                 else:
                     # Already concluded w ourselves (first block is final);
@@ -563,10 +573,10 @@ class ChainNode:
                 self._enter_view(w + 1, cause)
                 continue
             noadopts = len(self._with_evidence(view, _NOADOPT))
-            if view not in self.probed and noadopts >= self.params.f + 1:
+            if view > self.probed and noadopts >= self.params.f + 1:
                 self._conclude_view_by_probe(view)
                 continue
-            if view in self.probed and noadopts >= self.params.quorum:
+            if view <= self.probed and noadopts >= self.params.quorum:
                 self._enter_view(view + 1, NOADOPT_CAUSE)
                 continue
             self._maybe_propose(view)
@@ -592,13 +602,13 @@ class ChainNode:
     # -- leader proposal -----------------------------------------------------
 
     def _maybe_propose(self, view: int) -> None:
-        if (view in self.proposed
+        if (view <= self.proposed
                 or get_proposer(view, self.params) != self.id):
             return
         justification = self._build_justification(view - 1)
         if justification is None:
             return
-        self.proposed.add(view)
+        self.proposed = view
         block = make_backbone(self.id, view, justification,
                               extra_refs=self._own_refs())
         self.my_last_ref = block.digest

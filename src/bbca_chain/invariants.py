@@ -190,15 +190,16 @@ def _outcomes(result: RunResult) -> tuple[dict[int, set[bytes]],
                                            dict[int, list[bytes]]]:
     """Per view, the digests correct nodes completed, and what each correct
     node's instance would adopt now: an end-of-run probe's answers, read
-    without probing."""
+    without probing, from the live instances and the dropped ones' rows."""
     completed: dict[int, set[bytes]] = {}
     adoptable: dict[int, list[bytes]] = {}
     for node_id in result.scenario.correct_nodes():
-        for view, inst in result.nodes[node_id].instances.items():
-            if inst.completed is not None:
-                completed.setdefault(view, set()).add(
-                    inst.completed.block_digest)
-            if (digest := inst.adoptable_digest()) is not None:
+        node = result.nodes[node_id]
+        live = {view: inst.outcome() for view, inst in node.instances.items()}
+        for view, (done, digest) in [*node.outcomes.items(), *live.items()]:
+            if done is not None:
+                completed.setdefault(view, set()).add(done)
+            if digest is not None:
                 adoptable.setdefault(view, []).append(digest)
     return completed, adoptable
 

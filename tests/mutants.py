@@ -41,10 +41,9 @@ def _on_echo_sending_ready_when(ready_rule):
 
 
 def _on_echo_counting_repeats(self, message, sig, frm):
-    """``BbcaInstance.on_echo`` without its dedupe by signer, except that a
-    settled instance, whose tables are read-only, still drops every vote."""
+    """``BbcaInstance.on_echo`` without its dedupe by signer."""
     signer = sig.signer
-    if self.settled or not 0 <= signer < self.params.n:  # mutated
+    if not 0 <= signer < self.params.n:  # mutated
         return []
     digest = message_digest(message)
     if digest not in self.pending and not self.predicate(message):

@@ -342,9 +342,9 @@ def test_equivocating_sender_cannot_split_completions():
     assert len(adopted | completed) <= 1
 
 
-# -- settling ---------------------------------------------------------------------
+# -- final instances --------------------------------------------------------------
 # Once a node sent its own ECHO and holds the ECHO and the READY of all n
-# nodes, ``settle`` drops its vote tables and keeps its answers.
+# nodes, the instance is ``final``: no later input changes its answers.
 
 M2 = b"other proposal"
 
@@ -412,14 +412,14 @@ def _stranger_vote(draw):
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(steps=_every_vote(), later=st.lists(_any_input(), max_size=20))
-def test_a_settled_instance_and_its_clone_ignore_every_input(steps, later):
+def test_a_final_instance_and_its_clone_ignore_every_input(steps, later):
     node = driven(steps)
+    assert node.final()
     before = answers(node)
-    assert node.settle() and node.settled
-    assert answers(node) == before
-    assert not node.pending and not node.echo_sigs and not node.ready_sigs
+    completed, adoptable, _ = before
+    row = (None if completed is None else completed.block_digest, adoptable)
     twin = node.clone()
-    assert twin.settled and answers(twin) == before
+    assert twin.final() and answers(twin) == before
     for inst in (node, twin):
         for step in later:
             if step is None:
@@ -427,32 +427,18 @@ def test_a_settled_instance_and_its_clone_ignore_every_input(steps, later):
             else:
                 assert inst.handle_message(*step) == ([], None)
             assert answers(inst) == before
-        assert not inst.settle()
+            assert inst.outcome() == row
+        assert inst.final()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(steps=_every_vote(), missing=st.integers(0, 8),
        strangers=st.lists(_stranger_vote(), max_size=4))
-def test_an_instance_missing_any_vote_never_settles(steps, missing,
-                                                      strangers):
+def test_an_instance_missing_any_vote_is_not_final(steps, missing,
+                                                     strangers):
     # Missing the INIT means the node never sent its own ECHO.  Votes from
     # ids outside [0, n) must not stand in for the missing one.
     dropped = [step for step in steps if step is not None][missing]
     kept = [step for step in steps if step is not dropped]
     node = driven([*kept, *strangers, *kept])
-    before = answers(node)
-    assert not node.settle() and not node.settled
-    assert answers(node) == before
-
-
-def test_settled_instances_share_their_tables():
-    steps = [(0, BbcaMsg(MsgKind.INIT, BID, M)),
-             *votes(MsgKind.ECHO, [M] * 4), *votes(MsgKind.READY, [M] * 4)]
-    one, other = driven(steps), driven(steps)
-    assert one.settle() and other.settle()
-    assert one.received_echo is other.received_ready == frozenset(range(4))
-    assert one.echo_sigs is other.pending
-    with pytest.raises(TypeError):
-        one.pending[digest32(M)] = M
-    assert one.available_adopt() == other.probe()
-    assert [sig.signer for sig in one.available_adopt().sigs] == [0, 1, 2]
+    assert not node.final()

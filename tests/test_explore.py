@@ -184,7 +184,9 @@ def _node_state(node):
             _dag_state(node.dag),
             set(node.pending_commit), set(node.pending_complete),
             {view: (inst.echo, inst.ready, inst.abort, inst.completed)
-             for view, inst in node.instances.items()})
+             for view, inst in node.instances.items()},
+            dict(node.outcomes), node.probed, node.proposed,
+            node.emitted_nvb)
 
 
 def _world_state(world):

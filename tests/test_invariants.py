@@ -5,7 +5,7 @@ ECHO/READY traffic is dropped on every path into a broadcast instance."""
 import pytest
 
 from bbca_chain import explore as ex
-from bbca_chain.bbca import BbcaInstance, BbcaMsg, MsgKind
+from bbca_chain.bbca import BbcaInstance, BbcaMsg, InstanceId, MsgKind
 from bbca_chain.chain import WIRE_TYPES, ChainNode, get_proposer
 from bbca_chain.encoding import digest32, echo_statement
 from bbca_chain.identity import params_for, sign
@@ -58,7 +58,16 @@ def audited_run():
 
 
 def view_one_block(result):
-    return result.nodes[0].instances[1].completed.block_digest
+    return result.nodes[0].finalized[1].digest
+
+
+def set_view_one(node, inst):
+    """Give ``node``'s view 1 the answers of ``inst``, in whichever table
+    holds that view: the live instance or the dropped instance's row."""
+    if 1 in node.instances:
+        node.instances[1] = inst
+    else:
+        node.outcomes[1] = inst.outcome()
 
 
 def test_clean_leaf_and_run_report_nothing():
@@ -99,8 +108,8 @@ def test_consistency_has_one_wording(sabotage):
 def test_consistency_has_one_wording_in_a_run():
     result = audited_run()
     node = result.nodes[2]
-    node.instances[1] = restarted_with_echo_quorum(
-        node.params, node.instances[1].instance, 2)
+    set_view_one(node, restarted_with_echo_quorum(
+        node.params, InstanceId(get_proposer(1, node.params), 1), 2))
     assert check_bbca_consistency(result) == [
         consistency_text(1, {view_one_block(result), NEVER_PROPOSED})]
 
@@ -135,15 +144,6 @@ def test_noadopt_half_of_complete_adopt_has_one_wording():
     assert check_bbca_complete_adopt(result) == [noadopt_text(1)]
 
 
-def completed_without_echoes(inst):
-    """A fresh instance that holds ``inst``'s completion and no echo: nothing
-    left to adopt.  A run's instance may have settled, and a settled one
-    answers from what it kept, so the state is built, not edited."""
-    twin = BbcaInstance(inst.params, inst.instance, inst.node)
-    twin.completed = inst.completed
-    return twin
-
-
 def test_adopter_half_of_complete_adopt_has_one_wording():
     world = explored_leaf()
     for node in world.nodes.values():
@@ -152,8 +152,12 @@ def test_adopter_half_of_complete_adopt_has_one_wording():
 
     result = audited_run()
     for node_id in result.scenario.correct_nodes():
-        instances = result.nodes[node_id].instances
-        instances[1] = completed_without_echoes(instances[1])
+        node = result.nodes[node_id]
+        if 1 in node.instances:
+            node.instances[1].echo_sigs.clear()
+        else:
+            completed, _ = node.outcomes[1]
+            node.outcomes[1] = (completed, None)
     assert check_bbca_complete_adopt(result) == [adopters_text(1, 0)]
 
 

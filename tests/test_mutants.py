@@ -57,6 +57,14 @@ def test_complete_adopt_kills_mutant(monkeypatch, name):
                             for p in problems)
 
 
+@pytest.mark.parametrize("name", sorted(SURVIVORS))
+def test_a_surviving_mutant_runs_clean(monkeypatch, name):
+    # A survivor's strict xfail must come from no report, not from a run
+    # that raised.
+    mutants.apply(monkeypatch, name)
+    assert complete_adopt_problems() == []
+
+
 def reporting_checks(raw, seeds) -> set[str]:
     """The checks that report a problem in some run of the sweep."""
     return {name for seed in seeds

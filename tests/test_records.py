@@ -16,10 +16,9 @@ it.  The containers audited for this are:
   values only;
 - ``BbcaInstance.echo_sigs`` and ``BbcaInstance.ready_sigs``: tuples of
   ``Signature`` values only, sorted into certificates; a signer appears at
-  most once per instance, so the sort is by signer.  A settled instance
-  holds one shared, empty, read-only mapping in their place and in
-  ``pending``, and one shared ``frozenset`` of node ids in place of
-  ``received_echo`` and ``received_ready``;
+  most once per instance, so the sort is by signer;
+- ``ChainNode.outcomes``: plain pairs of a digest or ``None``, compared only
+  with each other;
 - the ``make_predicate`` cache keys: ``(view, SystemParams)`` pairs only;
 - ``ChainNode.outbox``: wire messages, ``ViewEntered``, ``Committed`` and
   ``Probed``, routed by type and never compared;

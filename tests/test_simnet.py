@@ -290,15 +290,37 @@ def test_max_ticks_stops_the_run():
 @pytest.mark.parametrize("name", ["n4-payloads-audit",
                                   "n4-equivocate-init-audit",
                                   "n7-replay-audit"])
-def test_adoptable_digest_is_what_a_forced_probe_answers(name):
+def test_adoptable_digest_is_what_a_forced_probe_answers(name, monkeypatch):
     # The end-of-run Complete-Adopt checks read ``adoptable_digest`` in
-    # place of probing; a probe of a copy must answer the same.
+    # place of probing, and a dropped instance's row in place of the
+    # instance; a probe of a copy must answer the same.
+    def probed_row(inst):
+        twin = inst.clone()
+        cert = twin.probe()
+        return (twin.outcome()[0],
+                None if cert is None else cert.block_digest)
+
+    # Each final instance, probed on a copy just before it is dropped.
+    before_drop = {}
+    final = BbcaInstance.final
+
+    def probing_final(inst):
+        answer = final(inst)
+        if answer:
+            before_drop[inst.node, inst.instance.view] = probed_row(inst)
+        return answer
+
+    monkeypatch.setattr(BbcaInstance, "final", probing_final)
     result = run(SHAPES[name][0])
+    rows = 0
     for node_id in result.scenario.correct_nodes():
-        for inst in result.nodes[node_id].instances.values():
-            cert = inst.clone().probe()
-            probed = None if cert is None else cert.block_digest
-            assert inst.adoptable_digest() == probed
+        node = result.nodes[node_id]
+        for inst in node.instances.values():
+            assert inst.adoptable_digest() == probed_row(inst)[1]
+        for view, row in node.outcomes.items():
+            assert row == before_drop[node_id, view]
+            rows += 1
+    assert rows
 
 
 def test_trace_lines_and_summary_present():

@@ -77,8 +77,8 @@ def test_peak_memory_releases_each_retained_structure(monkeypatch):
     assert labels[:2] == ["trace records", "trace view_entries"]
     for prefix in ("trace deliveries", "trace bbca_sends", "trace ancestry",
                    "DAG committed digests", "node DAGs",
-                   "BBCA instances, settled (",
-                   "BBCA instances, unsettled (", "new_view_blocks",
+                   "BBCA instances (", "BBCA outcome rows (",
+                   "new_view_blocks",
                    "held_certs", "other per-view chain",
                    "cache chain.make_predicate (",
                    "cache chain.validate_new_view_block (",
@@ -86,7 +86,7 @@ def test_peak_memory_releases_each_retained_structure(monkeypatch):
         assert any(label.startswith(prefix) for label in labels), prefix
     assert sum(freed for _, freed in rows) > 0
     for node in result.nodes.values():
-        assert node.dag is None and not node.instances
+        assert node.dag is None and not node.instances and not node.outcomes
         assert not node.new_view_blocks and not node.held_certs
         assert not node.finalized and not node.committed_log
         assert not node.committed_rows

@@ -16,8 +16,8 @@ are the same on every run of one seed and one Python version.
 The header counts the trace records the run hashed.  The report then
 says where the run-end memory sits: it releases, one at a time and in
 this order, the unhashed trace ``records``, each trace side table, the
-DAGs' committed digests and then the DAGs, the settled and then the
-unsettled BBCA instances, each node's ``new_view_blocks`` and
+DAGs' committed digests and then the DAGs, the live BBCA instances and
+the outcome rows of dropped ones, each node's ``new_view_blocks`` and
 ``held_certs`` (the tables a node collects as it runs), the other
 per-view chain state, the committed logs and each cache or memo of the
 program, and prints the memory each release freed.  An object held by
@@ -45,8 +45,7 @@ MIB = 1024 * 1024
 # Per-view chain state other than the BBCA instances, the DAG, the log and
 # the tables a node collects as it runs (released first, one row each).
 COLLECTED_TABLES = ("new_view_blocks", "held_certs")
-CHAIN_TABLES = ("finalized", "pending_complete", "pending_commit", "probed",
-                "proposed", "emitted_nvb")
+CHAIN_TABLES = ("finalized", "pending_complete", "pending_commit")
 
 # Run in a child interpreter: derives the sim_long inputs of a seed there,
 # so that the caches the derivation fills stay out of this process.
@@ -74,14 +73,6 @@ def releases(result) -> list[tuple[str, object]]:
     order to release them; releasing empties ``result`` and the caches."""
     trace, nodes = result.trace, list(result.nodes.values())
 
-    def drop_instances(settled):
-        def release():
-            for node in nodes:
-                node.instances = {view: inst for view, inst
-                                  in node.instances.items()
-                                  if inst.settled != settled}
-        return release
-
     def clear_each(names):
         def release():
             for node in nodes:
@@ -93,9 +84,8 @@ def releases(result) -> list[tuple[str, object]]:
         for node in nodes:
             node.dag = None
 
-    settled = sum(inst.settled for node in nodes
-                  for inst in node.instances.values())
-    unsettled = sum(len(node.instances) for node in nodes) - settled
+    instances = sum(len(node.instances) for node in nodes)
+    rows = sum(len(node.outcomes) for node in nodes)
     # Every field that can be emptied: the lists and dicts, and the packed
     # deliveries.
     out = [(f"trace {field.name}", getattr(trace, field.name).clear)
@@ -103,9 +93,8 @@ def releases(result) -> list[tuple[str, object]]:
            if hasattr(getattr(trace, field.name), "clear")]
     out += [("DAG committed digests", clear_each(("committed_set",))),
             ("node DAGs", drop_dags),
-            (f"BBCA instances, settled ({settled})", drop_instances(True)),
-            (f"BBCA instances, unsettled ({unsettled})",
-             drop_instances(False))]
+            (f"BBCA instances ({instances})", clear_each(("instances",))),
+            (f"BBCA outcome rows ({rows})", clear_each(("outcomes",)))]
     out += [(name, clear_each((name,))) for name in COLLECTED_TABLES]
     out += [("other per-view chain state", clear_each(CHAIN_TABLES)),
             ("committed logs", clear_each(("committed_log",
