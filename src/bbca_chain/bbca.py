@@ -10,7 +10,12 @@ certificate's ``block_digest``.  If any correct node completes m, at least
 f+1 correct probers adopt m; conversely f+1 correct NoAdopt answers
 preclude completion anywhere.
 
-An ECHO or READY counts only if its signer is one of the n nodes.  Once a
+An ECHO or READY counts only if its signer is one of the n nodes.  The
+statement a vote signs is fixed by (kind, instance, message), so one memoized
+vote table maps that key to (message digest, statement, statement digest):
+a handler checks a vote by comparing its signature's digest with the row,
+which is ``identity.verify`` for a signature checked against its own signer,
+and signs its own votes over the row's statement.  Once a
 node sent its own ECHO and holds the ECHO and the READY of all n nodes, the
 instance is ``final``: no input can change its answers, so the enclosing
 node may keep its ``outcome`` and drop the instance.
@@ -28,7 +33,7 @@ from typing import Callable, NamedTuple
 
 from .blocks import BlockRef, Cert, CertKind
 from .encoding import digest32, echo_statement, ready_statement
-from .identity import NodeId, Signature, SystemParams, sign, verify
+from .identity import NodeId, Signature, SystemParams, sign, statement_digest
 
 Predicate = Callable[[bytes], bool]
 
@@ -104,7 +109,7 @@ class BbcaInstance:
 
     def _signed(self, kind: MsgKind, message: bytes) -> BbcaMsg:
         instance = self.instance
-        stmt = _statement(kind, instance.sender, instance.view, message)
+        stmt = vote_row(kind, instance, message)[1]
         # ``tuple.__new__`` skips the generated constructor, as in
         # ``identity.sign``: 375-381 -> 244-247 ns per message (timeit).
         return tuple.__new__(
@@ -172,11 +177,10 @@ class BbcaInstance:
         signer = sig.signer
         if signer in self.received_echo or not 0 <= signer < self.params.n:
             return []
-        digest = message_digest(message)
+        digest, _, signed = vote_row(ECHO, self.instance, message)
         if digest not in self.pending and not self.predicate(message):
             return []
-        sender, view = self.instance
-        if not verify(sig, _statement(ECHO, sender, view, message), signer):
+        if sig.digest != signed:
             return []
         self.received_echo.add(signer)
         self.pending[digest] = message
@@ -193,12 +197,10 @@ class BbcaInstance:
         signer = sig.signer
         if signer in self.received_ready or not 0 <= signer < self.params.n:
             return None
-        digest = message_digest(message)
+        digest, _, signed = vote_row(READY, self.instance, message)
         if digest not in self.pending and not self.predicate(message):
             return None
-        sender, view = self.instance
-        if not verify(sig, _statement(READY, sender, view, message),
-                      signer):
+        if sig.digest != signed:
             return None
         self.received_ready.add(signer)
         self.pending[digest] = message
@@ -206,7 +208,7 @@ class BbcaInstance:
         self.ready_sigs[digest] = sigs
         # Completion is not blocked by abort; only READY emission is.
         if self.completed is None and len(sigs) == self.params.quorum:
-            self.completed = Cert(CertKind.COMPLETE, sender, view, digest,
+            self.completed = Cert(CertKind.COMPLETE, *self.instance, digest,
                                   tuple(sorted(sigs)))
             return self.completed
         return None
@@ -256,12 +258,15 @@ def message_digest(message: bytes) -> bytes:
 
 
 @lru_cache(maxsize=4096)
-def _statement(kind: MsgKind, sender: NodeId, view: int,
-               message: bytes) -> bytes:
-    """The ECHO or READY statement over ``message`` in instance (sender, view).
+def vote_row(kind: MsgKind, instance: InstanceId,
+             message: bytes) -> tuple[BlockRef, bytes, bytes]:
+    """The vote table: (message digest, statement, statement digest) of an
+    ECHO or READY over ``message`` in ``instance``.
 
-    Pure in its arguments, so memoized; signatures over it are still
-    verified on every delivery.
+    Pure in its arguments, so memoized; a vote's signature is still compared
+    with the row on every delivery.
     """
+    digest = message_digest(message)
     build = echo_statement if kind == ECHO else ready_statement
-    return build(sender, view, message_digest(message))
+    statement = build(instance.sender, instance.view, digest)
+    return digest, statement, statement_digest(statement)

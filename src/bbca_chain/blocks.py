@@ -14,8 +14,9 @@ evaluated from the block bytes alone, before the local DAG catches up.
 from __future__ import annotations
 
 import enum
+import struct
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 from .encoding import (
@@ -27,7 +28,6 @@ from .encoding import (
     ready_statement,
     u8,
     u32,
-    u64,
 )
 from .identity import NodeId, Signature, SystemParams, verify
 
@@ -95,6 +95,19 @@ class Justification:
     new_view_blocks: tuple["Block", ...] = ()
 
 
+class _cached:
+    """``functools.cached_property`` without its per-access lock (3.11)."""
+
+    def __init__(self, fn):
+        self.fn, self.name = fn, fn.__name__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class Block:
     kind: BlockKind
@@ -105,11 +118,11 @@ class Block:
     justification: Justification | None = None  # BACKBONE only
     new_view: NewViewData | None = None         # NEW_VIEW only
 
-    @cached_property
+    @_cached
     def encoded(self) -> bytes:
         return encode_block(self)
 
-    @cached_property
+    @_cached
     def digest(self) -> BlockRef:
         return digest32(self.encoded)
 
@@ -192,16 +205,22 @@ def _encode_sig(sig: Signature) -> bytes:
     return u32(sig.signer) + sig.digest
 
 
+# Fixed-width heads: a certificate's (kind, sender, view) and a block's
+# (kind, author, view, ref count).
+_CERT_HEAD = struct.Struct(">BIQ")
+_BLOCK_HEAD = struct.Struct(">BIQI")
+
+
 def _encode_cert(cert: Cert) -> bytes:
-    out = [u8(cert.kind), u32(cert.sender), u64(cert.view), cert.block_digest,
-           u32(len(cert.sigs))]
-    out.extend(_encode_sig(s) for s in cert.sigs)
+    out = [_CERT_HEAD.pack(cert.kind, cert.sender, cert.view),
+           cert.block_digest, u32(len(cert.sigs))]
+    out.extend(map(_encode_sig, cert.sigs))
     return b"".join(out)
 
 
 def encode_block(block: Block) -> bytes:
-    out = [u8(block.kind), u32(block.author), u64(block.view),
-           u32(len(block.refs))]
+    out = [_BLOCK_HEAD.pack(block.kind, block.author, block.view,
+                            len(block.refs))]
     out.extend(block.refs)
     if block.kind == BlockKind.BACKBONE:
         just = block.justification

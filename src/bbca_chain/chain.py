@@ -22,7 +22,7 @@ from operator import attrgetter
 from types import SimpleNamespace
 from typing import NamedTuple, Union
 
-from .bbca import ECHO, BbcaInstance, BbcaMsg, InstanceId
+from .bbca import ECHO, BbcaInstance, BbcaMsg, InstanceId, message_digest
 from .blocks import (
     GENESIS_BLOCK,
     GENESIS_CERT,
@@ -382,20 +382,28 @@ class ChainNode:
     # -- broadcast plumbing -------------------------------------------------
 
     def _handle_bbca_message(self, frm: NodeId, msg: BbcaMsg) -> None:
-        kind, (sender, view), message, sig = msg
-        if view < 1 or sender != get_proposer(view, self.params):
+        kind, bid, message, sig = msg
+        sender, view = bid
+        inst = self.instances.get(view)
+        if inst is None:
+            if view < 1 or sender != get_proposer(view, self.params):
+                return
+        elif inst.instance != bid:
             return
         # Proposal bytes ride inside INIT/ECHO/READY; file them into the DAG
-        # on first sight so causal delivery can gate completion.
-        try:
-            block = decode_block(message)
-        except EncodingError:
-            block = None
-        if block is not None:
-            self._ingest_block(block)
-        inst = self._instance_for(view)
+        # on first sight so causal delivery can gate completion.  A decoded
+        # block's digest is its bytes' digest, so a held copy is not decoded.
+        if not self.dag.holds(message_digest(message)):
+            try:
+                block = decode_block(message)
+            except EncodingError:
+                block = None
+            if block is not None:
+                self._ingest_block(block)
         if inst is None:
-            return  # a final instance answers nothing new
+            inst = self._instance_for(view)
+            if inst is None:
+                return  # a final instance answers nothing new
         outs, cert = inst.handle_message(frm, msg)
         self.outbox.extend(outs)
         if (sig is not None and kind == ECHO and view not in self.held_certs

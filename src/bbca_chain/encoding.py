@@ -16,16 +16,10 @@ class EncodingError(ValueError):
     """Raised when decoding malformed bytes."""
 
 
-def u8(value: int) -> bytes:
-    return struct.pack(">B", value)
-
-
-def u32(value: int) -> bytes:
-    return struct.pack(">I", value)
-
-
-def u64(value: int) -> bytes:
-    return struct.pack(">Q", value)
+# Fixed-width big-endian integers, packed in C.
+u8 = struct.Struct(">B").pack
+u32 = struct.Struct(">I").pack
+u64 = struct.Struct(">Q").pack
 
 
 def lp(data: bytes) -> bytes:

@@ -3,7 +3,7 @@
 Partial synchrony on an integer tick clock: link delays are unbounded (or
 dropped) before a global stabilization tick, and bounded by ``delta_post``
 after it.  All randomness comes from one seeded generator, events are ordered
-by (tick, insertion sequence), and nodes process exactly one event at a time,
+by (tick, insertion order), and nodes process exactly one event at a time,
 so a (scenario, seed) pair always reproduces the same trace bytes.
 
 Byzantine behavior is a per-node wrapper over a correct state machine that
@@ -19,6 +19,7 @@ import hashlib
 import heapq
 import random
 import struct
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, NamedTuple
@@ -487,8 +488,11 @@ class Simulator:
         self.delay_model = DelayModel(scenario)
         self.trace = Trace(bbca_sends=BbcaSends(scenario.n))
         self.now = 0
-        self._seq = 0
-        self._heap: list[tuple[int, int, object]] = []
+        # Pending events in one list per tick, in push order, and a heap of
+        # the ticks that hold a list.  Every push lands on a tick later than
+        # the running one, so events run in (tick, push order).
+        self._queue: defaultdict[int, list] = defaultdict(list)
+        self._ticks: list[int] = []
         self.nodes = {i: ChainNode(i, scenario.params, scenario.horizon)
                       for i in range(scenario.n)}
         self.correct = scenario.correct_nodes()
@@ -500,8 +504,10 @@ class Simulator:
     # -- scheduling --------------------------------------------------------
 
     def _push(self, tick: int, event) -> None:
-        heapq.heappush(self._heap, (tick, self._seq, event))
-        self._seq += 1
+        bucket = self._queue[tick]
+        if not bucket:
+            heapq.heappush(self._ticks, tick)
+        bucket.append(event)
 
     def _note_block_send(self, msg: WireMsg, tick: int) -> None:
         blocks: list[Block] = []
@@ -530,20 +536,22 @@ class Simulator:
         trace.records.append(("send", entry, frm, msg))
         if isinstance(msg, BbcaMsg):
             trace.bbca_sends.add(frm, msg.kind, msg.instance)
-        packed, heap, seq = trace.deliveries.packed, self._heap, self._seq
+        packed, queue = trace.deliveries.packed, self._queue
         pack = _DELIVERY.pack
         ticks = self.delay_model.delivery_ticks(entry, len(targets), self.rng)
         for target, tick in zip(targets, ticks):
             packed += pack(entry, tick, frm, target)
-            heapq.heappush(heap, (tick, seq, Deliver(target, frm, msg)))
-            seq += 1
-        self._seq = seq
+            bucket = queue[tick]
+            if not bucket:
+                heapq.heappush(self._ticks, tick)
+            bucket.append(Deliver(target, frm, msg))
 
     def _drain(self, node_id: NodeId) -> None:
+        node = self.nodes[node_id]
         adversary = self.adversaries.get(node_id)
         trace, now = self.trace, self.now
         committed = False
-        for out in self.nodes[node_id].take_outbox():
+        for out in node.take_outbox():
             if isinstance(out, WIRE_TYPES):  # most outputs: tested first
                 if adversary is None:
                     self._transmit(node_id, out, self.everyone, 0)
@@ -574,7 +582,6 @@ class Simulator:
         # ``newly_committed`` is what the node committed in this event; it
         # keeps their bodies until its next one.
         if committed and adversary is None:
-            node = self.nodes[node_id]
             problems = invariants.commit_ancestry(node,
                                                   node.dag.newly_committed)
             if problems:
@@ -591,28 +598,29 @@ class Simulator:
             self.nodes[node_id].start()
             self._drain(node_id)
         stop = ""
-        records = self.trace.records
-        while self._heap:
-            tick, _, event = heapq.heappop(self._heap)
+        trace = self.trace
+        queue, ticks = self._queue, self._ticks
+        while ticks and not stop:
+            tick = heapq.heappop(ticks)
             if tick > scenario.max_ticks:
                 stop = "max_ticks"
                 break
             self.now = tick
-            self.trace.events_processed += 1
-            try:
-                node_id = self._dispatch(event)
-            except SafetyViolation as violation:
-                self.trace.failure = (self.trace.events_processed,
-                                      str(violation))
-                self.trace.record("violation", self.now,
-                                  self.trace.events_processed, str(violation))
-                stop = "violation"
-                break
-            if len(records) >= _DIGEST_CHUNK_LINES:
-                self.trace.flush()
-            if self._target_reached(node_id):
-                stop = "target"
-                break
+            for event in queue.pop(tick):
+                trace.events_processed += 1
+                try:
+                    node_id = self._dispatch(event)
+                except SafetyViolation as violation:
+                    trace.failure = (trace.events_processed, str(violation))
+                    trace.record("violation", tick, trace.events_processed,
+                                 str(violation))
+                    stop = "violation"
+                    break
+                if len(trace.records) >= _DIGEST_CHUNK_LINES:
+                    trace.flush()
+                if self._target_reached(node_id):
+                    stop = "target"
+                    break
         if not stop:
             stop = "quiesced"
         self.trace.stop_reason = stop
@@ -632,8 +640,10 @@ class Simulator:
         if isinstance(event, Deliver):
             self.trace.records.append(("deliver", self.now, event.to,
                                        event.frm, event.msg))
-            self.nodes[event.to].handle_message(event.frm, event.msg)
-            self._drain(event.to)
+            node = self.nodes[event.to]
+            node.handle_message(event.frm, event.msg)
+            if node.outbox:  # most deliveries send nothing: skip the drain
+                self._drain(event.to)
             adversary = self.adversaries.get(event.to)
             if adversary is not None:
                 for msg, targets, lag in adversary.observed(event.msg):

@@ -7,11 +7,9 @@ mutant body is the original handler with one rule changed, and the comment
 on that rule says what changed.
 """
 
-from bbca_chain.bbca import ECHO, READY, BbcaInstance, message_digest
-from bbca_chain.bbca import _statement as statement
+from bbca_chain.bbca import ECHO, READY, BbcaInstance, vote_row
 from bbca_chain.blocks import Cert, CertKind
 from bbca_chain.dag import DagStore
-from bbca_chain.identity import verify
 
 
 def _on_echo_sending_ready_when(ready_rule):
@@ -22,11 +20,10 @@ def _on_echo_sending_ready_when(ready_rule):
         signer = sig.signer
         if signer in self.received_echo or not 0 <= signer < self.params.n:
             return []
-        digest = message_digest(message)
+        digest, _, signed = vote_row(ECHO, self.instance, message)
         if digest not in self.pending and not self.predicate(message):
             return []
-        sender, view = self.instance
-        if not verify(sig, statement(ECHO, sender, view, message), signer):
+        if sig.digest != signed:
             return []
         self.received_echo.add(signer)
         self.pending[digest] = message
@@ -45,11 +42,10 @@ def _on_echo_counting_repeats(self, message, sig, frm):
     signer = sig.signer
     if not 0 <= signer < self.params.n:  # mutated
         return []
-    digest = message_digest(message)
+    digest, _, signed = vote_row(ECHO, self.instance, message)
     if digest not in self.pending and not self.predicate(message):
         return []
-    sender, view = self.instance
-    if not verify(sig, statement(ECHO, sender, view, message), signer):
+    if sig.digest != signed:
         return []
     self.received_echo.add(signer)
     self.pending[digest] = message
@@ -67,11 +63,10 @@ def _on_ready_completing_at_quorum_minus_one(self, message, sig, frm):
     signer = sig.signer
     if signer in self.received_ready or not 0 <= signer < self.params.n:
         return None
-    digest = message_digest(message)
+    digest, _, signed = vote_row(READY, self.instance, message)
     if digest not in self.pending and not self.predicate(message):
         return None
-    sender, view = self.instance
-    if not verify(sig, statement(READY, sender, view, message), signer):
+    if sig.digest != signed:
         return None
     self.received_ready.add(signer)
     self.pending[digest] = message
@@ -79,7 +74,7 @@ def _on_ready_completing_at_quorum_minus_one(self, message, sig, frm):
     self.ready_sigs[digest] = sigs
     if (self.completed is None
             and len(sigs) == self.params.quorum - 1):  # mutated
-        self.completed = Cert(CertKind.COMPLETE, sender, view, digest,
+        self.completed = Cert(CertKind.COMPLETE, *self.instance, digest,
                               tuple(sorted(sigs)))
         return self.completed
     return None

@@ -6,10 +6,17 @@ from bbca_chain.bbca import (
     BbcaMsg,
     InstanceId,
     MsgKind,
+    vote_row,
 )
 from bbca_chain.blocks import Cert, CertKind, verify_cert
 from bbca_chain.encoding import digest32, echo_statement, ready_statement
-from bbca_chain.identity import Signature, params_for, sign
+from bbca_chain.identity import (
+    Signature,
+    params_for,
+    sign,
+    statement_digest,
+    verify,
+)
 
 BID = InstanceId(sender=0, view=1)
 M = b"proposal"
@@ -298,6 +305,57 @@ def test_invalid_proposal_is_rejected_on_every_delivery(kind):
     node.handle_message(3, BbcaMsg(kind, BID, M, sign_for(3)))
     assert node.received_echo | node.received_ready == {3}
     assert checked == [bad] * 4 + [M]
+
+
+# -- the vote table ---------------------------------------------------------
+
+_STATEMENT = {MsgKind.ECHO: echo_statement, MsgKind.READY: ready_statement}
+_VOTE_KINDS = st.sampled_from([MsgKind.ECHO, MsgKind.READY])
+_INSTANCES = st.builds(InstanceId, st.integers(0, 6), st.integers(1, 2**40))
+_MESSAGES = st.sampled_from([M, b"other"]) | st.binary(max_size=8)
+
+
+@st.composite
+def _votes(draw, n, kind, bid, message):
+    """Signatures by ids in and out of [0, n) over one statement: the
+    vote's, one with another kind, instance or message, or a forged one."""
+    other = (draw(_VOTE_KINDS), draw(_INSTANCES), draw(_MESSAGES))
+    signed_kind, signed_bid, signed_message = draw(st.sampled_from(
+        [(kind, bid, message), other, (kind, bid, other[2]),
+         (kind, other[1], message), (other[0], bid, message)]))
+    statement = _STATEMENT[signed_kind](signed_bid.sender, signed_bid.view,
+                                        digest32(signed_message))
+    forged = draw(st.none() | st.binary(min_size=8, max_size=8))
+    signers = {-1, 0, n - 1, n, 2**31, draw(st.integers(-2, n + 1))}
+    return [sign(signer, statement) if forged is None
+            else Signature(signer, forged) for signer in sorted(signers)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), kind=_VOTE_KINDS, bid=_INSTANCES, message=_MESSAGES,
+       n=st.sampled_from([4, 7]), node=st.integers(0, 6))
+def test_a_vote_counts_exactly_when_identity_verify_accepts_it(
+        data, kind, bid, message, n, node):
+    statement = _STATEMENT[kind](bid.sender, bid.view, digest32(message))
+    for sig in data.draw(_votes(n, kind, bid, message)):
+        inst = BbcaInstance(params_for(n), bid, node)
+        if kind == MsgKind.ECHO:
+            inst.on_echo(message, sig, 0)
+            counted = inst.received_echo
+        else:
+            inst.on_ready(message, sig, 0)
+            counted = inst.received_ready
+        expected = (0 <= sig.signer < n
+                    and verify(sig, statement, sig.signer))
+        assert counted == ({sig.signer} if expected else set())
+        assert bool(inst.pending) == expected
+    # A node's own vote is ``identity.sign`` over the same statement.
+    assert inst._signed(kind, message) == BbcaMsg(kind, bid, message,
+                                                  sign(node, statement))
+    row = vote_row(kind, bid, message)
+    assert row == (digest32(message), statement, statement_digest(statement))
+    vote_row.cache_clear()
+    assert vote_row(kind, bid, message) == row
 
 
 # -- whole-network pump --------------------------------------------------------

@@ -751,6 +751,38 @@ def test_a_passed_view_without_an_instance_still_echoes_a_late_init(params4):
             if isinstance(m, BbcaMsg)] == [(MsgKind.ECHO, InstanceId(1, 1))]
 
 
+@pytest.mark.parametrize("live", [True, False])
+@pytest.mark.parametrize("kind", [MsgKind.INIT, MsgKind.ECHO])
+def test_a_bbca_message_naming_another_sender_files_nothing(params4, kind,
+                                                             live):
+    # Byzantine node 2 names itself the sender of view 1, which node 1
+    # leads.  The ECHO is signed over the statement of view 1's real
+    # instance, so only the instance check keeps it from counting.
+    node = ChainNode(0, params4)
+    node.start()
+    if live:
+        node.handle_timer(1)  # the probe creates view 1's instance
+    node.take_outbox()
+    block = make_backbone(1, 1, Justification(EvidenceKind.COMPLETE,
+                                              (GENESIS_NEW_VIEW,)),
+                          payload=b"named by node 2")
+    bid = InstanceId(2, 1)
+    if kind == MsgKind.INIT:
+        msg = BbcaMsg(kind, bid, block.encoded)
+    else:
+        msg = BbcaMsg(kind, bid, block.encoded,
+                      sign(2, echo_statement(1, 1, block.digest)))
+    node.handle_message(2, msg)
+    assert not node.dag.holds(block.digest)
+    assert node.take_outbox() == []
+    if live:
+        inst = node.instances[1]
+        assert inst.instance == InstanceId(1, 1)
+        assert not inst.pending and not inst.received_echo
+    else:
+        assert 1 not in node.instances
+
+
 # -- far views named by a byzantine peer ----------------------------------------------
 
 def flooded_with_far_views(params, count):

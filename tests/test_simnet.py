@@ -1,4 +1,6 @@
 import hashlib
+import heapq
+import itertools
 import os
 import random
 import subprocess
@@ -28,6 +30,7 @@ from bbca_chain.simnet import (
     Adversary,
     BbcaSends,
     DelayModel,
+    Deliver,
     Deliveries,
     PreGstPolicy,
     RunResult,
@@ -672,3 +675,78 @@ def test_packed_deliveries_are_the_scheduled_rows(monkeypatch):
         assert result.trace.digest() == digest
         assert len(result.trace.deliveries) == len(rows) > 0
         assert list(result.trace.deliveries) == rows
+
+
+# -- scheduling order ---------------------------------------------------------
+
+def _run_against_a_heap(monkeypatch, scenario):
+    """Run ``scenario`` and check that every dispatched event is the one a
+    reference schedule pops: the same pushes, replayed through ``heapq``
+    with a sequence counter.  Returns the result, the dispatched (tick,
+    event) pairs and the reference heap left at the stop."""
+    pushes = []  # (tick, event), in scheduling order
+    dispatched = []  # (tick, event, pushes made before it)
+    drawn = []  # delivery ticks of the transmit in progress
+    push, transmit = Simulator._push, Simulator._transmit
+    dispatch, delivery_ticks = Simulator._dispatch, DelayModel.delivery_ticks
+
+    def recording_push(sim, tick, event):
+        pushes.append((tick, event))
+        push(sim, tick, event)
+
+    def listing_ticks(model, sent, count, rng):
+        drawn.append(delivery_ticks(model, sent, count, rng))
+        return drawn[-1]
+
+    def recording_transmit(sim, frm, msg, targets, lag):
+        transmit(sim, frm, msg, targets, lag)
+        pushes.extend((tick, Deliver(to, frm, msg))
+                      for to, tick in zip(targets, drawn.pop()))
+
+    def recording_dispatch(sim, event):
+        dispatched.append((sim.now, event, len(pushes)))
+        return dispatch(sim, event)
+
+    monkeypatch.setattr(Simulator, "_push", recording_push)
+    monkeypatch.setattr(Simulator, "_transmit", recording_transmit)
+    monkeypatch.setattr(Simulator, "_dispatch", recording_dispatch)
+    monkeypatch.setattr(DelayModel, "delivery_ticks", listing_ticks)
+    result = run(scenario)
+    heap, seq, fed = [], itertools.count(), 0
+    for now, event, pushed in dispatched:
+        for tick, pending in pushes[fed:pushed]:
+            heapq.heappush(heap, (tick, next(seq), pending))
+        fed = pushed
+        tick, _, expected = heapq.heappop(heap)
+        assert (now, type(event), event) == (tick, type(expected), expected)
+    for tick, pending in pushes[fed:]:
+        heapq.heappush(heap, (tick, next(seq), pending))
+    return result, [(now, event) for now, event, _ in dispatched], heap
+
+
+def test_uniform_delays_run_each_tick_in_scheduling_order(monkeypatch):
+    # Every copy of a broadcast lands on one tick, so each tick runs many
+    # deliveries, timers among them.
+    result, dispatched, heap = _run_against_a_heap(
+        monkeypatch, Scenario(n=7, seed=4, delta_post=10, horizon=3))
+    assert result.trace.stop_reason == "quiesced" and not heap
+    assert max(Counter(now for now, _ in dispatched).values()) > 7 * 7
+    assert len(dispatched) == result.trace.events_processed
+
+
+def test_a_run_stopped_in_the_middle_of_a_tick_ran_its_first_events(
+        monkeypatch):
+    result, dispatched, heap = _run_against_a_heap(
+        monkeypatch, Scenario(n=7, seed=4, delta_post=10, horizon=6,
+                              stop_after_committed=2))
+    assert result.trace.stop_reason == "target"
+    assert all(node.last_committed >= 2 for node in result.nodes.values())
+    # The reference still holds events of the tick the run stopped in.
+    assert heap[0][0] == dispatched[-1][0]
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_golden_runs_dispatch_in_heap_order(monkeypatch, name):
+    scenario, digest = SHAPES[name]
+    result, _, _ = _run_against_a_heap(monkeypatch, scenario)
+    assert result.trace.digest() == digest
