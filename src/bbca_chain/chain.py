@@ -49,10 +49,11 @@ from .identity import NodeId, SystemParams, sign, verify
 NO_OP = "NO-OP"
 
 # One (view, kind, author) row per committed block, packed like the
-# simulator's delivery rows: the bodies of most committed blocks are
-# collected, and the exported log still names them.
+# simulator's delivery rows: ``DagStore.commit`` drops the bodies of most
+# committed blocks, and the exported log still names them.
 _COMMIT_ROW = struct.Struct("=QBI")
 _ROW_FIELDS = attrgetter("view", "kind", "author")
+_DIGEST = attrgetter("digest")
 
 # Enum members as module constants, like ``bbca.ECHO``.
 # Kept for +4.3% sim_long events/s (perfbench seed 5).
@@ -93,7 +94,7 @@ class ViewEntered(NamedTuple):
 
 class Committed(NamedTuple):
     view: int
-    refs: tuple[BlockRef, ...]
+    blocks: tuple[Block, ...]  # in log order
 
 
 class Probed(NamedTuple):
@@ -354,26 +355,22 @@ class ChainNode:
         self._evaluate_view_rules()
 
     def handle_message(self, frm: NodeId, msg: WireMsg) -> None:
-        if self.dag.newly_committed:
-            self.dag.collect()
         if isinstance(msg, BlockMsg):
-            self._ingest_block(msg.block)
+            block = msg.block
+            if not self.dag.holds(block.digest):
+                self._ingest_block(block)
         elif isinstance(msg, BbcaMsg):
             self._handle_bbca_message(frm, msg)
         if self.rules_dirty:
             self._evaluate_view_rules()
 
     def handle_timer(self, view: int) -> None:
-        if self.dag.newly_committed:
-            self.dag.collect()
         if view != self.view or self._terminal() or view <= self.probed:
             return
         self._conclude_view_by_probe(view)
         self._evaluate_view_rules()
 
     def submit_payload(self, payload: bytes) -> Block:
-        if self.dag.newly_committed:
-            self.dag.collect()
         block = make_data(self.id, self.view, self._own_refs(), payload)
         self.my_last_ref = block.digest
         self.outbox.append(BlockMsg(block))
@@ -423,10 +420,8 @@ class ChainNode:
                 self.pending_complete[cert.block_digest] = cert
 
     def _ingest_block(self, block: Block) -> None:
-        # A held block was validated, recorded and had its embedded blocks
-        # ingested on first sight; invalid blocks are never held.
-        if self.dag.holds(block.digest):
-            return
+        # Callers pass only blocks the DAG does not hold: a held block was
+        # validated and recorded on first sight, an invalid one never held.
         kind = block.kind
         if kind == _NEW_VIEW:
             if not validate_new_view_block(block, self.params):
@@ -438,7 +433,8 @@ class ChainNode:
             if block.justification is None:
                 return
             for nvb in block.justification.new_view_blocks:
-                self._ingest_block(nvb)
+                if not self.dag.holds(nvb.digest):
+                    self._ingest_block(nvb)
         for delivered in self.dag.insert(block):
             self._dispatch_delivered(delivered)
 
@@ -644,14 +640,11 @@ class ChainNode:
             self.last_committed += 1
             entry = self.finalized[self.last_committed]
             if entry is not NO_OP:
-                added = self.dag.commit(entry.digest)
-                self.committed_log += added
-                # ``collect`` drops most of these bodies at the node's next
-                # event; the exported log reads these rows instead.
-                bodies = map(self.dag.delivered.__getitem__, added)
+                blocks = tuple(self.dag.commit(entry.digest))
+                self.committed_log += map(_DIGEST, blocks)
                 self.committed_rows += b"".join(
-                    starmap(_COMMIT_ROW.pack, map(_ROW_FIELDS, bodies)))
-                self.outbox.append(Committed(self.last_committed, tuple(added)))
+                    starmap(_COMMIT_ROW.pack, map(_ROW_FIELDS, blocks)))
+                self.outbox.append(Committed(self.last_committed, blocks))
 
     def _finalize(self, block: Block) -> None:
         existing = self.finalized.get(block.view)

@@ -5,10 +5,10 @@ anything early is buffered and cascades out when the missing pieces arrive.
 On top of the store sits the deterministic traversal that linearizes
 everything a committed backbone block causally covers.
 
-A committed block's digest stays in ``committed``, which counts as
-delivered; ``collect`` then drops the bodies of committed DATA and NEW_VIEW
-blocks.  Committed backbones stay: every lookup the protocol makes names a
-backbone.
+``commit`` hands the committed blocks back and drops the bodies of the
+DATA and NEW_VIEW blocks among them; their digests stay in ``committed``,
+which counts as delivered.  Committed backbones stay: every lookup the
+protocol makes names a backbone.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ class DagStore:
         self.delivered: dict[BlockRef, Block] = {}
         # Every committed digest: downward-closed, as ``order_under`` needs.
         self.committed: set[BlockRef] = set()
-        # Committed since the last ``collect``, in commit order.
-        self.newly_committed: list[BlockRef] = []
         # Blocks waiting for their ancestry.  These values are immutable and
         # a write replaces them, so ``clone`` copies each dict flat.
         self.pending: dict[BlockRef, Block] = {}
@@ -48,7 +46,6 @@ class DagStore:
         twin = object.__new__(DagStore)
         twin.delivered = dict(self.delivered)
         twin.committed = set(self.committed)
-        twin.newly_committed = list(self.newly_committed)
         twin.pending = dict(self.pending)
         twin._missing = dict(self._missing)
         twin._waiters = dict(self._waiters)
@@ -65,7 +62,7 @@ class DagStore:
                 or ref in self.committed)
 
     def get(self, ref: BlockRef) -> Block:
-        """A delivered block whose body ``collect`` has not dropped."""
+        """A delivered block whose body ``commit`` has not dropped."""
         try:
             return self.delivered[ref]
         except KeyError:
@@ -117,22 +114,17 @@ class DagStore:
         self._tips.difference_update(block.refs)
         self._tips.add(block.digest)
 
-    def commit(self, backbone: BlockRef) -> list[BlockRef]:
-        """Commit the backbone's uncommitted ancestry and return it, in
-        ``order_under`` order."""
+    def commit(self, backbone: BlockRef) -> list[Block]:
+        """Commit the backbone's uncommitted ancestry, drop the DATA and
+        NEW_VIEW bodies in it, and return its blocks, in ``order_under``
+        order."""
         added = self.order_under(backbone, self.committed)
         self.committed.update(added)
-        self.newly_committed += added
-        return added
-
-    def collect(self) -> None:
-        """Drop the bodies of the DATA and NEW_VIEW blocks committed since
-        the last call; their digests stay in ``committed``."""
-        delivered = self.delivered
-        for ref in self.newly_committed:
-            if delivered[ref].kind != _BACKBONE:
-                del delivered[ref]
-        self.newly_committed.clear()
+        blocks = list(map(self.delivered.__getitem__, added))
+        for ref, block in zip(added, blocks):
+            if block.kind != _BACKBONE:
+                del self.delivered[ref]
+        return blocks
 
     def order_under(self, backbone: BlockRef,
                     already_committed: set[BlockRef]) -> list[BlockRef]:

@@ -21,12 +21,13 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .bbca import BbcaInstance, BbcaMsg, InstanceId, message_digest
-from .chain import WIRE_TYPES, ChainNode, SafetyViolation
+from .chain import WIRE_TYPES, ChainNode, Committed, SafetyViolation
 from .identity import ConfigError, NodeId, SystemParams, params_for
 from .invariants import (
     SendCounts,
     agreement,
     bbca_consistency,
+    commit_ancestry,
     complete_adopt,
     echo_once,
     prefix_consistency,
@@ -195,6 +196,7 @@ class ChainWorld:
         self.pool: list[Deliver | Timer] = []
         self.executed: list[Deliver | Timer] = []
         self.broken: str | None = None
+        self.ancestry: tuple[str, ...] = ()  # ``commit_ancestry`` problems
         for node_id in sorted(self.nodes):
             self.nodes[node_id].start()
             self._drain(node_id)
@@ -214,15 +216,22 @@ class ChainWorld:
         twin.pool = list(self.pool)
         twin.executed = list(self.executed)
         twin.broken = self.broken
+        twin.ancestry = self.ancestry
         return twin
 
     def _drain(self, node_id: NodeId) -> None:
-        # Only the wire messages matter here: timeouts exist only as Timer
-        # tokens, and the records are trace breadcrumbs.
-        for out in self.nodes[node_id].take_outbox():
+        # The wire messages and the commits matter here: timeouts exist only
+        # as Timer tokens, and the other records are trace breadcrumbs.
+        node = self.nodes[node_id]
+        committed = []  # this step's, over all its records
+        for out in node.take_outbox():
             if isinstance(out, WIRE_TYPES):
                 self.pool.extend([_new_tuple(Deliver, (to, node_id, out))
                                   for to in self.everyone])
+            elif type(out) is Committed:
+                committed += out.blocks
+        if committed:
+            self.ancestry += tuple(commit_ancestry(node, committed))
 
     def execute(self, index: int) -> None:
         step = self.pool.pop(index)
@@ -246,7 +255,8 @@ class ChainWorld:
     def check_leaf(self) -> list[str]:
         problems = [f"safety: {self.broken}"] if self.broken else []
         correct = sorted(self.nodes)
-        return (problems + prefix_consistency(self.nodes, correct)
+        return (problems + list(self.ancestry)
+                + prefix_consistency(self.nodes, correct)
                 + agreement(self.nodes, correct))
 
 

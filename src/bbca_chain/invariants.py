@@ -7,18 +7,19 @@ views, trip counts, liveness deadlines, censorship cutoffs) read their
 parameters from the harness config's ``expect`` block.  Agreement, prefix
 consistency and the per-instance BBCA rules take plain values, so the
 explorer checks its chain and BBCA leaves with the same functions.
-Commit ancestry needs the bodies of committed blocks, which a node drops
-at its next event, so the simulator checks it as it runs and
-``check_commit_ancestry`` reads what it found.
+Commit ancestry reads the blocks each ``Committed`` record carries, so
+both drivers check it once per event as they run; the explorer reports it
+at a chain leaf, and ``check_commit_ancestry`` reads what the simulator found.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import attrgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 from .bbca import InstanceId, MsgKind
-from .blocks import BlockRef
+from .blocks import Block
 from .chain import CERT_DRIVEN_CAUSES, NO_OP, ChainNode, get_proposer
 from .identity import NodeId
 # A module reference: the simulator calls ``commit_ancestry`` as it runs,
@@ -67,22 +68,24 @@ def check_prefix_consistency(result: RunResult, cfg=None) -> list[str]:
     return prefix_consistency(result.nodes, result.scenario.correct_nodes())
 
 
-def commit_ancestry(node: ChainNode, refs: list[BlockRef]) -> list[str]:
+def commit_ancestry(node: ChainNode, blocks: list[Block]) -> list[str]:
     """Everything a committed block references is committed at or before it.
 
-    ``refs`` is what ``node`` committed in one event, in log order, read
-    while the node still holds their bodies (before its next event).
+    ``blocks`` is what ``node`` committed in one event, in log order: the
+    blocks of all its ``Committed`` records of that event, so an order
+    wrong across two of them is seen too.
     """
     problems = []
-    committed, blocks = node.dag.committed, node.dag.delivered
-    later = set(refs)  # committed in this event, not before the one checked
-    for ref in refs:
-        parents = blocks[ref].refs
+    committed = node.committed_set
+    # committed in this event, not before the one checked
+    later = set(map(attrgetter("digest"), blocks))
+    for block in blocks:
+        parents = block.refs
         if not committed.issuperset(parents) or not later.isdisjoint(parents):
             problems.append(
-                f"ancestry: node {node.id} committed {ref.hex()[:12]} "
-                f"before one of its references")
-        later.discard(ref)
+                f"ancestry: node {node.id} committed "
+                f"{block.digest.hex()[:12]} before one of its references")
+        later.discard(block.digest)
     return problems
 
 

@@ -529,7 +529,8 @@ class Simulator:
         """Send ``msg`` to ``targets`` (ascending), entering the net after
         ``lag`` ticks.  Inlines ``_push``, ``Trace.record`` and
         ``Deliveries.append``; the first two kept for +2.2% sim_long
-        events/s (perfbench seed 5)."""
+        events/s (perfbench seed 5).  Each ``Deliver`` is built with
+        ``tuple.__new__``, so that no Python-level constructor runs."""
         entry = self.now + lag
         self._note_block_send(msg, entry)
         trace = self.trace
@@ -537,20 +538,20 @@ class Simulator:
         if isinstance(msg, BbcaMsg):
             trace.bbca_sends.add(frm, msg.kind, msg.instance)
         packed, queue = trace.deliveries.packed, self._queue
-        pack = _DELIVERY.pack
+        pack, new = _DELIVERY.pack, tuple.__new__
         ticks = self.delay_model.delivery_ticks(entry, len(targets), self.rng)
         for target, tick in zip(targets, ticks):
             packed += pack(entry, tick, frm, target)
             bucket = queue[tick]
             if not bucket:
                 heapq.heappush(self._ticks, tick)
-            bucket.append(Deliver(target, frm, msg))
+            bucket.append(new(Deliver, (target, frm, msg)))
 
     def _drain(self, node_id: NodeId) -> None:
         node = self.nodes[node_id]
         adversary = self.adversaries.get(node_id)
         trace, now = self.trace, self.now
-        committed = False
+        committed: list[Block] = []  # this event's, over all its records
         for out in node.take_outbox():
             if isinstance(out, WIRE_TYPES):  # most outputs: tested first
                 if adversary is None:
@@ -568,22 +569,20 @@ class Simulator:
                 self._push(now + self.scenario.timer_ticks,
                            TimerFire(node_id, view))
             elif isinstance(out, Committed):
-                view, refs = out
-                for ref in refs:
-                    trace.commit_ticks.setdefault(ref, {})[node_id] = now
+                view, blocks = out
+                ticks = trace.commit_ticks
+                for block in blocks:
+                    ticks.setdefault(block.digest, {})[node_id] = now
                 trace.record("commit", now, node_id, view,
-                             ",".join(r.hex()[:12] for r in refs))
-                committed = True
+                             ",".join(b.digest.hex()[:12] for b in blocks))
+                committed += blocks
             else:  # Probed
                 view, adopted, ref = out
                 trace.probes.setdefault(node_id, []).append(
                     (now, view, adopted, ref))
                 trace.record("probe", now, node_id, view, adopted)
-        # ``newly_committed`` is what the node committed in this event; it
-        # keeps their bodies until its next one.
         if committed and adversary is None:
-            problems = invariants.commit_ancestry(node,
-                                                  node.dag.newly_committed)
+            problems = invariants.commit_ancestry(node, committed)
             if problems:
                 trace.ancestry.setdefault(node_id, []).extend(problems)
 

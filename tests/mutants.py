@@ -8,7 +8,7 @@ on that rule says what changed.
 """
 
 from bbca_chain.bbca import ECHO, READY, BbcaInstance, vote_row
-from bbca_chain.blocks import Cert, CertKind
+from bbca_chain.blocks import BlockKind, Cert, CertKind
 from bbca_chain.dag import DagStore
 
 
@@ -85,8 +85,12 @@ def _commit_in_reverse(self, backbone):
     before the blocks it references."""
     added = self.order_under(backbone, self.committed)[::-1]  # mutated
     self.committed.update(added)
-    self.newly_committed += added
-    return added
+    delivered = self.delivered
+    blocks = list(map(delivered.__getitem__, added))
+    for ref, block in zip(added, blocks):
+        if block.kind != BlockKind.BACKBONE:
+            del delivered[ref]
+    return blocks
 
 
 MUTANTS = {

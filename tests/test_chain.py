@@ -282,7 +282,7 @@ def test_completion_waits_for_the_proposal_ancestry(params4):
     assert node.pending_complete == {}
     assert node.committed_log == [data.digest, proposal.digest]
     assert node.take_outbox() == [
-        Committed(1, (data.digest, proposal.digest)), BlockMsg(own_nvb),
+        Committed(1, (data, proposal)), BlockMsg(own_nvb),
         ViewEntered(2, "complete_own")]
 
 
@@ -384,8 +384,9 @@ def test_finalize_marks_noop_for_skipped_views(params4):
     assert node.finalized[3] is NO_OP
     assert node.finalized[1].digest == blocks[1].digest
     assert node.last_committed == 4
-    committed_kinds = [node.dag.get(r).view for r in node.committed_log]
-    assert committed_kinds == sorted(committed_kinds)
+    committed_views = [view for _, view, _, _, _
+                       in node.committed_log_export()]
+    assert committed_views == sorted(committed_views)
 
 
 def test_conflicting_finalization_raises(params4):
@@ -862,7 +863,7 @@ def test_a_late_new_view_block_still_commits_and_becomes_a_tip(
         assert node.pending_commit == {proposal.digest}
         node.handle_message(1, BlockMsg(proposal))
     assert node.committed_log[-1] == proposal.digest
-    assert Committed(1, (proposal.digest,)) in node.take_outbox()
+    assert Committed(1, (proposal,)) in node.take_outbox()
     assert late.digest in node.dag.tips()
     # Stored nowhere a rule reads: view 1 is below view 4 - 1, and the
     # view-1 certificate below the anchor floor.
@@ -907,11 +908,10 @@ def test_exported_log_names_every_committed_body(monkeypatch):
     commit = DagStore.commit
 
     def capturing(dag, backbone):
-        added = commit(dag, backbone)
-        for ref in added:
-            body = dag.delivered[ref]
-            captured[ref] = (body.view, body.kind.name, body.author)
-        return added
+        blocks = commit(dag, backbone)
+        for body in blocks:
+            captured[body.digest] = (body.view, body.kind.name, body.author)
+        return blocks
 
     monkeypatch.setattr(DagStore, "commit", capturing)
     result = _long_run(30)

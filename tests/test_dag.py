@@ -249,7 +249,7 @@ def test_order_under_matches_definition_across_successive_commits():
             committed.update(expected)
 
 
-# -- commit and collect ------------------------------------------------------------
+# -- commit ------------------------------------------------------------------------
 
 def test_collected_bodies_still_count_as_delivered():
     store = DagStore()
@@ -261,11 +261,13 @@ def test_collected_bodies_still_count_as_delivered():
     store.insert(GENESIS_NEW_VIEW)
     store.insert(payload)
     store.insert(backbone)
-    added = store.commit(backbone.digest)
-    assert added[-1] == backbone.digest and payload.digest in added
-    assert store.newly_committed == added
-    store.collect()
-    assert store.newly_committed == []
+    order = store.order_under(backbone.digest, store.committed)
+    blocks = store.commit(backbone.digest)
+    # The committed blocks come back in ``order_under`` order, and their
+    # digests are committed.
+    assert [block.digest for block in blocks] == order
+    assert blocks[-1] is backbone and payload in blocks
+    assert store.committed == set(order)
     # The DATA and NEW_VIEW bodies are gone; the backbone stays.
     assert payload.digest not in store.delivered
     assert GENESIS_NEW_VIEW.digest not in store.delivered

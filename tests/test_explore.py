@@ -166,8 +166,7 @@ def _shared_mutables(a, b, path="clone"):
 
 def _dag_state(dag):
     return (set(dag.delivered), dict(dag.pending), dict(dag._missing),
-            dict(dag._waiters), dag.tips(), set(dag.committed),
-            list(dag.newly_committed))
+            dict(dag._waiters), dag.tips(), set(dag.committed))
 
 
 def _instance_state(inst):
@@ -192,7 +191,7 @@ def _node_state(node):
 def _world_state(world):
     return ({i: _node_state(node) for i, node in world.nodes.items()},
             list(world.pool), [ex.describe(step) for step in world.executed],
-            world.broken)
+            world.broken, world.ancestry)
 
 
 def _run_world(world, seed):

@@ -6,7 +6,8 @@ import pytest
 
 from bbca_chain import explore as ex
 from bbca_chain.bbca import BbcaInstance, BbcaMsg, InstanceId, MsgKind
-from bbca_chain.chain import WIRE_TYPES, ChainNode, get_proposer
+from bbca_chain.blocks import GENESIS_REF, make_data
+from bbca_chain.chain import WIRE_TYPES, ChainNode, Committed, get_proposer
 from bbca_chain.encoding import digest32, echo_statement
 from bbca_chain.identity import params_for, sign
 from bbca_chain.invariants import (
@@ -14,6 +15,7 @@ from bbca_chain.invariants import (
     check_bbca_consistency,
     check_commit_ancestry,
     check_echo_once,
+    commit_ancestry,
 )
 from bbca_chain.simnet import Deliver, Scenario, Simulator, Strategy, run
 
@@ -244,3 +246,36 @@ def test_commit_ancestry_names_a_block_committed_before_its_reference():
     assert check_commit_ancestry(result) == [
         f"ancestry: node 2 committed {moved[0].hex()[:12]} before one of its "
         f"references"]
+
+
+def test_commit_ancestry_checks_every_batch_of_an_event_together():
+    # One event commits two batches, and the first holds a block that
+    # references one of the second: each batch alone is in a right order,
+    # the event's log is not.
+    lower = make_data(1, 1, {GENESIS_REF}, b"lower")
+    upper = make_data(2, 1, {lower.digest}, b"upper")
+    records = [Committed(1, (upper,)), Committed(2, (lower,))]
+    expected = [f"ancestry: node 0 committed {upper.digest.hex()[:12]} "
+                f"before one of its references"]
+
+    def committed_node():
+        node = ChainNode(0, params_for(4))
+        node.committed_set.update((lower.digest, upper.digest))
+        node.outbox += records
+        return node
+
+    node = committed_node()
+    assert commit_ancestry(node, [lower, upper]) == []
+    assert commit_ancestry(node, [upper]) == []
+    assert commit_ancestry(node, [lower]) == []
+    assert commit_ancestry(node, [upper, lower]) == expected
+    # Both drivers check the event's blocks, not each record's.
+    sim = Simulator(Scenario(n=4, seed=1))
+    sim.nodes[0] = committed_node()
+    sim._drain(0)
+    assert sim.trace.ancestry == {0: expected}
+    world = ex.chain_two_views()
+    world.nodes[0] = committed_node()
+    world._drain(0)
+    assert world.ancestry == tuple(expected)
+    assert expected[0] in world.check_leaf()

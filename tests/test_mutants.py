@@ -5,6 +5,7 @@ violation alone is not a kill: the named check must report the mutant."""
 import pytest
 
 import mutants
+from bbca_chain import explore as ex
 from bbca_chain import harness
 from bbca_chain.scenario import parse_config
 
@@ -79,3 +80,23 @@ def test_one_named_check_alone_kills_chain_mutant(monkeypatch, name):
     assert reporting_checks(raw, seeds) == set()
     mutants.apply(monkeypatch, name)
     assert reporting_checks(raw, seeds) == {CHAIN_KILLERS[name]}
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_KILLERS))
+def test_every_chain_leaf_reports_chain_mutant(monkeypatch, name):
+    # The explorer's chain leaves run the simulator's ancestry check.
+    assert ex.explore(ex.chain_two_views(), depth=2).ok
+    mutants.apply(monkeypatch, name)
+    reports = []
+    check_leaf = ex.ChainWorld.check_leaf
+
+    def recording(world):
+        reports.append(check_leaf(world))
+        return reports[-1]
+
+    monkeypatch.setattr(ex.ChainWorld, "check_leaf", recording)
+    result = ex.explore(ex.chain_two_views(), depth=2)
+    assert result.leaves == len(reports) == 88
+    assert all(reports)
+    assert all(problem.startswith("ancestry: ")
+               for problem, _ in result.violations)

@@ -57,8 +57,8 @@ RECORDS = [
      "BlockMsg(block=Block(BACKBONE v=0 a=0 dc2dd5fe7e60))"),
     (ViewEntered(2, "init"), ("view", "cause"),
      "ViewEntered(view=2, cause='init')"),
-    (Committed(1, (b"\xab",)), ("view", "refs"),
-     "Committed(view=1, refs=(b'\\xab',))"),
+    (Committed(1, (GENESIS_BLOCK,)), ("view", "blocks"),
+     "Committed(view=1, blocks=(Block(BACKBONE v=0 a=0 dc2dd5fe7e60),))"),
     (Probed(1, False, None), ("view", "adopted", "ref"),
      "Probed(view=1, adopted=False, ref=None)"),
     (Probe(1), ("node",), "Probe(node=1)"),
