@@ -265,8 +265,9 @@ class ChainNode:
         # A final instance leaves ``instances`` on entering the view two past
         # it, and its ``outcome`` row stays here.
         self.outcomes: dict[int, tuple[BlockRef | None, BlockRef | None]] = {}
-        self.pending_complete: dict[BlockRef, Cert] = {}
-        self.pending_commit: set[BlockRef] = set()
+        # Backbone blocks not yet delivered, each with the COMPLETE
+        # certificate to act on at delivery, or None to commit it then.
+        self.awaiting: dict[BlockRef, Cert | None] = {}
         # The highest view this node probed, proposed in and emitted its own
         # new-view block for (0: genesis).  Each is asked only about views
         # from ``view`` on and holds none past it: at or below it is done.
@@ -301,8 +302,7 @@ class ChainNode:
         twin.instances = {view: inst.clone()
                           for view, inst in self.instances.items()}
         twin.outcomes = dict(self.outcomes)
-        twin.pending_complete = dict(self.pending_complete)
-        twin.pending_commit = set(self.pending_commit)
+        twin.awaiting = dict(self.awaiting)
         twin.probed, twin.proposed = self.probed, self.proposed
         twin.emitted_nvb = self.emitted_nvb
         twin.my_last_ref = self.my_last_ref
@@ -417,7 +417,7 @@ class ChainNode:
             if cert.block_digest in self.dag:
                 self._on_bbca_complete(cert)
             else:
-                self.pending_complete[cert.block_digest] = cert
+                self.awaiting[cert.block_digest] = cert
 
     def _ingest_block(self, block: Block) -> None:
         # Callers pass only blocks the DAG does not hold: a held block was
@@ -439,12 +439,11 @@ class ChainNode:
             self._dispatch_delivered(delivered)
 
     def _dispatch_delivered(self, block: Block) -> None:
-        if block.kind == _BACKBONE:
-            cert = self.pending_complete.pop(block.digest, None)
+        if block.kind == _BACKBONE and block.digest in self.awaiting:
+            cert = self.awaiting.pop(block.digest)
             if cert is not None:
                 self._on_bbca_complete(cert)
-            elif block.digest in self.pending_commit:
-                self.pending_commit.discard(block.digest)
+            else:
                 self.try_commit(block)
 
     # -- new-view bookkeeping ------------------------------------------------
@@ -471,7 +470,7 @@ class ChainNode:
             if ref in self.dag:
                 self.try_commit(self.dag.get(ref))
             else:
-                self.pending_commit.add(ref)
+                self.awaiting.setdefault(ref, None)
 
     def _anchor_for(self, view: int) -> Cert:
         # Walk down to the highest held view: view 0 is always held, and a

@@ -25,8 +25,8 @@ from fractions import Fraction
 from typing import Iterator, NamedTuple
 
 from . import invariants
-from .bbca import INIT, READY, BbcaInstance, BbcaMsg, InstanceId, MsgKind, \
-    message_digest
+from .bbca import ECHO, INIT, READY, BbcaInstance, BbcaMsg, InstanceId, \
+    MsgKind, message_digest
 from .blocks import Block, BlockKind, BlockRef, decode_block
 from .chain import (
     WIRE_TYPES,
@@ -309,72 +309,33 @@ class Deliveries:
 
 
 class BbcaSends:
-    """How often each node sent each kind of BBCA message per instance,
-    for ``echo_once``, which reports only counts above 1.
+    """How often each node sent ECHO and READY per BBCA instance, for
+    ``echo_once``, which reports only counts above 1.
 
-    A first send sets one byte of ``first``: per view, one byte for each
-    (instance sender, sending node, kind), for instance senders below
-    ``n``.  The bytes cover the views below ``views``, which ``cover``
-    raises as nodes enter views, never as far as a message names: a
-    byzantine INIT can name any view.  ``aside`` maps (sending node,
-    ``MsgKind``, ``InstanceId``) to the total sends, for each key sent
-    more than once or while the bytes did not cover it; ``beyond`` lists
-    the latter, for ``cover`` to mark once it reaches them.
+    ``first`` maps each instance to a bit mask: bit ``2 * node + kind -
+    ECHO`` is set once that node sent that kind.  ``repeats`` maps (sending
+    node, ``MsgKind``, ``InstanceId``) to the total sends, for each key sent
+    more than once.  An instance costs one entry whatever view it names.
     """
 
-    __slots__ = ("n", "views", "first", "aside", "beyond")
+    __slots__ = ("first", "repeats")
 
-    def __init__(self, n: int = 0):
-        self.n = n
-        self.views = 0
-        self.first = bytearray()
-        self.aside: dict[tuple[NodeId, MsgKind, InstanceId], int] = {}
-        self.beyond: list[tuple[NodeId, MsgKind, InstanceId]] = []
-
-    def _index(self, frm: NodeId, kind: MsgKind, instance: InstanceId):
-        """The byte of a send, or None where the bytes do not cover it."""
-        sender, view = instance
-        n = self.n
-        if 0 <= view < self.views and 0 <= sender < n:
-            return ((view * n + sender) * n + frm) * 3 + kind - 1
-        return None
-
-    def cover(self, views: int) -> None:
-        """Let the bytes cover every view below ``views``."""
-        if views > self.views:
-            self.views = views
-            self.first += bytes(views * self.n * self.n * 3 - len(self.first))
-            beyond, self.beyond = self.beyond, []
-            for key in beyond:
-                index = self._index(*key)
-                if index is None:
-                    self.beyond.append(key)
-                else:
-                    self.first[index] = 1
+    def __init__(self):
+        self.first: dict[InstanceId, int] = {}
+        self.repeats: dict[tuple[NodeId, MsgKind, InstanceId], int] = {}
 
     def add(self, frm: NodeId, kind: MsgKind, instance: InstanceId) -> None:
-        # ``_index`` inlined: its call was a sixth of the bytecode add ran.
-        sender, view = instance
-        n = self.n
-        if 0 <= view < self.views and 0 <= sender < n:
-            index = ((view * n + sender) * n + frm) * 3 + kind - 1
-            if not self.first[index]:
-                self.first[index] = 1
-                return
+        bit = 1 << (2 * frm + kind - ECHO)
+        mask = self.first.get(instance, 0)
+        if mask & bit:
             key = (frm, kind, instance)
-            count = self.aside.get(key, 1)
+            self.repeats[key] = self.repeats.get(key, 1) + 1
         else:
-            key = (frm, kind, instance)
-            count = self.aside.get(key, 0)
-            if not count:
-                self.beyond.append(key)
-        self.aside[key] = count + 1
+            self.first[instance] = mask | bit
 
     def clear(self) -> None:
-        self.views = 0
         self.first.clear()
-        self.aside.clear()
-        self.beyond.clear()
+        self.repeats.clear()
 
 
 @dataclass
@@ -400,8 +361,8 @@ class Trace:
     send_ticks: dict[BlockRef, int] = field(default_factory=dict)
     deliveries: Deliveries = field(default_factory=Deliveries)
     bbca_sends: BbcaSends = field(default_factory=BbcaSends)
-    # node -> ``invariants.commit_ancestry`` problems, found as it ran
-    ancestry: dict[NodeId, list[str]] = field(default_factory=dict)
+    # ``invariants.commit_ancestry`` problems of correct nodes, as it ran
+    ancestry: list[str] = field(default_factory=list)
     probes: dict[NodeId, list[tuple[int, int, bool, BlockRef | None]]] = \
         field(default_factory=dict)  # node -> [(tick, view, adopted, ref)]
     injected: list[tuple[int, NodeId, BlockRef]] = field(default_factory=list)
@@ -486,7 +447,7 @@ class Simulator:
         self.scenario = scenario
         self.rng = random.Random(scenario.seed)
         self.delay_model = DelayModel(scenario)
-        self.trace = Trace(bbca_sends=BbcaSends(scenario.n))
+        self.trace = Trace()
         self.now = 0
         # Pending events in one list per tick, in push order, and a heap of
         # the ticks that hold a list.  Every push lands on a tick later than
@@ -510,10 +471,13 @@ class Simulator:
         bucket.append(event)
 
     def _note_block_send(self, msg: WireMsg, tick: int) -> None:
+        """Note the entry tick of each block a BLOCK or an INIT carries, the
+        proposal's new-view blocks too.  An ECHO or READY is transmitted
+        only after an INIT with the same bytes, so it would note nothing."""
         blocks: list[Block] = []
         if isinstance(msg, BlockMsg):
             blocks.append(msg.block)
-        elif isinstance(msg, BbcaMsg):
+        else:
             try:
                 block = decode_block(msg.message)
             except EncodingError:
@@ -532,10 +496,11 @@ class Simulator:
         events/s (perfbench seed 5).  Each ``Deliver`` is built with
         ``tuple.__new__``, so that no Python-level constructor runs."""
         entry = self.now + lag
-        self._note_block_send(msg, entry)
         trace = self.trace
         trace.records.append(("send", entry, frm, msg))
-        if isinstance(msg, BbcaMsg):
+        if isinstance(msg, BlockMsg) or msg.kind == INIT:
+            self._note_block_send(msg, entry)
+        else:
             trace.bbca_sends.add(frm, msg.kind, msg.instance)
         packed, queue = trace.deliveries.packed, self._queue
         pack, new = _DELIVERY.pack, tuple.__new__
@@ -562,9 +527,6 @@ class Simulator:
             elif isinstance(out, ViewEntered):
                 view, cause = out
                 trace.view_entries.setdefault(node_id, {})[view] = (now, cause)
-                # A node in view v may send for view v + 1.
-                if view + 2 > trace.bbca_sends.views:
-                    trace.bbca_sends.cover(view + 2)
                 trace.record("view", now, node_id, view, cause)
                 self._push(now + self.scenario.timer_ticks,
                            TimerFire(node_id, view))
@@ -582,9 +544,7 @@ class Simulator:
                     (now, view, adopted, ref))
                 trace.record("probe", now, node_id, view, adopted)
         if committed and adversary is None:
-            problems = invariants.commit_ancestry(node, committed)
-            if problems:
-                trace.ancestry.setdefault(node_id, []).extend(problems)
+            trace.ancestry += invariants.commit_ancestry(node, committed)
 
     # -- main loop ----------------------------------------------------------
 

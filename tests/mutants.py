@@ -7,9 +7,24 @@ mutant body is the original handler with one rule changed, and the comment
 on that rule says what changed.
 """
 
-from bbca_chain.bbca import ECHO, READY, BbcaInstance, vote_row
+from bbca_chain.bbca import ECHO, READY, BbcaInstance, message_digest, \
+    vote_row
 from bbca_chain.blocks import BlockKind, Cert, CertKind
 from bbca_chain.dag import DagStore
+
+
+def _on_init_echoing_twice(self, message, frm):
+    """``BbcaInstance.on_init`` returning its ECHO twice."""
+    if self.echo or frm != self.instance.sender:
+        return []
+    digest = message_digest(message)
+    if digest not in self.pending:
+        if not self.predicate(message):
+            return []
+        self.pending[digest] = message
+    self.echo = True
+    echo = self._signed(ECHO, message)
+    return [echo, echo]  # mutated
 
 
 def _on_echo_sending_ready_when(ready_rule):
@@ -103,6 +118,8 @@ MUTANTS = {
         BbcaInstance, "on_echo", _on_echo_sending_ready_when(
             lambda inst, count: (not inst.abort
                                  and count == inst.params.quorum - 1))),
+    # The ECHO for an INIT is sent twice.
+    "echo_twice": (BbcaInstance, "on_init", _on_init_echoing_twice),
     # A signer's repeated or relayed ECHO counts again.
     "no_echo_dedupe": (
         BbcaInstance, "on_echo", _on_echo_counting_repeats),

@@ -270,16 +270,16 @@ def test_completion_waits_for_the_proposal_ancestry(params4):
         sig = sign(signer, ready_statement(1, 1, proposal.digest))
         node.handle_message(signer, BbcaMsg(MsgKind.READY, bid,
                                             proposal.encoded, sig))
-    assert list(node.pending_complete) == [proposal.digest]
+    cert = make_cert(params4, CertKind.COMPLETE, 1, proposal, (1, 2, 3))
+    assert node.awaiting == {proposal.digest: cert}
     assert proposal.digest in node.dag.pending
     assert (node.view, node.last_committed) == (1, 0)
     node.take_outbox()
 
     node.handle_message(1, BlockMsg(data))
-    cert = make_cert(params4, CertKind.COMPLETE, 1, proposal, (1, 2, 3))
     own_nvb = make_new_view(0, 1, NewViewData(EvidenceKind.COMPLETE, cert),
                             extra_refs={GENESIS_REF})
-    assert node.pending_complete == {}
+    assert node.awaiting == {}
     assert node.committed_log == [data.digest, proposal.digest]
     assert node.take_outbox() == [
         Committed(1, (data, proposal)), BlockMsg(own_nvb),
@@ -860,7 +860,7 @@ def test_a_late_new_view_block_still_commits_and_becomes_a_tip(
     late = make_complete_nvb(params4, 2, 1, proposal)
     node.handle_message(2, BlockMsg(late))
     if not proposal_first:
-        assert node.pending_commit == {proposal.digest}
+        assert node.awaiting == {proposal.digest: None}
         node.handle_message(1, BlockMsg(proposal))
     assert node.committed_log[-1] == proposal.digest
     assert Committed(1, (proposal,)) in node.take_outbox()

@@ -181,7 +181,7 @@ def _node_state(node):
              for view, entry in node.finalized.items()},
             list(node.committed_log), bytes(node.committed_rows),
             _dag_state(node.dag),
-            set(node.pending_commit), set(node.pending_complete),
+            dict(node.awaiting),
             {view: (inst.echo, inst.ready, inst.abort, inst.completed)
              for view, inst in node.instances.items()},
             dict(node.outcomes), node.probed, node.proposed,

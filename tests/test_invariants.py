@@ -273,7 +273,7 @@ def test_commit_ancestry_checks_every_batch_of_an_event_together():
     sim = Simulator(Scenario(n=4, seed=1))
     sim.nodes[0] = committed_node()
     sim._drain(0)
-    assert sim.trace.ancestry == {0: expected}
+    assert sim.trace.ancestry == expected
     world = ex.chain_two_views()
     world.nodes[0] = committed_node()
     world._drain(0)

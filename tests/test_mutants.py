@@ -22,8 +22,10 @@ REPLAY_N4 = {**WITHHOLD_READY_N4,
              "adversary": {"1": {"strategy": "replay"}}}
 CAMPAIGN = [(WITHHOLD_READY_N4, range(4)), (REPLAY_N4, range(8))]
 
-# Chain mutants, and the one check that alone must report each of them.
-CHAIN_KILLERS = {"reversed_commit_batches": "commit_ancestry"}
+# Mutants that break no Complete-Adopt rule, and the one check that alone
+# must report each of them.
+KILLERS = {"reversed_commit_batches": "commit_ancestry",
+           "echo_twice": "echo_once"}
 
 # Mutants that no named check reports within the campaign; each has a
 # ``FOUND:`` line in CHANGES.md.
@@ -50,7 +52,7 @@ def test_campaign_is_clean_without_a_mutant():
 @pytest.mark.parametrize("name", [
     name if name not in SURVIVORS else pytest.param(
         name, marks=pytest.mark.xfail(strict=True, reason=SURVIVORS[name]))
-    for name in sorted(set(mutants.MUTANTS) - set(CHAIN_KILLERS))])
+    for name in sorted(set(mutants.MUTANTS) - set(KILLERS))])
 def test_complete_adopt_kills_mutant(monkeypatch, name):
     mutants.apply(monkeypatch, name)
     problems = complete_adopt_problems()
@@ -74,15 +76,39 @@ def reporting_checks(raw, seeds) -> set[str]:
             if problems}
 
 
-@pytest.mark.parametrize("name", sorted(CHAIN_KILLERS))
-def test_one_named_check_alone_kills_chain_mutant(monkeypatch, name):
+@pytest.mark.parametrize("name", sorted(KILLERS))
+def test_one_named_check_alone_kills_mutant(monkeypatch, name):
     raw, seeds = WITHHOLD_READY_N4, range(4)
     assert reporting_checks(raw, seeds) == set()
     mutants.apply(monkeypatch, name)
-    assert reporting_checks(raw, seeds) == {CHAIN_KILLERS[name]}
+    assert reporting_checks(raw, seeds) == {KILLERS[name]}
 
 
-@pytest.mark.parametrize("name", sorted(CHAIN_KILLERS))
+def test_echo_once_reports_each_second_echo(monkeypatch):
+    raw = {"n": 4, "seed": 1, "horizon": 4, "invariants": "all"}
+    assert reporting_checks(raw, [1]) == set()
+    mutants.apply(monkeypatch, "echo_twice")
+    verdicts = harness.run_config(parse_config(raw)).verdicts
+    # In each of the four views, the three nodes that are not the sender
+    # echo its INIT twice.
+    problems = verdicts.pop("echo_once")
+    assert len(problems) == 12
+    assert all(p.startswith("echo-once: ") and " sent 2 x ECHO " in p
+               for p in problems)
+    assert not any(verdicts.values())
+
+
+def test_every_bbca_leaf_reports_echo_twice(monkeypatch):
+    assert ex.explore(ex.bbca_correct_sender(), depth=2).ok
+    mutants.apply(monkeypatch, "echo_twice")
+    result = ex.explore(ex.bbca_correct_sender(), depth=2)
+    # Each node but the sender echoes the INIT twice, at every leaf.
+    assert len(result.violations) == 3 * result.leaves == 240
+    assert {problem for problem, _ in result.violations} == {
+        f"echo-once: node {node} sent 2 x ECHO s0 v1" for node in (1, 2, 3)}
+
+
+@pytest.mark.parametrize("name", ["reversed_commit_batches"])
 def test_every_chain_leaf_reports_chain_mutant(monkeypatch, name):
     # The explorer's chain leaves run the simulator's ancestry check.
     assert ex.explore(ex.chain_two_views(), depth=2).ok

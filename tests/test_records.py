@@ -12,8 +12,8 @@ it.  The containers audited for this are:
   counts differ (pinned below);
 - ``BbcaWorld._replayed``: ``BbcaMsg`` values only;
 - the ``SendCounts`` keys: ``(node, MsgKind, InstanceId)`` tuples only;
-- ``ChainNode.held_certs`` and ``ChainNode.pending_complete``: ``Cert``
-  values only;
+- ``ChainNode.held_certs``: ``Cert`` values only, and
+  ``ChainNode.awaiting``: ``Cert`` values or ``None``;
 - ``BbcaInstance.echo_sigs`` and ``BbcaInstance.ready_sigs``: tuples of
   ``Signature`` values only, sorted into certificates; a signer appears at
   most once per instance, so the sort is by signer;

@@ -11,9 +11,10 @@ from pathlib import Path
 import pytest
 
 from bbca_chain.bbca import BbcaInstance, BbcaMsg, InstanceId, MsgKind
-from bbca_chain.blocks import GENESIS_BLOCK
+from bbca_chain.blocks import GENESIS_BLOCK, decode_block
 from bbca_chain.chain import NO_OP, BlockMsg, ChainNode, SafetyViolation
 from bbca_chain.dag import DagStore
+from bbca_chain.encoding import EncodingError
 from bbca_chain.identity import ConfigError
 from bbca_chain.invariants import (
     check_agreement,
@@ -353,24 +354,63 @@ def test_echo_once_flags_a_node_that_sends_twice(monkeypatch):
     assert any("READY" in p for p in problems)
 
 
-def test_bbca_sends_counts_a_repeat_across_a_raised_cover():
+def test_bbca_sends_keeps_a_mask_per_instance_and_counts_repeats():
     echo, ready = MsgKind.ECHO, MsgKind.READY
-    near, far, odd = InstanceId(2, 2), InstanceId(1, 5), InstanceId(9, 1)
-    sends = BbcaSends(4)
-    sends.cover(3)
-    for instance in (near, far, odd):
-        sends.add(0, echo, instance)
-    # View 5 lies beyond the bytes, and sender 9 beyond n: both go aside.
-    assert sends.aside == {(0, echo, far): 1, (0, echo, odd): 1}
-    sends.cover(7)
-    assert len(sends.first) == 7 * 4 * 4 * 3
-    for kind, instance in ((echo, far), (echo, near), (ready, near)):
-        sends.add(0, kind, instance)
-    assert sends.aside == {(0, echo, far): 2, (0, echo, near): 2,
-                           (0, echo, odd): 1}
-    assert echo_once(sends.aside) == [
-        "echo-once: node 0 sent 2 x ECHO s1 v5",
+    near, far = InstanceId(2, 2), InstanceId(1, 10**9)
+    sends = BbcaSends()
+    for frm, kind, instance in ((0, echo, near), (3, ready, near),
+                                (0, echo, far)):
+        sends.add(frm, kind, instance)
+    # Bit 2 * node + kind - ECHO: node 0's ECHO is bit 0, node 3's READY
+    # bit 7.  A far view costs one entry, as a near one does.
+    assert sends.first == {near: 0b1000_0001, far: 0b1}
+    assert sends.repeats == {}
+    for frm, kind, instance in ((0, echo, far), (0, echo, far),
+                                (0, echo, near), (3, echo, near)):
+        sends.add(frm, kind, instance)
+    assert sends.first == {near: 0b1100_0001, far: 0b1}
+    assert sends.repeats == {(0, echo, far): 3, (0, echo, near): 2}
+    assert echo_once(sends.repeats) == [
+        "echo-once: node 0 sent 3 x ECHO s1 v1000000000",
         "echo-once: node 0 sent 2 x ECHO s2 v2"]
+    # ``echo_once`` never reports an INIT, so none is counted.
+    sim = Simulator(Scenario(n=4, seed=1))
+    init = BbcaMsg(MsgKind.INIT, near, b"not a block")
+    for _ in range(2):
+        sim._transmit(0, init, sim.everyone, 0)
+    assert sim.trace.bbca_sends.first == {}
+    assert sim.trace.bbca_sends.repeats == {}
+
+
+@pytest.mark.parametrize("strategy", [
+    Strategy("equivocate_init"), Strategy("delay_own", max_delay=40),
+    Strategy("replay")], ids=lambda strategy: strategy.name)
+def test_send_ticks_are_those_every_bbca_send_would_give(strategy):
+    # Only INITs and BLOCKs are decoded for ``send_ticks``: an ECHO or
+    # READY follows an INIT with the same bytes, so it would add nothing.
+    result = run_kept(Scenario(
+        n=4, seed=3, delta_post=5, delay_mode="random", gst=20,
+        pre_gst=PreGstPolicy("adversarial", 15), horizon=4,
+        strategies={1: strategy}))
+    result.trace.flush()
+    ticks = {}
+    for record in result.trace.kept:
+        if record[0] != "send":
+            continue
+        _, entry, _frm, msg = record
+        if isinstance(msg, BlockMsg):
+            blocks = [msg.block]
+        else:
+            try:
+                block = decode_block(msg.message)
+            except EncodingError:
+                continue
+            blocks = [block]
+            if block.justification is not None:
+                blocks += block.justification.new_view_blocks
+        for block in blocks:
+            ticks.setdefault(block.digest, entry)
+    assert ticks == result.trace.send_ticks
 
 
 def test_each_proposal_is_processed_once_per_node(monkeypatch):

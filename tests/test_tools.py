@@ -93,7 +93,7 @@ def test_peak_memory_releases_each_retained_structure(monkeypatch):
     assert not result.trace.records
     assert not len(result.trace.deliveries)
     assert not result.trace.bbca_sends.first
-    assert not result.trace.bbca_sends.aside
+    assert not result.trace.bbca_sends.repeats
 
 
 def test_peak_memory_counts_the_records_a_run_hashes(monkeypatch):

@@ -45,7 +45,7 @@ MIB = 1024 * 1024
 # Per-view chain state other than the BBCA instances, the DAG, the log and
 # the tables a node collects as it runs (released first, one row each).
 COLLECTED_TABLES = ("new_view_blocks", "held_certs")
-CHAIN_TABLES = ("finalized", "pending_complete", "pending_commit")
+CHAIN_TABLES = ("finalized", "awaiting")
 
 # Run in a child interpreter: derives the sim_long inputs of a seed there,
 # so that the caches the derivation fills stay out of this process.
