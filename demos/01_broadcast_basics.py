@@ -2,7 +2,8 @@
 
 Four nodes, node 0 is the designated sender.  We play postman ourselves so
 every state transition is visible: INIT fans out, echoes accumulate, a
-quorum of echoes turns into READY votes, a quorum of READY votes completes.
+quorum of echoes turns into READY votes and an ADOPT certificate, a quorum
+of READY votes completes.
 Then the probe interface: abort-before-quorum vs adopt-after-quorum.
 """
 
@@ -26,8 +27,10 @@ while outbox:
     for i, node in nodes.items():
         outs, cert = node.handle_message(frm, msg)
         if cert is not None:
-            print(f"node {i} completes with a "
-                  f"{len(cert.sigs)}-signature certificate")
+            # An echo quorum hands back an ADOPT certificate, a ready
+            # quorum a COMPLETE one.
+            print(f"node {i} holds a {len(cert.sigs)}-signature "
+                  f"{cert.kind.name} certificate")
         outbox.extend((i, out) for out in outs)
         delivered += 1
 

@@ -2,27 +2,28 @@
 
 A Bracha-style echo/ready broadcast, modified in two ways: the f+1-ready
 amplification is removed, and a local ``probe`` can abort the instance.
-Answers are certificates: completion yields a COMPLETE ``Cert`` (a quorum
-of READY signatures), a probe an ADOPT ``Cert`` (a quorum of ECHO
-signatures) or ``None`` for NoAdopt, which flags the instance so it never
-sends a READY afterwards; the message stays in ``pending`` under the
-certificate's ``block_digest``.  If any correct node completes m, at least
-f+1 correct probers adopt m; conversely f+1 correct NoAdopt answers
-preclude completion anywhere.
+Answers are certificates: the vote that completes a quorum yields a COMPLETE
+``Cert`` (READY signatures) or an ADOPT ``Cert`` (ECHO signatures, even when
+an abort suppressed the READY), a probe the ADOPT ``Cert`` available now or
+``None`` for NoAdopt, which flags the instance so it never sends a READY
+afterwards; the message stays in ``pending`` under the certificate's
+``block_digest``.  If any correct node completes m, at least f+1 correct
+probers adopt m; conversely f+1 correct NoAdopt answers preclude completion
+anywhere.
 
 An ECHO or READY counts only if its signer is one of the n nodes.  The
 statement a vote signs is fixed by (kind, instance, message), so one memoized
-vote table maps that key to (message digest, statement, statement digest):
-a handler checks a vote by comparing its signature's digest with the row,
-which is ``identity.verify`` for a signature checked against its own signer,
-and signs its own votes over the row's statement.  Once a
-node sent its own ECHO and holds the ECHO and the READY of all n nodes, the
-instance is ``final``: no input can change its answers, so the enclosing
+vote table maps that key to (message digest, statement digest): a handler
+checks a vote by comparing its signature's digest with the row, which is
+``identity.verify`` for a signature checked against its own signer, and
+signs its own votes with the row's digest, as ``identity.sign`` would.  Once
+a node sent its own ECHO and holds the ECHO and the READY of all n nodes,
+the instance is ``final``: no input can change its answers, so the enclosing
 node may keep its ``outcome`` and drop the instance.
 
 Handlers are pure state transitions: one inbound message in, a list of
-outbound messages (or a COMPLETE certificate) out.  The enclosing runtime
-serializes calls per node.
+outbound messages and the certificate it formed, if any, out.  The
+enclosing runtime serializes calls per node.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Callable, NamedTuple
 
 from .blocks import BlockRef, Cert, CertKind
 from .encoding import digest32, echo_statement, ready_statement
-from .identity import NodeId, Signature, SystemParams, sign, statement_digest
+from .identity import NodeId, Signature, SystemParams, statement_digest
 
 Predicate = Callable[[bytes], bool]
 
@@ -109,11 +110,11 @@ class BbcaInstance:
 
     def _signed(self, kind: MsgKind, message: bytes) -> BbcaMsg:
         instance = self.instance
-        stmt = vote_row(kind, instance, message)[1]
-        # ``tuple.__new__`` skips the generated constructor, as in
-        # ``identity.sign``: 375-381 -> 244-247 ns per message (timeit).
-        return tuple.__new__(
-            BbcaMsg, (kind, instance, message, sign(self.node, stmt)))
+        # ``identity.sign`` over the row's statement; ``tuple.__new__`` skips
+        # the generated constructors: 375-381 -> 244-247 ns (timeit).
+        sig = tuple.__new__(
+            Signature, (self.node, vote_row(kind, instance, message)[1]))
+        return tuple.__new__(BbcaMsg, (kind, instance, message, sig))
 
     # -- interfaces -------------------------------------------------------
 
@@ -151,7 +152,7 @@ class BbcaInstance:
         kind, _, message, sig = msg
         if sig is not None:
             if kind == ECHO:
-                return self.on_echo(message, sig, frm), None
+                return self.on_echo(message, sig, frm)
             if kind == READY:
                 return [], self.on_ready(message, sig, frm)
         if kind == INIT:
@@ -171,33 +172,37 @@ class BbcaInstance:
         return [self._signed(ECHO, message)]
 
     def on_echo(self, message: bytes, sig: Signature,
-                frm: NodeId) -> list[BbcaMsg]:
+                frm: NodeId) -> tuple[list[BbcaMsg], Cert | None]:
         # Dedupe by signer, not by channel origin: a relayed echo still
         # counts once for its signer and certificates stay distinct-signer.
         signer = sig.signer
         if signer in self.received_echo or not 0 <= signer < self.params.n:
-            return []
-        digest, _, signed = vote_row(ECHO, self.instance, message)
+            return [], None
+        digest, signed = vote_row(ECHO, self.instance, message)
         if digest not in self.pending and not self.predicate(message):
-            return []
+            return [], None
         if sig.digest != signed:
-            return []
+            return [], None
         self.received_echo.add(signer)
         self.pending[digest] = message
         sigs = (*self.echo_sigs.get(digest, ()), sig)
         self.echo_sigs[digest] = sigs
-        if (not self.ready and not self.abort
-                and len(sigs) == self.params.quorum):
-            self.ready = True
-            return [self._signed(READY, message)]
-        return []
+        if len(sigs) != self.params.quorum:
+            return [], None
+        # ``available_adopt()`` now, READY or not; built as in ``_signed``.
+        adopt = tuple.__new__(Cert, (CertKind.ADOPT, *self.instance, digest,
+                                     tuple(sorted(sigs))))
+        if self.ready or self.abort:
+            return [], adopt
+        self.ready = True
+        return [self._signed(READY, message)], adopt
 
     def on_ready(self, message: bytes, sig: Signature,
                  frm: NodeId) -> Cert | None:
         signer = sig.signer
         if signer in self.received_ready or not 0 <= signer < self.params.n:
             return None
-        digest, _, signed = vote_row(READY, self.instance, message)
+        digest, signed = vote_row(READY, self.instance, message)
         if digest not in self.pending and not self.predicate(message):
             return None
         if sig.digest != signed:
@@ -259,14 +264,14 @@ def message_digest(message: bytes) -> bytes:
 
 @lru_cache(maxsize=4096)
 def vote_row(kind: MsgKind, instance: InstanceId,
-             message: bytes) -> tuple[BlockRef, bytes, bytes]:
-    """The vote table: (message digest, statement, statement digest) of an
-    ECHO or READY over ``message`` in ``instance``.
+             message: bytes) -> tuple[BlockRef, bytes]:
+    """The vote table: (message digest, statement digest) of an ECHO or
+    READY over ``message`` in ``instance``.
 
     Pure in its arguments, so memoized; a vote's signature is still compared
     with the row on every delivery.
     """
     digest = message_digest(message)
     build = echo_statement if kind == ECHO else ready_statement
-    statement = build(instance.sender, instance.view, digest)
-    return digest, statement, statement_digest(statement)
+    return digest, statement_digest(
+        build(instance.sender, instance.view, digest))

@@ -22,7 +22,7 @@ from operator import attrgetter
 from types import SimpleNamespace
 from typing import NamedTuple, Union
 
-from .bbca import ECHO, BbcaInstance, BbcaMsg, InstanceId, message_digest
+from .bbca import BbcaInstance, BbcaMsg, InstanceId, message_digest
 from .blocks import (
     GENESIS_BLOCK,
     GENESIS_CERT,
@@ -252,13 +252,13 @@ class ChainNode:
         self.last_committed = 0
         self.committed_log: list[BlockRef] = []
         self.committed_rows = bytearray()  # a _COMMIT_ROW per log entry
-        # The first certificate this node held for each view.  Becoming
-        # ready counts (the echo quorum is an adopt certificate), and so do
-        # certificates seen in valid new-view blocks.  The noadopt anchor is
-        # the highest held certificate at or below the concluded view;
-        # anchoring above it would break the finalize recursion.  Views
-        # below ``anchor_floor``, the highest held at or below ``view``,
-        # are neither kept nor stored: no anchor can name them again.
+        # The first certificate this node held for each view: one its
+        # instance hands back (an echo quorum is an adopt certificate even
+        # when an abort suppressed the READY) or a valid new-view block's.
+        # The noadopt anchor is the highest held at or below the concluded
+        # view; anchoring above it would break the finalize recursion.
+        # Views below ``anchor_floor``, the highest held at or below
+        # ``view``, are neither kept nor stored: no anchor names them again.
         self.held_certs: dict[int, Cert] = {0: GENESIS_CERT}
         self.anchor_floor = 0
         self.instances: dict[int, BbcaInstance] = {}
@@ -379,7 +379,7 @@ class ChainNode:
     # -- broadcast plumbing -------------------------------------------------
 
     def _handle_bbca_message(self, frm: NodeId, msg: BbcaMsg) -> None:
-        kind, bid, message, sig = msg
+        _, bid, message, _ = msg
         sender, view = bid
         inst = self.instances.get(view)
         if inst is None:
@@ -403,17 +403,11 @@ class ChainNode:
                 return  # a final instance answers nothing new
         outs, cert = inst.handle_message(frm, msg)
         self.outbox.extend(outs)
-        if (sig is not None and kind == ECHO and view not in self.held_certs
-                and view >= self.anchor_floor):
-            # Holding an echo quorum is holding an adopt certificate, even
-            # when abort suppressed the READY; the noadopt anchor must see it.
-            # Only a view's first certificate is kept: stop asking after it.
-            adopt = inst.available_adopt()
-            if adopt is not None:
-                self.held_certs.setdefault(view, adopt)
         if cert is not None:
             if view >= self.anchor_floor:
                 self.held_certs.setdefault(view, cert)
+            if cert.kind == CertKind.ADOPT:
+                return
             if cert.block_digest in self.dag:
                 self._on_bbca_complete(cert)
             else:
@@ -508,7 +502,7 @@ class ChainNode:
         self.rules_dirty = True
         cert = self._instance_for(view).probe()
         if cert is not None:
-            self.held_certs.setdefault(view, cert)
+            # Held since its echo quorum formed, at or above the floor.
             self.outbox.append(Probed(view, True, cert.block_digest))
             self._make_own_new_view_block(
                 view, NewViewData(EvidenceKind.ADOPT, cert))

@@ -29,25 +29,30 @@ def _on_init_echoing_twice(self, message, frm):
 
 def _on_echo_sending_ready_when(ready_rule):
     """``BbcaInstance.on_echo`` with its READY condition replaced by
-    ``ready_rule(inst, echo_count)``."""
+    ``ready_rule(inst, echo_count)``; the echo quorum still hands back its
+    ADOPT certificate."""
 
     def on_echo(self, message, sig, frm):
         signer = sig.signer
         if signer in self.received_echo or not 0 <= signer < self.params.n:
-            return []
-        digest, _, signed = vote_row(ECHO, self.instance, message)
+            return [], None
+        digest, signed = vote_row(ECHO, self.instance, message)
         if digest not in self.pending and not self.predicate(message):
-            return []
+            return [], None
         if sig.digest != signed:
-            return []
+            return [], None
         self.received_echo.add(signer)
         self.pending[digest] = message
         sigs = (*self.echo_sigs.get(digest, ()), sig)
         self.echo_sigs[digest] = sigs
+        adopt = None
+        if len(sigs) == self.params.quorum:
+            adopt = tuple.__new__(Cert, (CertKind.ADOPT, *self.instance,
+                                         digest, tuple(sorted(sigs))))
         if not self.ready and ready_rule(self, len(sigs)):  # mutated
             self.ready = True
-            return [self._signed(READY, message)]
-        return []
+            return [self._signed(READY, message)], adopt
+        return [], adopt
 
     return on_echo
 
@@ -56,21 +61,24 @@ def _on_echo_counting_repeats(self, message, sig, frm):
     """``BbcaInstance.on_echo`` without its dedupe by signer."""
     signer = sig.signer
     if not 0 <= signer < self.params.n:  # mutated
-        return []
-    digest, _, signed = vote_row(ECHO, self.instance, message)
+        return [], None
+    digest, signed = vote_row(ECHO, self.instance, message)
     if digest not in self.pending and not self.predicate(message):
-        return []
+        return [], None
     if sig.digest != signed:
-        return []
+        return [], None
     self.received_echo.add(signer)
     self.pending[digest] = message
     sigs = (*self.echo_sigs.get(digest, ()), sig)
     self.echo_sigs[digest] = sigs
-    if (not self.ready and not self.abort
-            and len(sigs) == self.params.quorum):
-        self.ready = True
-        return [self._signed(READY, message)]
-    return []
+    if len(sigs) != self.params.quorum:
+        return [], None
+    adopt = tuple.__new__(Cert, (CertKind.ADOPT, *self.instance, digest,
+                                 tuple(sorted(sigs))))
+    if self.ready or self.abort:
+        return [], adopt
+    self.ready = True
+    return [self._signed(READY, message)], adopt
 
 
 def _on_ready_completing_at_quorum_minus_one(self, message, sig, frm):
@@ -78,7 +86,7 @@ def _on_ready_completing_at_quorum_minus_one(self, message, sig, frm):
     signer = sig.signer
     if signer in self.received_ready or not 0 <= signer < self.params.n:
         return None
-    digest, _, signed = vote_row(READY, self.instance, message)
+    digest, signed = vote_row(READY, self.instance, message)
     if digest not in self.pending and not self.predicate(message):
         return None
     if sig.digest != signed:

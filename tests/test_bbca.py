@@ -94,25 +94,30 @@ def test_init_failing_predicate_ignored():
 
 def test_quorum_of_echoes_emits_ready():
     node = fresh()
-    assert node.on_echo(M, echo_from(0), frm=0) == []
-    assert node.on_echo(M, echo_from(2), frm=2) == []
-    outs = node.on_echo(M, echo_from(3), frm=3)
+    assert node.on_echo(M, echo_from(0), frm=0) == ([], None)
+    assert node.on_echo(M, echo_from(2), frm=2) == ([], None)
+    outs, adopt = node.on_echo(M, echo_from(3), frm=3)
     assert len(outs) == 1 and outs[0].kind == MsgKind.READY
     assert node.ready
+    assert adopt == node.available_adopt()
+    assert verify_cert(adopt, node.params, CertKind.ADOPT)
+    # Past the quorum, a vote neither re-sends READY nor re-forms the cert.
+    assert node.on_echo(M, echo_from(1), frm=1) == ([], None)
 
 
 def test_duplicate_echo_sender_ignored():
     node = fresh()
     node.on_echo(M, echo_from(0), frm=0)
-    assert node.on_echo(M, echo_from(0), frm=0) == []
+    assert node.on_echo(M, echo_from(0), frm=0) == ([], None)
     # A second echo by the same signer for a different message is also dead.
-    assert node.on_echo(b"other", echo_from(0, b"other"), frm=0) == []
+    assert node.on_echo(b"other", echo_from(0, b"other"),
+                        frm=0) == ([], None)
 
 
 def test_invalid_echo_signature_ignored():
     node = fresh()
     wrong = sign(2, b"unrelated statement")
-    assert node.on_echo(M, wrong, frm=2) == []
+    assert node.on_echo(M, wrong, frm=2) == ([], None)
     assert 2 not in node.received_echo
 
 
@@ -121,13 +126,14 @@ def test_abort_suppresses_ready_but_not_recording():
     node.on_echo(M, echo_from(0), frm=0)
     assert node.probe() is None
     assert node.abort
-    assert node.on_echo(M, echo_from(2), frm=2) == []
-    assert node.on_echo(M, echo_from(3), frm=3) == []  # quorum, no READY
-    assert not node.ready
+    assert node.on_echo(M, echo_from(2), frm=2) == ([], None)
+    # The quorum vote: no READY, but the adopt certificate all the same.
+    outs, adopt = node.on_echo(M, echo_from(3), frm=3)
+    assert outs == [] and not node.ready
+    assert verify_cert(adopt, node.params, CertKind.ADOPT)
     # Recording continued, so a later probe upgrades to adopt.
     cert = node.probe()
-    assert cert is not None and node.pending[cert.block_digest] == M
-    assert verify_cert(cert, node.params, CertKind.ADOPT)
+    assert cert == adopt and node.pending[cert.block_digest] == M
 
 
 # -- probe -------------------------------------------------------------------
@@ -250,7 +256,8 @@ def test_handle_message_dispatches_each_kind():
             signer, BbcaMsg(MsgKind.ECHO, BID, M, echo_from(signer))) == ([], None)
     outs, cert = node.handle_message(3, BbcaMsg(MsgKind.ECHO, BID, M,
                                                 echo_from(3)))
-    assert [out.kind for out in outs] == [MsgKind.READY] and cert is None
+    assert [out.kind for out in outs] == [MsgKind.READY]
+    assert cert == node.available_adopt() is not None
     for signer in (0, 2):
         node.handle_message(signer, BbcaMsg(MsgKind.READY, BID, M,
                                             ready_from(signer)))
@@ -353,7 +360,7 @@ def test_a_vote_counts_exactly_when_identity_verify_accepts_it(
     assert inst._signed(kind, message) == BbcaMsg(kind, bid, message,
                                                   sign(node, statement))
     row = vote_row(kind, bid, message)
-    assert row == (digest32(message), statement, statement_digest(statement))
+    assert row == (digest32(message), statement_digest(statement))
     vote_row.cache_clear()
     assert vote_row(kind, bid, message) == row
 
@@ -500,3 +507,24 @@ def test_an_instance_missing_any_vote_is_not_final(steps, missing,
     kept = [step for step in steps if step is not dropped]
     node = driven([*kept, *strangers, *kept])
     assert not node.final()
+
+
+# -- the adopt certificate ---------------------------------------------------------
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(steps=_every_vote(), later=st.lists(_any_input(), max_size=20))
+def test_only_the_echo_quorum_vote_hands_back_the_adopt_cert(steps, later):
+    # Probes (``None`` steps) may abort the instance before the quorum.
+    node = fresh()
+    handed = []
+    for step in [*steps, *later]:
+        if step is None:
+            node.probe()
+            continue
+        before = node.adoptable_digest()
+        _, cert = node.handle_message(*step)
+        if cert is not None and cert.kind == CertKind.ADOPT:
+            assert before is None and step[1].kind == MsgKind.ECHO
+            assert cert == node.available_adopt()
+            handed.append(cert)
+    assert len(handed) == (node.adoptable_digest() is not None)

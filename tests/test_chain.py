@@ -1,3 +1,4 @@
+import dataclasses
 import weakref
 from collections import Counter
 
@@ -34,7 +35,11 @@ from bbca_chain.chain import (
     validate_new_view_block,
 )
 from bbca_chain.dag import DagStore
-from bbca_chain.encoding import echo_statement, ready_statement
+from bbca_chain.encoding import (
+    echo_statement,
+    noadopt_statement,
+    ready_statement,
+)
 from bbca_chain.identity import params_for, sign
 from bbca_chain.simnet import Scenario, run
 from conftest import (
@@ -93,7 +98,6 @@ def test_validate_noadopt_rejects_foreign_signature(params4):
     nvb = make_noadopt_nvb(params4, 2, 1, GENESIS_CERT)
     forged = make_noadopt_nvb(params4, 2, 1, GENESIS_CERT)
     hacked = forged.new_view.noadopt_sig
-    import dataclasses
     wrong_author = dataclasses.replace(
         nvb, author=3)  # signature no longer matches the author
     assert not validate_new_view_block(wrong_author, params4)
@@ -128,6 +132,60 @@ def test_predicate_rejects_duplicate_noadopt_authors(params4):
                             (one, other,
                              make_noadopt_nvb(params4, 0, 1, GENESIS_CERT))))
     assert not validate_backbone_block(block, params4)
+
+
+def new_view_rejects(params):
+    """Per reject branch of ``validate_new_view_block``: a valid block and
+    one that only that branch rejects."""
+    blocks, _ = make_complete_chain(params, 1)
+    nvb = make_complete_nvb(params, 2, 1, blocks[1])
+    noadopt = make_noadopt_nvb(params, 2, 1, GENESIS_CERT)
+    other_view = NewViewData(EvidenceKind.NOADOPT, GENESIS_CERT,
+                             sign(2, noadopt_statement(2)))
+    return {
+        "wrong kind": (nvb, blocks[1]),
+        "author outside [0, n)": (
+            nvb, make_complete_nvb(params, params.n, 1, blocks[1])),
+        "certificate digest not in refs": (
+            nvb, dataclasses.replace(nvb, refs=(GENESIS_REF,))),
+        "noadopt signature over another view": (
+            noadopt, dataclasses.replace(noadopt, new_view=other_view)),
+    }
+
+
+@pytest.mark.parametrize("case", list(new_view_rejects(params_for(4))))
+def test_validate_new_view_block_rejects(params4, case):
+    valid, broken = new_view_rejects(params4)[case]
+    assert validate_new_view_block(valid, params4) is True
+    assert validate_new_view_block(broken, params4) is False
+
+
+def backbone_rejects(params):
+    """Per reject branch of ``validate_backbone_block``: a valid block and
+    one that only that branch rejects."""
+    blocks, _ = make_complete_chain(params, 2)
+    block = blocks[2]
+    # A view-1 new-view block by view 1's proposer passes the author check.
+    nvb = make_complete_nvb(params, get_proposer(1, params), 1, blocks[1])
+    invalid_nvb = make_complete_nvb(params, params.n, 1, blocks[1])
+    genesis = Justification(EvidenceKind.GENESIS, (GENESIS_NEW_VIEW,))
+    return {
+        "wrong kind": (block, nvb),
+        "embedded block not in refs": (
+            block, dataclasses.replace(block, refs=())),
+        "embedded block invalid": (block, make_backbone(
+            block.author, 2,
+            Justification(EvidenceKind.COMPLETE, (invalid_nvb,)))),
+        "GENESIS justification above view 0": (
+            blocks[1], make_backbone(blocks[1].author, 1, genesis)),
+    }
+
+
+@pytest.mark.parametrize("case", list(backbone_rejects(params_for(4))))
+def test_validate_backbone_block_rejects(params4, case):
+    valid, broken = backbone_rejects(params4)[case]
+    assert validate_backbone_block(valid, params4) is True
+    assert validate_backbone_block(broken, params4) is False
 
 
 def test_validation_memo_is_keyed_by_digest_and_bounded(params4):
@@ -189,6 +247,52 @@ def test_timeout_probes_and_waits_for_quorum(params4):
         node.handle_message(author, BlockMsg(
             make_noadopt_nvb(params4, author, 1, GENESIS_CERT)))
     assert node.view == 2
+
+
+def vote_messages(params, kind, view, block, signers):
+    """An ECHO or READY from each of ``signers`` for a backbone block."""
+    bid = InstanceId(get_proposer(view, params), view)
+    statement = (echo_statement if kind == MsgKind.ECHO
+                 else ready_statement)(bid.sender, view, block.digest)
+    return [(signer, BbcaMsg(kind, bid, block.encoded,
+                             sign(signer, statement)))
+            for signer in signers]
+
+
+def test_a_probe_that_adopts_finds_its_view_held(params4):
+    blocks, _ = make_complete_chain(params4, 1)
+    node = ChainNode(0, params4)
+    node.start()
+    node.handle_message(1, BbcaMsg(MsgKind.INIT, InstanceId(1, 1),
+                                   blocks[1].encoded))
+    for frm, msg in vote_messages(params4, MsgKind.ECHO, 1, blocks[1],
+                                   (1, 2, 3)):
+        node.handle_message(frm, msg)
+    adopt = node.held_certs[1]
+    assert adopt.kind == CertKind.ADOPT
+    assert adopt == node.instances[1].available_adopt()
+    node.take_outbox()
+    node.handle_timer(1)
+    nvb, = [out.block for out in broadcasts(node)]
+    assert nvb.new_view.evidence == EvidenceKind.ADOPT
+    assert nvb.new_view.cert == adopt and node.held_certs[1] is adopt
+    assert node.view == 2
+
+
+def test_an_echo_quorum_after_a_noadopt_probe_is_held(params4):
+    blocks, _ = make_complete_chain(params4, 1)
+    node = ChainNode(0, params4)
+    node.start()
+    node.handle_message(1, BbcaMsg(MsgKind.INIT, InstanceId(1, 1),
+                                   blocks[1].encoded))
+    node.handle_timer(1)  # noadopt: view 1's instance aborts
+    node.take_outbox()
+    for frm, msg in vote_messages(params4, MsgKind.ECHO, 1, blocks[1],
+                                   (1, 2, 3)):
+        node.handle_message(frm, msg)
+    assert broadcasts(node) == []  # no READY
+    assert node.held_certs[1] == node.instances[1].available_adopt()
+    assert node.held_certs[1].kind == CertKind.ADOPT
 
 
 def test_early_probe_after_f_plus_one_noadopts(params4):
@@ -510,14 +614,6 @@ def rule_passes(monkeypatch):
     return counts
 
 
-def ready_messages(params, view, block, signers):
-    bid = InstanceId(get_proposer(view, params), view)
-    return [(signer, BbcaMsg(MsgKind.READY, bid, block.encoded,
-                             sign(signer, ready_statement(bid.sender, view,
-                                                          block.digest))))
-            for signer in signers]
-
-
 def test_seen_messages_and_held_blocks_run_no_rule_pass(params4, rule_passes):
     blocks, _ = make_complete_chain(params4, 2)
     node = ChainNode(3, params4)
@@ -557,7 +653,8 @@ def test_entering_a_led_view_makes_the_leader_propose(params4):
     leader.handle_message(1, BbcaMsg(MsgKind.INIT, InstanceId(1, 1),
                                      blocks[1].encoded))
     leader.take_outbox()
-    for frm, msg in ready_messages(params4, 1, blocks[1], (0, 1, 3)):
+    for frm, msg in vote_messages(params4, MsgKind.READY, 1, blocks[1],
+                                   (0, 1, 3)):
         leader.handle_message(frm, msg)
     assert leader.view == 2 and leader.proposed == 2
     inits = [m for m in broadcasts(leader) if isinstance(m, BbcaMsg)
@@ -580,7 +677,8 @@ def test_entering_a_view_with_f_plus_one_noadopts_probes_at_once(params4):
     assert node.view == 1 and node.probed < 2
     node.handle_message(1, BbcaMsg(MsgKind.INIT, InstanceId(1, 1),
                                    blocks[1].encoded))
-    for frm, msg in ready_messages(params4, 1, blocks[1], (1, 2, 3)):
+    for frm, msg in vote_messages(params4, MsgKind.READY, 1, blocks[1],
+                                   (1, 2, 3)):
         node.handle_message(frm, msg)
     assert node.last_committed == 1
     assert node.probed == 2

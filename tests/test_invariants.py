@@ -5,18 +5,29 @@ ECHO/READY traffic is dropped on every path into a broadcast instance."""
 import pytest
 
 from bbca_chain import explore as ex
+from bbca_chain import harness
 from bbca_chain.bbca import BbcaInstance, BbcaMsg, InstanceId, MsgKind
 from bbca_chain.blocks import GENESIS_REF, make_data
-from bbca_chain.chain import WIRE_TYPES, ChainNode, Committed, get_proposer
+from bbca_chain.chain import (
+    NO_OP,
+    WIRE_TYPES,
+    ChainNode,
+    Committed,
+    get_proposer,
+)
 from bbca_chain.encoding import digest32, echo_statement
 from bbca_chain.identity import params_for, sign
 from bbca_chain.invariants import (
     check_bbca_complete_adopt,
     check_bbca_consistency,
+    check_censorship,
     check_commit_ancestry,
     check_echo_once,
+    check_liveness_deadline,
+    check_log_identical,
     commit_ancestry,
 )
+from bbca_chain.scenario import parse_config
 from bbca_chain.simnet import Deliver, Scenario, Simulator, Strategy, run
 
 NEVER_PROPOSED = digest32(b"never proposed")
@@ -279,3 +290,72 @@ def test_commit_ancestry_checks_every_batch_of_an_event_together():
     world._drain(0)
     assert world.ancestry == tuple(expected)
     assert expected[0] in world.check_leaf()
+
+
+# -- scenario-scoped checks that a clean run never trips --------------------------
+
+def scoped_run():
+    """Criterion 4's synchronous liveness case: n=4, node 1 silent, one
+    payload from node 0 at tick 15; every check it selects holds."""
+    outcome = harness.run_config(parse_config({
+        "name": "liveness-B", "n": 4, "seed": 2, "delta_post": 10,
+        "gst": 0, "t_max": 40, "horizon": 5,
+        "adversary": {"1": {"strategy": "silent"}},
+        "payloads": [{"node": 0, "tick": 15}],
+        "expect": {"liveness": True, "censorship_cutoff": 15,
+                   "log_identical": True}}))
+    assert outcome.ok
+    return outcome.result, outcome.config
+
+
+def test_log_identical_reports_logs_that_differ():
+    result, _ = scoped_run()
+    result.nodes[2].committed_log.pop()
+    lengths = {i: len(result.nodes[i].committed_log)
+               for i in result.scenario.correct_nodes()}
+    assert check_log_identical(result) == [
+        f"log-identical: logs differ at run end (lengths {lengths})"]
+
+
+def test_liveness_reports_a_run_without_a_post_gst_view():
+    result, _ = scoped_run()
+    result.trace.view_entries.clear()
+    assert check_liveness_deadline(result) == [
+        "liveness: no wholly post-GST view with a correct leader"]
+
+
+def test_liveness_reports_an_unfinalized_target_view():
+    # View 1 is the silent node's, so view 2 is the target.
+    result, _ = scoped_run()
+    result.nodes[0].finalized[2] = NO_OP
+    assert check_liveness_deadline(result) == [
+        "liveness: post-GST view 2 did not finalize a block"]
+
+
+def test_liveness_reports_a_missing_or_late_commit():
+    result, _ = scoped_run()
+    scenario = result.scenario
+    deadline = scenario.gst + scenario.timer_ticks + 4 * scenario.delta_post
+    ticks = result.trace.commit_ticks[result.nodes[0].finalized[2].digest]
+    del ticks[2]
+    ticks[3] = deadline + 1
+    assert check_liveness_deadline(result) == [
+        "liveness: node 2 never committed view 2",
+        f"liveness: node 3 committed view 2 at {deadline + 1}, past "
+        f"deadline {deadline}"]
+
+
+def test_censorship_reports_a_payload_missing_from_a_log():
+    result, config = scoped_run()
+    (tick, node_id, ref), = result.trace.injected
+    result.nodes[3].committed_set.discard(ref)
+    assert check_censorship(result, config) == [
+        f"censorship: payload {ref.hex()[:12]} from node {node_id} at "
+        f"{tick} missing from node 3's log"]
+
+
+def test_validity_reports_a_correct_node_that_did_not_complete():
+    world = explored_leaf()
+    world.nodes[2].completed = None
+    assert world.check_leaf(True) == [
+        "validity: not every correct node completed"]

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from bbca_chain.bbca import BbcaInstance, BbcaMsg, InstanceId, MsgKind
-from bbca_chain.blocks import GENESIS_BLOCK, decode_block
+from bbca_chain.blocks import GENESIS_BLOCK, CertKind, decode_block
 from bbca_chain.chain import NO_OP, BlockMsg, ChainNode, SafetyViolation
 from bbca_chain.dag import DagStore
 from bbca_chain.encoding import EncodingError
@@ -424,28 +424,31 @@ def test_each_proposal_is_processed_once_per_node(monkeypatch):
         inserted.setdefault(id(self), Counter())[block.digest] += 1
         return insert(self, block)
 
-    # Whether the view of the BBCA message being handled already held a
-    # certificate when it arrived; empty outside message handling.
-    view_held: list[bool] = []
-    handle = ChainNode._handle_bbca_message
-
-    def tracking_handle(self, frm, msg):
-        view_held.append(msg.instance.view in self.held_certs)
-        try:
-            handle(self, frm, msg)
-        finally:
-            view_held.pop()
-
-    adopt_calls = Counter()
+    # Per (node, view): the adopt certificates an echo quorum handed back,
+    # and the ``available_adopt`` and ``probe`` calls.
+    handed, adopt_calls, probes = Counter(), Counter(), Counter()
+    handle_message = BbcaInstance.handle_message
     available_adopt = BbcaInstance.available_adopt
+    probe = BbcaInstance.probe
+
+    def counting_handle(self, frm, msg):
+        outs, cert = handle_message(self, frm, msg)
+        if cert is not None and cert.kind == CertKind.ADOPT:
+            handed[self.node, self.instance.view] += 1
+        return outs, cert
 
     def counting_adopt(self):
-        adopt_calls[bool(view_held) and view_held[-1]] += 1
+        adopt_calls[self.node, self.instance.view] += 1
         return available_adopt(self)
 
+    def counting_probe(self):
+        probes[self.node, self.instance.view] += 1
+        return probe(self)
+
     monkeypatch.setattr(DagStore, "insert", counting_insert)
-    monkeypatch.setattr(ChainNode, "_handle_bbca_message", tracking_handle)
+    monkeypatch.setattr(BbcaInstance, "handle_message", counting_handle)
     monkeypatch.setattr(BbcaInstance, "available_adopt", counting_adopt)
+    monkeypatch.setattr(BbcaInstance, "probe", counting_probe)
     result = run(Scenario(n=7, seed=14, delta_post=5, delay_mode="random",
                           horizon=4, injections=((10, 2), (12, 0)),
                           strategies={2: Strategy("equivocate_data")}))
@@ -454,9 +457,10 @@ def test_each_proposal_is_processed_once_per_node(monkeypatch):
     repeated = {digest.hex()[:12]: count for per_store in inserted.values()
                 for digest, count in per_store.items() if count > 1}
     assert repeated == {}
-    assert adopt_calls[False] > 0
-    assert adopt_calls[True] == 0, "adopt certificate rebuilt for a view " \
-        "that already held one"
+    # Each node and view builds its certificate once, when the quorum
+    # forms; beyond that, only a probe builds one from the instance.
+    assert handed and max(handed.values()) == 1
+    assert adopt_calls == probes
 
 
 def test_predicate_runs_once_per_node_view_and_message(monkeypatch):

@@ -61,6 +61,47 @@ def test_frame_check_fails_a_rise_past_tolerance_or_a_new_digest(
                for entry in pins["workloads"].values())
 
 
+def test_frame_check_prints_how_each_pinned_top_function_moved(
+        monkeypatch, tmp_path, capsys):
+    frame_count = _load_tool("frame_count", monkeypatch)
+    pinned_top = {"src/a.py:10:f": 500, "src/a.py:20:g": 300,
+                  "src/a.py:30:gone": 40,
+                  "src/b.py:5:h.<locals>.<genexpr>": 100,
+                  "src/b.py:6:h.<locals>.<genexpr>": 50}
+    # An edit above each function shifted its line: g did not move, f and
+    # h's two generator expressions (summed under one name) did, and gone
+    # is no longer called.  A function outside the pinned list is not named.
+    fresh_top = {"src/a.py:12:f": 400, "src/a.py:22:g": 300,
+                 "src/b.py:9:h.<locals>.<genexpr>": 100,
+                 "src/b.py:10:h.<locals>.<genexpr>": 70,
+                 "src/c.py:1:new": 900}
+    moved = [("src/a.py:f", 500, 400), ("src/a.py:gone", 40, 0),
+             ("src/b.py:h.<locals>.<genexpr>", 150, 170)]
+    assert frame_count.top_deltas(pinned_top, fresh_top) == moved
+    # ``--check`` prints them under a total that moved, and only there.
+    digest = "ab" * 32
+    entries = {"moved": {"frames": 10_000, "digest": digest,
+                         "top": pinned_top},
+               "held": {"frames": 10_000, "digest": digest,
+                        "top": pinned_top}}
+    pin_file = tmp_path / "BENCH_frames.json"
+    pin_file.write_text(json.dumps({
+        "python": frame_count.platform.python_version(), "seed": 3,
+        "workloads": entries}))
+    fresh = {"moved": {"frames": 9_000, "digest": digest, "top": fresh_top},
+             "held": {"frames": 10_000, "digest": digest, "top": fresh_top}}
+    monkeypatch.setattr(frame_count, "PIN_FILE", pin_file)
+    monkeypatch.setattr(frame_count, "measure_fresh",
+                        lambda workload, seed, top: fresh[workload])
+    assert frame_count.check() == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "moved: 10000 -> 9000 frames (-10.00%) ok",
+        "       -100  src/a.py:f (500 -> 400)",
+        "        -40  src/a.py:gone (40 -> 0)",
+        "        +20  src/b.py:h.<locals>.<genexpr> (150 -> 170)",
+        "held: 10000 -> 10000 frames (+0.00%) ok"]
+
+
 def test_peak_memory_releases_each_retained_structure(monkeypatch):
     peak_memory = _load_tool("peak_memory", monkeypatch)
     tracemalloc.start()

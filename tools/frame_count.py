@@ -18,7 +18,10 @@ totals, the top 20 functions, the behaviour digests and the Python version
 to ``BENCH_frames.json``.  ``--check`` recounts at the pinned seed and
 exits 1 if a total rose by more than 0.5% or a behaviour digest changed
 (re-pin in the same commit as a change that means it), and 2 under another
-Python version, whose counts are not comparable.
+Python version, whose counts are not comparable.  When a total moved, it
+also prints how the count of each pinned top function moved, keyed by path
+and qualified name: any edit above a function shifts the line number in its
+pinned key.
 """
 
 from __future__ import annotations
@@ -88,14 +91,14 @@ def measure(workload: str, seed: int, top: int) -> dict:
     return {"frames": sum(calls.values()), "digest": summary["digest"],
             "failed": summary["counts"]["failed"],
             "top": {describe(code): count
-                    for code, count in calls.most_common(top)}}
+                    for code, count in calls.most_common(top or None)}}
 
 
-def measure_fresh(workload: str, seed: int) -> dict:
+def measure_fresh(workload: str, seed: int, top: int = PIN_TOP) -> dict:
     """``measure`` in a new interpreter, so no earlier work warms a cache."""
     done = subprocess.run(
         [sys.executable, __file__, "--workload", workload, "--seed",
-         str(seed), "--top", str(PIN_TOP), "--json"],
+         str(seed), "--top", str(top), "--json"],
         capture_output=True, text=True, check=True)
     return json.loads(done.stdout)
 
@@ -110,6 +113,27 @@ def regressions(pinned: dict, fresh: dict) -> list[str]:
         problems.append(f"{fresh['frames']} frames exceed the pinned "
                         f"{pinned['frames']} by more than {TOLERANCE:.1%}")
     return problems
+
+
+def top_deltas(pinned_top: dict, fresh_top: dict) -> list[tuple]:
+    """(function, pinned count, fresh count) for each function of the pinned
+    top list whose count moved, the largest move first.
+
+    ``describe`` keys lose their line numbers; functions that then share a
+    key (two generator expressions in one function) are summed.  A pinned
+    function missing from ``fresh_top`` counts 0, so pass every function.
+    """
+    def by_name(top: dict) -> Counter:
+        counts: Counter = Counter()
+        for where, count in top.items():
+            path, _line, name = where.split(":", 2)
+            counts[f"{path}:{name}"] += count
+        return counts
+
+    pinned, fresh = by_name(pinned_top), by_name(fresh_top)
+    moved = [(key, count, fresh[key]) for key, count in pinned.items()
+             if fresh[key] != count]
+    return sorted(moved, key=lambda row: (-abs(row[2] - row[1]), row[0]))
 
 
 def pin() -> int:
@@ -134,7 +158,7 @@ def check() -> int:
         return 2
     failed = False
     for workload, entry in pinned["workloads"].items():
-        fresh = measure_fresh(workload, pinned["seed"])
+        fresh = measure_fresh(workload, pinned["seed"], top=0)
         change = fresh["frames"] / entry["frames"] - 1
         problems = regressions(entry, fresh)
         failed = failed or bool(problems)
@@ -142,6 +166,12 @@ def check() -> int:
               f"({change:+.2%}) {'FAIL' if problems else 'ok'}")
         for problem in problems:
             print(f"  {problem}")
+        if fresh["frames"] != entry["frames"]:
+            moved = top_deltas(entry["top"], fresh["top"])
+            for key, before, after in moved:
+                print(f"  {after - before:+9d}  {key} ({before} -> {after})")
+            if not moved:
+                print("  no pinned top function moved")
     return 1 if failed else 0
 
 
@@ -152,7 +182,8 @@ def main(argv=None) -> int:
     mode.add_argument("--pin", action="store_true")
     mode.add_argument("--check", action="store_true")
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--top", type=int, default=10)
+    parser.add_argument("--top", type=int, default=10,
+                        help="functions to list, 0 for all")
     parser.add_argument("--json", action="store_true",
                         help="print the count as one JSON object")
     args = parser.parse_args(argv)
