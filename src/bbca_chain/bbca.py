@@ -12,14 +12,15 @@ probers adopt m; conversely f+1 correct NoAdopt answers preclude completion
 anywhere.
 
 An ECHO or READY counts only if its signer is one of the n nodes.  The
-statement a vote signs is fixed by (kind, instance, message), so one memoized
-vote table maps that key to (message digest, statement digest): a handler
-checks a vote by comparing its signature's digest with the row, which is
-``identity.verify`` for a signature checked against its own signer, and
-signs its own votes with the row's digest, as ``identity.sign`` would.  Once
-a node sent its own ECHO and holds the ECHO and the READY of all n nodes,
-the instance is ``final``: no input can change its answers, so the enclosing
-node may keep its ``outcome`` and drop the instance.
+statement a vote signs is fixed by (kind, instance, message), so the vote
+table ``vote_row``, kept in the run's memo, maps that key to (message
+digest, statement digest): a handler checks a vote by comparing its
+signature's digest with the row, which is ``identity.verify`` for a
+signature checked against its own signer, and signs its own votes with the
+row's digest, as ``identity.sign`` would.  Once a node sent its own ECHO
+and holds the ECHO and the READY of all n nodes, the instance is ``final``:
+no input can change its answers, so the enclosing node may keep its
+``outcome`` and drop the instance.
 
 Handlers are pure state transitions: one inbound message in, a list of
 outbound messages and the certificate it formed, if any, out.  The
@@ -29,7 +30,7 @@ enclosing runtime serializes calls per node.
 from __future__ import annotations
 
 import enum
-from functools import lru_cache
+from collections import defaultdict
 from typing import Callable, NamedTuple
 
 from .blocks import BlockRef, Cert, CertKind
@@ -37,6 +38,23 @@ from .encoding import digest32, echo_statement, ready_statement
 from .identity import NodeId, Signature, SystemParams, statement_digest
 
 Predicate = Callable[[bytes], bool]
+
+
+class MemoTable(dict):
+    """One view's table of a run's memo: ``table[(fn, *args)]`` is the pure
+    ``fn(*args)``, kept from the first lookup on unless the call raises."""
+
+    def __missing__(self, key):
+        fn, *args = key
+        value = self[key] = fn(*args)
+        return value
+
+
+Memo = defaultdict[int, MemoTable]  # a run's memo: one table per view
+
+
+def new_memo() -> Memo:
+    return defaultdict(MemoTable)
 
 
 def _accept_all(_message: bytes) -> bool:
@@ -73,11 +91,13 @@ class BbcaInstance:
     """One broadcast instance as seen by one node."""
 
     def __init__(self, params: SystemParams, instance: InstanceId,
-                 node: NodeId, predicate: Predicate = _accept_all):
+                 node: NodeId, predicate: Predicate = _accept_all,
+                 memo: Memo | None = None):
         self.params = params
         self.instance = instance
         self.node = node
         self.predicate = predicate
+        self.memo = new_memo() if memo is None else memo  # the run's
         # A message is held here only once it passed the predicate, so a
         # digest found here needs no second validity check.
         self.pending: dict[BlockRef, bytes] = {}
@@ -97,6 +117,7 @@ class BbcaInstance:
         twin = object.__new__(BbcaInstance)
         twin.params, twin.instance = self.params, self.instance
         twin.node, twin.predicate = self.node, self.predicate
+        twin.memo = self.memo
         twin.pending = dict(self.pending)
         twin.echo_sigs = dict(self.echo_sigs)
         twin.ready_sigs = dict(self.ready_sigs)
@@ -110,10 +131,11 @@ class BbcaInstance:
 
     def _signed(self, kind: MsgKind, message: bytes) -> BbcaMsg:
         instance = self.instance
+        _, signed = self.memo[instance.view][(vote_row, kind, instance,
+                                              message)]
         # ``identity.sign`` over the row's statement; ``tuple.__new__`` skips
         # the generated constructors: 375-381 -> 244-247 ns (timeit).
-        sig = tuple.__new__(
-            Signature, (self.node, vote_row(kind, instance, message)[1]))
+        sig = tuple.__new__(Signature, (self.node, signed))
         return tuple.__new__(BbcaMsg, (kind, instance, message, sig))
 
     # -- interfaces -------------------------------------------------------
@@ -163,7 +185,9 @@ class BbcaInstance:
         # INIT is unsigned; channel-level origin must be the instance sender.
         if self.echo or frm != self.instance.sender:
             return []
-        digest = message_digest(message)
+        instance = self.instance
+        digest, _ = self.memo[instance.view][(vote_row, ECHO, instance,
+                                              message)]
         if digest not in self.pending:
             if not self.predicate(message):
                 return []
@@ -178,7 +202,9 @@ class BbcaInstance:
         signer = sig.signer
         if signer in self.received_echo or not 0 <= signer < self.params.n:
             return [], None
-        digest, signed = vote_row(ECHO, self.instance, message)
+        instance = self.instance
+        digest, signed = self.memo[instance.view][(vote_row, ECHO, instance,
+                                                   message)]
         if digest not in self.pending and not self.predicate(message):
             return [], None
         if sig.digest != signed:
@@ -190,7 +216,7 @@ class BbcaInstance:
         if len(sigs) != self.params.quorum:
             return [], None
         # ``available_adopt()`` now, READY or not; built as in ``_signed``.
-        adopt = tuple.__new__(Cert, (CertKind.ADOPT, *self.instance, digest,
+        adopt = tuple.__new__(Cert, (CertKind.ADOPT, *instance, digest,
                                      tuple(sorted(sigs))))
         if self.ready or self.abort:
             return [], adopt
@@ -202,7 +228,9 @@ class BbcaInstance:
         signer = sig.signer
         if signer in self.received_ready or not 0 <= signer < self.params.n:
             return None
-        digest, signed = vote_row(READY, self.instance, message)
+        instance = self.instance
+        digest, signed = self.memo[instance.view][(vote_row, READY, instance,
+                                                   message)]
         if digest not in self.pending and not self.predicate(message):
             return None
         if sig.digest != signed:
@@ -213,7 +241,7 @@ class BbcaInstance:
         self.ready_sigs[digest] = sigs
         # Completion is not blocked by abort; only READY emission is.
         if self.completed is None and len(sigs) == self.params.quorum:
-            self.completed = Cert(CertKind.COMPLETE, *self.instance, digest,
+            self.completed = Cert(CertKind.COMPLETE, *instance, digest,
                                   tuple(sorted(sigs)))
             return self.completed
         return None
@@ -255,23 +283,11 @@ class BbcaInstance:
         return Cert(CertKind.ADOPT, *self.instance, digest, sigs)
 
 
-@lru_cache(maxsize=4096)
-def message_digest(message: bytes) -> bytes:
-    """``digest32`` of a broadcast message, memoized by value: every node
-    digests the same proposal bytes on every ECHO and READY it handles."""
-    return digest32(message)
-
-
-@lru_cache(maxsize=4096)
 def vote_row(kind: MsgKind, instance: InstanceId,
              message: bytes) -> tuple[BlockRef, bytes]:
-    """The vote table: (message digest, statement digest) of an ECHO or
-    READY over ``message`` in ``instance``.
-
-    Pure in its arguments, so memoized; a vote's signature is still compared
-    with the row on every delivery.
-    """
-    digest = message_digest(message)
+    """The vote table's row: (message digest, statement digest) of an ECHO
+    or READY over ``message`` in ``instance``."""
+    digest = digest32(message)
     build = echo_statement if kind == ECHO else ready_statement
     return digest, statement_digest(
         build(instance.sender, instance.view, digest))

@@ -16,7 +16,6 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 from .encoding import (
@@ -29,7 +28,7 @@ from .encoding import (
     u8,
     u32,
 )
-from .identity import NodeId, Signature, SystemParams, verify
+from .identity import NodeId, Signature, SystemParams, statement_digest
 
 BlockRef = bytes  # 32-byte digest of the canonical block encoding
 
@@ -195,8 +194,9 @@ def verify_cert(cert: Cert, params: SystemParams,
         return False
     if not all(0 <= s < params.n for s in signers):
         return False
-    statement = cert.statement()
-    return all(verify(sig, statement, sig.signer) for sig in cert.sigs)
+    # ``identity.verify`` of each signature, the statement digested once.
+    digest = statement_digest(cert.statement())
+    return all(sig.digest == digest for sig in cert.sigs)
 
 
 # -- canonical encoding ------------------------------------------------------
@@ -304,10 +304,9 @@ def _decode_body(r: Reader) -> Block:
                  justification=justification, new_view=new_view)
 
 
-@lru_cache(maxsize=8192)
 def decode_block(data: bytes) -> Block:
-    # Hot path: identical proposal bytes are decoded once per broadcast leg
-    # otherwise.  Blocks are immutable, so sharing decoded instances is safe.
+    # Callers decode through the run's memo: identical proposal bytes arrive
+    # once per broadcast leg.  Blocks are immutable, so sharing is safe.
     r = Reader(data)
     block = _decode_body(r)
     r.done()

@@ -16,13 +16,11 @@ or a random source.
 from __future__ import annotations
 
 import struct
-from functools import lru_cache, update_wrapper
 from itertools import starmap
 from operator import attrgetter
-from types import SimpleNamespace
 from typing import NamedTuple, Union
 
-from .bbca import BbcaInstance, BbcaMsg, InstanceId, message_digest
+from .bbca import BbcaInstance, BbcaMsg, InstanceId, Memo, new_memo
 from .blocks import (
     GENESIS_BLOCK,
     GENESIS_CERT,
@@ -113,46 +111,9 @@ NOADOPT_CAUSE = "noadopt_quorum"
 
 
 # -- validation ---------------------------------------------------------------
-# Validation is pure in (block, params) and blocks are immutable, so results
-# are memoized globally; every node revalidates the same bytes otherwise.
+# Pure in (block, params): the run's memo keeps one result per block, in its
+# view's table, for every node that would revalidate the same bytes.
 
-def memo_by_digest(fn, maxsize: int = 8192):
-    """``fn(block, params)`` memoized by ``(block.digest, params)``.
-
-    Offers ``cache_clear()`` and a ``cache_info()`` with the fields of an
-    ``lru_cache``'s, but its keys hold 32 bytes where a block would pin its
-    whole body, and hashing them runs no Python code (``Block.__hash__``
-    does).  Past ``maxsize`` keys the oldest is dropped.
-    """
-    memo: dict = {}
-    counts = [0, 0]  # hits, misses
-
-    def memoized(block: Block, params: SystemParams):
-        key = (block.digest, params)
-        value = memo.get(key)
-        if value is not None:
-            counts[0] += 1
-            return value
-        counts[1] += 1
-        value = memo[key] = fn(block, params)
-        if len(memo) > maxsize:
-            del memo[next(iter(memo))]
-        return value
-
-    def cache_info() -> SimpleNamespace:
-        return SimpleNamespace(hits=counts[0], misses=counts[1],
-                               maxsize=maxsize, currsize=len(memo))
-
-    def cache_clear() -> None:
-        memo.clear()
-        counts[:] = [0, 0]
-
-    memoized.cache_info = cache_info
-    memoized.cache_clear = cache_clear
-    return update_wrapper(memoized, fn)
-
-
-@memo_by_digest
 def validate_new_view_block(block: Block, params: SystemParams) -> bool:
     if block.kind != BlockKind.NEW_VIEW or block.new_view is None:
         return False
@@ -185,7 +146,6 @@ def _valid_cert_for_view(cert: Cert, params: SystemParams,
             and verify_cert(cert, params, kind))
 
 
-@memo_by_digest
 def validate_backbone_block(block: Block, params: SystemParams) -> bool:
     """Structural core of the broadcast validity predicate."""
     if block.kind != BlockKind.BACKBONE or block.justification is None:
@@ -212,17 +172,17 @@ def validate_backbone_block(block: Block, params: SystemParams) -> bool:
     return False  # GENESIS justification is only for the genesis constant
 
 
-@lru_cache(maxsize=1024)
-def make_predicate(view: int, params: SystemParams):
-    """Validity predicate bound to one view's broadcast instance; one closure
-    per view, shared by every node."""
+def make_predicate(view: int, params: SystemParams, memo: Memo):
+    """Validity predicate of one view's broadcast instance."""
 
     def predicate(message: bytes) -> bool:
+        table = memo[view]
         try:
-            block = decode_block(message)
+            block = table[(decode_block, message)]
         except EncodingError:
             return False
-        return block.view == view and validate_backbone_block(block, params)
+        return (block.view == view
+                and table[(validate_backbone_block, block, params)])
 
     return predicate
 
@@ -231,10 +191,11 @@ def make_predicate(view: int, params: SystemParams):
 
 class ChainNode:
     def __init__(self, node_id: NodeId, params: SystemParams,
-                 horizon: int | None = None):
+                 horizon: int | None = None, memo: Memo | None = None):
         self.id = node_id
         self.params = params
         self.horizon = horizon  # scenario device: last view allowed to start
+        self.memo = new_memo() if memo is None else memo  # the run's
         self.dag = DagStore()
         self.dag.insert(GENESIS_BLOCK)
         self.dag.insert(GENESIS_NEW_VIEW)
@@ -281,13 +242,14 @@ class ChainNode:
     def clone(self) -> "ChainNode":
         """Snapshot for state-space exploration.
 
-        Copies every mutable container; blocks, certificates, params
-        and the broadcast predicates are immutable and shared.
+        Copies every mutable container; blocks, certificates, params, the
+        broadcast predicates and the memo of pure results are shared.
         """
         twin = object.__new__(ChainNode)
         twin.id = self.id
         twin.params = self.params
         twin.horizon = self.horizon
+        twin.memo = self.memo
         twin.dag = self.dag.clone()
         twin.view = self.view
         twin.new_view_blocks = {view: dict(per_view) for view, per_view
@@ -327,7 +289,8 @@ class ChainNode:
                 return None
             bid = InstanceId(get_proposer(view, self.params), view)
             inst = BbcaInstance(self.params, bid, self.id,
-                                make_predicate(view, self.params))
+                                make_predicate(view, self.params, self.memo),
+                                self.memo)
             self.instances[view] = inst
         return inst
 
@@ -388,15 +351,14 @@ class ChainNode:
         elif inst.instance != bid:
             return
         # Proposal bytes ride inside INIT/ECHO/READY; file them into the DAG
-        # on first sight so causal delivery can gate completion.  A decoded
-        # block's digest is its bytes' digest, so a held copy is not decoded.
-        if not self.dag.holds(message_digest(message)):
-            try:
-                block = decode_block(message)
-            except EncodingError:
-                block = None
-            if block is not None:
-                self._ingest_block(block)
+        # on first sight so causal delivery can gate completion.  The memo
+        # decodes each message once; bytes that do not decode file nothing.
+        try:
+            block = self.memo[view][(decode_block, message)]
+        except EncodingError:
+            block = None
+        if block is not None and not self.dag.holds(block.digest):
+            self._ingest_block(block)
         if inst is None:
             inst = self._instance_for(view)
             if inst is None:
@@ -418,7 +380,8 @@ class ChainNode:
         # validated and recorded on first sight, an invalid one never held.
         kind = block.kind
         if kind == _NEW_VIEW:
-            if not validate_new_view_block(block, self.params):
+            if not self.memo[block.view][(validate_new_view_block, block,
+                                          self.params)]:
                 return
             # Certificates act at byte receipt: view synchronization must not
             # wait for the block's ancestry.  Only commits are delivery-gated.

@@ -10,9 +10,9 @@ every correct node would adopt.  Enumeration is naive by design; a hard leaf
 cap keeps it bounded.
 
 Worlds fork by structured copy: a branch copies each node's mutable
-containers and shares the immutable blocks, certificates and messages.  A
-world records the steps it ran; the witness text is formatted only when a
-leaf reports a violation.
+containers and shares the immutable blocks, certificates and messages, and
+the world tree's one memo of pure results.  A world records the steps it
+ran; the witness text is formatted only when a leaf reports a violation.
 """
 
 from __future__ import annotations
@@ -20,8 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .bbca import BbcaInstance, BbcaMsg, InstanceId, message_digest
+from .bbca import BbcaInstance, BbcaMsg, InstanceId, new_memo
 from .chain import WIRE_TYPES, ChainNode, Committed, SafetyViolation
+from .encoding import digest32
 from .identity import ConfigError, NodeId, SystemParams, params_for
 from .invariants import (
     SendCounts,
@@ -92,7 +93,9 @@ class BbcaWorld:
         self.replayers = replayers
         self.sent_message = sent_message  # correct sender's message, if any
         self.everyone = tuple(sorted({*correct, *replayers}))
-        self.nodes = {i: BbcaInstance(params, instance, i) for i in correct}
+        self.memo = new_memo()  # the world tree's, shared by clones
+        self.nodes = {i: BbcaInstance(params, instance, i, memo=self.memo)
+                      for i in correct}
         self.pool: list[Deliver | Probe] = []
         self.executed: list[Deliver | Probe] = []
         self.sends: SendCounts = {}  # by correct nodes
@@ -114,6 +117,7 @@ class BbcaWorld:
         twin.replayers = self.replayers
         twin.sent_message = self.sent_message
         twin.everyone = self.everyone
+        twin.memo = self.memo
         twin.nodes = {i: node.clone() for i, node in self.nodes.items()}
         twin.pool = list(self.pool)
         twin.executed = list(self.executed)
@@ -174,7 +178,7 @@ class BbcaWorld:
                                        self.params.f)
         problems += echo_once(self.sends)
         if self.sent_message is not None:
-            expected = message_digest(self.sent_message)
+            expected = self.memo[view][(digest32, self.sent_message)]
             problems += ["integrity: decided a message never broadcast"
                          for digest in decided if digest != expected]
             if check_validity and completed.count(expected) < len(nodes):
@@ -190,7 +194,8 @@ class ChainWorld:
     def __init__(self, params: SystemParams, horizon: int,
                  timer_tokens: dict[NodeId, int]):
         self.params = params
-        self.nodes = {i: ChainNode(i, params, horizon)
+        self.memo = new_memo()  # the world tree's, shared by clones
+        self.nodes = {i: ChainNode(i, params, horizon, self.memo)
                       for i in range(params.n)}
         self.everyone = tuple(sorted(self.nodes))
         self.pool: list[Deliver | Timer] = []
@@ -211,6 +216,7 @@ class ChainWorld:
     def clone(self) -> "ChainWorld":
         twin = object.__new__(ChainWorld)
         twin.params = self.params
+        twin.memo = self.memo
         twin.nodes = {i: node.clone() for i, node in self.nodes.items()}
         twin.everyone = self.everyone
         twin.pool = list(self.pool)

@@ -40,7 +40,6 @@ def params_for(n: int) -> SystemParams:
     return SystemParams(n, f, n - f)
 
 
-@lru_cache(maxsize=4096)
 def statement_digest(statement: bytes) -> bytes:
     """64-bit digest that stands in for the signed content of a statement."""
     return hashlib.blake2b(statement, digest_size=8).digest()

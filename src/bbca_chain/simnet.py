@@ -22,11 +22,12 @@ import struct
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterator, NamedTuple
 
 from . import invariants
 from .bbca import ECHO, INIT, READY, BbcaInstance, BbcaMsg, InstanceId, \
-    MsgKind, message_digest
+    MsgKind, new_memo
 from .blocks import Block, BlockKind, BlockRef, decode_block
 from .chain import (
     WIRE_TYPES,
@@ -37,7 +38,7 @@ from .chain import (
     ViewEntered,
     WireMsg,
 )
-from .encoding import EncodingError
+from .encoding import EncodingError, digest32
 from .identity import ConfigError, NodeId, SystemParams, params_for
 
 # A kind constant like ``bbca.INIT``: +1.8% campaign_byz runs/s (seed 5).
@@ -400,9 +401,10 @@ class Trace:
 
 
 def _lines(records: list[tuple]) -> Iterator[str]:
-    # id(msg) -> text, for this pass only: the records hold their messages,
-    # so no id is reused while the memo lives.  A message is sent once and
-    # delivered n times within a few ticks, so most repeats fall in one pass.
+    # id(msg) -> text and id(msg.message) -> digest text, for this pass
+    # only: the records hold their messages, so no id is reused while the
+    # memo lives.  A message is sent once and delivered n times within a few
+    # ticks, so most repeats fall in one pass.
     described: dict[int, str] = {}
     for record in records:
         kind = record[0]
@@ -410,7 +412,7 @@ def _lines(records: list[tuple]) -> Iterator[str]:
             msg = record[-1]
             text = described.get(id(msg))
             if text is None:
-                text = described[id(msg)] = _describe(msg)
+                text = described[id(msg)] = _describe(msg, described)
             # Byte-identical to the generic join below with the text in
             # place of msg; kept for +15% campaign_byz runs/s (seed 5).
             if kind == "send":
@@ -432,10 +434,15 @@ class RunResult:
         return self.trace.failure is not None
 
 
-def _describe(msg: WireMsg) -> str:
+def _describe(msg: WireMsg, described: dict[int, str]) -> str:
     if isinstance(msg, BbcaMsg):
+        # A proposal's messages share its bytes object: digested once a pass.
+        message = msg.message
+        digest = described.get(id(message))
+        if digest is None:
+            digest = described[id(message)] = digest32(message).hex()[:12]
         return (f"{msg.kind.name} s{msg.instance.sender} v{msg.instance.view} "
-                f"{message_digest(msg.message).hex()[:12]}")
+                f"{digest}")
     return (f"BLOCK {msg.block.kind.name} v{msg.block.view} "
             f"a{msg.block.author} {msg.block.digest.hex()[:12]}")
 
@@ -454,7 +461,8 @@ class Simulator:
         # the running one, so events run in (tick, push order).
         self._queue: defaultdict[int, list] = defaultdict(list)
         self._ticks: list[int] = []
-        self.nodes = {i: ChainNode(i, scenario.params, scenario.horizon)
+        memo = self.memo = new_memo()  # the run's, shared by every node
+        self.nodes = {i: ChainNode(i, scenario.params, scenario.horizon, memo)
                       for i in range(scenario.n)}
         self.correct = scenario.correct_nodes()
         self.everyone = tuple(range(scenario.n))
@@ -479,7 +487,8 @@ class Simulator:
             blocks.append(msg.block)
         else:
             try:
-                block = decode_block(msg.message)
+                block = self.memo[msg.instance.view][(decode_block,
+                                                      msg.message)]
             except EncodingError:
                 return
             blocks.append(block)
@@ -530,6 +539,7 @@ class Simulator:
                 trace.record("view", now, node_id, view, cause)
                 self._push(now + self.scenario.timer_ticks,
                            TimerFire(node_id, view))
+                self._trim_memo()
             elif isinstance(out, Committed):
                 view, blocks = out
                 ticks = trace.commit_ticks
@@ -545,6 +555,12 @@ class Simulator:
                 trace.record("probe", now, node_id, view, adopted)
         if committed and adversary is None:
             trace.ancestry += invariants.commit_ancestry(node, committed)
+
+    def _trim_memo(self) -> None:
+        """Drop the memo tables of the views below the lowest node view - 2."""
+        floor = min(map(attrgetter("view"), self.nodes.values())) - 2
+        for view in list(filter(floor.__gt__, self.memo)):
+            del self.memo[view]
 
     # -- main loop ----------------------------------------------------------
 

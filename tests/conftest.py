@@ -1,5 +1,7 @@
 """Shared builders for hand-assembled protocol artifacts."""
 
+import sys
+
 import pytest
 
 from bbca_chain.blocks import (
@@ -24,6 +26,22 @@ from bbca_chain.identity import params_for, sign
 @pytest.fixture
 def params4():
     return params_for(4)
+
+
+def filled_module_caches() -> dict[str, int]:
+    """``module.attribute`` -> entries, for each ``cache_info()`` of a
+    ``bbca_chain`` module attribute that holds any, apart from
+    ``params_for``'s, one entry per system size."""
+    filled = {}
+    for name, module in sorted(sys.modules.items()):
+        if not name.startswith("bbca_chain."):
+            continue
+        for attr, value in vars(module).items():
+            info = getattr(value, "cache_info", None)
+            if callable(info) and value is not params_for \
+                    and info().currsize:
+                filled[f"{name}.{attr}"] = info().currsize
+    return filled
 
 
 def make_cert(params, kind, view, block, signers=None):

@@ -7,8 +7,7 @@ mutant body is the original handler with one rule changed, and the comment
 on that rule says what changed.
 """
 
-from bbca_chain.bbca import ECHO, READY, BbcaInstance, message_digest, \
-    vote_row
+from bbca_chain.bbca import ECHO, READY, BbcaInstance, vote_row
 from bbca_chain.blocks import BlockKind, Cert, CertKind
 from bbca_chain.dag import DagStore
 
@@ -17,7 +16,8 @@ def _on_init_echoing_twice(self, message, frm):
     """``BbcaInstance.on_init`` returning its ECHO twice."""
     if self.echo or frm != self.instance.sender:
         return []
-    digest = message_digest(message)
+    instance = self.instance
+    digest, _ = self.memo[instance.view][(vote_row, ECHO, instance, message)]
     if digest not in self.pending:
         if not self.predicate(message):
             return []
@@ -36,7 +36,9 @@ def _on_echo_sending_ready_when(ready_rule):
         signer = sig.signer
         if signer in self.received_echo or not 0 <= signer < self.params.n:
             return [], None
-        digest, signed = vote_row(ECHO, self.instance, message)
+        instance = self.instance
+        digest, signed = self.memo[instance.view][(vote_row, ECHO, instance,
+                                                   message)]
         if digest not in self.pending and not self.predicate(message):
             return [], None
         if sig.digest != signed:
@@ -47,8 +49,8 @@ def _on_echo_sending_ready_when(ready_rule):
         self.echo_sigs[digest] = sigs
         adopt = None
         if len(sigs) == self.params.quorum:
-            adopt = tuple.__new__(Cert, (CertKind.ADOPT, *self.instance,
-                                         digest, tuple(sorted(sigs))))
+            adopt = tuple.__new__(Cert, (CertKind.ADOPT, *instance, digest,
+                                         tuple(sorted(sigs))))
         if not self.ready and ready_rule(self, len(sigs)):  # mutated
             self.ready = True
             return [self._signed(READY, message)], adopt
@@ -62,7 +64,9 @@ def _on_echo_counting_repeats(self, message, sig, frm):
     signer = sig.signer
     if not 0 <= signer < self.params.n:  # mutated
         return [], None
-    digest, signed = vote_row(ECHO, self.instance, message)
+    instance = self.instance
+    digest, signed = self.memo[instance.view][(vote_row, ECHO, instance,
+                                               message)]
     if digest not in self.pending and not self.predicate(message):
         return [], None
     if sig.digest != signed:
@@ -73,7 +77,7 @@ def _on_echo_counting_repeats(self, message, sig, frm):
     self.echo_sigs[digest] = sigs
     if len(sigs) != self.params.quorum:
         return [], None
-    adopt = tuple.__new__(Cert, (CertKind.ADOPT, *self.instance, digest,
+    adopt = tuple.__new__(Cert, (CertKind.ADOPT, *instance, digest,
                                  tuple(sorted(sigs))))
     if self.ready or self.abort:
         return [], adopt
@@ -86,7 +90,9 @@ def _on_ready_completing_at_quorum_minus_one(self, message, sig, frm):
     signer = sig.signer
     if signer in self.received_ready or not 0 <= signer < self.params.n:
         return None
-    digest, signed = vote_row(READY, self.instance, message)
+    instance = self.instance
+    digest, signed = self.memo[instance.view][(vote_row, READY, instance,
+                                               message)]
     if digest not in self.pending and not self.predicate(message):
         return None
     if sig.digest != signed:
@@ -97,7 +103,7 @@ def _on_ready_completing_at_quorum_minus_one(self, message, sig, frm):
     self.ready_sigs[digest] = sigs
     if (self.completed is None
             and len(sigs) == self.params.quorum - 1):  # mutated
-        self.completed = Cert(CertKind.COMPLETE, *self.instance, digest,
+        self.completed = Cert(CertKind.COMPLETE, *instance, digest,
                               tuple(sorted(sigs)))
         return self.completed
     return None
@@ -114,6 +120,34 @@ def _commit_in_reverse(self, backbone):
         if block.kind != BlockKind.BACKBONE:
             del delivered[ref]
     return blocks
+
+
+def _bbca_clone_sharing_received_echo(self):
+    """``BbcaInstance.clone`` whose twin shares ``received_echo``."""
+    twin = object.__new__(BbcaInstance)
+    twin.params, twin.instance = self.params, self.instance
+    twin.node, twin.predicate = self.node, self.predicate
+    twin.memo = self.memo
+    twin.pending = dict(self.pending)
+    twin.echo_sigs = dict(self.echo_sigs)
+    twin.ready_sigs = dict(self.ready_sigs)
+    twin.received_echo = self.received_echo  # mutated
+    twin.received_ready = set(self.received_ready)
+    twin.echo, twin.ready, twin.abort = self.echo, self.ready, self.abort
+    twin.completed = self.completed
+    return twin
+
+
+def _dag_clone_sharing_missing(self):
+    """``DagStore.clone`` whose twin shares ``_missing``."""
+    twin = object.__new__(DagStore)
+    twin.delivered = dict(self.delivered)
+    twin.committed = set(self.committed)
+    twin.pending = dict(self.pending)
+    twin._missing = self._missing  # mutated
+    twin._waiters = dict(self._waiters)
+    twin._tips = set(self._tips)
+    return twin
 
 
 MUTANTS = {
@@ -136,6 +170,11 @@ MUTANTS = {
         BbcaInstance, "on_ready", _on_ready_completing_at_quorum_minus_one),
     # Each commit batch in reverse order.
     "reversed_commit_batches": (DagStore, "commit", _commit_in_reverse),
+    # A BBCA instance's clone shares its ECHO signer set with the original.
+    "bbca_clone_shares_received_echo": (
+        BbcaInstance, "clone", _bbca_clone_sharing_received_echo),
+    # A DAG's clone shares its per-pending-block missing counts.
+    "dag_clone_shares_missing": (DagStore, "clone", _dag_clone_sharing_missing),
 }
 
 

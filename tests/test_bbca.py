@@ -361,8 +361,7 @@ def test_a_vote_counts_exactly_when_identity_verify_accepts_it(
                                                   sign(node, statement))
     row = vote_row(kind, bid, message)
     assert row == (digest32(message), statement_digest(statement))
-    vote_row.cache_clear()
-    assert vote_row(kind, bid, message) == row
+    assert inst.memo[bid.view][(vote_row, kind, bid, message)] == row
 
 
 # -- whole-network pump --------------------------------------------------------

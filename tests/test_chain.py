@@ -1,11 +1,12 @@
 import dataclasses
-import weakref
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bbca_chain.bbca import BbcaInstance, BbcaMsg, InstanceId, MsgKind
+from bbca_chain import chain
+from bbca_chain.bbca import (
+    BbcaInstance, BbcaMsg, InstanceId, MsgKind, new_memo)
 from bbca_chain.blocks import (
     BlockKind,
     CertKind,
@@ -30,7 +31,6 @@ from bbca_chain.chain import (
     ViewEntered,
     get_proposer,
     make_predicate,
-    memo_by_digest,
     validate_backbone_block,
     validate_new_view_block,
 )
@@ -105,7 +105,7 @@ def test_validate_noadopt_rejects_foreign_signature(params4):
 
 def test_predicate_accepts_wellformed_proposal(params4):
     blocks, _ = make_complete_chain(params4, 1)
-    predicate = make_predicate(1, params4)
+    predicate = make_predicate(1, params4, new_memo())
     assert predicate(blocks[1].encoded)
     assert not predicate(b"garbage")
 
@@ -188,29 +188,24 @@ def test_validate_backbone_block_rejects(params4, case):
     assert validate_backbone_block(broken, params4) is False
 
 
-def test_validation_memo_is_keyed_by_digest_and_bounded(params4):
+def test_a_run_validates_a_block_once_in_the_table_of_its_view(
+        params4, monkeypatch):
     calls = []
 
-    def valid(block, params):
+    def counting(block, params):
         calls.append(block.digest)
-        return True
+        return validate_new_view_block(block, params)
 
-    memo = memo_by_digest(valid, maxsize=2)
-    blocks = [make_data(0, 1, {GENESIS_REF}, bytes([i])) for i in range(3)]
-    twin = decode_block(blocks[0].encoded)  # equal, not the same object
-    assert memo(blocks[0], params4) and memo(twin, params4)
-    assert vars(memo.cache_info()) == {"hits": 1, "misses": 1,
-                                       "maxsize": 2, "currsize": 1}
-    # The key holds the digest, not the block.
-    probe = weakref.ref(blocks[0])
-    del blocks[0], twin
-    assert probe() is None
-    memo(blocks[0], params4)
-    memo(blocks[1], params4)  # a third key drops the oldest
-    assert memo.cache_info().currsize == 2
-    memo.cache_clear()
-    assert (memo.cache_info().hits, memo.cache_info().currsize) == (0, 0)
-    assert len(calls) == 3
+    monkeypatch.setattr(chain, "validate_new_view_block", counting)
+    blocks, _ = make_complete_chain(params4, 1)
+    nvb = make_complete_nvb(params4, 2, 1, blocks[1])
+    first = ChainNode(0, params4)
+    second = ChainNode(1, params4, memo=first.memo)
+    first.handle_message(2, BlockMsg(nvb))
+    twin = decode_block(nvb.encoded)  # equal, not the same object
+    second.handle_message(2, BlockMsg(twin))
+    assert calls.count(nvb.digest) == 1
+    assert first.memo[1][(counting, nvb, params4)] is True
 
 
 # -- node behavior ----------------------------------------------------------------
@@ -900,10 +895,10 @@ def flooded_with_far_views(params, count):
 
 
 @pytest.mark.xfail(strict=True, reason="a correct node keeps a "
-                   "new_view_blocks entry and an instance for every far "
-                   "view a byzantine peer names")
+                   "new_view_blocks entry, an instance and a memo table for "
+                   "every far view a byzantine peer names (ROADMAP item 15)")
 def test_far_views_named_by_a_byzantine_peer_hold_no_more_state(params4):
-    sizes = [(len(node.new_view_blocks), len(node.instances))
+    sizes = [(len(node.new_view_blocks), len(node.instances), len(node.memo))
              for node in (flooded_with_far_views(params4, count)
                           for count in (10, 1000))]
     assert sizes[0] == sizes[1]

@@ -146,7 +146,9 @@ def _immutable(value):
 
 
 def _shared_mutables(a, b, path="clone"):
-    """Paths at which ``a`` and ``b`` hold one and the same mutable object."""
+    """Paths at which ``a`` and ``b`` hold one and the same mutable object,
+    apart from the ``memo`` of pure results, which clones share on
+    purpose."""
     if _immutable(a):
         return []
     if a is b:
@@ -159,7 +161,7 @@ def _shared_mutables(a, b, path="clone"):
         pairs = []  # members are hashable or bytes, hence immutable here
     else:
         pairs = [(f"{path}.{name}", value, getattr(b, name))
-                 for name, value in vars(a).items()]
+                 for name, value in vars(a).items() if name != "memo"]
     return [shared for sub, x, y in pairs
             for shared in _shared_mutables(x, y, sub)]
 
@@ -279,7 +281,9 @@ def test_clone_has_the_same_attributes(case):
 @pytest.mark.parametrize("case", FORK_CASES)
 def test_clone_shares_no_mutable_container(case):
     original, _, _ = _fork_cases()[case]
-    assert _shared_mutables(original.clone(), original) == []
+    twin = original.clone()
+    assert _shared_mutables(twin, original) == []
+    assert getattr(twin, "memo", None) is getattr(original, "memo", None)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -25,14 +25,25 @@ CAMPAIGN = [(WITHHOLD_READY_N4, range(4)), (REPLAY_N4, range(8))]
 # Mutants that break no Complete-Adopt rule, and the one check that alone
 # must report each of them.
 KILLERS = {"reversed_commit_batches": "commit_ancestry",
-           "echo_twice": "echo_once"}
+           "echo_twice": "echo_once",
+           "bbca_clone_shares_received_echo": "validity"}
 
-# Mutants that no named check reports within the campaign; each has a
-# ``FOUND:`` line in CHANGES.md.
+# Mutants of a clone act only where explorer worlds fork (the simulator
+# never clones): the case whose leaves must report each, at depth 2.  The
+# memo is the one structure clones share on purpose.
+FORKED = {"bbca_clone_shares_received_echo": ex.bbca_correct_sender,
+          "dag_clone_shares_missing": ex.chain_two_views}
+
+# Mutants that no named check reports within the campaign, or at the leaves
+# of their explorer case; each has a ``FOUND:`` line in CHANGES.md.
 SURVIVORS = {
     # Neither a relayed nor a replayed ECHO makes a correct node break a
     # checked rule here; no explorer case kills it either.
     "no_echo_dedupe": "a repeated ECHO breaks no checked rule",
+    # No fork within depth 2 holds a pending block, so no branch reads the
+    # shared counts; from a fork that does, ``DagStore.insert`` raises.
+    "dag_clone_shares_missing": "no fork point within the depth holds a "
+                                "pending block",
 }
 
 
@@ -52,11 +63,28 @@ def test_campaign_is_clean_without_a_mutant():
 @pytest.mark.parametrize("name", [
     name if name not in SURVIVORS else pytest.param(
         name, marks=pytest.mark.xfail(strict=True, reason=SURVIVORS[name]))
-    for name in sorted(set(mutants.MUTANTS) - set(KILLERS))])
+    for name in sorted(set(mutants.MUTANTS) - set(KILLERS) - set(FORKED))])
 def test_complete_adopt_kills_mutant(monkeypatch, name):
     mutants.apply(monkeypatch, name)
     problems = complete_adopt_problems()
     assert problems and all(p.startswith("complete-adopt: ")
+                            for p in problems)
+
+
+def explored_problems(name) -> list[str]:
+    result = ex.explore(FORKED[name](), depth=2, check_validity=True)
+    return [problem for problem, _ in result.violations]
+
+
+@pytest.mark.parametrize("name", [
+    name if name not in SURVIVORS else pytest.param(
+        name, marks=pytest.mark.xfail(strict=True, reason=SURVIVORS[name]))
+    for name in sorted(FORKED)])
+def test_explorer_leaves_kill_clone_mutant(monkeypatch, name):
+    assert explored_problems(name) == []
+    mutants.apply(monkeypatch, name)
+    problems = explored_problems(name)
+    assert problems and all(p.startswith(f"{KILLERS.get(name)}: ")
                             for p in problems)
 
 
@@ -65,7 +93,8 @@ def test_a_surviving_mutant_runs_clean(monkeypatch, name):
     # A survivor's strict xfail must come from no report, not from a run
     # that raised.
     mutants.apply(monkeypatch, name)
-    assert complete_adopt_problems() == []
+    assert (explored_problems(name) if name in FORKED
+            else complete_adopt_problems()) == []
 
 
 def reporting_checks(raw, seeds) -> set[str]:
@@ -76,7 +105,7 @@ def reporting_checks(raw, seeds) -> set[str]:
             if problems}
 
 
-@pytest.mark.parametrize("name", sorted(KILLERS))
+@pytest.mark.parametrize("name", sorted(set(KILLERS) - set(FORKED)))
 def test_one_named_check_alone_kills_mutant(monkeypatch, name):
     raw, seeds = WITHHOLD_READY_N4, range(4)
     assert reporting_checks(raw, seeds) == set()

@@ -19,7 +19,10 @@ it.  The containers audited for this are:
   most once per instance, so the sort is by signer;
 - ``ChainNode.outcomes``: plain pairs of a digest or ``None``, compared only
   with each other;
-- the ``make_predicate`` cache keys: ``(view, SystemParams)`` pairs only;
+- the run memo's keys: ``(fn, *args)`` tuples whose first item is the
+  memoized function, so keys of two functions never meet; ``vote_row``
+  keys hold a ``MsgKind`` and an ``InstanceId``, the validators' a
+  ``Block`` and a ``SystemParams``;
 - ``ChainNode.outbox``: wire messages, ``ViewEntered``, ``Committed`` and
   ``Probed``, routed by type and never compared;
 - the explorer's ``pool`` and ``executed``: ``Deliver`` with ``Probe`` in a

@@ -566,7 +566,7 @@ def test_uniform_post_gst_delay_draws_nothing():
 def _reference_line(record):
     """The generic record format, with a message's text in its place."""
     if record[0] in ("send", "deliver"):
-        record = record[:-1] + (_describe(record[-1]),)
+        record = record[:-1] + (_describe(record[-1], {}),)
     return " ".join(map(str, record))
 
 

@@ -7,9 +7,8 @@ import tracemalloc
 from pathlib import Path
 
 from bbca_chain.bbca import InstanceId
-from bbca_chain.blocks import decode_block
-from bbca_chain.chain import validate_backbone_block, validate_new_view_block
 from bbca_chain.simnet import Scenario, Simulator, run
+from conftest import filled_module_caches
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -108,10 +107,7 @@ def test_peak_memory_releases_each_retained_structure(monkeypatch):
     try:
         result = run(Scenario(n=4, seed=1, delta_post=10, horizon=6))
         to_release = peak_memory.releases(result)
-        # The program's caches are shared with the other tests: kept.
-        rows = peak_memory.retained([(label, release)
-                                     for label, release in to_release
-                                     if not label.startswith("cache ")])
+        rows = peak_memory.retained(to_release)
     finally:
         tracemalloc.stop()
     labels = [label for label, _ in to_release]
@@ -120,12 +116,12 @@ def test_peak_memory_releases_each_retained_structure(monkeypatch):
                    "DAG committed digests", "node DAGs",
                    "BBCA instances (", "BBCA outcome rows (",
                    "new_view_blocks",
-                   "held_certs", "other per-view chain",
-                   "cache chain.make_predicate (",
-                   "cache chain.validate_new_view_block (",
-                   "cache chain.validate_backbone_block ("):
+                   "held_certs", "other per-view chain"):
         assert any(label.startswith(prefix) for label in labels), prefix
+    assert labels[-2] == "committed logs"
+    assert labels[-1].startswith("run memo (")
     assert sum(freed for _, freed in rows) > 0
+    assert not result.nodes[0].memo
     for node in result.nodes.values():
         assert node.dag is None and not node.instances and not node.outcomes
         assert not node.new_view_blocks and not node.held_certs
@@ -153,11 +149,9 @@ def test_peak_memory_counts_the_records_a_run_hashes(monkeypatch):
 def test_peak_memory_derives_the_inputs_outside_the_measuring_process(
         monkeypatch):
     peak_memory = _load_tool("peak_memory", monkeypatch)
-    memos = (validate_new_view_block, validate_backbone_block, decode_block)
-    before = [memo.cache_info() for memo in memos]
     inputs = peak_memory.derive_inputs(3)
-    # A perfbench worker starts with cold caches: deriving the inputs here
-    # would have filled them before the measurement.
-    assert [memo.cache_info() for memo in memos] == before
+    # Nothing of the derivation stays in this process: no program cache
+    # holds an entry.
+    assert filled_module_caches() == {}
     assert inputs["raw"]["name"] == "sim_long" and inputs["raw"]["payloads"]
     assert len(inputs["reference_digest"]) == 64

@@ -12,10 +12,11 @@ time it can tell apart two versions of a hot path whose speed differs by
 less than the benchmark's run-to-run spread.  Prints the total and the
 ``--top`` functions by call count.
 
-``--pin`` counts every workload at seed 3, each in a fresh interpreter (the
-program's caches start cold, as in a perfbench worker), and writes the
-totals, the top 20 functions, the behaviour digests and the Python version
-to ``BENCH_frames.json``.  ``--check`` recounts at the pinned seed and
+``--pin`` counts every workload at seed 3, each in a fresh interpreter
+(deriving the inputs runs the program there first, which leaves nothing
+behind: the program keeps no cache across runs), and writes the totals,
+the top 20 functions, the behaviour digests and the Python version to
+``BENCH_frames.json``.  ``--check`` recounts at the pinned seed and
 exits 1 if a total rose by more than 0.5% or a behaviour digest changed
 (re-pin in the same commit as a change that means it), and 2 under another
 Python version, whose counts are not comparable.  When a total moved, it
@@ -95,7 +96,7 @@ def measure(workload: str, seed: int, top: int) -> dict:
 
 
 def measure_fresh(workload: str, seed: int, top: int = PIN_TOP) -> dict:
-    """``measure`` in a new interpreter, so no earlier work warms a cache."""
+    """``measure`` in a new interpreter, so no earlier work shares it."""
     done = subprocess.run(
         [sys.executable, __file__, "--workload", workload, "--seed",
          str(seed), "--top", str(top), "--json"],

@@ -3,10 +3,10 @@
     python3 tools/peak_memory.py --seed 3
 
 Builds the workload as a ``perfbench`` worker does: a child interpreter
-derives the inputs from the seed, and this process, whose program caches
-are still cold, runs ``Work.setup`` and then the three phases of the one
-operation in the same order: ``Simulator.run``, ``harness.evaluate`` and
-``Trace.digest``.  ``tracemalloc`` starts after the program is imported
+derives the inputs from the seed, so that what the derivation allocates
+stays out of this process, and this process runs ``Work.setup`` and then
+the three phases of the one operation in the same order:
+``Simulator.run``, ``harness.evaluate`` and ``Trace.digest``.  ``tracemalloc`` starts after the program is imported
 and before the set-up; for each phase it prints the memory Python
 allocations held when the phase began, the most they held at once during
 it, and what they held when it ended.  Unlike peak RSS these figures do
@@ -19,8 +19,8 @@ this order, the unhashed trace ``records``, each trace side table, the
 DAGs' committed digests and then the DAGs, the live BBCA instances and
 the outcome rows of dropped ones, each node's ``new_view_blocks`` and
 ``held_certs`` (the tables a node collects as it runs), the other
-per-view chain state, the committed logs and each cache or memo of the
-program, and prints the memory each release freed.  An object held by
+per-view chain state, the committed logs and the run's memo of pure
+results, and prints the memory each release freed.  An object held by
 two structures is counted with the later one, so the order is part of the
 figures.
 """
@@ -48,7 +48,7 @@ COLLECTED_TABLES = ("new_view_blocks", "held_certs")
 CHAIN_TABLES = ("finalized", "awaiting")
 
 # Run in a child interpreter: derives the sim_long inputs of a seed there,
-# so that the caches the derivation fills stay out of this process.
+# so that what the derivation allocates stays out of this process.
 DERIVE = """
 import json, sys
 from pathlib import Path
@@ -70,7 +70,7 @@ def derive_inputs(seed: int) -> dict:
 
 def releases(result) -> list[tuple[str, object]]:
     """(label, release) for each structure a finished run retains, in the
-    order to release them; releasing empties ``result`` and the caches."""
+    order to release them; releasing empties ``result`` and its memo."""
     trace, nodes = result.trace, list(result.nodes.values())
 
     def clear_each(names):
@@ -84,6 +84,7 @@ def releases(result) -> list[tuple[str, object]]:
         for node in nodes:
             node.dag = None
 
+    memo = nodes[0].memo  # one per run, shared by every node
     instances = sum(len(node.instances) for node in nodes)
     rows = sum(len(node.outcomes) for node in nodes)
     # Every field that can be emptied: the lists and dicts, and the packed
@@ -98,16 +99,8 @@ def releases(result) -> list[tuple[str, object]]:
     out += [(name, clear_each((name,))) for name in COLLECTED_TABLES]
     out += [("other per-view chain state", clear_each(CHAIN_TABLES)),
             ("committed logs", clear_each(("committed_log",
-                                           "committed_rows")))]
-    for module in sorted(
-            (m for name, m in sys.modules.items()
-             if name.startswith("bbca_chain.")), key=lambda m: m.__name__):
-        for name, value in sorted(vars(module).items()):
-            if (hasattr(value, "cache_clear")
-                    and getattr(value, "__module__", None) == module.__name__):
-                label = (f"cache {module.__name__.split('.')[-1]}.{name} "
-                         f"({value.cache_info().currsize})")
-                out.append((label, value.cache_clear))
+                                           "committed_rows"))),
+            (f"run memo ({len(memo)} views)", memo.clear)]
     return out
 
 
