@@ -7,7 +7,8 @@ branch over every pool entry.  Beyond the budget a schedule is determinized
 (always run the oldest step), so each branch runs to a quiescent leaf where
 the safety properties are checked, including an end-of-run audit of what
 every correct node would adopt.  Enumeration is naive by design; a hard leaf
-cap keeps it bounded.
+cap keeps it bounded.  A chain world is a ``simnet.Driver``: the simulator's
+drain routes its nodes' outputs into the pool and checks its commits.
 
 Worlds fork by structured copy: a branch copies each node's mutable
 containers and shares the immutable blocks, certificates and messages, and
@@ -21,19 +22,18 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .bbca import BbcaInstance, BbcaMsg, InstanceId, new_memo
-from .chain import WIRE_TYPES, ChainNode, Committed, SafetyViolation
+from .chain import ChainNode, SafetyViolation, WireMsg
 from .encoding import digest32
 from .identity import ConfigError, NodeId, SystemParams, params_for
 from .invariants import (
     SendCounts,
     agreement,
     bbca_consistency,
-    commit_ancestry,
     complete_adopt,
     echo_once,
     prefix_consistency,
 )
-from .simnet import Deliver
+from .simnet import Deliver, Driver
 
 
 # A broadcast builds one ``Deliver`` per recipient with ``tuple.__new__``, so
@@ -188,8 +188,10 @@ class BbcaWorld:
 
 # -- chain worlds ---------------------------------------------------------------
 
-class ChainWorld:
+class ChainWorld(Driver):
     """Full consensus nodes under explored delivery orders and timer firings."""
+
+    adversaries: dict = {}  # every node is correct
 
     def __init__(self, params: SystemParams, horizon: int,
                  timer_tokens: dict[NodeId, int]):
@@ -201,10 +203,8 @@ class ChainWorld:
         self.pool: list[Deliver | Timer] = []
         self.executed: list[Deliver | Timer] = []
         self.broken: str | None = None
-        self.ancestry: tuple[str, ...] = ()  # ``commit_ancestry`` problems
-        for node_id in sorted(self.nodes):
-            self.nodes[node_id].start()
-            self._drain(node_id)
+        self.ancestry: list[str] = []  # ``commit_ancestry`` problems
+        self._start()
         for node_id, count in sorted(timer_tokens.items()):
             if node_id not in self.nodes:
                 raise ConfigError(
@@ -222,22 +222,16 @@ class ChainWorld:
         twin.pool = list(self.pool)
         twin.executed = list(self.executed)
         twin.broken = self.broken
-        twin.ancestry = self.ancestry
+        twin.ancestry = list(self.ancestry)
         return twin
 
-    def _drain(self, node_id: NodeId) -> None:
-        # The wire messages and the commits matter here: timeouts exist only
-        # as Timer tokens, and the other records are trace breadcrumbs.
-        node = self.nodes[node_id]
-        committed = []  # this step's, over all its records
-        for out in node.take_outbox():
-            if isinstance(out, WIRE_TYPES):
-                self.pool.extend([_new_tuple(Deliver, (to, node_id, out))
-                                  for to in self.everyone])
-            elif type(out) is Committed:
-                committed += out.blocks
-        if committed:
-            self.ancestry += tuple(commit_ancestry(node, committed))
+    def _transmit(self, frm: NodeId, msg: WireMsg,
+                  targets: tuple[NodeId, ...], lag: int) -> None:
+        self.pool.extend([_new_tuple(Deliver, (to, frm, msg))
+                          for to in targets])
+
+    def _note(self, node_id: NodeId, out) -> None:
+        """Drop the record: ``Timer`` tokens stand in for the view timers."""
 
     def execute(self, index: int) -> None:
         step = self.pool.pop(index)
@@ -261,7 +255,7 @@ class ChainWorld:
     def check_leaf(self) -> list[str]:
         problems = [f"safety: {self.broken}"] if self.broken else []
         correct = sorted(self.nodes)
-        return (problems + list(self.ancestry)
+        return (problems + self.ancestry
                 + prefix_consistency(self.nodes, correct)
                 + agreement(self.nodes, correct))
 
@@ -310,47 +304,47 @@ def explore(world, depth: int, max_leaves: int = 200_000,
 
 # -- canned scenario builders -----------------------------------------------------
 
-def bbca_correct_sender(n: int = 4, probes: tuple[NodeId, ...] = ()) -> BbcaWorld:
-    return BbcaWorld(params_for(n), InstanceId(0, 1), correct=list(range(n)),
+CASE_PARAMS = params_for(4)  # the system size of every canned case
+
+
+def bbca_correct_sender(probes: tuple[NodeId, ...] = ()) -> BbcaWorld:
+    return BbcaWorld(CASE_PARAMS, InstanceId(0, 1),
+                     correct=list(range(CASE_PARAMS.n)),
                      sent_message=b"proposal", probes=probes)
 
 
-def bbca_equivocating_sender(n: int = 4) -> BbcaWorld:
+def bbca_equivocating_sender() -> BbcaWorld:
     """Byzantine sender splits two proposals across halves of the network."""
-    params = params_for(n)
     instance = InstanceId(0, 1)
-    correct = list(range(1, n))
-    world = BbcaWorld(params, instance, correct=correct)
+    correct = list(range(1, CASE_PARAMS.n))
+    world = BbcaWorld(CASE_PARAMS, instance, correct=correct)
     half = len(correct) // 2
     lower, upper = correct[:half], correct[half:]
     # The equivocator happily signs echoes for both variants.
     for message, targets in ((b"proposal-a", lower), (b"proposal-b", upper)):
-        for msg in BbcaInstance(params, instance, 0).broadcast(message):
+        for msg in BbcaInstance(CASE_PARAMS, instance, 0).broadcast(message):
             world.push_broadcast(0, msg, targets)
     return world
 
 
-def bbca_crashed(n: int = 4) -> BbcaWorld:
-    """Correct sender; f nodes crashed from the start (absent entirely)."""
-    params = params_for(n)
-    correct = list(range(n - params.f))  # the highest f ids never show up
-    return BbcaWorld(params, InstanceId(0, 1), correct=correct,
+def bbca_crashed() -> BbcaWorld:
+    """Correct sender; the highest f ids crashed from the start (absent)."""
+    correct = list(range(CASE_PARAMS.n - CASE_PARAMS.f))
+    return BbcaWorld(CASE_PARAMS, InstanceId(0, 1), correct=correct,
                      sent_message=b"proposal")
 
 
-def bbca_replay_with_probes(n: int = 4) -> BbcaWorld:
+def bbca_replay_with_probes() -> BbcaWorld:
     """Correct sender, one replaying byzantine node, f+1 scheduled probes."""
-    params = params_for(n)
-    correct = list(range(n - 1))
-    return BbcaWorld(params, InstanceId(0, 1), correct=correct,
-                     replayers=(n - 1,), sent_message=b"proposal",
-                     probes=correct[:params.f + 1])
+    correct = list(range(CASE_PARAMS.n - 1))
+    return BbcaWorld(CASE_PARAMS, InstanceId(0, 1), correct=correct,
+                     replayers=(CASE_PARAMS.n - 1,), sent_message=b"proposal",
+                     probes=correct[:CASE_PARAMS.f + 1])
 
 
-def chain_two_views(n: int = 4, timeout_node: NodeId = 3) -> ChainWorld:
+def chain_two_views(timeout_node: NodeId = 3) -> ChainWorld:
     """Two-view chain where one node may time out at any explored point."""
-    return ChainWorld(params_for(n), horizon=2,
-                      timer_tokens={timeout_node: 1})
+    return ChainWorld(CASE_PARAMS, horizon=2, timer_tokens={timeout_node: 1})
 
 
 CASES = {builder.__name__: builder

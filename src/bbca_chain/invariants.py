@@ -8,8 +8,12 @@ parameters from the harness config's ``expect`` block.  Agreement, prefix
 consistency and the per-instance BBCA rules take plain values, so the
 explorer checks its chain and BBCA leaves with the same functions.
 Commit ancestry reads the blocks each ``Committed`` record carries, so
-both drivers check it once per event as they run; the explorer reports it
-at a chain leaf, and ``check_commit_ancestry`` reads what the simulator found.
+``simnet.Driver``'s drain checks it once per event, for the simulator and
+the explorer's chain worlds alike; a chain leaf reports it, and
+``check_commit_ancestry`` reads what the simulator found.  Authorship
+needs to know which DATA blocks the nodes made, which only the simulator
+does, so it checks each commit as it runs and ``check_authorship`` reads
+what it found.
 """
 
 from __future__ import annotations
@@ -19,11 +23,11 @@ from operator import attrgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 from .bbca import InstanceId, MsgKind
-from .blocks import Block
+from .blocks import Block, BlockKind, BlockRef
 from .chain import CERT_DRIVEN_CAUSES, NO_OP, ChainNode, get_proposer
 from .identity import NodeId
-# A module reference: the simulator calls ``commit_ancestry`` as it runs,
-# so each of the two modules imports the other.
+# A module reference: the simulator calls ``commit_ancestry`` and
+# ``authorship`` as it runs, so each of the two modules imports the other.
 from . import simnet
 
 if TYPE_CHECKING:
@@ -93,6 +97,27 @@ def check_commit_ancestry(result: RunResult, cfg=None) -> list[str]:
     """``commit_ancestry``, as the simulator checked it after each event of
     a correct node."""
     return list(result.trace.ancestry)
+
+
+def authorship(node_id: NodeId, blocks: list[Block], correct: list[NodeId],
+               made: set[BlockRef]) -> list[str]:
+    """Each DATA block in a correct node's name that ``node_id`` committed
+    is one that node made; ``made`` holds every DATA block a node made."""
+    problems = []
+    for block in blocks:
+        if block.kind == BlockKind.DATA and block.author in correct \
+                and block.digest not in made:
+            problems.append(
+                f"authorship: node {node_id} committed DATA block "
+                f"{block.digest.hex()[:12]} that node {block.author} never "
+                f"made")
+    return problems
+
+
+def check_authorship(result: RunResult, cfg=None) -> list[str]:
+    """``authorship``, as the simulator checked it at each commit of a
+    correct node."""
+    return list(result.trace.authorship)
 
 
 def check_log_identical(result: RunResult, cfg=None) -> list[str]:
@@ -374,6 +399,7 @@ UNCONDITIONAL = {
     "agreement": check_agreement,
     "prefix_consistency": check_prefix_consistency,
     "commit_ancestry": check_commit_ancestry,
+    "authorship": check_authorship,
     "view_sync": check_view_sync,
     "delay_soundness": check_delay_soundness,
     "fault_budget": check_fault_budget,

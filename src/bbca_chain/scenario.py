@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .explore import CASES as EXPLORE_CASES
+from .explore import CASE_PARAMS, CASES as EXPLORE_CASES
 from .identity import ConfigError
 from .invariants import ALL_CHECKS, UNCONDITIONAL
 from .simnet import PreGstPolicy, Scenario, Strategy
@@ -183,8 +183,9 @@ def parse_config(raw: dict, path: str = "config") -> HarnessConfig:
         sub.finish()
         if case not in EXPLORE_CASES:
             raise ConfigError(f"{path}.explore.case: unknown case {case!r}")
-        if n != 4:
-            raise ConfigError(f"{path}.n: exploration requires n=4")
+        if n != CASE_PARAMS.n:
+            raise ConfigError(
+                f"{path}.n: exploration requires n={CASE_PARAMS.n}")
         if max_leaves < 1:
             raise ConfigError(f"{path}.explore.max_leaves: must be at least 1")
         if timeout_node is not None and case != "chain_two_views":

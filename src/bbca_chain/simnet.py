@@ -10,6 +10,11 @@ Byzantine behavior is a per-node wrapper over a correct state machine that
 rewrites its outbound traffic: staying silent, withholding READY votes,
 equivocating proposals or data blocks to disjoint halves, replaying observed
 messages, or lagging its own sends.
+
+``Driver`` is the one way nodes are driven, here and in the explorer's chain
+worlds: it starts the nodes and drains what each event makes a node emit,
+routing wire messages through the node's adversary, if any, and checking
+the event's commits with ``invariants.commit_ancestry``.
 """
 
 from __future__ import annotations
@@ -362,8 +367,10 @@ class Trace:
     send_ticks: dict[BlockRef, int] = field(default_factory=dict)
     deliveries: Deliveries = field(default_factory=Deliveries)
     bbca_sends: BbcaSends = field(default_factory=BbcaSends)
-    # ``invariants.commit_ancestry`` problems of correct nodes, as it ran
+    # ``invariants.commit_ancestry`` and ``authorship`` problems of correct
+    # nodes, as they ran
     ancestry: list[str] = field(default_factory=list)
+    authorship: list[str] = field(default_factory=list)
     probes: dict[NodeId, list[tuple[int, int, bool, BlockRef | None]]] = \
         field(default_factory=dict)  # node -> [(tick, view, adopted, ref)]
     injected: list[tuple[int, NodeId, BlockRef]] = field(default_factory=list)
@@ -449,12 +456,44 @@ def _describe(msg: WireMsg, described: dict[int, str]) -> str:
 
 # -- simulator ----------------------------------------------------------------
 
-class Simulator:
+class Driver:
+    """Starts ``nodes`` and routes what an event makes one emit, for the
+    simulator and the explorer's chain worlds alike: in outbox order, each
+    wire message goes through the node's ``Adversary``, if any, to
+    ``_transmit`` and every other record to ``_note``.  ``ancestry`` holds
+    what ``commit_ancestry`` found at the nodes without an adversary."""
+
+    def _start(self) -> None:
+        for node_id in sorted(self.nodes):
+            self.nodes[node_id].start()
+            self._drain(node_id)
+
+    def _drain(self, node_id: NodeId) -> None:
+        node = self.nodes[node_id]
+        adversary = self.adversaries.get(node_id)
+        committed: list[Block] = []  # this event's, over all its records
+        for out in node.take_outbox():
+            if isinstance(out, WIRE_TYPES):  # most outputs: tested first
+                if adversary is None:
+                    self._transmit(node_id, out, self.everyone, 0)
+                else:
+                    for msg, targets, lag in adversary.outgoing(out):
+                        self._transmit(node_id, msg, targets, lag)
+            else:
+                if type(out) is Committed:
+                    committed += out.blocks
+                self._note(node_id, out)
+        if committed and adversary is None:
+            self.ancestry += invariants.commit_ancestry(node, committed)
+
+
+class Simulator(Driver):
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self.rng = random.Random(scenario.seed)
         self.delay_model = DelayModel(scenario)
         self.trace = Trace()
+        self.ancestry = self.trace.ancestry
         self.now = 0
         # Pending events in one list per tick, in push order, and a heap of
         # the ticks that hold a list.  Every push lands on a tick later than
@@ -465,6 +504,7 @@ class Simulator:
         self.nodes = {i: ChainNode(i, scenario.params, scenario.horizon, memo)
                       for i in range(scenario.n)}
         self.correct = scenario.correct_nodes()
+        self.made: set[BlockRef] = set()  # every DATA block a node made
         self.everyone = tuple(range(scenario.n))
         self.adversaries = {
             i: Adversary(i, strategy, self.everyone, self.rng)
@@ -521,40 +561,30 @@ class Simulator:
                 heapq.heappush(self._ticks, tick)
             bucket.append(new(Deliver, (target, frm, msg)))
 
-    def _drain(self, node_id: NodeId) -> None:
-        node = self.nodes[node_id]
-        adversary = self.adversaries.get(node_id)
+    def _note(self, node_id: NodeId, out) -> None:
         trace, now = self.trace, self.now
-        committed: list[Block] = []  # this event's, over all its records
-        for out in node.take_outbox():
-            if isinstance(out, WIRE_TYPES):  # most outputs: tested first
-                if adversary is None:
-                    self._transmit(node_id, out, self.everyone, 0)
-                else:
-                    for msg, targets, lag in adversary.outgoing(out):
-                        self._transmit(node_id, msg, targets, lag)
-            elif isinstance(out, ViewEntered):
-                view, cause = out
-                trace.view_entries.setdefault(node_id, {})[view] = (now, cause)
-                trace.record("view", now, node_id, view, cause)
-                self._push(now + self.scenario.timer_ticks,
-                           TimerFire(node_id, view))
-                self._trim_memo()
-            elif isinstance(out, Committed):
-                view, blocks = out
-                ticks = trace.commit_ticks
-                for block in blocks:
-                    ticks.setdefault(block.digest, {})[node_id] = now
-                trace.record("commit", now, node_id, view,
-                             ",".join(b.digest.hex()[:12] for b in blocks))
-                committed += blocks
-            else:  # Probed
-                view, adopted, ref = out
-                trace.probes.setdefault(node_id, []).append(
-                    (now, view, adopted, ref))
-                trace.record("probe", now, node_id, view, adopted)
-        if committed and adversary is None:
-            trace.ancestry += invariants.commit_ancestry(node, committed)
+        if isinstance(out, ViewEntered):
+            view, cause = out
+            trace.view_entries.setdefault(node_id, {})[view] = (now, cause)
+            trace.record("view", now, node_id, view, cause)
+            self._push(now + self.scenario.timer_ticks,
+                       TimerFire(node_id, view))
+            self._trim_memo()
+        elif isinstance(out, Committed):
+            view, blocks = out
+            ticks = trace.commit_ticks
+            for block in blocks:
+                ticks.setdefault(block.digest, {})[node_id] = now
+            trace.record("commit", now, node_id, view,
+                         ",".join(b.digest.hex()[:12] for b in blocks))
+            if node_id not in self.adversaries:
+                trace.authorship += invariants.authorship(
+                    node_id, blocks, self.correct, self.made)
+        else:  # Probed
+            view, adopted, ref = out
+            trace.probes.setdefault(node_id, []).append(
+                (now, view, adopted, ref))
+            trace.record("probe", now, node_id, view, adopted)
 
     def _trim_memo(self) -> None:
         """Drop the memo tables of the views below the lowest node view - 2."""
@@ -569,9 +599,7 @@ class Simulator:
         for tick, node in scenario.injections:
             payload = f"payload/{node}/{tick}".encode()
             self._push(tick, Inject(node, payload))
-        for node_id in sorted(self.nodes):
-            self.nodes[node_id].start()
-            self._drain(node_id)
+        self._start()
         stop = ""
         trace = self.trace
         queue, ticks = self._queue, self._ticks
@@ -629,6 +657,7 @@ class Simulator:
             self.nodes[event.node].handle_timer(event.view)
         else:
             block = self.nodes[event.node].submit_payload(event.payload)
+            self.made.add(block.digest)
             self.trace.injected.append((self.now, event.node, block.digest))
             self.trace.record("inject", self.now, event.node,
                               block.digest.hex()[:12])

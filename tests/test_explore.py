@@ -2,13 +2,14 @@ import copy
 import hashlib
 import random
 import re
+from collections import Counter
 
 import pytest
 
 from bbca_chain import explore as ex
 from bbca_chain.chain import NO_OP
-from bbca_chain.identity import ConfigError
-from bbca_chain.simnet import Deliver
+from bbca_chain.identity import ConfigError, params_for
+from bbca_chain.simnet import Deliver, Scenario, Simulator
 
 
 def test_depth_zero_single_deterministic_leaf():
@@ -115,6 +116,17 @@ def test_timer_token_for_a_missing_node_rejected():
     with pytest.raises(ConfigError,
                        match="timer token for node 9, out of range for n=4"):
         ex.chain_two_views(timeout_node=9)
+
+
+def test_both_drivers_route_the_start_alike():
+    # Under uniform delays the simulator queues, from its start, the same
+    # deliveries that a fresh chain world pools.
+    sim = Simulator(Scenario(n=4, horizon=2))
+    sim._start()
+    queued = [event for bucket in sim._queue.values() for event in bucket
+              if type(event) is Deliver]
+    world = ex.ChainWorld(params_for(4), horizon=2, timer_tokens={})
+    assert queued and Counter(world.pool) == Counter(queued)
 
 
 # -- structured clones ----------------------------------------------------------

@@ -11,6 +11,7 @@ from bbca_chain.blocks import GENESIS_REF, make_data
 from bbca_chain.chain import (
     NO_OP,
     WIRE_TYPES,
+    BlockMsg,
     ChainNode,
     Committed,
     get_proposer,
@@ -18,6 +19,7 @@ from bbca_chain.chain import (
 from bbca_chain.encoding import digest32, echo_statement
 from bbca_chain.identity import params_for, sign
 from bbca_chain.invariants import (
+    check_authorship,
     check_bbca_complete_adopt,
     check_bbca_consistency,
     check_censorship,
@@ -288,8 +290,51 @@ def test_commit_ancestry_checks_every_batch_of_an_event_together():
     world = ex.chain_two_views()
     world.nodes[0] = committed_node()
     world._drain(0)
-    assert world.ancestry == tuple(expected)
+    assert world.ancestry == expected
     assert expected[0] in world.check_leaf()
+
+
+# -- authorship -------------------------------------------------------------------
+
+FORGED = make_data(0, 1, [GENESIS_REF], b"forged-by-3")
+
+
+def forged_run():
+    """n=4, seed 1, horizon 4: byzantine node 3 (``delay_own`` with no lag)
+    also sends, with its first message, a DATA block in node 0's name that
+    node 0 never made."""
+    config = parse_config({"name": "forged", "n": 4, "seed": 1, "horizon": 4,
+                           "adversary": {"3": {"strategy": "delay_own"}}})
+    sim = Simulator(config.scenario)
+    outgoing = sim.adversaries[3].outgoing
+    forgeries = [(BlockMsg(FORGED), sim.everyone, 0)]
+
+    def forging(msg):
+        sends = outgoing(msg) + forgeries
+        forgeries.clear()
+        return sends
+
+    sim.adversaries[3].outgoing = forging
+    return config, sim.run()
+
+
+def test_authorship_reports_a_forged_data_block_at_each_correct_node():
+    _config, result = forged_run()
+    assert [result.nodes[i].committed_log[1] for i in range(3)] == \
+        [FORGED.digest] * 3
+    assert check_authorship(result) == [
+        f"authorship: node {i} committed DATA block "
+        f"{FORGED.digest.hex()[:12]} that node 0 never made"
+        for i in range(3)]
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "a correct node files a BlockMsg's block without comparing the sender "
+    "with the block's author, so a byzantine peer commits DATA blocks in a "
+    "correct node's name (ROADMAP item 18)"))
+def test_a_forged_data_block_is_not_committed():
+    config, result = forged_run()
+    assert not any(harness.evaluate(result, config).values())
 
 
 # -- scenario-scoped checks that a clean run never trips --------------------------
