@@ -22,10 +22,10 @@ print()
 
 node = result.nodes[0]
 for view in (1, 2, 3):
-    block = node.finalized[view]
-    trips = trips_to_commit(result, block.digest)
+    ref = node.finalized[view]  # the backbone's digest
+    trips = trips_to_commit(result, ref)
     print(f"backbone of view {view}: sent at "
-          f"{result.trace.send_ticks[block.digest]}, committed in {trips} trips")
+          f"{result.trace.send_ticks[ref]}, committed in {trips} trips")
 
 (tick, who, ref), = result.trace.injected
 print(f"data block from node {who} at tick {tick}: committed in "

@@ -19,11 +19,17 @@ for node_id in result.scenario.correct_nodes():
     print(f"  node {node_id}: at tick {tick} via {cause}")
 print()
 
-finalized = {result.nodes[i].finalized[1].digest
+finalized = {result.nodes[i].finalized[1]
              for i in result.scenario.correct_nodes()}
-block = result.nodes[result.scenario.correct_nodes()[0]].finalized[1]
 print("distinct view-1 blocks finalized by correct nodes:", len(finalized))
-print("the surviving variant's payload tag:", block.payload)
+# A node keeps a committed block's digest, view, kind and author, not its
+# body.
+witness = result.nodes[result.scenario.correct_nodes()[0]]
+_, _, digest, kind, author = next(
+    row for row in witness.committed_log_export()
+    if bytes.fromhex(row[2]) == witness.finalized[1])
+print(f"the surviving variant: {kind.lower()} block {digest[:12]} "
+      f"by node {author}")
 print()
 
 for node_id in result.scenario.correct_nodes():

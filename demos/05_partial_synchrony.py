@@ -33,6 +33,6 @@ for view in sorted(v for v in node.finalized if v > 0):
     if isinstance(entry, str):
         print(f"view {view}: skipped")
         continue
-    commits = result.trace.commit_ticks.get(entry.digest, {})
+    commits = result.trace.commit_ticks.get(entry, {})
     print(f"view {view}: committed at ticks {sorted(commits.values())}"
           f"{' (within deadline)' if max(commits.values()) <= deadline else ''}")

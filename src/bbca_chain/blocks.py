@@ -125,12 +125,6 @@ class Block:
     def digest(self) -> BlockRef:
         return digest32(self.encoded)
 
-    @property
-    def certified_ref(self) -> BlockRef:
-        """Digest of the block certified (or anchored) by a new-view block."""
-        assert self.new_view is not None
-        return self.new_view.cert.block_digest
-
     # A block is identified by its canonical encoding: equality and hashing
     # compare digests, never walking the nested justification or evidence.
     def __eq__(self, other) -> bool:
@@ -142,8 +136,13 @@ class Block:
         return hash(self.digest)
 
     def __repr__(self) -> str:  # compact, digest-first, for traces and asserts
-        return (f"Block({self.kind.name} v={self.view} a={self.author} "
-                f"{self.digest.hex()[:12]})")
+        return block_repr(self.kind, self.view, self.author, self.digest)
+
+
+def block_repr(kind: BlockKind, view: int, author: NodeId,
+               digest: BlockRef) -> str:
+    """A block's repr, from what a node keeps of it once committed."""
+    return f"Block({kind.name} v={view} a={author} {digest.hex()[:12]})"
 
 
 # -- construction -----------------------------------------------------------

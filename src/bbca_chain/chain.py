@@ -22,7 +22,6 @@ from typing import NamedTuple, Union
 
 from .bbca import BbcaInstance, BbcaMsg, InstanceId, Memo, new_memo
 from .blocks import (
-    GENESIS_BLOCK,
     GENESIS_CERT,
     GENESIS_NEW_VIEW,
     GENESIS_REF,
@@ -34,6 +33,7 @@ from .blocks import (
     EvidenceKind,
     Justification,
     NewViewData,
+    block_repr,
     decode_block,
     make_backbone,
     make_data,
@@ -69,6 +69,14 @@ def get_proposer(view: int, params: SystemParams) -> NodeId:
     if view < 1:
         raise ValueError("views are numbered from 1")
     return view % params.n
+
+
+def finalized_repr(view: int, entry, params: SystemParams) -> str:
+    """A ``finalized`` entry as problems name it: a digest as its block."""
+    if not isinstance(entry, BlockRef):
+        return repr(entry)
+    author = get_proposer(view, params) if view else 0  # 0: genesis
+    return block_repr(_BACKBONE, view, author, entry)
 
 
 # -- wire messages and node outputs ------------------------------------------
@@ -197,8 +205,7 @@ class ChainNode:
         self.horizon = horizon  # scenario device: last view allowed to start
         self.memo = new_memo() if memo is None else memo  # the run's
         self.dag = DagStore()
-        self.dag.insert(GENESIS_BLOCK)
-        self.dag.insert(GENESIS_NEW_VIEW)
+        # Genesis starts committed, and no committed body is kept.
         self.dag.committed.update((GENESIS_REF, GENESIS_NEW_VIEW.digest))
         self.view = 0
         # Each view's blocks are kept in author order, so that the evidence
@@ -209,7 +216,7 @@ class ChainNode:
         # Highest view holding a complete or adopt new-view block; the
         # certified-conclusion rule scans down from here.
         self.top_certified_view = 0
-        self.finalized: dict[int, Block | str] = {0: GENESIS_BLOCK}
+        self.finalized: dict[int, BlockRef | str] = {0: GENESIS_REF}
         self.last_committed = 0
         self.committed_log: list[BlockRef] = []
         self.committed_rows = bytearray()  # a _COMMIT_ROW per log entry
@@ -299,12 +306,8 @@ class ChainNode:
         """Every committed digest, genesis included: the DAG's set."""
         return self.dag.committed
 
-    def _frontier(self) -> list[BlockRef]:
-        committed = self.dag.committed
-        return [t for t in self.dag.tips() if t not in committed]
-
     def _own_refs(self) -> set[BlockRef]:
-        refs = set(self._frontier())
+        refs = set(self.dag.tips())
         if self.my_last_ref is not None:
             refs.add(self.my_last_ref)
         if not refs:
@@ -401,7 +404,7 @@ class ChainNode:
             if cert is not None:
                 self._on_bbca_complete(cert)
             else:
-                self.try_commit(block)
+                self.try_commit(block.view, block.digest)
 
     # -- new-view bookkeeping ------------------------------------------------
 
@@ -423,9 +426,9 @@ class ChainNode:
         if cert.view >= self.anchor_floor:
             self.held_certs.setdefault(cert.view, cert)
         if evidence == _COMPLETE and view > 0:
-            ref = nvb.certified_ref
+            ref = cert.block_digest
             if ref in self.dag:
-                self.try_commit(self.dag.get(ref))
+                self.try_commit(cert.view, ref)
             else:
                 self.awaiting.setdefault(ref, None)
 
@@ -452,13 +455,12 @@ class ChainNode:
     # -- completion, probing, view entry -------------------------------------
 
     def _on_bbca_complete(self, cert: Cert) -> None:
-        block = self.dag.get(cert.block_digest)
-        self.try_commit(block)
-        if block.view < self.view:
+        self.try_commit(cert.view, cert.block_digest)
+        if cert.view < self.view:
             return  # stale: a timeout already moved this node on
         self._make_own_new_view_block(
-            block.view, NewViewData(EvidenceKind.COMPLETE, cert))
-        self._enter_view(block.view + 1, "complete_own")
+            cert.view, NewViewData(EvidenceKind.COMPLETE, cert))
+        self._enter_view(cert.view + 1, "complete_own")
 
     def _conclude_view_by_probe(self, view: int) -> None:
         self.probed = view
@@ -589,39 +591,41 @@ class ChainNode:
 
     # -- finalization and commit ----------------------------------------------
 
-    def try_commit(self, block: Block) -> None:
-        """Finalize, then advance the contiguous committed prefix."""
-        self._finalize(block)
+    def try_commit(self, view: int, ref: BlockRef) -> None:
+        """Finalize the view, then advance the contiguous committed prefix."""
+        self._finalize(view, ref)
         while self.last_committed + 1 in self.finalized:
             self.last_committed += 1
             entry = self.finalized[self.last_committed]
             if entry is not NO_OP:
-                blocks = tuple(self.dag.commit(entry.digest))
+                blocks = tuple(self.dag.commit(entry))
                 self.committed_log += map(_DIGEST, blocks)
                 self.committed_rows += b"".join(
                     starmap(_COMMIT_ROW.pack, map(_ROW_FIELDS, blocks)))
                 self.outbox.append(Committed(self.last_committed, blocks))
 
-    def _finalize(self, block: Block) -> None:
-        existing = self.finalized.get(block.view)
+    def _finalize(self, view: int, ref: BlockRef) -> None:
+        existing = self.finalized.get(view)
         if existing is not None:
-            if existing is NO_OP or existing.digest != block.digest:
+            if existing is NO_OP or existing != ref:
                 raise SafetyViolation(
-                    f"conflicting finalization for view {block.view}: "
-                    f"{existing!r} vs {block!r}")
+                    f"conflicting finalization for view {view}: "
+                    f"{finalized_repr(view, existing, self.params)} vs "
+                    f"{finalized_repr(view, ref, self.params)}")
             return
-        self.finalized[block.view] = block
-        # A complete or adopt justification holds one block; of a noadopt
-        # quorum, the highest anchor is the previous finalized block.
-        _, prev_ref = max((nvb.new_view.cert.view, nvb.certified_ref)
-                          for nvb in block.justification.new_view_blocks)
-        prev = self.dag.get(prev_ref)
-        for skipped in range(prev.view + 1, block.view):
+        self.finalized[view] = ref
+        # An unfinalized view lies above the committed prefix: its body is
+        # delivered.  Of its justification's certificates (one, or a noadopt
+        # quorum's anchors) the highest names the previous finalized block.
+        prev_view, prev_ref = max(
+            (nvb.new_view.cert.view, nvb.new_view.cert.block_digest)
+            for nvb in self.dag.get(ref).justification.new_view_blocks)
+        for skipped in range(prev_view + 1, view):
             if self.finalized.get(skipped, NO_OP) is not NO_OP:
                 raise SafetyViolation(
                     f"view {skipped} finalized both as a block and as a skip")
             self.finalized[skipped] = NO_OP
-        self._finalize(prev)
+        self._finalize(prev_view, prev_ref)
 
     # -- exported state ---------------------------------------------------
 

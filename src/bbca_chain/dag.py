@@ -5,10 +5,8 @@ anything early is buffered and cascades out when the missing pieces arrive.
 On top of the store sits the deterministic traversal that linearizes
 everything a committed backbone block causally covers.
 
-``commit`` hands the committed blocks back and drops the bodies of the
-DATA and NEW_VIEW blocks among them; their digests stay in ``committed``,
-which counts as delivered.  Committed backbones stay: every lookup the
-protocol makes names a backbone.
+``commit`` hands the committed blocks back and drops their bodies; their
+digests stay in ``committed``, which counts as delivered.
 """
 
 from __future__ import annotations
@@ -17,9 +15,7 @@ import heapq
 from collections import deque
 from itertools import filterfalse
 
-from .blocks import Block, BlockKind, BlockRef
-
-_BACKBONE = BlockKind.BACKBONE
+from .blocks import Block, BlockRef
 
 
 class UnknownBlockError(KeyError):
@@ -38,7 +34,7 @@ class DagStore:
         self._missing: dict[BlockRef, int] = {}
         # missing ref -> digests of pending blocks waiting on it
         self._waiters: dict[BlockRef, tuple[BlockRef, ...]] = {}
-        # Delivered blocks no delivered block references yet.
+        # Uncommitted delivered blocks no delivered block references yet.
         self._tips: set[BlockRef] = set()
 
     def clone(self) -> "DagStore":
@@ -62,14 +58,14 @@ class DagStore:
                 or ref in self.committed)
 
     def get(self, ref: BlockRef) -> Block:
-        """A delivered block whose body ``commit`` has not dropped."""
+        """A delivered block not yet committed: ``commit`` drops bodies."""
         try:
             return self.delivered[ref]
         except KeyError:
             raise UnknownBlockError(ref.hex()) from None
 
     def tips(self) -> list[BlockRef]:
-        """Delivered blocks not referenced by any delivered block, sorted."""
+        """Uncommitted delivered blocks no delivered block names, sorted."""
         return sorted(self._tips)
 
     def insert(self, block: Block) -> list[Block]:
@@ -81,7 +77,7 @@ class DagStore:
             raise ValueError("block references its own digest")
         missing = set(filterfalse(self.delivered.__contains__, block.refs))
         if missing:
-            # Rare: a ref not yet delivered, or a collected body.
+            # A ref not yet delivered, or a committed one.
             missing = missing.difference(self.committed)
         if missing:
             self.pending[digest] = block
@@ -115,15 +111,13 @@ class DagStore:
         self._tips.add(block.digest)
 
     def commit(self, backbone: BlockRef) -> list[Block]:
-        """Commit the backbone's uncommitted ancestry, drop the DATA and
-        NEW_VIEW bodies in it, and return its blocks, in ``order_under``
-        order."""
+        """Commit the backbone's uncommitted ancestry, drop its bodies and
+        tips, and return its blocks, in ``order_under`` order.  ``committed``
+        keeps each block's own digest, the one the caller's log holds."""
         added = self.order_under(backbone, self.committed)
-        self.committed.update(added)
-        blocks = list(map(self.delivered.__getitem__, added))
-        for ref, block in zip(added, blocks):
-            if block.kind != _BACKBONE:
-                del self.delivered[ref]
+        blocks = list(map(self.delivered.pop, added))
+        self.committed.update([block.digest for block in blocks])
+        self._tips.difference_update(added)
         return blocks
 
     def order_under(self, backbone: BlockRef,
@@ -140,9 +134,9 @@ class DagStore:
         full ancestry closures, is; so the walk stops at committed refs and
         costs only the uncommitted part of the history.
         """
-        members = {backbone: self.get(backbone)}
         if backbone in already_committed:
             return []
+        members = {backbone: self.get(backbone)}
         stack = [backbone]
         while stack:
             for ref in members[stack.pop()].refs:

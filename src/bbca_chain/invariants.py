@@ -24,7 +24,8 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .bbca import InstanceId, MsgKind
 from .blocks import Block, BlockKind, BlockRef
-from .chain import CERT_DRIVEN_CAUSES, NO_OP, ChainNode, get_proposer
+from .chain import (CERT_DRIVEN_CAUSES, NO_OP, ChainNode, finalized_repr,
+                    get_proposer)
 from .identity import NodeId
 # A module reference: the simulator calls ``commit_ancestry`` and
 # ``authorship`` as it runs, so each of the two modules imports the other.
@@ -42,8 +43,7 @@ def agreement(nodes: dict[NodeId, ChainNode],
     merged: dict[int, dict] = {}
     for node_id in correct:
         for view, entry in nodes[node_id].finalized.items():
-            value = entry if isinstance(entry, str) else entry.digest
-            merged.setdefault(view, {})[node_id] = value
+            merged.setdefault(view, {})[node_id] = entry
     for view, per_node in sorted(merged.items()):
         if len(set(per_node.values())) > 1:
             problems.append(f"agreement: view {view} finalized as {per_node}")
@@ -278,7 +278,8 @@ def check_noop_views(result: RunResult, cfg) -> list[str]:
             if entry is not NO_OP:
                 problems.append(
                     f"noop: node {node_id} finalized view {view} as "
-                    f"{entry!r}, expected a skip")
+                    f"{finalized_repr(view, entry, result.scenario.params)}, "
+                    "expected a skip")
     return problems
 
 
@@ -292,7 +293,7 @@ class TripRow(NamedTuple):
 
 
 def _trips_or_none(result: RunResult, ref) -> Fraction | None:
-    if ref is None:
+    if ref is None or ref is NO_OP:
         return None
     try:
         return simnet.trips_to_commit(result, ref)
@@ -306,8 +307,7 @@ def measure_trips(result: RunResult, expect: dict) -> list[TripRow]:
     rows = []
     witness = result.nodes[result.scenario.correct_nodes()[0]]
     for view in expect.get("views", []):
-        entry = witness.finalized.get(view)
-        ref = None if entry is None or entry is NO_OP else entry.digest
+        ref = witness.finalized.get(view)
         rows.append(TripRow(f"backbone v{view}", "leader",
                             _trips_or_none(result, ref), expect["backbone"]))
     if "data" in expect:
@@ -355,7 +355,7 @@ def check_liveness_deadline(result: RunResult, cfg=None) -> list[str]:
     reference = result.nodes[correct[0]].finalized.get(target)
     if reference is None or reference is NO_OP:
         return [f"liveness: post-GST view {target} did not finalize a block"]
-    commits = result.trace.commit_ticks.get(reference.digest, {})
+    commits = result.trace.commit_ticks.get(reference, {})
     for node_id in correct:
         tick = commits.get(node_id)
         if tick is None:

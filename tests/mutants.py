@@ -8,7 +8,7 @@ on that rule says what changed.
 """
 
 from bbca_chain.bbca import ECHO, READY, BbcaInstance, vote_row
-from bbca_chain.blocks import BlockKind, Cert, CertKind
+from bbca_chain.blocks import Cert, CertKind
 from bbca_chain.dag import DagStore
 
 
@@ -113,12 +113,9 @@ def _commit_in_reverse(self, backbone):
     """``DagStore.commit`` committing its batch backbone first, each block
     before the blocks it references."""
     added = self.order_under(backbone, self.committed)[::-1]  # mutated
-    self.committed.update(added)
-    delivered = self.delivered
-    blocks = list(map(delivered.__getitem__, added))
-    for ref, block in zip(added, blocks):
-        if block.kind != BlockKind.BACKBONE:
-            del delivered[ref]
+    blocks = list(map(self.delivered.pop, added))
+    self.committed.update(block.digest for block in blocks)
+    self._tips.difference_update(added)
     return blocks
 
 

@@ -42,7 +42,7 @@ def test_criterion_1_trip_counts(n):
                         injections=((20, 0),))
     result = run(scenario)
     node = result.nodes[0]
-    backbone_trips = [trips_to_commit(result, node.finalized[v].digest)
+    backbone_trips = [trips_to_commit(result, node.finalized[v])
                       for v in (1, 2, 3)]
     (_, _, data_ref), = result.trace.injected
     data_trips = trips_to_commit(result, data_ref)

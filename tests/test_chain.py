@@ -34,7 +34,7 @@ from bbca_chain.chain import (
     validate_backbone_block,
     validate_new_view_block,
 )
-from bbca_chain.dag import DagStore
+from bbca_chain.dag import DagStore, UnknownBlockError
 from bbca_chain.encoding import (
     echo_statement,
     noadopt_statement,
@@ -337,7 +337,7 @@ def test_jump_over_views_on_higher_evidence(params4):
     node.handle_message(3, BlockMsg(nvb))
     assert node.view == 4
     assert node.last_committed == 3
-    assert [node.finalized[v].digest for v in (1, 2, 3)] == [
+    assert [node.finalized[v] for v in (1, 2, 3)] == [
         blocks[v].digest for v in (1, 2, 3)]
 
 
@@ -459,9 +459,9 @@ def test_finalize_recursion_on_complete_chain(params4):
     node.take_outbox()
     for view in (1, 2):
         node._ingest_block(blocks[view])
-    node.try_commit(blocks[2])
-    assert node.finalized[1].digest == blocks[1].digest
-    assert node.finalized[2].digest == blocks[2].digest
+    node.try_commit(2, blocks[2].digest)
+    assert node.finalized[1] == blocks[1].digest
+    assert node.finalized[2] == blocks[2].digest
     assert node.last_committed == 2
 
 
@@ -478,10 +478,10 @@ def test_finalize_marks_noop_for_skipped_views(params4):
                      for author in (0, 1, 2))
     b4 = make_backbone(0, 4, Justification(EvidenceKind.NOADOPT, noadopts))
     node._ingest_block(b4)
-    node.try_commit(b4)
+    node.try_commit(4, b4.digest)
     assert node.finalized[2] is NO_OP
     assert node.finalized[3] is NO_OP
-    assert node.finalized[1].digest == blocks[1].digest
+    assert node.finalized[1] == blocks[1].digest
     assert node.last_committed == 4
     committed_views = [view for _, view, _, _, _
                        in node.committed_log_export()]
@@ -498,9 +498,9 @@ def test_conflicting_finalization_raises(params4):
     node.take_outbox()
     node._ingest_block(blocks[1])
     node._ingest_block(twin)
-    node.try_commit(blocks[1])
+    node.try_commit(1, blocks[1].digest)
     with pytest.raises(SafetyViolation):
-        node.try_commit(twin)
+        node.try_commit(1, twin.digest)
 
 
 def test_commit_contiguity_over_a_gap(params4):
@@ -512,13 +512,13 @@ def test_commit_contiguity_over_a_gap(params4):
     # view 2 stays buffered until the missing block shows up.
     node._ingest_block(blocks[1])
     node._ingest_block(blocks[3])
-    node.try_commit(blocks[1])
+    node.try_commit(1, blocks[1].digest)
     assert node.last_committed == 1
     # Delivering view 2's block releases the buffered evidence: 2 commits.
     node._ingest_block(blocks[2])
     assert node.last_committed == 2
     node.take_outbox()
-    node.try_commit(blocks[3])
+    node.try_commit(3, blocks[3].digest)
     assert [out.view for out in node.take_outbox()
             if isinstance(out, Committed)] == [3]
     assert node.last_committed == 3
@@ -920,8 +920,8 @@ def test_anchor_is_the_highest_held_certificate_at_or_below_the_view(
 
 # -- collection ------------------------------------------------------------------
 # A node drops what no rule reads again: new-view blocks below view - 1,
-# certificates below the anchor floor, and the bodies of committed DATA and
-# NEW_VIEW blocks.  What such a block does apart from being stored stays.
+# certificates below the anchor floor, and the bodies of committed blocks,
+# backbones included.  What such a block does apart from being stored stays.
 
 def _adopted_to_view_4(params, proposal_first):
     """Node 0 after adopt-driven entries into views 2, 3 and 4, and view
@@ -964,6 +964,65 @@ def test_a_late_new_view_block_still_commits_and_becomes_a_tip(
     assert sorted(node.held_certs) == [3]
 
 
+@pytest.mark.parametrize("via_instance", [True, False])
+def test_a_late_certificate_for_a_collected_view_changes_nothing(
+        params4, via_instance):
+    node, proposal = _adopted_to_view_4(params4, proposal_first=True)
+    node.handle_message(2, BlockMsg(make_complete_nvb(params4, 2, 1,
+                                                      proposal)))
+    assert node.finalized[1] == proposal.digest
+    with pytest.raises(UnknownBlockError):
+        node.dag.get(proposal.digest)
+    node.take_outbox()
+    before = settled_state(node), list(node.committed_log)
+    if via_instance:
+        # The node's own instance completes view 1 only now.
+        node._on_bbca_complete(make_cert(params4, CertKind.COMPLETE, 1,
+                                         proposal))
+    else:
+        node._record_new_view_block(make_complete_nvb(params4, 3, 1,
+                                                      proposal))
+    assert (settled_state(node), list(node.committed_log)) == before
+    assert node.take_outbox() == []
+
+
+def test_a_late_certificate_for_another_block_of_a_collected_view_raises(
+        params4):
+    node, proposal = _adopted_to_view_4(params4, proposal_first=True)
+    node.handle_message(2, BlockMsg(make_complete_nvb(params4, 2, 1,
+                                                      proposal)))
+    twin = make_backbone(1, 1, Justification(EvidenceKind.COMPLETE,
+                                             (GENESIS_NEW_VIEW,)),
+                         payload=b"twin")
+    node.handle_message(1, BlockMsg(twin))
+    with pytest.raises(SafetyViolation) as raised:
+        node.handle_message(2, BlockMsg(make_complete_nvb(params4, 2, 1,
+                                                          twin)))
+    # Worded as when the finalized body was still held.
+    assert str(raised.value) == (
+        f"conflicting finalization for view 1: {proposal!r} vs {twin!r}")
+
+
+def test_kept_bodies_do_not_grow_with_run_length():
+    held = {}
+    for horizon in (20, 80):
+        result = run(Scenario(n=4, seed=21, delay_mode="random",
+                              delta_post=5, horizon=horizon))
+        assert not result.failed
+        held[horizon] = [len(node.dag.delivered)
+                         for node in result.nodes.values()]
+        for node in result.nodes.values():
+            assert node.last_committed >= horizon - 2
+            assert not [block for block in node.dag.delivered.values()
+                        if block.kind == BlockKind.BACKBONE
+                        and block.view <= node.last_committed]
+            assert all(entry is NO_OP
+                       or type(entry) is bytes and len(entry) == 32
+                       for entry in node.finalized.values())
+    assert held[20] == held[80]
+    assert max(held[80]) <= 2 * 4
+
+
 def _long_run(horizon):
     injections = tuple((tick, tick // 20 % 4) for tick in range(20, 2000, 20))
     return run(Scenario(n=4, seed=3, delta_post=5, delay_mode="random",
@@ -971,10 +1030,8 @@ def _long_run(horizon):
 
 
 def _held_bodies_committed(node):
-    """Committed DATA and NEW_VIEW blocks whose bodies the node holds."""
-    return [ref for ref in node.committed_log
-            if ref in node.dag.delivered
-            and node.dag.delivered[ref].kind != BlockKind.BACKBONE]
+    """Committed blocks whose bodies the node holds."""
+    return [ref for ref in node.committed_log if ref in node.dag.delivered]
 
 
 def test_collected_tables_do_not_grow_with_run_length():

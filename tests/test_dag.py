@@ -268,12 +268,14 @@ def test_collected_bodies_still_count_as_delivered():
     assert [block.digest for block in blocks] == order
     assert blocks[-1] is backbone and payload in blocks
     assert store.committed == set(order)
-    # The DATA and NEW_VIEW bodies are gone; the backbone stays.
-    assert payload.digest not in store.delivered
-    assert GENESIS_NEW_VIEW.digest not in store.delivered
-    assert store.get(backbone.digest) is backbone
-    with pytest.raises(UnknownBlockError):
-        store.get(payload.digest)
+    # Every body is gone, the backbone's too, and the committed set holds
+    # the blocks' own digests, not equal copies from ``refs``.
+    assert not store.delivered.keys() & store.committed
+    for block in blocks:
+        with pytest.raises(UnknownBlockError):
+            store.get(block.digest)
+    held = {id(ref) for ref in store.committed}
+    assert all(id(block.digest) in held for block in blocks)
     # The digests still answer ``in``, ``holds`` and ``insert``; a late
     # block on top of a collected one is delivered at once.
     assert payload.digest in store and store.holds(payload.digest)

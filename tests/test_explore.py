@@ -191,8 +191,7 @@ def _instance_state(inst):
 
 def _node_state(node):
     return (node.view,
-            {view: entry if entry == NO_OP else entry.digest
-             for view, entry in node.finalized.items()},
+            dict(node.finalized),
             list(node.committed_log), bytes(node.committed_rows),
             _dag_state(node.dag),
             dict(node.awaiting),
@@ -230,11 +229,17 @@ def _run_node(node, steps, seed):
 
 
 def _all_blocks(world):
+    """Every block a node holds as the world runs to its end, gathered at
+    each step: a commit drops the bodies it commits."""
     finished = world.clone()
-    while finished.pool:
+    blocks = {}
+    while True:
+        for node in finished.nodes.values():
+            blocks.update(node.dag.delivered)
+            blocks.update(node.dag.pending)
+        if not finished.pool:
+            return blocks
         finished.execute(0)
-    return {ref: block for node in finished.nodes.values()
-            for ref, block in node.dag.delivered.items()}
 
 
 def _busy_instance(world):

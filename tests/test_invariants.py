@@ -73,7 +73,7 @@ def audited_run():
 
 
 def view_one_block(result):
-    return result.nodes[0].finalized[1].digest
+    return result.nodes[0].finalized[1]
 
 
 def set_view_one(node, inst):
@@ -255,7 +255,7 @@ def test_commit_ancestry_names_a_block_committed_before_its_reference():
 
     dag.order_under = view_3_block_first
     result = sim.run()
-    assert moved == [result.nodes[2].finalized[3].digest]
+    assert moved == [result.nodes[2].finalized[3]]
     assert check_commit_ancestry(result) == [
         f"ancestry: node 2 committed {moved[0].hex()[:12]} before one of its "
         f"references"]
@@ -381,7 +381,7 @@ def test_liveness_reports_a_missing_or_late_commit():
     result, _ = scoped_run()
     scenario = result.scenario
     deadline = scenario.gst + scenario.timer_ticks + 4 * scenario.delta_post
-    ticks = result.trace.commit_ticks[result.nodes[0].finalized[2].digest]
+    ticks = result.trace.commit_ticks[result.nodes[0].finalized[2]]
     del ticks[2]
     ticks[3] = deadline + 1
     assert check_liveness_deadline(result) == [

@@ -114,7 +114,7 @@ def test_backbone_commits_in_three_trips():
     result = run(Scenario(n=4, seed=1, delta_post=10, horizon=3))
     node = result.nodes[0]
     for view in (1, 2, 3):
-        assert trips_to_commit(result, node.finalized[view].digest) == 3
+        assert trips_to_commit(result, node.finalized[view]) == 3
 
 
 def test_data_block_one_hop_before_proposal_takes_four_trips():
@@ -126,7 +126,7 @@ def test_data_block_one_hop_before_proposal_takes_four_trips():
     assert trips_to_commit(result, ref) == 4
     # It rides inside the new-view block embedded in view 2's proposal, so
     # it commits at the very tick the view-2 backbone commits.
-    backbone = result.nodes[0].finalized[2].digest
+    backbone = result.nodes[0].finalized[2]
     assert (result.trace.commit_ticks[ref]
             == result.trace.commit_ticks[backbone])
 
@@ -169,7 +169,7 @@ def test_equivocating_leader_adopt_path():
     result = run(Scenario(n=4, seed=5, delta_post=10, t_max=60, horizon=3,
                           strategies={1: Strategy("equivocate_init")}))
     assert_clean(result)
-    finalized = {result.nodes[i].finalized[1].digest
+    finalized = {result.nodes[i].finalized[1]
                  for i in result.scenario.correct_nodes()}
     assert len(finalized) == 1
     causes = {result.trace.view_entries[i][2][1]

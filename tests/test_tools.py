@@ -116,7 +116,7 @@ def test_peak_memory_releases_each_retained_structure(monkeypatch):
                    "DAG committed digests", "node DAGs",
                    "BBCA instances (", "BBCA outcome rows (",
                    "new_view_blocks",
-                   "held_certs", "other per-view chain"):
+                   "held_certs", "finalized digests ("):
         assert any(label.startswith(prefix) for label in labels), prefix
     assert labels[-2] == "committed logs"
     assert labels[-1].startswith("run memo (")

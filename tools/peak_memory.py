@@ -18,9 +18,9 @@ says where the run-end memory sits: it releases, one at a time and in
 this order, the unhashed trace ``records``, each trace side table, the
 DAGs' committed digests and then the DAGs, the live BBCA instances and
 the outcome rows of dropped ones, each node's ``new_view_blocks`` and
-``held_certs`` (the tables a node collects as it runs), the other
-per-view chain state, the committed logs and the run's memo of pure
-results, and prints the memory each release freed.  An object held by
+``held_certs`` (the tables a node collects as it runs), the ``finalized``
+digests with the ``awaiting`` table, the committed logs and the run's memo
+of pure results, and prints the memory each release freed.  An object held by
 two structures is counted with the later one, so the order is part of the
 figures.
 """
@@ -43,7 +43,8 @@ import workloads  # noqa: E402  (perfbench/workloads.py, read-only)
 MIB = 1024 * 1024
 
 # Per-view chain state other than the BBCA instances, the DAG, the log and
-# the tables a node collects as it runs (released first, one row each).
+# the tables a node collects as it runs (released first, one row each):
+# one digest or skip per view, and the backbones awaiting delivery.
 COLLECTED_TABLES = ("new_view_blocks", "held_certs")
 CHAIN_TABLES = ("finalized", "awaiting")
 
@@ -87,6 +88,7 @@ def releases(result) -> list[tuple[str, object]]:
     memo = nodes[0].memo  # one per run, shared by every node
     instances = sum(len(node.instances) for node in nodes)
     rows = sum(len(node.outcomes) for node in nodes)
+    views = sum(len(node.finalized) for node in nodes)
     # Every field that can be emptied: the lists and dicts, and the packed
     # deliveries.
     out = [(f"trace {field.name}", getattr(trace, field.name).clear)
@@ -97,7 +99,8 @@ def releases(result) -> list[tuple[str, object]]:
             (f"BBCA instances ({instances})", clear_each(("instances",))),
             (f"BBCA outcome rows ({rows})", clear_each(("outcomes",)))]
     out += [(name, clear_each((name,))) for name in COLLECTED_TABLES]
-    out += [("other per-view chain state", clear_each(CHAIN_TABLES)),
+    out += [(f"finalized digests ({views}), awaiting",
+             clear_each(CHAIN_TABLES)),
             ("committed logs", clear_each(("committed_log",
                                            "committed_rows"))),
             (f"run memo ({len(memo)} views)", memo.clear)]
