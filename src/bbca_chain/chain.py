@@ -46,16 +46,16 @@ from .identity import NodeId, SystemParams, sign, verify
 
 NO_OP = "NO-OP"
 
-# One (view, kind, author) row per committed block, packed like the
-# simulator's delivery rows: ``DagStore.commit`` drops the bodies of most
-# committed blocks, and the exported log still names them.
+# One packed (view, kind, author) row per committed block: ``DagStore.commit``
+# drops the bodies of committed blocks, and the exported log still names them.
 _COMMIT_ROW = struct.Struct("=QBI")
 _ROW_FIELDS = attrgetter("view", "kind", "author")
 _DIGEST = attrgetter("digest")
 
 # Enum members as module constants, like ``bbca.ECHO``.
 # Kept for +4.3% sim_long events/s (perfbench seed 5).
-_BACKBONE, _NEW_VIEW = BlockKind.BACKBONE, BlockKind.NEW_VIEW
+_BACKBONE, _NEW_VIEW, _DATA = (BlockKind.BACKBONE, BlockKind.NEW_VIEW,
+                               BlockKind.DATA)
 _COMPLETE, _ADOPT, _NOADOPT = (EvidenceKind.COMPLETE, EvidenceKind.ADOPT,
                                EvidenceKind.NOADOPT)
 
@@ -323,7 +323,9 @@ class ChainNode:
     def handle_message(self, frm: NodeId, msg: WireMsg) -> None:
         if isinstance(msg, BlockMsg):
             block = msg.block
-            if not self.dag.holds(block.digest):
+            # A DATA block carries no signature: only its author may send it.
+            if (block.author == frm or block.kind != _DATA) \
+                    and not self.dag.holds(block.digest):
                 self._ingest_block(block)
         elif isinstance(msg, BbcaMsg):
             self._handle_bbca_message(frm, msg)
@@ -613,13 +615,16 @@ class ChainNode:
                     f"{finalized_repr(view, existing, self.params)} vs "
                     f"{finalized_repr(view, ref, self.params)}")
             return
-        self.finalized[view] = ref
         # An unfinalized view lies above the committed prefix: its body is
-        # delivered.  Of its justification's certificates (one, or a noadopt
-        # quorum's anchors) the highest names the previous finalized block.
+        # delivered.  Keep the block's own digest, the object the committed
+        # log holds, not the equal copy ``ref`` may be.  Of its
+        # justification's certificates (one, or a noadopt quorum's anchors)
+        # the highest names the previous finalized block.
+        block = self.dag.get(ref)
+        self.finalized[view] = block.digest
         prev_view, prev_ref = max(
             (nvb.new_view.cert.view, nvb.new_view.cert.block_digest)
-            for nvb in self.dag.get(ref).justification.new_view_blocks)
+            for nvb in block.justification.new_view_blocks)
         for skipped in range(prev_view + 1, view):
             if self.finalized.get(skipped, NO_OP) is not NO_OP:
                 raise SafetyViolation(

@@ -13,7 +13,8 @@ the explorer's chain worlds alike; a chain leaf reports it, and
 ``check_commit_ancestry`` reads what the simulator found.  Authorship
 needs to know which DATA blocks the nodes made, which only the simulator
 does, so it checks each commit as it runs and ``check_authorship`` reads
-what it found.
+what it found.  Delay soundness is checked as the simulator schedules each
+delivery, and ``check_delay_soundness`` reads what it found.
 """
 
 from __future__ import annotations
@@ -156,15 +157,7 @@ def check_view_sync(result: RunResult, cfg=None) -> list[str]:
 
 
 def check_delay_soundness(result: RunResult, cfg=None) -> list[str]:
-    model = simnet.DelayModel(result.scenario)
-    deliveries = result.trace.deliveries
-    # One bound per distinct entry tick: every copy of a broadcast, and
-    # every broadcast of that tick, shares it.
-    bounds = {entry: model.bound(entry)
-              for entry in {entry for entry, _, _, _ in deliveries}}
-    return [f"delay: message {frm}->{to} entered at {entry} but "
-            f"delivered at {tick} (bound {bounds[entry]})"
-            for entry, tick, frm, to in deliveries if tick > bounds[entry]]
+    return list(result.trace.delays)
 
 
 def check_fault_budget(result: RunResult, cfg=None) -> list[str]:

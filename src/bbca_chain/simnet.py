@@ -23,7 +23,6 @@ import dataclasses
 import hashlib
 import heapq
 import random
-import struct
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -286,32 +285,16 @@ class Adversary:
 # gathered, so ``Trace.records`` never holds much more than one chunk.
 _DIGEST_CHUNK_LINES = 128
 
-# One (entry tick, delivery tick, frm, to) row of ``Trace.deliveries``: 24
-# bytes, against about 110 for a tuple in a list.
-_DELIVERY = struct.Struct("=qqII")
-
-
 class Deliveries:
-    """The (entry tick, delivery tick, frm, to) row of every scheduled
-    delivery, packed into one ``bytearray``; ``len()`` counts the rows and
-    iterating yields them as 4-tuples."""
+    """How many deliveries the run scheduled, which ``len()`` reads."""
 
-    __slots__ = ("packed",)
+    __slots__ = ("count",)
 
     def __init__(self):
-        self.packed = bytearray()
-
-    def append(self, row: tuple[int, int, NodeId, NodeId]) -> None:
-        self.packed += _DELIVERY.pack(*row)
-
-    def clear(self) -> None:
-        self.packed.clear()
+        self.count = 0
 
     def __len__(self) -> int:
-        return len(self.packed) // _DELIVERY.size
-
-    def __iter__(self) -> Iterator[tuple[int, int, NodeId, NodeId]]:
-        return _DELIVERY.iter_unpack(self.packed)
+        return self.count
 
 
 class BbcaSends:
@@ -368,9 +351,10 @@ class Trace:
     deliveries: Deliveries = field(default_factory=Deliveries)
     bbca_sends: BbcaSends = field(default_factory=BbcaSends)
     # ``invariants.commit_ancestry`` and ``authorship`` problems of correct
-    # nodes, as they ran
+    # nodes, and ``delay_soundness`` problems, as they ran
     ancestry: list[str] = field(default_factory=list)
     authorship: list[str] = field(default_factory=list)
+    delays: list[str] = field(default_factory=list)
     probes: dict[NodeId, list[tuple[int, int, bool, BlockRef | None]]] = \
         field(default_factory=dict)  # node -> [(tick, view, adopted, ref)]
     injected: list[tuple[int, NodeId, BlockRef]] = field(default_factory=list)
@@ -540,10 +524,11 @@ class Simulator(Driver):
     def _transmit(self, frm: NodeId, msg: WireMsg,
                   targets: tuple[NodeId, ...], lag: int) -> None:
         """Send ``msg`` to ``targets`` (ascending), entering the net after
-        ``lag`` ticks.  Inlines ``_push``, ``Trace.record`` and
-        ``Deliveries.append``; the first two kept for +2.2% sim_long
-        events/s (perfbench seed 5).  Each ``Deliver`` is built with
-        ``tuple.__new__``, so that no Python-level constructor runs."""
+        ``lag`` ticks, and note in ``Trace.delays`` each copy scheduled past
+        ``DelayModel.bound``.  Inlines ``_push`` and ``Trace.record``, kept
+        for +2.2% sim_long events/s (perfbench seed 5).  Each ``Deliver`` is
+        built with ``tuple.__new__``, so that no Python-level constructor
+        runs."""
         entry = self.now + lag
         trace = self.trace
         trace.records.append(("send", entry, frm, msg))
@@ -551,11 +536,15 @@ class Simulator(Driver):
             self._note_block_send(msg, entry)
         else:
             trace.bbca_sends.add(frm, msg.kind, msg.instance)
-        packed, queue = trace.deliveries.packed, self._queue
-        pack, new = _DELIVERY.pack, tuple.__new__
-        ticks = self.delay_model.delivery_ticks(entry, len(targets), self.rng)
+        model, queue, new = self.delay_model, self._queue, tuple.__new__
+        ticks = model.delivery_ticks(entry, len(targets), self.rng)
+        trace.deliveries.count += len(ticks)
+        bound = model.bound(entry)
         for target, tick in zip(targets, ticks):
-            packed += pack(entry, tick, frm, target)
+            if tick > bound:
+                trace.delays.append(
+                    f"delay: message {frm}->{target} entered at {entry} but "
+                    f"delivered at {tick} (bound {bound})")
             bucket = queue[tick]
             if not bucket:
                 heapq.heappush(self._ticks, tick)

@@ -7,8 +7,9 @@ mutant body is the original handler with one rule changed, and the comment
 on that rule says what changed.
 """
 
-from bbca_chain.bbca import ECHO, READY, BbcaInstance, vote_row
+from bbca_chain.bbca import ECHO, READY, BbcaInstance, BbcaMsg, vote_row
 from bbca_chain.blocks import Cert, CertKind
+from bbca_chain.chain import BlockMsg, ChainNode
 from bbca_chain.dag import DagStore
 
 
@@ -119,6 +120,18 @@ def _commit_in_reverse(self, backbone):
     return blocks
 
 
+def _handle_message_from_any_sender(self, frm, msg):
+    """``ChainNode.handle_message`` filing a DATA block whoever sends it."""
+    if isinstance(msg, BlockMsg):
+        block = msg.block
+        if not self.dag.holds(block.digest):  # mutated
+            self._ingest_block(block)
+    elif isinstance(msg, BbcaMsg):
+        self._handle_bbca_message(frm, msg)
+    if self.rules_dirty:
+        self._evaluate_view_rules()
+
+
 def _bbca_clone_sharing_received_echo(self):
     """``BbcaInstance.clone`` whose twin shares ``received_echo``."""
     twin = object.__new__(BbcaInstance)
@@ -167,6 +180,9 @@ MUTANTS = {
         BbcaInstance, "on_ready", _on_ready_completing_at_quorum_minus_one),
     # Each commit batch in reverse order.
     "reversed_commit_batches": (DagStore, "commit", _commit_in_reverse),
+    # A DATA block is filed from any sender, not only from its author.
+    "data_from_any_sender": (
+        ChainNode, "handle_message", _handle_message_from_any_sender),
     # A BBCA instance's clone shares its ECHO signer set with the original.
     "bbca_clone_shares_received_echo": (
         BbcaInstance, "clone", _bbca_clone_sharing_received_echo),

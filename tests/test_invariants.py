@@ -4,6 +4,7 @@ ECHO/READY traffic is dropped on every path into a broadcast instance."""
 
 import pytest
 
+import mutants
 from bbca_chain import explore as ex
 from bbca_chain import harness
 from bbca_chain.bbca import BbcaInstance, BbcaMsg, InstanceId, MsgKind
@@ -318,7 +319,9 @@ def forged_run():
     return config, sim.run()
 
 
-def test_authorship_reports_a_forged_data_block_at_each_correct_node():
+def test_authorship_reports_a_forged_data_block_at_each_correct_node(
+        monkeypatch):
+    mutants.apply(monkeypatch, "data_from_any_sender")
     _config, result = forged_run()
     assert [result.nodes[i].committed_log[1] for i in range(3)] == \
         [FORGED.digest] * 3
@@ -328,12 +331,10 @@ def test_authorship_reports_a_forged_data_block_at_each_correct_node():
         for i in range(3)]
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "a correct node files a BlockMsg's block without comparing the sender "
-    "with the block's author, so a byzantine peer commits DATA blocks in a "
-    "correct node's name (ROADMAP item 18)"))
 def test_a_forged_data_block_is_not_committed():
     config, result = forged_run()
+    assert not any(FORGED.digest in node.committed_log
+                   for node in result.nodes.values())
     assert not any(harness.evaluate(result, config).values())
 
 

@@ -9,6 +9,8 @@ from bbca_chain import explore as ex
 from bbca_chain import harness
 from bbca_chain.scenario import parse_config
 
+from test_invariants import forged_run
+
 # n=4 with a byzantine node 1 that withholds its READYs; timers fire before
 # GST, so correct nodes probe while echoes are still in flight.
 WITHHOLD_READY_N4 = {
@@ -26,13 +28,18 @@ CAMPAIGN = [(WITHHOLD_READY_N4, range(4)), (REPLAY_N4, range(8))]
 # must report each of them.
 KILLERS = {"reversed_commit_batches": "commit_ancestry",
            "echo_twice": "echo_once",
-           "bbca_clone_shares_received_echo": "validity"}
+           "bbca_clone_shares_received_echo": "validity",
+           "data_from_any_sender": "authorship"}
 
 # Mutants of a clone act only where explorer worlds fork (the simulator
 # never clones): the case whose leaves must report each, at depth 2.  The
 # memo is the one structure clones share on purpose.
 FORKED = {"bbca_clone_shares_received_echo": ex.bbca_correct_sender,
           "dag_clone_shares_missing": ex.chain_two_views}
+
+# Mutants that act only on a message no adversary strategy sends: the
+# (config, result) run, with that message planted, that must report each.
+PLANTED = {"data_from_any_sender": forged_run}
 
 # Mutants that no named check reports within the campaign, or at the leaves
 # of their explorer case; each has a ``FOUND:`` line in CHANGES.md.
@@ -105,12 +112,27 @@ def reporting_checks(raw, seeds) -> set[str]:
             if problems}
 
 
-@pytest.mark.parametrize("name", sorted(set(KILLERS) - set(FORKED)))
+@pytest.mark.parametrize("name",
+                         sorted(set(KILLERS) - set(FORKED) - set(PLANTED)))
 def test_one_named_check_alone_kills_mutant(monkeypatch, name):
     raw, seeds = WITHHOLD_READY_N4, range(4)
     assert reporting_checks(raw, seeds) == set()
     mutants.apply(monkeypatch, name)
     assert reporting_checks(raw, seeds) == {KILLERS[name]}
+
+
+def planted_reports(name) -> set[str]:
+    """The checks that report a problem in the planted run of ``name``."""
+    config, result = PLANTED[name]()
+    return {check for check, problems
+            in harness.evaluate(result, config).items() if problems}
+
+
+@pytest.mark.parametrize("name", sorted(PLANTED))
+def test_one_named_check_alone_kills_planted_mutant(monkeypatch, name):
+    assert planted_reports(name) == set()
+    mutants.apply(monkeypatch, name)
+    assert planted_reports(name) == {KILLERS[name]}
 
 
 def test_echo_once_reports_each_second_echo(monkeypatch):

@@ -32,9 +32,7 @@ from bbca_chain.simnet import (
     BbcaSends,
     DelayModel,
     Deliver,
-    Deliveries,
     PreGstPolicy,
-    RunResult,
     Scenario,
     Simulator,
     Strategy,
@@ -207,44 +205,82 @@ def test_equivocating_data_blocks_commit_deterministically():
     assert_clean(result)
 
 
-def test_pre_gst_drop_policy_delivers_at_gst():
+def listing_ticks(rows):
+    """A ``DelayModel.delivery_ticks`` that also appends each (entry tick,
+    delivery tick) it draws to ``rows``."""
+    delivery_ticks = DelayModel.delivery_ticks
+
+    def listing(model, sent, count, rng):
+        ticks = delivery_ticks(model, sent, count, rng)
+        rows.extend((sent, tick) for tick in ticks)
+        return ticks
+
+    return listing
+
+
+def test_pre_gst_drop_policy_delivers_at_gst(monkeypatch):
+    rows = []
+    monkeypatch.setattr(DelayModel, "delivery_ticks", listing_ticks(rows))
     scenario = Scenario(n=4, seed=6, delta_post=10, gst=100,
                         pre_gst=PreGstPolicy("drop"), horizon=3)
     result = run(scenario)
     assert check_delay_soundness(result) == []
-    for entry, tick, _frm, _to in result.trace.deliveries:
+    assert any(entry < 100 for entry, _ in rows)
+    for entry, tick in rows:
         if entry < 100:
             assert tick >= 100
     assert_clean(result)
 
 
 def test_delay_soundness_reports_only_late_deliveries(monkeypatch):
-    # gst 100, delta_post 10: a message entering at 50 may land by 110, one
-    # entering at 120 by 130.
-    scenario = Scenario(n=4, gst=100, delta_post=10)
-    result = RunResult(scenario, Trace(), {})
-    rows = [
-        (50, 110, 0, 1),   # pre-GST, on time at its bound
-        (120, 130, 1, 2),  # post-GST, on time at its bound
-        (120, 131, 2, 3),  # post-GST, one tick late
-    ]
-    for row in rows:
-        result.trace.deliveries.append(row)
-    entries = []
-    bound = DelayModel.bound
+    # gst 30, delta_post 5: a message entering before 30 may land by 35, one
+    # entering at 30 or later within 5 ticks.  Node 2 lags its own sends.
+    def bound(entry):
+        return entry + 5 if entry >= 30 else 35
 
-    def counted(model, sent):
-        entries.append(sent)
-        return bound(model, sent)
+    sends = []  # (frm, targets, entry, lag) of every transmit, in order
+    transmit = Simulator._transmit
+    delivery_ticks = DelayModel.delivery_ticks
+    model_bound = DelayModel.bound
+    bounds = []  # every entry tick ``DelayModel.bound`` was asked about
 
-    monkeypatch.setattr(DelayModel, "bound", counted)
+    def tracking_transmit(sim, frm, msg, targets, lag):
+        sends.append((frm, targets, sim.now + lag, lag))
+        transmit(sim, frm, msg, targets, lag)
+
+    def last_copy_late(model, sent, count, rng):
+        # The first copy lands on time at its bound, the last one tick late.
+        ticks = delivery_ticks(model, sent, count, rng)
+        if count:
+            ticks[0] = bound(sent)
+            ticks[-1] = bound(sent) + 1
+        return ticks
+
+    def counted_bound(model, sent):
+        bounds.append(sent)
+        return model_bound(model, sent)
+
+    monkeypatch.setattr(Simulator, "_transmit", tracking_transmit)
+    monkeypatch.setattr(DelayModel, "delivery_ticks", last_copy_late)
+    monkeypatch.setattr(DelayModel, "bound", counted_bound)
+    sim = Simulator(Scenario(
+        n=4, seed=3, gst=30, delta_post=5, delay_mode="random",
+        pre_gst=PreGstPolicy("adversarial", 20), horizon=3,
+        strategies={2: Strategy("delay_own", max_delay=20)}))
+    result = sim.run()
+    assert any(entry < 30 for _, _, entry, _ in sends)  # pre-GST sends
+    assert any(frm == 2 and lag for frm, _, _, lag in sends)  # lagged ones
+    assert all(len(targets) > 1 for _, targets, _, _ in sends)
     assert check_delay_soundness(result) == [
-        "delay: message 2->3 entered at 120 but delivered at 131 (bound 130)"]
-    assert sorted(entries) == [50, 120]  # once per distinct entry tick
-    result.trace.deliveries = Deliveries()
-    for row in rows[:-1]:
-        result.trace.deliveries.append(row)
-    assert check_delay_soundness(result) == []
+        f"delay: message {frm}->{targets[-1]} entered at {entry} but "
+        f"delivered at {bound(entry) + 1} (bound {bound(entry)})"
+        for frm, targets, entry, _ in sends]
+    assert bounds == [entry for _, _, entry, _ in sends]  # once per send
+    # A send to no one schedules nothing and reports nothing.
+    late, scheduled = list(result.trace.delays), len(result.trace.deliveries)
+    sim._transmit(0, BlockMsg(GENESIS_BLOCK), (), 0)
+    assert result.trace.delays == late
+    assert len(result.trace.deliveries) == scheduled
 
 
 def test_view_sync_bounds_hold_post_gst():
@@ -694,31 +730,14 @@ def test_the_message_memo_lives_for_one_flush():
         "\n".join(lines).encode()).hexdigest()
 
 
-def test_packed_deliveries_are_the_scheduled_rows(monkeypatch):
-    rows = []  # (entry, tick, frm, to) of every scheduled copy
-    sending = []  # (frm, targets) of the transmit in progress
-    transmit = Simulator._transmit
-    delivery_ticks = DelayModel.delivery_ticks
-
-    def tracking_transmit(sim, frm, msg, targets, lag):
-        sending.append((frm, targets))
-        transmit(sim, frm, msg, targets, lag)
-        sending.pop()
-
-    def listing_ticks(model, sent, count, rng):
-        ticks = delivery_ticks(model, sent, count, rng)
-        frm, targets = sending[-1]
-        rows.extend((sent, tick, frm, to) for to, tick in zip(targets, ticks))
-        return ticks
-
-    monkeypatch.setattr(Simulator, "_transmit", tracking_transmit)
-    monkeypatch.setattr(DelayModel, "delivery_ticks", listing_ticks)
+def test_deliveries_count_the_scheduled_rows(monkeypatch):
+    rows = []  # (entry, tick) of every scheduled copy
+    monkeypatch.setattr(DelayModel, "delivery_ticks", listing_ticks(rows))
     for scenario, digest in SHAPES.values():
         rows.clear()
         result = run(scenario)
         assert result.trace.digest() == digest
         assert len(result.trace.deliveries) == len(rows) > 0
-        assert list(result.trace.deliveries) == rows
 
 
 # -- scheduling order ---------------------------------------------------------

@@ -89,8 +89,8 @@ def releases(result) -> list[tuple[str, object]]:
     instances = sum(len(node.instances) for node in nodes)
     rows = sum(len(node.outcomes) for node in nodes)
     views = sum(len(node.finalized) for node in nodes)
-    # Every field that can be emptied: the lists and dicts, and the packed
-    # deliveries.
+    # Every field that can be emptied: the lists, the dicts and the echo-once
+    # table; the deliveries are only a count.
     out = [(f"trace {field.name}", getattr(trace, field.name).clear)
            for field in fields(trace)
            if hasattr(getattr(trace, field.name), "clear")]
