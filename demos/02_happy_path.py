@@ -7,7 +7,8 @@ commits in exactly 4 hops: its own best-effort broadcast plus the proposal's
 three.
 """
 
-from bbca_chain.simnet import Scenario, Simulator, trips_to_commit
+from bbca_chain.invariants import trips_to_commit
+from bbca_chain.simnet import Scenario, Simulator
 
 scenario = Scenario(n=4, seed=1, delta_post=10, horizon=3,
                     injections=((20, 0),))

@@ -7,7 +7,8 @@ from .blocks import Block, BlockKind, Cert, decode_block, encode_block
 from .chain import ChainNode, SafetyViolation, get_proposer
 from .dag import DagStore
 from .identity import NodeId, Signature, SystemParams, params_for, sign, verify
-from .simnet import RunResult, Scenario, Simulator, Strategy, run, trips_to_commit
+from .invariants import trips_to_commit
+from .simnet import RunResult, Scenario, Simulator, Strategy, run
 
 __all__ = [
     "BbcaInstance", "BbcaMsg", "InstanceId",

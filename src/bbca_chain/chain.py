@@ -18,7 +18,7 @@ from __future__ import annotations
 import struct
 from itertools import starmap
 from operator import attrgetter
-from typing import NamedTuple, Union
+from typing import Iterator, NamedTuple, Union
 
 from .bbca import BbcaInstance, BbcaMsg, InstanceId, Memo, new_memo
 from .blocks import (
@@ -358,11 +358,14 @@ class ChainNode:
         # Proposal bytes ride inside INIT/ECHO/READY; file them into the DAG
         # on first sight so causal delivery can gate completion.  The memo
         # decodes each message once; bytes that do not decode file nothing.
+        # Only a proposal's kind, a backbone, is filed: any node may send an
+        # INIT, and nothing there vouches for a DATA block's author.
         try:
             block = self.memo[view][(decode_block, message)]
         except EncodingError:
             block = None
-        if block is not None and not self.dag.holds(block.digest):
+        if block is not None and block.kind == _BACKBONE \
+                and not self.dag.holds(block.digest):
             self._ingest_block(block)
         if inst is None:
             inst = self._instance_for(view)
@@ -634,9 +637,14 @@ class ChainNode:
 
     # -- exported state ---------------------------------------------------
 
+    def committed_entries(self) -> Iterator[tuple[BlockRef, tuple]]:
+        """(digest, (view, kind, author)) per committed block, in log order;
+        the kind is a ``BlockKind`` value."""
+        return zip(self.committed_log,
+                   _COMMIT_ROW.iter_unpack(self.committed_rows))
+
     def committed_log_export(self) -> list[tuple[int, int, str, str, int]]:
         """(position, view, digest hex, kind, author) per committed block."""
-        rows = _COMMIT_ROW.iter_unpack(self.committed_rows)
         return [(position, view, ref.hex(), BlockKind(kind).name, author)
                 for position, (ref, (view, kind, author))
-                in enumerate(zip(self.committed_log, rows))]
+                in enumerate(self.committed_entries())]

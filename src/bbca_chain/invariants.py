@@ -7,14 +7,14 @@ views, trip counts, liveness deadlines, censorship cutoffs) read their
 parameters from the harness config's ``expect`` block.  Agreement, prefix
 consistency and the per-instance BBCA rules take plain values, so the
 explorer checks its chain and BBCA leaves with the same functions.
-Commit ancestry reads the blocks each ``Committed`` record carries, so
-``simnet.Driver``'s drain checks it once per event, for the simulator and
-the explorer's chain worlds alike; a chain leaf reports it, and
-``check_commit_ancestry`` reads what the simulator found.  Authorship
-needs to know which DATA blocks the nodes made, which only the simulator
-does, so it checks each commit as it runs and ``check_authorship`` reads
-what it found.  Delay soundness is checked as the simulator schedules each
-delivery, and ``check_delay_soundness`` reads what it found.
+Two checks run online, because the run throws their input away.  Commit
+ancestry reads the blocks each ``Committed`` record carries, whose bodies
+the DAG drops at commit, so ``simnet.Driver``'s drain checks it once per
+event, for the simulator and the explorer's chain worlds alike; a chain
+leaf reports it, and ``check_commit_ancestry`` reads what the simulator
+found.  Delay soundness is checked as the simulator schedules each
+delivery, and ``check_delay_soundness`` reads what it found.  Authorship
+reads what the run keeps: the committed logs and ``trace.injected``.
 """
 
 from __future__ import annotations
@@ -28,9 +28,6 @@ from .blocks import Block, BlockKind, BlockRef
 from .chain import (CERT_DRIVEN_CAUSES, NO_OP, ChainNode, finalized_repr,
                     get_proposer)
 from .identity import NodeId
-# A module reference: the simulator calls ``commit_ancestry`` and
-# ``authorship`` as it runs, so each of the two modules imports the other.
-from . import simnet
 
 if TYPE_CHECKING:
     from .simnet import RunResult
@@ -100,25 +97,21 @@ def check_commit_ancestry(result: RunResult, cfg=None) -> list[str]:
     return list(result.trace.ancestry)
 
 
-def authorship(node_id: NodeId, blocks: list[Block], correct: list[NodeId],
-               made: set[BlockRef]) -> list[str]:
-    """Each DATA block in a correct node's name that ``node_id`` committed
-    is one that node made; ``made`` holds every DATA block a node made."""
-    problems = []
-    for block in blocks:
-        if block.kind == BlockKind.DATA and block.author in correct \
-                and block.digest not in made:
-            problems.append(
-                f"authorship: node {node_id} committed DATA block "
-                f"{block.digest.hex()[:12]} that node {block.author} never "
-                f"made")
-    return problems
-
-
 def check_authorship(result: RunResult, cfg=None) -> list[str]:
-    """``authorship``, as the simulator checked it at each commit of a
-    correct node."""
-    return list(result.trace.authorship)
+    """Each DATA block in a correct node's name that a correct node
+    committed is one that node made: a block of ``trace.injected``."""
+    correct = result.scenario.correct_nodes()
+    made = {ref for _tick, _node, ref in result.trace.injected}
+    problems = []
+    for node_id in correct:
+        for ref, (_view, kind, author) in \
+                result.nodes[node_id].committed_entries():
+            if kind == BlockKind.DATA and author in correct \
+                    and ref not in made:
+                problems.append(
+                    f"authorship: node {node_id} committed DATA block "
+                    f"{ref.hex()[:12]} that node {author} never made")
+    return problems
 
 
 def check_log_identical(result: RunResult, cfg=None) -> list[str]:
@@ -285,11 +278,24 @@ class TripRow(NamedTuple):
     expected: object           # as written in the config
 
 
+def trips_to_commit(result: RunResult, ref: BlockRef) -> Fraction:
+    """Commit latency of one block in units of the uniform hop delay."""
+    trace = result.trace
+    if ref not in trace.send_ticks:
+        raise ValueError("block never entered the network")
+    commits = trace.commit_ticks.get(ref, {})
+    correct = result.scenario.correct_nodes()
+    if any(node not in commits for node in correct):
+        raise ValueError("block not committed by every correct node")
+    first = min(commits[node] for node in correct)
+    return Fraction(first - trace.send_ticks[ref], result.scenario.delta_post)
+
+
 def _trips_or_none(result: RunResult, ref) -> Fraction | None:
     if ref is None or ref is NO_OP:
         return None
     try:
-        return simnet.trips_to_commit(result, ref)
+        return trips_to_commit(result, ref)
     except ValueError:
         return None
 

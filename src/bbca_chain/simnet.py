@@ -25,7 +25,6 @@ import heapq
 import random
 from collections import defaultdict
 from dataclasses import dataclass, field
-from fractions import Fraction
 from operator import attrgetter
 from typing import Iterator, NamedTuple
 
@@ -350,10 +349,9 @@ class Trace:
     send_ticks: dict[BlockRef, int] = field(default_factory=dict)
     deliveries: Deliveries = field(default_factory=Deliveries)
     bbca_sends: BbcaSends = field(default_factory=BbcaSends)
-    # ``invariants.commit_ancestry`` and ``authorship`` problems of correct
-    # nodes, and ``delay_soundness`` problems, as they ran
+    # What the two online checks found as they ran: ``commit_ancestry`` at
+    # correct nodes, and ``delay_soundness``
     ancestry: list[str] = field(default_factory=list)
-    authorship: list[str] = field(default_factory=list)
     delays: list[str] = field(default_factory=list)
     probes: dict[NodeId, list[tuple[int, int, bool, BlockRef | None]]] = \
         field(default_factory=dict)  # node -> [(tick, view, adopted, ref)]
@@ -488,7 +486,6 @@ class Simulator(Driver):
         self.nodes = {i: ChainNode(i, scenario.params, scenario.horizon, memo)
                       for i in range(scenario.n)}
         self.correct = scenario.correct_nodes()
-        self.made: set[BlockRef] = set()  # every DATA block a node made
         self.everyone = tuple(range(scenario.n))
         self.adversaries = {
             i: Adversary(i, strategy, self.everyone, self.rng)
@@ -566,9 +563,6 @@ class Simulator(Driver):
                 ticks.setdefault(block.digest, {})[node_id] = now
             trace.record("commit", now, node_id, view,
                          ",".join(b.digest.hex()[:12] for b in blocks))
-            if node_id not in self.adversaries:
-                trace.authorship += invariants.authorship(
-                    node_id, blocks, self.correct, self.made)
         else:  # Probed
             view, adopted, ref = out
             trace.probes.setdefault(node_id, []).append(
@@ -646,7 +640,6 @@ class Simulator(Driver):
             self.nodes[event.node].handle_timer(event.view)
         else:
             block = self.nodes[event.node].submit_payload(event.payload)
-            self.made.add(block.digest)
             self.trace.injected.append((self.now, event.node, block.digest))
             self.trace.record("inject", self.now, event.node,
                               block.digest.hex()[:12])
@@ -669,16 +662,3 @@ class Simulator(Driver):
 
 def run(scenario: Scenario) -> RunResult:
     return Simulator(scenario).run()
-
-
-def trips_to_commit(result: RunResult, ref: BlockRef) -> Fraction:
-    """Commit latency of one block in units of the uniform hop delay."""
-    trace = result.trace
-    if ref not in trace.send_ticks:
-        raise ValueError("block never entered the network")
-    commits = trace.commit_ticks.get(ref, {})
-    correct = result.scenario.correct_nodes()
-    if any(node not in commits for node in correct):
-        raise ValueError("block not committed by every correct node")
-    first = min(commits[node] for node in correct)
-    return Fraction(first - trace.send_ticks[ref], result.scenario.delta_post)

@@ -8,9 +8,10 @@ on that rule says what changed.
 """
 
 from bbca_chain.bbca import ECHO, READY, BbcaInstance, BbcaMsg, vote_row
-from bbca_chain.blocks import Cert, CertKind
-from bbca_chain.chain import BlockMsg, ChainNode
+from bbca_chain.blocks import Cert, CertKind, decode_block
+from bbca_chain.chain import BlockMsg, ChainNode, get_proposer
 from bbca_chain.dag import DagStore
+from bbca_chain.encoding import EncodingError
 
 
 def _on_init_echoing_twice(self, message, frm):
@@ -132,6 +133,39 @@ def _handle_message_from_any_sender(self, frm, msg):
         self._evaluate_view_rules()
 
 
+def _handle_bbca_message_filing_any_block(self, frm, msg):
+    """``ChainNode._handle_bbca_message`` filing any block it decodes."""
+    _, bid, message, _ = msg
+    sender, view = bid
+    inst = self.instances.get(view)
+    if inst is None:
+        if view < 1 or sender != get_proposer(view, self.params):
+            return
+    elif inst.instance != bid:
+        return
+    try:
+        block = self.memo[view][(decode_block, message)]
+    except EncodingError:
+        block = None
+    if block is not None and not self.dag.holds(block.digest):  # mutated
+        self._ingest_block(block)
+    if inst is None:
+        inst = self._instance_for(view)
+        if inst is None:
+            return
+    outs, cert = inst.handle_message(frm, msg)
+    self.outbox.extend(outs)
+    if cert is not None:
+        if view >= self.anchor_floor:
+            self.held_certs.setdefault(view, cert)
+        if cert.kind == CertKind.ADOPT:
+            return
+        if cert.block_digest in self.dag:
+            self._on_bbca_complete(cert)
+        else:
+            self.awaiting[cert.block_digest] = cert
+
+
 def _bbca_clone_sharing_received_echo(self):
     """``BbcaInstance.clone`` whose twin shares ``received_echo``."""
     twin = object.__new__(BbcaInstance)
@@ -183,6 +217,10 @@ MUTANTS = {
     # A DATA block is filed from any sender, not only from its author.
     "data_from_any_sender": (
         ChainNode, "handle_message", _handle_message_from_any_sender),
+    # Any block an INIT, ECHO or READY carries is filed, not only a backbone.
+    "bbca_files_any_block": (
+        ChainNode, "_handle_bbca_message",
+        _handle_bbca_message_filing_any_block),
     # A BBCA instance's clone shares its ECHO signer set with the original.
     "bbca_clone_shares_received_echo": (
         BbcaInstance, "clone", _bbca_clone_sharing_received_echo),

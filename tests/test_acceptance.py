@@ -13,7 +13,7 @@ import pytest
 from bbca_chain import explore as ex
 from bbca_chain import harness
 from bbca_chain.chain import NO_OP
-from bbca_chain.invariants import check_view_sync
+from bbca_chain.invariants import check_view_sync, trips_to_commit
 from bbca_chain.scenario import parse_config
 from bbca_chain.simnet import (
     PreGstPolicy,
@@ -21,7 +21,6 @@ from bbca_chain.simnet import (
     Simulator,
     Strategy,
     run,
-    trips_to_commit,
 )
 
 CAMPAIGN_SEEDS = 1000

@@ -300,15 +300,15 @@ def test_commit_ancestry_checks_every_batch_of_an_event_together():
 FORGED = make_data(0, 1, [GENESIS_REF], b"forged-by-3")
 
 
-def forged_run():
+def forged_run(forgery=BlockMsg(FORGED)):
     """n=4, seed 1, horizon 4: byzantine node 3 (``delay_own`` with no lag)
-    also sends, with its first message, a DATA block in node 0's name that
-    node 0 never made."""
+    also sends, with its first message, ``forgery``: by default a DATA
+    block in node 0's name that node 0 never made."""
     config = parse_config({"name": "forged", "n": 4, "seed": 1, "horizon": 4,
                            "adversary": {"3": {"strategy": "delay_own"}}})
     sim = Simulator(config.scenario)
     outgoing = sim.adversaries[3].outgoing
-    forgeries = [(BlockMsg(FORGED), sim.everyone, 0)]
+    forgeries = [(forgery, sim.everyone, 0)]
 
     def forging(msg):
         sends = outgoing(msg) + forgeries
@@ -336,6 +336,34 @@ def test_a_forged_data_block_is_not_committed():
     assert not any(FORGED.digest in node.committed_log
                    for node in result.nodes.values())
     assert not any(harness.evaluate(result, config).values())
+
+
+def bbca_forged_run(view=1):
+    """``forged_run`` with the forged block riding in an INIT of ``view``'s
+    instance: unsigned, so any node can send one in the leader's name."""
+    bid = InstanceId(get_proposer(view, params_for(4)), view)
+    return forged_run(BbcaMsg(MsgKind.INIT, bid, FORGED.encoded))
+
+
+@pytest.mark.parametrize("view", [1, 2, 3])
+def test_a_forged_data_block_in_a_bbca_message_is_not_committed(view):
+    config, result = bbca_forged_run(view)
+    assert not any(FORGED.digest in node.committed_log
+                   for node in result.nodes.values())
+    assert not any(harness.evaluate(result, config).values())
+
+
+@pytest.mark.parametrize("view", [1, 2, 3])
+def test_authorship_reports_a_data_block_a_bbca_message_filed(monkeypatch,
+                                                               view):
+    mutants.apply(monkeypatch, "bbca_files_any_block")
+    _config, result = bbca_forged_run(view)
+    assert all(FORGED.digest in node.committed_log
+               for node in result.nodes.values())
+    assert check_authorship(result) == [
+        f"authorship: node {i} committed DATA block "
+        f"{FORGED.digest.hex()[:12]} that node 0 never made"
+        for i in range(3)]
 
 
 # -- scenario-scoped checks that a clean run never trips --------------------------

@@ -9,7 +9,7 @@ from bbca_chain import explore as ex
 from bbca_chain import harness
 from bbca_chain.scenario import parse_config
 
-from test_invariants import forged_run
+from test_invariants import bbca_forged_run, forged_run
 
 # n=4 with a byzantine node 1 that withholds its READYs; timers fire before
 # GST, so correct nodes probe while echoes are still in flight.
@@ -29,7 +29,8 @@ CAMPAIGN = [(WITHHOLD_READY_N4, range(4)), (REPLAY_N4, range(8))]
 KILLERS = {"reversed_commit_batches": "commit_ancestry",
            "echo_twice": "echo_once",
            "bbca_clone_shares_received_echo": "validity",
-           "data_from_any_sender": "authorship"}
+           "data_from_any_sender": "authorship",
+           "bbca_files_any_block": "authorship"}
 
 # Mutants of a clone act only where explorer worlds fork (the simulator
 # never clones): the case whose leaves must report each, at depth 2.  The
@@ -39,7 +40,8 @@ FORKED = {"bbca_clone_shares_received_echo": ex.bbca_correct_sender,
 
 # Mutants that act only on a message no adversary strategy sends: the
 # (config, result) run, with that message planted, that must report each.
-PLANTED = {"data_from_any_sender": forged_run}
+PLANTED = {"data_from_any_sender": forged_run,
+           "bbca_files_any_block": bbca_forged_run}
 
 # Mutants that no named check reports within the campaign, or at the leaves
 # of their explorer case; each has a ``FOUND:`` line in CHANGES.md.

@@ -15,7 +15,7 @@ from bbca_chain.blocks import GENESIS_BLOCK, CertKind, decode_block
 from bbca_chain.chain import NO_OP, BlockMsg, ChainNode, SafetyViolation
 from bbca_chain.dag import DagStore
 from bbca_chain.encoding import EncodingError
-from bbca_chain.identity import ConfigError
+from bbca_chain.identity import ConfigError, params_for
 from bbca_chain.invariants import (
     check_agreement,
     check_commit_ancestry,
@@ -25,6 +25,7 @@ from bbca_chain.invariants import (
     check_prefix_consistency,
     check_view_sync,
     echo_once,
+    trips_to_commit,
 )
 from bbca_chain.simnet import (
     _DIGEST_CHUNK_LINES,
@@ -40,7 +41,6 @@ from bbca_chain.simnet import (
     _describe,
     randints,
     run,
-    trips_to_commit,
 )
 
 from test_golden_digests import SHAPES
@@ -146,8 +146,10 @@ def test_trips_error_when_never_committed():
     result = run(Scenario(n=4, seed=1, delta_post=10, horizon=1,
                           injections=((200, 0),)))
     (_, _, ref), = result.trace.injected
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not committed by every"):
         trips_to_commit(result, ref)
+    with pytest.raises(ValueError, match="never entered the network"):
+        trips_to_commit(result, bytes(32))
 
 
 def test_silent_leader_view_skipped_everywhere():
@@ -536,6 +538,24 @@ def test_equivocating_init_leader_does_not_stall_commits():
                           horizon=4,
                           strategies={1: Strategy("equivocate_init")}))
     assert check_growth(result) == []
+
+
+def test_equivocate_init_passes_a_ready_and_undecodable_bytes_unchanged():
+    # Only a decodable INIT or sender ECHO gets a twin: the sender's own
+    # READY, and an INIT whose bytes are no block, go to everyone as sent.
+    everyone = (0, 1, 2, 3)
+    adversary = Adversary(1, Strategy("equivocate_init"), everyone,
+                          random.Random(0))
+    bid = InstanceId(1, 1)
+    init, echo = BbcaInstance(params_for(4), bid, 1).broadcast(
+        GENESIS_BLOCK.encoded)
+    assert len(adversary.outgoing(init)) == 2  # decodable: twinned
+    ready = BbcaMsg(MsgKind.READY, bid, init.message, echo.sig)
+    garbled = BbcaMsg(MsgKind.INIT, bid, b"not a block")
+    with pytest.raises(EncodingError):
+        decode_block(garbled.message)
+    for msg in (ready, garbled):
+        assert adversary.outgoing(msg) == [(msg, everyone, 0)]
 
 
 # -- delay draws ----------------------------------------------------------------
