@@ -496,7 +496,15 @@ class ChainNode:
             inst = instances.get(old)
             if inst is not None and inst.final():
                 del instances[old]
-                self.outcomes[old] = inst.outcome()
+                completed, adoptable = inst.outcome()
+                # Hold the finalized digest object, not an equal copy.
+                final = self.finalized.get(old)
+                if final is not None and final is not NO_OP:
+                    if completed == final:
+                        completed = final
+                    if adoptable == final:
+                        adoptable = final
+                self.outcomes[old] = (completed, adoptable)
         # Raise the anchor floor; every held view below it is one passed
         # since the last raise.
         held, floor = self.held_certs, view

@@ -14,7 +14,8 @@ messages, or lagging its own sends.
 ``Driver`` is the one way nodes are driven, here and in the explorer's chain
 worlds: it starts the nodes and drains what each event makes a node emit,
 routing wire messages through the node's adversary, if any, and checking
-the event's commits with ``invariants.commit_ancestry``.
+the event's commits with ``invariants.commit_ancestry``.  What a run
+records, and the packed tables it keeps, are ``trace.Trace``'s.
 """
 
 from __future__ import annotations
@@ -25,13 +26,13 @@ import heapq
 import random
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import starmap
 from operator import attrgetter
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from . import invariants
-from .bbca import ECHO, INIT, READY, BbcaInstance, BbcaMsg, InstanceId, \
-    MsgKind, new_memo
-from .blocks import Block, BlockKind, BlockRef, decode_block
+from .bbca import INIT, READY, BbcaInstance, BbcaMsg, new_memo
+from .blocks import Block, BlockKind, decode_block
 from .chain import (
     WIRE_TYPES,
     BlockMsg,
@@ -41,8 +42,10 @@ from .chain import (
     ViewEntered,
     WireMsg,
 )
-from .encoding import EncodingError, digest32
+from .encoding import EncodingError
 from .identity import ConfigError, NodeId, SystemParams, params_for
+from .trace import _DIGEST_CHUNK_LINES, CAUSE_CODES, ENTRY, NOT_YET_BYTES, \
+    TICK, Trace, ViewLog
 
 # A kind constant like ``bbca.INIT``: +1.8% campaign_byz runs/s (seed 5).
 _DATA = BlockKind.DATA
@@ -278,140 +281,6 @@ class Adversary:
         return [(msg, self.everyone, 0)]
 
 
-# -- trace --------------------------------------------------------------------
-
-# The simulator hashes the waiting trace records once this many have
-# gathered, so ``Trace.records`` never holds much more than one chunk.
-_DIGEST_CHUNK_LINES = 128
-
-class Deliveries:
-    """How many deliveries the run scheduled, which ``len()`` reads."""
-
-    __slots__ = ("count",)
-
-    def __init__(self):
-        self.count = 0
-
-    def __len__(self) -> int:
-        return self.count
-
-
-class BbcaSends:
-    """How often each node sent ECHO and READY per BBCA instance, for
-    ``echo_once``, which reports only counts above 1.
-
-    ``first`` maps each instance to a bit mask: bit ``2 * node + kind -
-    ECHO`` is set once that node sent that kind.  ``repeats`` maps (sending
-    node, ``MsgKind``, ``InstanceId``) to the total sends, for each key sent
-    more than once.  An instance costs one entry whatever view it names.
-    """
-
-    __slots__ = ("first", "repeats")
-
-    def __init__(self):
-        self.first: dict[InstanceId, int] = {}
-        self.repeats: dict[tuple[NodeId, MsgKind, InstanceId], int] = {}
-
-    def add(self, frm: NodeId, kind: MsgKind, instance: InstanceId) -> None:
-        bit = 1 << (2 * frm + kind - ECHO)
-        mask = self.first.get(instance, 0)
-        if mask & bit:
-            key = (frm, kind, instance)
-            self.repeats[key] = self.repeats.get(key, 1) + 1
-        else:
-            self.first[instance] = mask | bit
-
-    def clear(self) -> None:
-        self.first.clear()
-        self.repeats.clear()
-
-
-@dataclass
-class Trace:
-    """Everything one simulator run recorded, in event order.
-
-    The trace lines are hashed as the run goes: ``flush()`` formats the
-    waiting ``records`` one line each into a running sha256 and empties
-    the list.  ``digest()`` flushes, then adds the final ``stop`` line to a
-    copy of that sha256: in hex, ``sha256("\n".join(export_lines()))``
-    byte for byte, and the same however often it is called.  Only a trace
-    whose ``kept`` is a list from the start can ``export_lines()``: each
-    flush appends its records there.
-    """
-
-    # Not yet hashed; send/deliver records end with the message object.
-    records: list[tuple] = field(default_factory=list)
-    kept: list[tuple] | None = None  # every flushed record, when a list
-    view_entries: dict[NodeId, dict[int, tuple[int, str]]] = field(
-        default_factory=dict)
-    commit_ticks: dict[BlockRef, dict[NodeId, int]] = field(
-        default_factory=dict)
-    send_ticks: dict[BlockRef, int] = field(default_factory=dict)
-    deliveries: Deliveries = field(default_factory=Deliveries)
-    bbca_sends: BbcaSends = field(default_factory=BbcaSends)
-    # What the two online checks found as they ran: ``commit_ancestry`` at
-    # correct nodes, and ``delay_soundness``
-    ancestry: list[str] = field(default_factory=list)
-    delays: list[str] = field(default_factory=list)
-    probes: dict[NodeId, list[tuple[int, int, bool, BlockRef | None]]] = \
-        field(default_factory=dict)  # node -> [(tick, view, adopted, ref)]
-    injected: list[tuple[int, NodeId, BlockRef]] = field(default_factory=list)
-    failure: tuple[int, str] | None = None  # (event index, description)
-    stop_reason: str = ""
-    events_processed: int = 0
-    _sha: object = field(default_factory=hashlib.sha256, init=False,
-                         repr=False, compare=False)
-
-    def record(self, *fields) -> None:
-        self.records.append(fields)
-
-    def flush(self) -> None:
-        """Hash the waiting records, one line each, and empty ``records``."""
-        records = self.records
-        if records:
-            if self.kept is not None:
-                self.kept.extend(records)
-            self._sha.update("\n".join(_lines(records)).encode())
-            self._sha.update(b"\n")
-            records.clear()
-
-    def export_lines(self) -> list[str]:
-        if self.kept is None:
-            raise ValueError("export_lines() needs a trace whose kept is a "
-                             "list before the first record")
-        self.flush()
-        return [*_lines(self.kept), f"stop {self.stop_reason}"]
-
-    def digest(self) -> str:
-        self.flush()
-        sha = self._sha.copy()
-        sha.update(f"stop {self.stop_reason}".encode())
-        return sha.hexdigest()
-
-
-def _lines(records: list[tuple]) -> Iterator[str]:
-    # id(msg) -> text and id(msg.message) -> digest text, for this pass
-    # only: the records hold their messages, so no id is reused while the
-    # memo lives.  A message is sent once and delivered n times within a few
-    # ticks, so most repeats fall in one pass.
-    described: dict[int, str] = {}
-    for record in records:
-        kind = record[0]
-        if kind == "send" or kind == "deliver":
-            msg = record[-1]
-            text = described.get(id(msg))
-            if text is None:
-                text = described[id(msg)] = _describe(msg, described)
-            # Byte-identical to the generic join below with the text in
-            # place of msg; kept for +15% campaign_byz runs/s (seed 5).
-            if kind == "send":
-                yield f"send {record[1]} {record[2]} {text}"
-            else:
-                yield f"deliver {record[1]} {record[2]} {record[3]} {text}"
-        else:
-            yield " ".join(map(str, record))
-
-
 @dataclass
 class RunResult:
     scenario: Scenario
@@ -421,19 +290,6 @@ class RunResult:
     @property
     def failed(self) -> bool:
         return self.trace.failure is not None
-
-
-def _describe(msg: WireMsg, described: dict[int, str]) -> str:
-    if isinstance(msg, BbcaMsg):
-        # A proposal's messages share its bytes object: digested once a pass.
-        message = msg.message
-        digest = described.get(id(message))
-        if digest is None:
-            digest = described[id(message)] = digest32(message).hex()[:12]
-        return (f"{msg.kind.name} s{msg.instance.sender} v{msg.instance.view} "
-                f"{digest}")
-    return (f"BLOCK {msg.block.kind.name} v{msg.block.view} "
-            f"a{msg.block.author} {msg.block.digest.hex()[:12]}")
 
 
 # -- simulator ----------------------------------------------------------------
@@ -474,7 +330,7 @@ class Simulator(Driver):
         self.scenario = scenario
         self.rng = random.Random(scenario.seed)
         self.delay_model = DelayModel(scenario)
-        self.trace = Trace()
+        self.trace = Trace(scenario.n)
         self.ancestry = self.trace.ancestry
         self.now = 0
         # Pending events in one list per tick, in push order, and a heap of
@@ -502,7 +358,9 @@ class Simulator(Driver):
     def _note_block_send(self, msg: WireMsg, tick: int) -> None:
         """Note the entry tick of each block a BLOCK or an INIT carries, the
         proposal's new-view blocks too.  An ECHO or READY is transmitted
-        only after an INIT with the same bytes, so it would note nothing."""
+        only after an INIT with the same bytes, so it would note nothing.
+        Writes ``Trace.block_ticks`` inline: a block's first note adds its
+        row."""
         blocks: list[Block] = []
         if isinstance(msg, BlockMsg):
             blocks.append(msg.block)
@@ -515,8 +373,15 @@ class Simulator(Driver):
             blocks.append(block)
             if block.justification is not None:
                 blocks.extend(block.justification.new_view_blocks)
+        table = self.trace.block_ticks
+        refs, rows = table.refs, table.rows
         for block in blocks:
-            self.trace.send_ticks.setdefault(block.digest, tick)
+            at = refs.get(block.digest)
+            if at is None:
+                at = refs[block.digest] = len(rows)
+                rows += table.blank
+            if rows.startswith(NOT_YET_BYTES, at):
+                TICK.pack_into(rows, at, tick)
 
     def _transmit(self, frm: NodeId, msg: WireMsg,
                   targets: tuple[NodeId, ...], lag: int) -> None:
@@ -548,19 +413,32 @@ class Simulator(Driver):
             bucket.append(new(Deliver, (target, frm, msg)))
 
     def _note(self, node_id: NodeId, out) -> None:
+        """Record one non-wire output; view entries and commit ticks are
+        packed into the trace's tables inline, with no frame or container
+        per view or block."""
         trace, now = self.trace, self.now
         if isinstance(out, ViewEntered):
             view, cause = out
-            trace.view_entries.setdefault(node_id, {})[view] = (now, cause)
+            log = trace.view_entries.get(node_id)
+            if log is None:
+                log = trace.view_entries[node_id] = ViewLog()
+            log.views += TICK.pack(view)
+            log.entries += ENTRY.pack(now, CAUSE_CODES[cause])
             trace.record("view", now, node_id, view, cause)
             self._push(now + self.scenario.timer_ticks,
                        TimerFire(node_id, view))
             self._trim_memo()
         elif isinstance(out, Committed):
             view, blocks = out
-            ticks = trace.commit_ticks
+            table = trace.block_ticks
+            refs, rows = table.refs, table.rows
+            column = TICK.size * (1 + node_id)
             for block in blocks:
-                ticks.setdefault(block.digest, {})[node_id] = now
+                at = refs.get(block.digest)
+                if at is None:
+                    at = refs[block.digest] = len(rows)
+                    rows += table.blank
+                TICK.pack_into(rows, at + column, now)
             trace.record("commit", now, node_id, view,
                          ",".join(b.digest.hex()[:12] for b in blocks))
         else:  # Probed
@@ -614,9 +492,9 @@ class Simulator(Driver):
             node = self.nodes[node_id]
             log_digest = hashlib.sha256(
                 b"".join(node.committed_log)).hexdigest()[:16]
-            entries = self.trace.view_entries.get(node_id, {})
-            entry_vector = ",".join(f"{v}:{t}" for v, (t, _)
-                                    in sorted(entries.items()))
+            log = self.trace.view_entries.get(node_id)
+            entry_vector = "" if log is None else ",".join(
+                starmap("{}:{}".format, log.view_ticks()))
             self.trace.record("summary", node_id, node.view,
                               node.last_committed, log_digest, entry_vector)
         return RunResult(scenario, self.trace, self.nodes)

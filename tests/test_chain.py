@@ -768,6 +768,20 @@ def test_each_instance_is_offered_once_two_views_on(offers):
     assert any(node.outcomes for node in result.nodes.values())
 
 
+def test_outcome_rows_hold_the_finalized_digest_object():
+    result = run(Scenario(n=4, seed=3, delta_post=5, delay_mode="random",
+                          horizon=30))
+    shared = 0
+    for node in result.nodes.values():
+        for view, row in node.outcomes.items():
+            final = node.finalized.get(view)
+            for digest in row:
+                if digest is not None and digest == final:
+                    assert digest is final, view
+                    shared += 1
+    assert shared > 4 * 25
+
+
 def test_views_skipped_by_a_catch_up_are_offered(params4, offers):
     # The shape of ``test_jump_over_views_on_higher_evidence``: node 0 jumps
     # from view 1 to view 4, past instances that hold only an INIT.

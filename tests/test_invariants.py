@@ -32,6 +32,7 @@ from bbca_chain.invariants import (
 )
 from bbca_chain.scenario import parse_config
 from bbca_chain.simnet import Deliver, Scenario, Simulator, Strategy, run
+from bbca_chain.trace import NOT_YET, TICK
 
 NEVER_PROPOSED = digest32(b"never proposed")
 
@@ -410,9 +411,12 @@ def test_liveness_reports_a_missing_or_late_commit():
     result, _ = scoped_run()
     scenario = result.scenario
     deadline = scenario.gst + scenario.timer_ticks + 4 * scenario.delta_post
-    ticks = result.trace.commit_ticks[result.nodes[0].finalized[2]]
-    del ticks[2]
-    ticks[3] = deadline + 1
+    # Plant in the packed row: node 2's commit tick becomes NOT_YET and
+    # node 3's lands one tick past the deadline.
+    table = result.trace.block_ticks
+    at = table.refs[result.nodes[0].finalized[2]]
+    TICK.pack_into(table.rows, at + TICK.size * (1 + 2), NOT_YET)
+    TICK.pack_into(table.rows, at + TICK.size * (1 + 3), deadline + 1)
     assert check_liveness_deadline(result) == [
         "liveness: node 2 never committed view 2",
         f"liveness: node 3 committed view 2 at {deadline + 1}, past "

@@ -28,20 +28,17 @@ from bbca_chain.invariants import (
     trips_to_commit,
 )
 from bbca_chain.simnet import (
-    _DIGEST_CHUNK_LINES,
     Adversary,
-    BbcaSends,
     DelayModel,
     Deliver,
     PreGstPolicy,
     Scenario,
     Simulator,
     Strategy,
-    Trace,
-    _describe,
     randints,
     run,
 )
+from bbca_chain.trace import _DIGEST_CHUNK_LINES, BbcaSends, Trace, _describe
 
 from test_golden_digests import SHAPES
 

@@ -111,7 +111,8 @@ def test_peak_memory_releases_each_retained_structure(monkeypatch):
     finally:
         tracemalloc.stop()
     labels = [label for label, _ in to_release]
-    assert labels[:2] == ["trace records", "trace view_entries"]
+    assert labels[:3] == ["trace records", "trace view_entries",
+                          "trace block_ticks"]
     assert not any(label.startswith("trace deliveries") for label in labels)
     for prefix in ("trace bbca_sends", "trace ancestry", "trace delays",
                    "DAG committed digests", "node DAGs",
@@ -129,6 +130,9 @@ def test_peak_memory_releases_each_retained_structure(monkeypatch):
         assert not node.finalized and not node.committed_log
         assert not node.committed_rows
     assert not result.trace.records
+    assert not result.trace.view_entries
+    assert not result.trace.block_ticks.refs
+    assert not result.trace.block_ticks.rows
     assert not result.trace.bbca_sends.first
     assert not result.trace.bbca_sends.repeats
 

@@ -15,14 +15,15 @@ are the same on every run of one seed and one Python version.
 
 The header counts the trace records the run hashed.  The report then
 says where the run-end memory sits: it releases, one at a time and in
-this order, the unhashed trace ``records``, each trace side table, the
-DAGs' committed digests and then the DAGs, the live BBCA instances and
-the outcome rows of dropped ones, each node's ``new_view_blocks`` and
-``held_certs`` (the tables a node collects as it runs), the ``finalized``
-digests with the ``awaiting`` table, the committed logs and the run's memo
-of pure results, and prints the memory each release freed.  An object held by
-two structures is counted with the later one, so the order is part of the
-figures.
+this order, the unhashed trace ``records``, each trace side table (the
+packed ``view_entries`` and ``block_ticks`` first, under their own
+labels), the DAGs' committed digests and then the DAGs, the live BBCA
+instances and the outcome rows of dropped ones, each node's
+``new_view_blocks`` and ``held_certs`` (the tables a node collects as it
+runs), the ``finalized`` digests with the ``awaiting`` table, the
+committed logs and the run's memo of pure results, and prints the memory
+each release freed.  An object held by two structures is counted with the
+later one, so the order is part of the figures.
 """
 
 from __future__ import annotations
