@@ -44,8 +44,7 @@ from .chain import (
 )
 from .encoding import EncodingError
 from .identity import ConfigError, NodeId, SystemParams, params_for
-from .trace import _DIGEST_CHUNK_LINES, CAUSE_CODES, ENTRY, NOT_YET_BYTES, \
-    TICK, Trace, ViewLog
+from .trace import _DIGEST_CHUNK_LINES, Trace
 
 # A kind constant like ``bbca.INIT``: +1.8% campaign_byz runs/s (seed 5).
 _DATA = BlockKind.DATA
@@ -356,32 +355,22 @@ class Simulator(Driver):
         bucket.append(event)
 
     def _note_block_send(self, msg: WireMsg, tick: int) -> None:
-        """Note the entry tick of each block a BLOCK or an INIT carries, the
-        proposal's new-view blocks too.  An ECHO or READY is transmitted
-        only after an INIT with the same bytes, so it would note nothing.
-        Writes ``Trace.block_ticks`` inline: a block's first note adds its
-        row."""
-        blocks: list[Block] = []
+        """Report to ``Trace.sent`` each block a BLOCK or an INIT carries,
+        the proposal's new-view blocks too.  An ECHO or READY is
+        transmitted only after an INIT with the same bytes, so it would
+        report nothing new."""
         if isinstance(msg, BlockMsg):
-            blocks.append(msg.block)
+            blocks = [msg.block]
         else:
             try:
                 block = self.memo[msg.instance.view][(decode_block,
                                                       msg.message)]
             except EncodingError:
                 return
-            blocks.append(block)
+            blocks = [block]
             if block.justification is not None:
-                blocks.extend(block.justification.new_view_blocks)
-        table = self.trace.block_ticks
-        refs, rows = table.refs, table.rows
-        for block in blocks:
-            at = refs.get(block.digest)
-            if at is None:
-                at = refs[block.digest] = len(rows)
-                rows += table.blank
-            if rows.startswith(NOT_YET_BYTES, at):
-                TICK.pack_into(rows, at, tick)
+                blocks += block.justification.new_view_blocks
+        self.trace.sent(blocks, tick)
 
     def _transmit(self, frm: NodeId, msg: WireMsg,
                   targets: tuple[NodeId, ...], lag: int) -> None:
@@ -413,39 +402,17 @@ class Simulator(Driver):
             bucket.append(new(Deliver, (target, frm, msg)))
 
     def _note(self, node_id: NodeId, out) -> None:
-        """Record one non-wire output; view entries and commit ticks are
-        packed into the trace's tables inline, with no frame or container
-        per view or block."""
-        trace, now = self.trace, self.now
+        """Report one non-wire output to the trace; a view entry also sets
+        the node's view timer and trims the memo."""
         if isinstance(out, ViewEntered):
-            view, cause = out
-            log = trace.view_entries.get(node_id)
-            if log is None:
-                log = trace.view_entries[node_id] = ViewLog()
-            log.views += TICK.pack(view)
-            log.entries += ENTRY.pack(now, CAUSE_CODES[cause])
-            trace.record("view", now, node_id, view, cause)
-            self._push(now + self.scenario.timer_ticks,
-                       TimerFire(node_id, view))
+            self.trace.entered(node_id, self.now, *out)
+            self._push(self.now + self.scenario.timer_ticks,
+                       TimerFire(node_id, out.view))
             self._trim_memo()
         elif isinstance(out, Committed):
-            view, blocks = out
-            table = trace.block_ticks
-            refs, rows = table.refs, table.rows
-            column = TICK.size * (1 + node_id)
-            for block in blocks:
-                at = refs.get(block.digest)
-                if at is None:
-                    at = refs[block.digest] = len(rows)
-                    rows += table.blank
-                TICK.pack_into(rows, at + column, now)
-            trace.record("commit", now, node_id, view,
-                         ",".join(b.digest.hex()[:12] for b in blocks))
+            self.trace.committed(node_id, self.now, *out)
         else:  # Probed
-            view, adopted, ref = out
-            trace.probes.setdefault(node_id, []).append(
-                (now, view, adopted, ref))
-            trace.record("probe", now, node_id, view, adopted)
+            self.trace.probed(node_id, self.now, *out)
 
     def _trim_memo(self) -> None:
         """Drop the memo tables of the views below the lowest node view - 2."""

@@ -10,10 +10,12 @@ so that a block or a view costs a few bytes and no Python container:
 - ``ViewLog``: per node, each view it entered with the tick and the cause,
   in view order.
 
-The simulator writes both inline.  ``Trace.commit_ticks``,
-``Trace.send_ticks`` and each ``ViewLog`` read them with the shapes of the
-dicts they replace (``items()``, ``get``, ``[]``, ``in`` and ``==`` against
-a dict), building one small value per lookup and never a whole table.
+Only this module packs or unpacks a row.  The simulator reports what
+happened through four ``Trace`` methods, which write the rows and the
+matching records: ``entered`` (a view entry), ``sent`` (blocks entering
+the net), ``committed`` and ``probed``.  ``Trace.commit_ticks``,
+``Trace.send_ticks`` and each ``ViewLog`` read the rows, building one
+small value per lookup and never a whole table.
 """
 
 from __future__ import annotations
@@ -22,12 +24,12 @@ import hashlib
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import compress
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from struct import Struct
 from typing import Iterator
 
 from .bbca import ECHO, BbcaMsg, InstanceId, MsgKind
-from .blocks import BlockRef
+from .blocks import Block, BlockRef
 from .chain import CERT_DRIVEN_CAUSES, NOADOPT_CAUSE, WireMsg
 from .encoding import digest32
 from .identity import NodeId
@@ -48,6 +50,8 @@ ENTRY = Struct("=iB")  # (tick, cause code)
 
 _FIRST = itemgetter(0)
 _SECOND = itemgetter(1)
+_DIGEST = attrgetter("digest")
+_PREFIX = itemgetter(slice(6))  # the 12 hex digits a record shows
 
 
 class Deliveries:
@@ -102,7 +106,8 @@ class BlockTicks:
     entered the net, then node 0's to node ``n - 1``'s commit tick, each
     ``NOT_YET`` until it happens; a new row is ``blank``.  Rows are
     appended in the order their blocks first appear, so ``refs`` lists the
-    blocks in row order.
+    blocks in row order.  ``Trace.sent`` and ``Trace.committed`` write
+    them.
     """
 
     __slots__ = ("refs", "rows", "blank", "commits")
@@ -118,30 +123,8 @@ class BlockTicks:
         self.rows.clear()
 
 
-class _Rows:
-    """Dict-shaped reads over packed rows; a subclass gives ``get`` and
-    ``items()``, and each lookup builds its one value."""
-
-    __slots__ = ()
-
-    def __getitem__(self, key):
-        value = self.get(key)
-        if value is None:
-            raise KeyError(key)
-        return value
-
-    def __contains__(self, key) -> bool:
-        return self.get(key) is not None
-
-    def __eq__(self, other) -> bool:
-        return dict(self.items()) == other
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({dict(self.items())!r})"
-
-
-class CommitTicks(_Rows):
-    """``BlockTicks`` as block digest -> {node: commit tick}, for each
+class CommitTicks:
+    """``BlockTicks`` read as block digest -> {node: commit tick}, for each
     block at least one node committed."""
 
     __slots__ = ("table",)
@@ -159,25 +142,17 @@ class CommitTicks(_Rows):
             or default
 
     def items(self) -> Iterator[tuple[BlockRef, dict[NodeId, int]]]:
-        # A latency figure reads every row.  Most rows are committed by
-        # every node and skip the filter: 1.1 ms per sim_long repetition,
-        # against 1.9 ms for a filter on every row composed of C calls
-        # (2 vCPUs, Python 3.11).
         table = self.table
         rows = table.commits.iter_unpack(table.rows)
         for ref, ticks in zip(table.refs, rows):
-            if NOT_YET not in ticks:
-                yield ref, dict(enumerate(ticks))
-            elif ticks.count(NOT_YET) < len(ticks):
+            if ticks.count(NOT_YET) < len(ticks):
                 yield ref, dict(compress(enumerate(ticks),
                                          map(_HAPPENED, ticks)))
 
 
-class SendTicks(_Rows):
-    """``BlockTicks`` as block digest -> the tick it first entered the net.
-
-    ``in`` and ``[]`` are written out: a latency figure asks both of each
-    committed block."""
+class SendTicks:
+    """``BlockTicks`` read as block digest -> the tick it first entered the
+    net.  A latency figure asks ``in`` and ``[]`` of each committed block."""
 
     __slots__ = ("table",)
 
@@ -196,9 +171,6 @@ class SendTicks(_Rows):
             raise KeyError(ref)
         return TICK.unpack_from(table.rows, at)[0]
 
-    def get(self, ref: BlockRef, default=None):
-        return self[ref] if ref in self else default
-
     def items(self) -> Iterator[tuple[BlockRef, int]]:
         rows = self.table.rows
         for ref, at in self.table.refs.items():
@@ -206,12 +178,12 @@ class SendTicks(_Rows):
                 yield ref, TICK.unpack_from(rows, at)[0]
 
 
-class ViewLog(_Rows):
+class ViewLog:
     """One node's view entries as view -> (tick, cause), in view order.
 
     ``views`` packs each view the node entered as a ``TICK``, ascending (a
     node only moves forward); ``entries`` packs the ``ENTRY`` (tick, cause
-    code) of each, in the same order.
+    code) of each, in the same order.  ``Trace.entered`` appends to both.
     """
 
     __slots__ = ("views", "entries")
@@ -219,6 +191,12 @@ class ViewLog(_Rows):
     def __init__(self):
         self.views = bytearray()
         self.entries = bytearray()
+
+    def __getitem__(self, view: int) -> tuple[int, str]:
+        entry = self.get(view)
+        if entry is None:
+            raise KeyError(view)
+        return entry
 
     def get(self, view: int, default=None):
         # The native "i" is TICK's 4-byte int; the view is released before
@@ -290,6 +268,50 @@ class Trace:
 
     def record(self, *fields) -> None:
         self.records.append(fields)
+
+    def entered(self, node: NodeId, tick: int, view: int, cause: str) -> None:
+        """``node`` entered ``view`` at ``tick`` for ``cause``."""
+        log = self.view_entries.get(node)
+        if log is None:
+            log = self.view_entries[node] = ViewLog()
+        log.views += TICK.pack(view)
+        log.entries += ENTRY.pack(tick, CAUSE_CODES[cause])
+        self.records.append(("view", tick, node, view, cause))
+
+    def sent(self, blocks: list[Block], tick: int) -> None:
+        """``blocks`` entered the net at ``tick``; a block keeps its first
+        such tick."""
+        table = self.block_ticks
+        refs, rows = table.refs, table.rows
+        for block in blocks:
+            at = refs.get(block.digest)
+            if at is None:
+                at = refs[block.digest] = len(rows)
+                rows += table.blank
+            if rows.startswith(NOT_YET_BYTES, at):
+                TICK.pack_into(rows, at, tick)
+
+    def committed(self, node: NodeId, tick: int, view: int,
+                  blocks: tuple[Block, ...]) -> None:
+        """``node`` committed ``blocks`` at ``tick``, finalizing ``view``."""
+        table = self.block_ticks
+        refs, rows = table.refs, table.rows
+        column = TICK.size * (1 + node)
+        for block in blocks:
+            at = refs.get(block.digest)
+            if at is None:
+                at = refs[block.digest] = len(rows)
+                rows += table.blank
+            TICK.pack_into(rows, at + column, tick)
+        self.records.append((
+            "commit", tick, node, view,
+            ",".join(map(bytes.hex, map(_PREFIX, map(_DIGEST, blocks))))))
+
+    def probed(self, node: NodeId, tick: int, view: int, adopted: bool,
+               ref: BlockRef | None) -> None:
+        """``node`` probed ``view``'s broadcast at ``tick``."""
+        self.probes.setdefault(node, []).append((tick, view, adopted, ref))
+        self.records.append(("probe", tick, node, view, adopted))
 
     def flush(self) -> None:
         """Hash the waiting records, one line each, and empty ``records``."""

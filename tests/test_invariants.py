@@ -2,6 +2,8 @@
 simulator run report a broken rule in the same words, and signature-less
 ECHO/READY traffic is dropped on every path into a broadcast instance."""
 
+from types import SimpleNamespace
+
 import pytest
 
 import mutants
@@ -411,12 +413,14 @@ def test_liveness_reports_a_missing_or_late_commit():
     result, _ = scoped_run()
     scenario = result.scenario
     deadline = scenario.gst + scenario.timer_ticks + 4 * scenario.delta_post
-    # Plant in the packed row: node 2's commit tick becomes NOT_YET and
-    # node 3's lands one tick past the deadline.
+    # Node 2's commit tick is erased in the packed row, and node 3 commits
+    # again one tick past the deadline; ``committed`` reads only each
+    # block's digest.
+    ref = result.nodes[0].finalized[2]
     table = result.trace.block_ticks
-    at = table.refs[result.nodes[0].finalized[2]]
-    TICK.pack_into(table.rows, at + TICK.size * (1 + 2), NOT_YET)
-    TICK.pack_into(table.rows, at + TICK.size * (1 + 3), deadline + 1)
+    TICK.pack_into(table.rows, table.refs[ref] + TICK.size * (1 + 2),
+                   NOT_YET)
+    result.trace.committed(3, deadline + 1, 2, (SimpleNamespace(digest=ref),))
     assert check_liveness_deadline(result) == [
         "liveness: node 2 never committed view 2",
         f"liveness: node 3 committed view 2 at {deadline + 1}, past "

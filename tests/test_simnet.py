@@ -122,8 +122,8 @@ def test_data_block_one_hop_before_proposal_takes_four_trips():
     # It rides inside the new-view block embedded in view 2's proposal, so
     # it commits at the very tick the view-2 backbone commits.
     backbone = result.nodes[0].finalized[2]
-    assert (result.trace.commit_ticks[ref]
-            == result.trace.commit_ticks[backbone])
+    assert (result.trace.commit_ticks.get(ref)
+            == result.trace.commit_ticks.get(backbone))
 
 
 def test_data_blocks_flow_through_a_stalled_view():
@@ -445,7 +445,7 @@ def test_send_ticks_are_those_every_bbca_send_would_give(strategy):
                 blocks += block.justification.new_view_blocks
         for block in blocks:
             ticks.setdefault(block.digest, entry)
-    assert ticks == result.trace.send_ticks
+    assert ticks == dict(result.trace.send_ticks.items())
 
 
 def test_each_proposal_is_processed_once_per_node(monkeypatch):

@@ -159,3 +159,29 @@ def test_peak_memory_derives_the_inputs_outside_the_measuring_process(
     assert filled_module_caches() == {}
     assert inputs["raw"]["name"] == "sim_long" and inputs["raw"]["payloads"]
     assert len(inputs["reference_digest"]) == 64
+
+
+def test_perfbench_tracer_targets_resolve_against_the_package():
+    # A span target or counter the tracer cannot find is skipped, so its
+    # per-layer metrics read 0 without an error: ``simnet.trace_digest_s``
+    # needs ``simnet.Trace`` by name, ``simnet.dispatch`` needs
+    # ``Simulator._dispatch``.  A "Class.method" target must be defined on
+    # the class itself, as the tracer patches it there.
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for module_name, attr, *_ in tracer.TARGETS + tracer.COUNTED:
+        module = importlib.import_module(f"bbca_chain.{module_name}")
+        if "." in attr:
+            owner, method = attr.split(".")
+            cls = getattr(module, owner, None)
+            found = cls is not None and method in vars(cls)
+        else:
+            found = callable(getattr(module, attr, None))
+        if not found:
+            missing.append(f"{module_name}.{attr}")
+    # Stale today: the DAG no longer has ``ancestry``, and the chain node
+    # no longer has ``audit_probe``.
+    assert missing == ["dag.DagStore.ancestry", "chain.ChainNode.audit_probe"]

@@ -6,9 +6,8 @@ import tracemalloc
 import pytest
 
 from bbca_chain.blocks import GENESIS_REF, make_data
-from bbca_chain.chain import BlockMsg, Committed
 from bbca_chain.simnet import Scenario, Simulator
-from bbca_chain.trace import CAUSE_CODES, ENTRY, TICK, ViewLog
+from bbca_chain.trace import Trace
 
 from test_golden_digests import SHAPES
 from test_simnet import run_kept
@@ -32,48 +31,44 @@ def test_packed_tables_equal_the_tables_the_records_give(name):
                  for ref, ticks in trace.commit_ticks.items()}
     assert by_prefix == commits
     for ref, _ in trace.commit_ticks.items():
-        assert ref in trace.commit_ticks
-        assert trace.commit_ticks[ref] == trace.commit_ticks.get(ref) \
-            == commits[ref.hex()[:12]]
+        assert trace.commit_ticks.get(ref) == commits[ref.hex()[:12]]
     assert trace.commit_ticks.get(bytes(32)) is None
-    assert bytes(32) not in trace.commit_ticks
-    assert trace.view_entries == entries
+    assert {node: dict(log.items())
+            for node, log in trace.view_entries.items()} == entries
     for node, log in trace.view_entries.items():
-        assert dict(log.items()) == entries[node]
         for view, entry in entries[node].items():
-            assert view in log and log[view] == log.get(view) == entry
+            assert log[view] == log.get(view) == entry
         assert log.get(max(entries[node]) + 1) is None
 
 
 def test_a_block_committed_before_it_is_sent_has_no_send_tick_till_then():
-    sim = Simulator(Scenario(n=4, seed=1, delta_post=10, horizon=2))
-    trace = sim.run().trace
+    trace = Trace(4)
     block = make_data(0, 1, [GENESIS_REF], b"late")
-    sim.now = 30
-    sim._note(2, Committed(1, (block,)))
-    assert trace.commit_ticks[block.digest] == {2: 30}
+    trace.committed(2, 30, 1, (block,))
+    assert trace.commit_ticks.get(block.digest) == {2: 30}
     assert block.digest not in trace.send_ticks
-    assert trace.send_ticks.get(block.digest) is None
     with pytest.raises(KeyError):
         trace.send_ticks[block.digest]
-    sim._note_block_send(BlockMsg(block), 35)
-    sim._note_block_send(BlockMsg(block), 50)  # only the first send counts
+    trace.sent([block], 35)
+    trace.sent([block], 50)  # only the first send counts
     assert trace.send_ticks[block.digest] == 35
-    assert trace.commit_ticks[block.digest] == {2: 30}
+    assert trace.commit_ticks.get(block.digest) == {2: 30}
+    assert trace.records == [("commit", 30, 2, 1, block.digest.hex()[:12])]
 
 
 def test_a_view_log_answers_between_appends():
     # A lookup releases its view of the packed views, so the log still grows.
-    log, expected = ViewLog(), {}
-    assert log == expected and log.get(1) is None
+    trace, expected = Trace(4), {}
     for view, tick, cause in ((1, 0, "init"), (3, 40, "noadopt_quorum"),
                               (4, 55, "complete_recv")):
-        log.views += TICK.pack(view)
-        log.entries += ENTRY.pack(tick, CAUSE_CODES[cause])
+        trace.entered(3, tick, view, cause)
+        log = trace.view_entries[3]
         expected[view] = (tick, cause)
-        assert log == expected
-        assert log[view] == (tick, cause) and 2 not in log
+        assert dict(log.items()) == expected
+        assert log[view] == (tick, cause) and log.get(2) is None
     assert list(log.view_ticks()) == [(1, 0), (3, 40), (4, 55)]
+    assert trace.records == [("view", tick, 3, view, cause)
+                             for view, (tick, cause) in expected.items()]
 
 
 # Traced bytes the packed tables hold per committed block: about 100-111 at
