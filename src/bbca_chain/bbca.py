@@ -241,8 +241,9 @@ class BbcaInstance:
         self.ready_sigs[digest] = sigs
         # Completion is not blocked by abort; only READY emission is.
         if self.completed is None and len(sigs) == self.params.quorum:
-            self.completed = Cert(CertKind.COMPLETE, *instance, digest,
-                                  tuple(sorted(sigs)))
+            # As ``on_echo`` builds ADOPT: no generated constructor frame.
+            self.completed = tuple.__new__(Cert, (
+                CertKind.COMPLETE, *instance, digest, tuple(sorted(sigs))))
             return self.completed
         return None
 

@@ -71,8 +71,7 @@ class Cert(NamedTuple):
         return ready_statement(self.sender, self.view, self.block_digest)
 
 
-@dataclass(frozen=True)
-class NewViewData:
+class NewViewData(NamedTuple):
     """Evidence part of a new-view block.
 
     For COMPLETE/ADOPT the cert certifies the backbone block of the concluded
@@ -86,8 +85,7 @@ class NewViewData:
     noadopt_sig: Signature | None = None
 
 
-@dataclass(frozen=True)
-class Justification:
+class Justification(NamedTuple):
     """What a backbone block claims about the previous view."""
 
     kind: EvidenceKind
@@ -109,6 +107,13 @@ class _cached:
 
 @dataclass(frozen=True)
 class Block:
+    """One DAG block of any kind, identified by its canonical encoding.
+
+    A dataclass, not a named tuple: the adversary and the tests derive
+    variants with ``dataclasses.replace``, and ``_cached`` keeps the
+    encoding and digest in the instance ``__dict__``.
+    """
+
     kind: BlockKind
     author: NodeId
     view: int

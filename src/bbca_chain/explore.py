@@ -18,7 +18,6 @@ ran; the witness text is formatted only when a leaf reports a violation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .bbca import BbcaInstance, BbcaMsg, InstanceId, new_memo
@@ -61,11 +60,11 @@ def describe(step: Deliver | Probe | Timer) -> str:
     return f"{type(step).__name__.lower()}({step.node})"
 
 
-@dataclass
 class ExploreResult:
-    leaves: int = 0
-    violations: list[tuple[str, tuple[str, ...]]] = field(default_factory=list)
-    partial: bool = False
+    def __init__(self):
+        self.leaves = 0
+        self.violations: list[tuple[str, tuple[str, ...]]] = []
+        self.partial = False  # the leaf cap ended the exploration
 
     @property
     def ok(self) -> bool:

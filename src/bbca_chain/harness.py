@@ -10,12 +10,15 @@ and reference numbers for uniform failure-free scenarios.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
+from typing import TYPE_CHECKING, NamedTuple
 
-from . import explore as explore_mod
 from .scenario import HarnessConfig
 from .invariants import measure_trips
 from .simnet import RunResult, Simulator
+
+if TYPE_CHECKING:
+    from .explore import ExploreResult
 
 # Static reference latencies, in trips, for a layered DAG protocol built on
 # a 3-trip consistent broadcast: two broadcasts for a leader block, four for
@@ -23,8 +26,7 @@ from .simnet import RunResult, Simulator
 REFERENCE_TRIPS = {"leader": 6, "non-leader": 12}
 
 
-@dataclass
-class RunOutcome:
+class RunOutcome(NamedTuple):
     config: HarnessConfig
     result: RunResult
     verdicts: dict[str, list[str]]
@@ -36,13 +38,13 @@ class RunOutcome:
                 and all(not v for v in self.verdicts.values()))
 
 
-@dataclass
 class CampaignOutcome:
-    config: HarnessConfig
-    count: int
-    runs: int = 0
-    failures: list[tuple[int, str]] = field(default_factory=list)  # (seed, what)
-    wall_ms: float = 0.0
+    def __init__(self, config: HarnessConfig, count: int):
+        self.config = config
+        self.count = count
+        self.runs = 0
+        self.failures: list[tuple[int, str]] = []  # (seed, what)
+        self.wall_ms = 0.0
 
     @property
     def ok(self) -> bool:
@@ -98,14 +100,16 @@ def run_campaign(config: HarnessConfig, count: int,
 
 
 def run_explore(config: HarnessConfig, depth: int,
-                max_leaves: int | None = None) -> explore_mod.ExploreResult:
+                max_leaves: int | None = None) -> ExploreResult:
     spec = config.explore
     if spec is None:
         raise ValueError("config has no explore section")
+    # Here: a simulator command skips a 3.7-5.8 ms import (-X importtime).
+    from .explore import CASES, explore
     kwargs = ({} if spec.timeout_node is None
               else {"timeout_node": spec.timeout_node})
-    world = explore_mod.CASES[spec.case](**kwargs)
-    return explore_mod.explore(
+    world = CASES[spec.case](**kwargs)
+    return explore(
         world, depth, spec.max_leaves if max_leaves is None else max_leaves,
         check_validity=spec.check_validity)
 
@@ -184,7 +188,7 @@ def render_campaign_report(outcome: CampaignOutcome) -> str:
 
 
 def render_explore_report(config: HarnessConfig, depth: int,
-                          result: explore_mod.ExploreResult) -> str:
+                          result: ExploreResult) -> str:
     lines = [
         f"explore: {config.name} case={config.explore.case} depth={depth}",
         f"leaves: {result.leaves}{' (partial: leaf cap hit)' if result.partial else ''}",

@@ -55,6 +55,9 @@ STRATEGIES = ("silent", "withhold_ready", "equivocate_init",
 
 @dataclass(frozen=True)
 class Strategy:
+    """A byzantine node's behaviour: one of ``STRATEGIES``, validated on
+    construction."""
+
     name: str
     max_delay: int = 0  # delay_own only
 
@@ -69,6 +72,9 @@ class Strategy:
 
 @dataclass(frozen=True)
 class PreGstPolicy:
+    """How links behave before GST, validated on construction: delayed up
+    to ``max_delay`` ticks, or dropped."""
+
     kind: str  # "adversarial" | "drop"
     max_delay: int = 0  # adversarial only
 
@@ -85,6 +91,9 @@ class PreGstPolicy:
 
 @dataclass(frozen=True)
 class Scenario:
+    """One simulator run's settings, validated on construction.  Campaigns
+    and the benchmark vary the seed with ``dataclasses.replace``."""
+
     n: int
     seed: int = 0
     gst: int = 0
@@ -280,8 +289,7 @@ class Adversary:
         return [(msg, self.everyone, 0)]
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     scenario: Scenario
     trace: Trace
     nodes: dict[NodeId, ChainNode]

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from itertools import compress
 from operator import attrgetter, itemgetter
 from struct import Struct
@@ -223,7 +222,6 @@ class ViewLog:
 
 # -- the trace ------------------------------------------------------------------
 
-@dataclass
 class Trace:
     """Everything one simulator run recorded, in event order.
 
@@ -240,29 +238,27 @@ class Trace:
     whose rows are ``n`` nodes wide.
     """
 
-    n: int = 0
-    # Not yet hashed; send/deliver records end with the message object.
-    records: list[tuple] = field(default_factory=list)
-    kept: list[tuple] | None = None  # every flushed record, when a list
-    view_entries: dict[NodeId, ViewLog] = field(default_factory=dict)
-    block_ticks: BlockTicks = field(init=False)
-    deliveries: Deliveries = field(default_factory=Deliveries)
-    bbca_sends: BbcaSends = field(default_factory=BbcaSends)
-    # What the two online checks found as they ran: ``commit_ancestry`` at
-    # correct nodes, and ``delay_soundness``
-    ancestry: list[str] = field(default_factory=list)
-    delays: list[str] = field(default_factory=list)
-    probes: dict[NodeId, list[tuple[int, int, bool, BlockRef | None]]] = \
-        field(default_factory=dict)  # node -> [(tick, view, adopted, ref)]
-    injected: list[tuple[int, NodeId, BlockRef]] = field(default_factory=list)
-    failure: tuple[int, str] | None = None  # (event index, description)
-    stop_reason: str = ""
-    events_processed: int = 0
-    _sha: object = field(default_factory=hashlib.sha256, init=False,
-                         repr=False, compare=False)
-
-    def __post_init__(self):
-        self.block_ticks = BlockTicks(self.n)
+    def __init__(self, n: int = 0, kept: list[tuple] | None = None,
+                 stop_reason: str = ""):
+        self.n = n
+        # Not yet hashed; send/deliver records end with the message object.
+        self.records: list[tuple] = []
+        self.kept = kept  # every flushed record, when a list
+        self.view_entries: dict[NodeId, ViewLog] = {}
+        self.block_ticks = BlockTicks(n)
+        self.deliveries = Deliveries()
+        self.bbca_sends = BbcaSends()
+        # What the two online checks found as they ran: ``commit_ancestry``
+        # at correct nodes, and ``delay_soundness``
+        self.ancestry: list[str] = []
+        self.delays: list[str] = []
+        # node -> [(tick, view, adopted, ref)]
+        self.probes: dict[NodeId, list[tuple]] = {}
+        self.injected: list[tuple[int, NodeId, BlockRef]] = []
+        self.failure: tuple[int, str] | None = None  # (event index, text)
+        self.stop_reason = stop_reason
+        self.events_processed = 0
+        self._sha = hashlib.sha256()
         self.commit_ticks = CommitTicks(self.block_ticks)
         self.send_ticks = SendTicks(self.block_ticks)
 

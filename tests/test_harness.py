@@ -187,6 +187,17 @@ def test_campaign_parallel_jobs_match_serial(tmp_path):
     assert serial.runs == parallel.runs == 6
 
 
+def _run_fresh(script, *args):
+    """Run ``script`` in a new interpreter that imports the package from
+    ``src``; return the lines it printed."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = os.environ | {"PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
 def test_serial_paths_never_import_the_process_pool(tmp_path):
     # Only ``--jobs N`` with N > 1 pays for ``multiprocessing``; importing
     # the CLI or running a serial campaign must not load it.
@@ -201,12 +212,29 @@ def test_serial_paths_never_import_the_process_pool(tmp_path):
               "assert harness.run_campaign(load_config(sys.argv[1]), 2,\n"
               "                            jobs=1).ok\n"
               "print(sorted(m for m in pool if m in sys.modules))\n")
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = os.environ | {"PYTHONPATH": str(src)}
-    proc = subprocess.run([sys.executable, "-c", script, path], env=env,
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "[]"]
+    assert _run_fresh(script, path) == ["[]", "[]"]
+
+
+def test_simulator_paths_never_import_the_explorer():
+    # Only a config with an ``explore`` section loads the explorer.  Once
+    # it is loaded, that section's checks still name their fields.
+    script = (
+        "import sys\n"
+        "from bbca_chain import harness\n"
+        "from bbca_chain.identity import ConfigError\n"
+        "from bbca_chain.scenario import parse_config\n"
+        "config = parse_config({'n': 4, 'horizon': 3})\n"
+        "assert harness.run_config(config).ok\n"
+        "print('bbca_chain.explore' in sys.modules)\n"
+        "for raw in ({'n': 4, 'explore': {'case': 'no_such_case'}},\n"
+        "            {'n': 7, 'explore': {'case': 'bbca_correct_sender'}}):\n"
+        "    try:\n"
+        "        parse_config(raw)\n"
+        "    except ConfigError as exc:\n"
+        "        print(exc)\n")
+    assert _run_fresh(script) == [
+        "False", "config.explore.case: unknown case 'no_such_case'",
+        "config.n: exploration requires n=4"]
 
 
 def test_explore_config(tmp_path):

@@ -46,17 +46,24 @@ def test_frame_count_is_deterministic_and_names_record_constructors(
 def test_frame_check_fails_a_rise_past_tolerance_or_a_new_digest(
         monkeypatch):
     frame_count = _load_tool("frame_count", monkeypatch)
-    pinned = {"frames": 100_000, "digest": "ab" * 32}
+    pinned = {"frames": 100_000, "setup_frames": 2_000, "setup_lines": 3_000,
+              "digest": "ab" * 32}
     assert frame_count.regressions(pinned, dict(pinned, frames=90_000)) == []
-    assert frame_count.regressions(pinned, dict(pinned, frames=100_500)) == []
+    assert frame_count.regressions(pinned, dict(
+        pinned, frames=100_500, setup_frames=2_010, setup_lines=3_015)) == []
     rise, = frame_count.regressions(pinned, dict(pinned, frames=100_501))
     assert "100501 frames exceed the pinned 100000" in rise
+    rise, = frame_count.regressions(pinned, dict(pinned, setup_frames=2_011))
+    assert "2011 set-up frames exceed the pinned 2000" in rise
+    rise, = frame_count.regressions(pinned, dict(pinned, setup_lines=3_016))
+    assert "3016 loaded source lines exceed the pinned 3000" in rise
     moved, = frame_count.regressions(pinned, dict(pinned, digest="cd" * 32))
     assert "behaviour digest" in moved
     # The checked-in pin covers every benchmark workload.
     pins = json.loads((ROOT / "BENCH_frames.json").read_text())
     assert set(pins["workloads"]) == set(frame_count.workloads.WORKLOADS)
     assert all(len(entry["top"]) == frame_count.PIN_TOP
+               and set(frame_count.TOTALS) <= set(entry)
                for entry in pins["workloads"].values())
 
 
@@ -79,26 +86,51 @@ def test_frame_check_prints_how_each_pinned_top_function_moved(
     assert frame_count.top_deltas(pinned_top, fresh_top) == moved
     # ``--check`` prints them under a total that moved, and only there.
     digest = "ab" * 32
-    entries = {"moved": {"frames": 10_000, "digest": digest,
+    setup = {"setup_frames": 2_000, "setup_lines": 3_000}
+    entries = {"moved": {"frames": 10_000, **setup, "digest": digest,
                          "top": pinned_top},
-               "held": {"frames": 10_000, "digest": digest,
+               "held": {"frames": 10_000, **setup, "digest": digest,
                         "top": pinned_top}}
     pin_file = tmp_path / "BENCH_frames.json"
     pin_file.write_text(json.dumps({
         "python": frame_count.platform.python_version(), "seed": 3,
         "workloads": entries}))
-    fresh = {"moved": {"frames": 9_000, "digest": digest, "top": fresh_top},
-             "held": {"frames": 10_000, "digest": digest, "top": fresh_top}}
+    fresh = {"moved": {"frames": 9_000, **setup, "digest": digest,
+                       "top": fresh_top},
+             "held": {"frames": 10_000, "setup_frames": 1_500,
+                      "setup_lines": 2_900, "digest": digest,
+                      "top": fresh_top}}
     monkeypatch.setattr(frame_count, "PIN_FILE", pin_file)
     monkeypatch.setattr(frame_count, "measure_fresh",
                         lambda workload, seed, top: fresh[workload])
     assert frame_count.check() == 0
     assert capsys.readouterr().out.splitlines() == [
         "moved: 10000 -> 9000 frames (-10.00%) ok",
+        "  set-up: 2000 -> 2000 frames, 3000 -> 3000 loaded source lines",
         "       -100  src/a.py:f (500 -> 400)",
         "        -40  src/a.py:gone (40 -> 0)",
         "        +20  src/b.py:h.<locals>.<genexpr> (150 -> 170)",
-        "held: 10000 -> 10000 frames (+0.00%) ok"]
+        "held: 10000 -> 10000 frames (+0.00%) ok",
+        "  set-up: 2000 -> 1500 frames, 3000 -> 2900 loaded source lines"]
+
+
+def test_frame_count_counts_start_up_in_a_fresh_interpreter(monkeypatch):
+    frame_count = _load_tool("frame_count", monkeypatch)
+    explore = frame_count.workloads.make_inputs("explore_mixed", 3)
+    counts = frame_count.count_setup_fresh("explore_mixed", explore)
+    assert counts == frame_count.count_setup_fresh("explore_mixed", explore)
+    assert counts["setup_frames"] > 0
+    # The explorer's set-up loads every module but the CLI and the harness;
+    # a simulator workload's loads no explorer either.
+    package = ROOT / "src" / "bbca_chain"
+    lines = {path.stem: len(path.read_bytes().splitlines())
+             for path in package.glob("*.py")}
+    assert counts["setup_lines"] == sum(lines.values()) - lines["cli"] \
+        - lines["harness"]
+    sim = frame_count.workloads.make_inputs("sim_long", 3)
+    sim_counts = frame_count.count_setup_fresh("sim_long", sim)
+    assert sim_counts["setup_lines"] == \
+        counts["setup_lines"] - lines["explore"]
 
 
 def test_peak_memory_releases_each_retained_structure(monkeypatch):

@@ -12,17 +12,22 @@ time it can tell apart two versions of a hot path whose speed differs by
 less than the benchmark's run-to-run spread.  Prints the total and the
 ``--top`` functions by call count.
 
+It also counts a worker's start-up: in another fresh interpreter, fed the
+derived inputs on stdin (``--setup WORKLOAD``), the frames of importing
+the program plus ``Work.setup()``, and the source lines of the
+``bbca_chain`` modules that start-up loaded.
+
 ``--pin`` counts every workload at seed 3, each in a fresh interpreter
 (deriving the inputs runs the program there first, which leaves nothing
 behind: the program keeps no cache across runs), and writes the totals,
 the top 20 functions, the behaviour digests and the Python version to
-``BENCH_frames.json``.  ``--check`` recounts at the pinned seed and
-exits 1 if a total rose by more than 0.5% or a behaviour digest changed
-(re-pin in the same commit as a change that means it), and 2 under another
-Python version, whose counts are not comparable.  When a total moved, it
-also prints how the count of each pinned top function moved, keyed by path
-and qualified name: any edit above a function shifts the line number in its
-pinned key.
+``BENCH_frames.json``; the two start-up counts are totals too.
+``--check`` recounts at the pinned seed and exits 1 if a total rose by
+more than 0.5% or a behaviour digest changed (re-pin in the same commit
+as a change that means it), and 2 under another Python version, whose
+counts are not comparable.  When a total moved, it also prints how the
+count of each pinned top function moved, keyed by path and qualified
+name: any edit above a function shifts the line number in its pinned key.
 """
 
 from __future__ import annotations
@@ -45,6 +50,9 @@ PIN_FILE = ROOT / "BENCH_frames.json"
 PIN_SEED = 3
 PIN_TOP = 20
 TOLERANCE = 0.005  # a pinned total may rise by this share before --check fails
+# The pinned totals, and how ``--check`` names each.
+TOTALS = {"frames": "frames", "setup_frames": "set-up frames",
+          "setup_lines": "loaded source lines"}
 
 
 def count_calls(fn) -> Counter:
@@ -82,14 +90,52 @@ def describe(code) -> str:
     return f"{where}:{code.co_firstlineno}:{name}"
 
 
+def count_setup(workload: str, inputs: dict) -> dict:
+    """Start-up counts of one worker: the Python frames of importing the
+    program plus ``Work.setup()``, and the source lines of the
+    ``bbca_chain`` modules loaded.  Run in an interpreter that has not
+    imported the program yet."""
+    if "bbca_chain" in sys.modules:
+        raise SystemExit("count_setup needs an interpreter that has not "
+                         "imported bbca_chain")
+    work = workloads.Work(workload, inputs)
+
+    def setup():
+        workloads.import_program(ROOT)
+        work.setup()
+
+    calls = count_calls(setup)
+    # The import system's own frames are left out: how many it runs per
+    # module depends on whether a bytecode cache is on disk.
+    frames = sum(count for code, count in calls.items()
+                 if not code.co_filename.startswith("<frozen importlib."))
+    modules = [module for name, module in sys.modules.items()
+               if name.partition(".")[0] == "bbca_chain"]
+    lines = sum(len(Path(module.__file__).read_bytes().splitlines())
+                for module in modules)
+    return {"setup_frames": frames, "setup_lines": lines}
+
+
+def count_setup_fresh(workload: str, inputs: dict) -> dict:
+    """``count_setup`` in a new interpreter, fed ``inputs`` on stdin."""
+    done = subprocess.run(
+        [sys.executable, __file__, "--setup", workload],
+        input=json.dumps(inputs), capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
 def measure(workload: str, seed: int, top: int) -> dict:
-    """One workload's frame total, top functions, digest and failures."""
+    """One workload's frame total, top functions, digest and failures, and
+    its start-up counts from a fresh interpreter."""
     workloads.import_program(ROOT)
-    work = workloads.Work(workload, workloads.make_inputs(workload, seed))
+    inputs = workloads.make_inputs(workload, seed)
+    setup = count_setup_fresh(workload, inputs)
+    work = workloads.Work(workload, inputs)
     work.setup()
     calls = count_calls(work.run)
     summary = workloads.summarize(workload, work.ops)
-    return {"frames": sum(calls.values()), "digest": summary["digest"],
+    return {"frames": sum(calls.values()), **setup,
+            "digest": summary["digest"],
             "failed": summary["counts"]["failed"],
             "top": {describe(code): count
                     for code, count in calls.most_common(top or None)}}
@@ -110,9 +156,10 @@ def regressions(pinned: dict, fresh: dict) -> list[str]:
     if fresh["digest"] != pinned["digest"]:
         problems.append(f"behaviour digest {fresh['digest'][:8]}... differs "
                         f"from the pinned {pinned['digest'][:8]}...")
-    if (fresh["frames"] - pinned["frames"]) / pinned["frames"] > TOLERANCE:
-        problems.append(f"{fresh['frames']} frames exceed the pinned "
-                        f"{pinned['frames']} by more than {TOLERANCE:.1%}")
+    for key, name in TOTALS.items():
+        if (fresh[key] - pinned[key]) / pinned[key] > TOLERANCE:
+            problems.append(f"{fresh[key]} {name} exceed the pinned "
+                            f"{pinned[key]} by more than {TOLERANCE:.1%}")
     return problems
 
 
@@ -165,6 +212,9 @@ def check() -> int:
         failed = failed or bool(problems)
         print(f"{workload}: {entry['frames']} -> {fresh['frames']} frames "
               f"({change:+.2%}) {'FAIL' if problems else 'ok'}")
+        print(f"  set-up: {entry['setup_frames']} -> {fresh['setup_frames']} "
+              f"frames, {entry['setup_lines']} -> {fresh['setup_lines']} "
+              f"loaded source lines")
         for problem in problems:
             print(f"  {problem}")
         if fresh["frames"] != entry["frames"]:
@@ -182,6 +232,9 @@ def main(argv=None) -> int:
     mode.add_argument("--workload", choices=workloads.WORKLOADS)
     mode.add_argument("--pin", action="store_true")
     mode.add_argument("--check", action="store_true")
+    mode.add_argument("--setup", choices=workloads.WORKLOADS,
+                      help="print the start-up counts of a workload fed "
+                           "its inputs as JSON on stdin")
     parser.add_argument("--seed", type=int)
     parser.add_argument("--top", type=int, default=10,
                         help="functions to list, 0 for all")
@@ -192,6 +245,9 @@ def main(argv=None) -> int:
         return pin()
     if args.check:
         return check()
+    if args.setup:
+        print(json.dumps(count_setup(args.setup, json.load(sys.stdin))))
+        return 0
     if args.seed is None:
         parser.error("--workload needs --seed")
 
@@ -202,6 +258,8 @@ def main(argv=None) -> int:
     print(f"workload {args.workload} seed {args.seed}: "
           f"{result['frames']} Python frames, digest {result['digest']}, "
           f"failed {result['failed']}")
+    print(f"set-up: {result['setup_frames']} Python frames, "
+          f"{result['setup_lines']} loaded source lines")
     for where, count in result["top"].items():
         print(f"{count:>10}  {where}")
     return 0

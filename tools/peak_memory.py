@@ -33,7 +33,6 @@ import json
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import fields
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -90,11 +89,11 @@ def releases(result) -> list[tuple[str, object]]:
     instances = sum(len(node.instances) for node in nodes)
     rows = sum(len(node.outcomes) for node in nodes)
     views = sum(len(node.finalized) for node in nodes)
-    # Every field that can be emptied: the lists, the dicts and the echo-once
-    # table; the deliveries are only a count.
-    out = [(f"trace {field.name}", getattr(trace, field.name).clear)
-           for field in fields(trace)
-           if hasattr(getattr(trace, field.name), "clear")]
+    # Every attribute that can be emptied, in the order ``Trace.__init__``
+    # sets them: the lists, the dicts and the packed tables; the deliveries
+    # are only a count.
+    out = [(f"trace {name}", value.clear)
+           for name, value in vars(trace).items() if hasattr(value, "clear")]
     out += [("DAG committed digests", clear_each(("committed_set",))),
             ("node DAGs", drop_dags),
             (f"BBCA instances ({instances})", clear_each(("instances",))),
