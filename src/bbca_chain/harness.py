@@ -14,7 +14,7 @@ from dataclasses import replace
 from typing import TYPE_CHECKING, NamedTuple
 
 from .scenario import HarnessConfig
-from .invariants import measure_trips
+from .invariants import ALL_CHECKS, measure_trips
 from .simnet import RunResult, Simulator
 
 if TYPE_CHECKING:
@@ -53,8 +53,8 @@ class CampaignOutcome:
 
 def evaluate(result: RunResult, config: HarnessConfig) -> dict[str, list[str]]:
     verdicts: dict[str, list[str]] = {}
-    for name, check in config.selected_checks():
-        verdicts[name] = check(result, config)
+    for name in config.invariants:
+        verdicts[name] = ALL_CHECKS[name](result, config)
     if result.failed:
         index, text = result.trace.failure
         verdicts.setdefault("runtime", []).append(

@@ -3,10 +3,11 @@
 Each check inspects a run result (trace plus final node states) and returns
 a list of human-readable violations; empty means the property held.  The
 safety checks are unconditional; the scenario-scoped ones (expected no-op
-views, trip counts, liveness deadlines, censorship cutoffs) read their
-parameters from the harness config's ``expect`` block.  Agreement, prefix
-consistency and the per-instance BBCA rules take plain values, so the
-explorer checks its chain and BBCA leaves with the same functions.
+views, trip counts, liveness deadlines, censorship cutoffs) are selected
+by the harness config's ``expect`` block, which carries their parameters.
+Agreement, prefix consistency and the per-instance BBCA rules take plain
+values, so the explorer checks its chain and BBCA leaves with the same
+functions.
 Two checks run online, because the run throws their input away.  Commit
 ancestry reads the blocks each ``Committed`` record carries, whose bodies
 the DAG drops at commit, so ``simnet.Driver``'s drain checks it once per
@@ -151,13 +152,6 @@ def check_view_sync(result: RunResult, cfg=None) -> list[str]:
 
 def check_delay_soundness(result: RunResult, cfg=None) -> list[str]:
     return list(result.trace.delays)
-
-
-def check_fault_budget(result: RunResult, cfg=None) -> list[str]:
-    scenario = result.scenario
-    if len(scenario.strategies) > scenario.params.f:
-        return ["fault-budget: more byzantine nodes than f"]
-    return []
 
 
 # -- BBCA, per broadcast instance ------------------------------------------
@@ -392,8 +386,9 @@ def check_censorship(result: RunResult, cfg) -> list[str]:
     return problems
 
 
-# Checks that apply to any run; scenario-scoped ones are added by the
-# harness when the config carries their parameters.
+# Checks that apply to any run.  A config names these in ``invariants``;
+# it selects a scenario-scoped one only by the ``expect`` entry that
+# carries its parameter.
 UNCONDITIONAL = {
     "agreement": check_agreement,
     "prefix_consistency": check_prefix_consistency,
@@ -401,7 +396,6 @@ UNCONDITIONAL = {
     "authorship": check_authorship,
     "view_sync": check_view_sync,
     "delay_soundness": check_delay_soundness,
-    "fault_budget": check_fault_budget,
     "bbca_consistency": check_bbca_consistency,
     "complete_adopt": check_bbca_complete_adopt,
     "echo_once": check_echo_once,

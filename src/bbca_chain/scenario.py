@@ -7,7 +7,8 @@ offending field path.  ``f`` is always derived from ``n``, never supplied.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple
 
 from .identity import ConfigError
@@ -17,9 +18,9 @@ from .simnet import PreGstPolicy, Scenario, Strategy
 
 class ExploreSpec(NamedTuple):
     case: str
-    max_leaves: int = 200_000
-    check_validity: bool = False
-    timeout_node: int | None = None  # chain_two_views only
+    max_leaves: int
+    check_validity: bool
+    timeout_node: int | None  # chain_two_views only
 
 
 @dataclass
@@ -29,15 +30,11 @@ class HarnessConfig:
 
     name: str
     scenario: Scenario
-    invariants: list[str]
-    expect_noop_views: list[int] = field(default_factory=list)
-    expect_trips: dict | None = None
-    censorship_cutoff: int | None = None
-    explore: ExploreSpec | None = None
-
-    def selected_checks(self):
-        seen = dict.fromkeys(self.invariants)
-        return [(name, ALL_CHECKS[name]) for name in seen]
+    invariants: list[str]  # each name once, in report order
+    expect_noop_views: list[int]
+    expect_trips: dict | None
+    censorship_cutoff: int | None
+    explore: ExploreSpec | None
 
 
 class _Fields:
@@ -55,18 +52,38 @@ class _Fields:
                 raise ConfigError(f"{self.path}.{key}: required field missing")
             return default
         value = self.raw.pop(key)
-        if kind is int and isinstance(value, bool):
-            raise ConfigError(f"{self.path}.{key}: expected an integer")
-        if not isinstance(value, kind):
-            raise ConfigError(
-                f"{self.path}.{key}: expected {kind.__name__}, "
-                f"got {type(value).__name__}")
+        # A bool is an int to isinstance, and is never a count.
+        if not isinstance(value, kind) or (isinstance(value, bool)
+                                           and kind is not bool):
+            kinds = kind if isinstance(kind, tuple) else (kind,)
+            raise ConfigError(f"{self.path}.{key}: expected "
+                              f"{' or '.join(k.__name__ for k in kinds)}, "
+                              f"got {type(value).__name__}")
         return value
+
+    def present(self, kinds: dict) -> dict:
+        """The keys of ``kinds`` this level sets, each taken as its kind:
+        a record's own defaults fill the rest."""
+        return {key: self.take(key, kind) for key, kind in kinds.items()
+                if key in self.raw}
 
     def finish(self):
         if self.raw:
             stray = sorted(self.raw)[0]
             raise ConfigError(f"{self.path}.{stray}: unknown field")
+
+
+def _parse_delay_record(kind, raw: dict, path: str, key: str):
+    """A ``Strategy`` or ``PreGstPolicy``: its name under ``key``, and the
+    ``max_delay`` it validates when the config sets one."""
+    fields = _Fields(raw, path)
+    name = fields.take(key, str, required=True)
+    max_delay = fields.present({"max_delay": int})
+    fields.finish()
+    try:
+        return kind(name, **max_delay)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _parse_adversary(raw: dict, path: str) -> dict[int, Strategy]:
@@ -76,41 +93,53 @@ def _parse_adversary(raw: dict, path: str) -> dict[int, Strategy]:
         node = int(key) if str(key).isdecimal() else None
         if key != str(node):
             raise ConfigError(f"{path}.{key}: node ids are canonical integers")
-        entry = _Fields(value, f"{path}.{key}")
-        name = entry.take("strategy", str, required=True)
-        max_delay = entry.take("max_delay", int, default=0)
-        entry.finish()
-        try:
-            strategies[node] = Strategy(name, max_delay)
-        except ConfigError as exc:
-            raise ConfigError(f"{path}.{key}: {exc}") from None
+        strategies[node] = _parse_delay_record(
+            Strategy, value, f"{path}.{key}", "strategy")
     return strategies
+
+
+def _check_views(views: list, path: str) -> list:
+    for index, view in enumerate(views):
+        if isinstance(view, bool) or not isinstance(view, int) or view < 1:
+            raise ConfigError(f"{path}[{index}]: expected a view number of "
+                              f"at least 1, got {view!r}")
+    return views
+
+
+def _parse_trips(raw: dict, path: str) -> dict:
+    """``expect.trips``: the views whose backbones are timed, and the trips
+    expected of a backbone and of a data block, each an integer or a
+    string that ``Fraction`` parses."""
+    fields = _Fields(raw, path)
+    trips = fields.present({"views": list, "backbone": (int, str),
+                            "data": (int, str)})
+    fields.finish()
+    views = _check_views(trips.get("views", []), f"{path}.views")
+    if views and "backbone" not in trips:
+        raise ConfigError(f"{path}.backbone: required when views is not empty")
+    for key in ("backbone", "data"):
+        try:
+            Fraction(trips.get(key, 0))
+        except (ValueError, ZeroDivisionError):
+            raise ConfigError(
+                f"{path}.{key}: {trips[key]!r} is not a number") from None
+    return trips
 
 
 def parse_config(raw: dict, path: str = "config") -> HarnessConfig:
     fields = _Fields(raw, path)
     name = fields.take("name", str, default="scenario")
     n = fields.take("n", int, required=True)
-    seed = fields.take("seed", int, default=0)
-    gst = fields.take("gst", int, default=0)
-    delta_post = fields.take("delta_post", int, default=10)
-    delay_mode = fields.take("delay", str, default="uniform")
-    t_max = fields.take("t_max", int, default=None)
-    horizon = fields.take("horizon", int, default=8)
-    stop_after = fields.take("stop_after_committed", int, default=None)
-    max_ticks = fields.take("max_ticks", int, default=1_000_000)
+    settings = fields.present({
+        "seed": int, "gst": int, "delta_post": int, "delay": str,
+        "t_max": int, "horizon": int, "stop_after_committed": int,
+        "max_ticks": int})
+    if "delay" in settings:
+        settings["delay_mode"] = settings.pop("delay")
 
     pre_raw = fields.take("pre_gst", dict, default=None)
-    pre = None
-    if pre_raw is not None:
-        sub = _Fields(pre_raw, f"{path}.pre_gst")
-        policy = sub.take("policy", str, required=True)
-        max_delay = sub.take("max_delay", int, default=0)
-        sub.finish()
-        try:
-            pre = PreGstPolicy(policy, max_delay)
-        except ConfigError as exc:
-            raise ConfigError(f"{path}.pre_gst: {exc}") from None
+    pre = None if pre_raw is None else _parse_delay_record(
+        PreGstPolicy, pre_raw, f"{path}.pre_gst", "policy")
 
     adversary_raw = fields.take("adversary", dict, default={})
     strategies = _parse_adversary(adversary_raw, f"{path}.adversary")
@@ -130,50 +159,46 @@ def parse_config(raw: dict, path: str = "config") -> HarnessConfig:
     fields.finish()
 
     try:
-        scenario = Scenario(
-            n=n, seed=seed, gst=gst, delta_post=delta_post,
-            delay_mode=delay_mode, pre_gst=pre, t_max=t_max, horizon=horizon,
-            stop_after_committed=stop_after, max_ticks=max_ticks,
-            strategies=strategies, injections=tuple(injections))
+        scenario = Scenario(n=n, pre_gst=pre, strategies=strategies,
+                            injections=tuple(injections), **settings)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
     expect = _Fields(expect_raw, f"{path}.expect")
-    noop_views = expect.take("noop_views", list, default=[])
+    noop_views = _check_views(expect.take("noop_views", list, default=[]),
+                              f"{path}.expect.noop_views")
     trips = expect.take("trips", dict, default=None)
+    if trips is not None:
+        trips = _parse_trips(trips, f"{path}.expect.trips")
     liveness = expect.take("liveness", bool, default=False)
     growth = expect.take("growth", bool, default=False)
     cutoff = expect.take("censorship_cutoff", int, default=None)
     log_identical = expect.take("log_identical", bool, default=False)
     expect.finish()
-    if trips is not None:
-        allowed = {"views", "backbone", "data"}
-        if set(trips) - allowed:
-            stray = sorted(set(trips) - allowed)[0]
-            raise ConfigError(f"{path}.expect.trips.{stray}: unknown field")
+    # Each scenario-scoped check: the expect key that selects it, and
+    # whether this config sets it.
+    scoped = {"noop_views": ("noop_views", bool(noop_views)),
+              "trips": ("trips", trips is not None),
+              "liveness": ("liveness", liveness),
+              "growth": ("growth", growth),
+              "censorship": ("censorship_cutoff", cutoff is not None),
+              "log_identical": ("log_identical", log_identical)}
 
     if invariants_raw == "all":
         invariants = list(UNCONDITIONAL)
     elif isinstance(invariants_raw, str):
         raise ConfigError(f"{path}.invariants: a string must be \"all\"")
     else:
-        invariants = list(invariants_raw)
-        for index, inv in enumerate(invariants):
+        for index, inv in enumerate(invariants_raw):
+            where = f"{path}.invariants[{index}]"
             if not isinstance(inv, str) or inv not in ALL_CHECKS:
+                raise ConfigError(f"{where}: unknown check {inv!r}")
+            if inv in scoped:
                 raise ConfigError(
-                    f"{path}.invariants[{index}]: unknown check {inv!r}")
-    if noop_views:
-        invariants.append("noop_views")
-    if trips is not None:
-        invariants.append("trips")
-    if liveness:
-        invariants.append("liveness")
-    if growth:
-        invariants.append("growth")
-    if cutoff is not None:
-        invariants.append("censorship")
-    if log_identical:
-        invariants.append("log_identical")
+                    f"{where}: {inv!r} is selected only by "
+                    f"{path}.expect.{scoped[inv][0]}")
+        invariants = list(dict.fromkeys(invariants_raw))
+    invariants += [check for check, (_key, on) in scoped.items() if on]
 
     explore = None
     if explore_raw is not None:

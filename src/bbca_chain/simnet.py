@@ -44,7 +44,7 @@ from .chain import (
 )
 from .encoding import EncodingError
 from .identity import ConfigError, NodeId, SystemParams, params_for
-from .trace import _DIGEST_CHUNK_LINES, Trace
+from .trace import DIGEST_CHUNK_LINES, Trace
 
 # A kind constant like ``bbca.INIT``: +1.8% campaign_byz runs/s (seed 5).
 _DATA = BlockKind.DATA
@@ -455,7 +455,7 @@ class Simulator(Driver):
                                  str(violation))
                     stop = "violation"
                     break
-                if len(trace.records) >= _DIGEST_CHUNK_LINES:
+                if len(trace.records) >= DIGEST_CHUNK_LINES:
                     trace.flush()
                 if self._target_reached(node_id):
                     stop = "target"

@@ -35,7 +35,7 @@ from .identity import NodeId
 
 # The simulator hashes the waiting trace records once this many have
 # gathered, so ``Trace.records`` never holds much more than one chunk.
-_DIGEST_CHUNK_LINES = 128
+DIGEST_CHUNK_LINES = 128
 
 TICK = Struct("=i")  # one packed tick or view
 NOT_YET = -1  # the tick of something that has not happened

@@ -8,7 +8,9 @@ import pytest
 
 from bbca_chain import cli, explore, harness
 from bbca_chain.identity import ConfigError
+from bbca_chain.invariants import UNCONDITIONAL
 from bbca_chain.scenario import load_config, parse_config
+from bbca_chain.simnet import Scenario
 
 
 BASE = {
@@ -36,6 +38,18 @@ def test_parse_minimal_config():
     config = parse_config({"n": 4})
     assert config.scenario.n == 4
     assert "agreement" in config.invariants
+
+
+def test_unset_fields_take_the_scenario_defaults():
+    assert parse_config({"n": 4}).scenario == Scenario(n=4)
+
+
+def test_all_selects_each_unconditional_check_once():
+    assert parse_config({"n": 4}).invariants == list(UNCONDITIONAL)
+    assert len(UNCONDITIONAL) == 9
+    config = parse_config({"n": 4, "invariants": [
+        "echo_once", "agreement", "echo_once"]})
+    assert config.invariants == ["echo_once", "agreement"]
 
 
 def test_unknown_field_has_path():
@@ -132,6 +146,14 @@ def test_run_config_happy_path(tmp_path):
     assert "verdict: PASS" in report
     assert "PASS trips" in report
     assert "backbone v1" in report and "expected" in report
+
+
+def test_trip_counts_may_be_fraction_strings():
+    config = parse_config({**BASE, "payloads": [{"node": 0, "tick": 20}],
+                           "expect": {"trips": {"views": [1, 2],
+                                                "backbone": "6/2",
+                                                "data": "4"}}})
+    assert harness.run_config(config).verdicts["trips"] == []
 
 
 def test_failed_expectation_produces_witness(tmp_path):
@@ -319,9 +341,48 @@ def test_cli_exit_two_on_bad_timing(tmp_path, capsys, overrides):
     ({"adversary": {1: {"strategy": "silent"}, "1": {"strategy": "replay"}}},
      "repeated key '1'"),
     ({"audit_probe": True}, "config.audit_probe: unknown field"),
+    ({"invariants": 5}, "config.invariants: expected str or list, got int"),
+    ({"invariants": ["noop_views"]},
+     "config.invariants[0]: 'noop_views' is selected only by "
+     "config.expect.noop_views"),
+    ({"invariants": ["agreement", "trips"]},
+     "config.invariants[1]: 'trips' is selected only by config.expect.trips"),
+    ({"invariants": ["liveness"]},
+     "config.invariants[0]: 'liveness' is selected only by "
+     "config.expect.liveness"),
+    ({"invariants": ["growth"]},
+     "config.invariants[0]: 'growth' is selected only by "
+     "config.expect.growth"),
+    ({"invariants": ["censorship"], "payloads": [{"node": 0, "tick": 5}]},
+     "config.invariants[0]: 'censorship' is selected only by "
+     "config.expect.censorship_cutoff"),
+    ({"invariants": ["log_identical"]},
+     "config.invariants[0]: 'log_identical' is selected only by "
+     "config.expect.log_identical"),
+    ({"expect": {"trips": {"views": [1]}}},
+     "config.expect.trips.backbone: required when views is not empty"),
+    ({"expect": {"trips": {"views": [1], "backbone": "x"}}},
+     "config.expect.trips.backbone: 'x' is not a number"),
+    ({"expect": {"trips": {"views": [1], "backbone": [3]}}},
+     "config.expect.trips.backbone: expected int or str, got list"),
+    ({"expect": {"trips": {"views": [1], "backbone": 3, "data": "1/0"}}},
+     "config.expect.trips.data: '1/0' is not a number"),
+    ({"expect": {"trips": {"views": "12", "backbone": 3}}},
+     "config.expect.trips.views: expected list, got str"),
+    ({"expect": {"noop_views": [True]}},
+     "config.expect.noop_views[0]: expected a view number of at least 1, "
+     "got True"),
+    ({"expect": {"noop_views": [0]}},
+     "config.expect.noop_views[0]: expected a view number of at least 1, "
+     "got 0"),
 ], ids=["noncanonical_adversary_key", "padded_adversary_key",
         "invariants_string_not_all", "invariants_nested_list",
-        "repeated_adversary_key", "audit_probe_key"])
+        "repeated_adversary_key", "audit_probe_key", "invariants_int",
+        "scoped_noop_views", "scoped_trips", "scoped_liveness",
+        "scoped_growth", "scoped_censorship", "scoped_log_identical",
+        "trips_without_backbone", "trips_backbone_not_a_number",
+        "trips_backbone_list", "trips_data_zero_denominator",
+        "trips_views_string", "noop_views_bool", "noop_views_zero"])
 def test_cli_exit_two_on_malformed_field(tmp_path, capsys, overrides, field):
     path = write_config(tmp_path, overrides=overrides)
     _assert_config_error(["run", "--config", path], capsys, field)
@@ -337,6 +398,29 @@ def test_cli_campaign(tmp_path, capsys):
     assert "runs: 5" in capsys.readouterr().out
 
 
+def test_campaign_report_lists_the_first_ten_failures(tmp_path, capsys):
+    # Fault-free, view 1 commits a block: every seed fails noop_views.
+    path = write_config(tmp_path, overrides={
+        "stop_after_committed": 2, "expect": {"noop_views": [1]}})
+    assert cli.main(["campaign", "--config", path, "--count", "12"]) == 1
+    out = capsys.readouterr().out
+    assert "runs: 12" in out and "verdict: FAIL" in out
+    failures = out.split("failures:\n")[1].splitlines()
+    assert len(failures) == 11
+    for seed, line in zip(range(7, 17), failures):
+        assert line.startswith(f"  seed={seed} noop: node 0 finalized view 1 "
+                               "as Block(BACKBONE v=1 a=1 ")
+    assert failures[-1] == (
+        "  (rerun any failing seed with `run` for the full trace)")
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_cli_campaign_rejects_count_below_one(tmp_path, capsys, count):
+    path = write_config(tmp_path, overrides={"stop_after_committed": 2})
+    _assert_config_error(["campaign", "--config", path, "--count", count],
+                         capsys, "--count")
+
+
 @pytest.mark.parametrize("jobs", ["0", "-2"],
                          ids=["zero_jobs", "negative_jobs"])
 def test_cli_campaign_rejects_jobs_below_one(tmp_path, capsys, jobs):
@@ -350,6 +434,24 @@ def test_cli_explore(tmp_path, capsys):
         "explore": {"case": "bbca_correct_sender", "check_validity": True}})
     assert cli.main(["explore", "--config", path, "--depth", "2"]) == 0
     assert "verdict: PASS" in capsys.readouterr().out
+
+
+def test_explore_report_shows_each_violation_and_a_cut_schedule():
+    # Probes at nodes 0 and 1 leave the one depth-0 schedule, 30 steps
+    # long, with a correct node that never completed.
+    result = explore.explore(explore.bbca_correct_sender(probes=(0, 1)), 0,
+                             check_validity=True)
+    (problem, witness), = result.violations
+    assert len(witness) == 30
+    config = parse_config({"n": 4, "name": "probes", "explore": {
+        "case": "bbca_correct_sender", "check_validity": True}})
+    assert harness.render_explore_report(config, 0, result).splitlines() == [
+        "explore: probes case=bbca_correct_sender depth=0",
+        "leaves: 1",
+        "verdict: FAIL",
+        f"  {problem}",
+        f"    schedule: {' '.join(witness[:24])} ...",
+    ]
 
 
 def test_cli_explore_needs_section(tmp_path):

@@ -38,7 +38,7 @@ from bbca_chain.simnet import (
     randints,
     run,
 )
-from bbca_chain.trace import _DIGEST_CHUNK_LINES, BbcaSends, Trace, _describe
+from bbca_chain.trace import DIGEST_CHUNK_LINES, BbcaSends, Trace, _describe
 
 from test_golden_digests import SHAPES
 
@@ -672,14 +672,14 @@ def _hand_built_trace(line_count):
             trace.record("deliver", index, 1, 0, msg)
         else:
             trace.record("timer", index, 2, index)
-        if len(trace.records) >= _DIGEST_CHUNK_LINES:
+        if len(trace.records) >= DIGEST_CHUNK_LINES:
             trace.flush()
     return trace
 
 
 @pytest.mark.parametrize("line_count", [
-    1, _DIGEST_CHUNK_LINES - 1, _DIGEST_CHUNK_LINES, _DIGEST_CHUNK_LINES + 1,
-    4 * _DIGEST_CHUNK_LINES],
+    1, DIGEST_CHUNK_LINES - 1, DIGEST_CHUNK_LINES, DIGEST_CHUNK_LINES + 1,
+    4 * DIGEST_CHUNK_LINES],
     ids=["no_records", "chunk_minus_one", "chunk", "chunk_plus_one",
          "more_messages_than_the_memo_holds"])
 def test_streamed_digest_equals_digest_of_joined_lines(line_count):
@@ -721,8 +721,8 @@ def test_a_run_holds_at_most_one_chunk_plus_one_event_of_records(
     result = run_kept(Scenario(n=4, seed=1, delta_post=5,
                                delay_mode="random", horizon=100))
     trace = result.trace
-    assert all(after < _DIGEST_CHUNK_LINES + added for after, added in held)
-    assert len(trace.kept) > 50 * _DIGEST_CHUNK_LINES  # flushed many times
+    assert all(after < DIGEST_CHUNK_LINES + added for after, added in held)
+    assert len(trace.kept) > 50 * DIGEST_CHUNK_LINES  # flushed many times
     assert trace.digest() == _joined_digest(trace)
 
 
