@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+import mutants
 from bbca_chain import explore as ex
 from bbca_chain.chain import NO_OP
 from bbca_chain.identity import ConfigError, params_for
@@ -68,6 +69,48 @@ def test_leaf_cap_marks_partial():
     result = ex.explore(ex.bbca_correct_sender(), depth=4, max_leaves=50)
     assert result.partial
     assert result.leaves == 50
+
+
+def test_leaf_cap_equal_to_the_tree_is_not_partial():
+    # ``bbca_correct_sender`` at depth 4 has 6,072 leaves: a cap that
+    # reaches the last of them ends nothing early; one fewer does.
+    result = ex.explore(ex.bbca_correct_sender(), depth=4, max_leaves=6072)
+    assert (result.leaves, result.partial) == (6072, False)
+    result = ex.explore(ex.bbca_correct_sender(), depth=4, max_leaves=6071)
+    assert (result.leaves, result.partial) == (6071, True)
+
+
+def _visiting_order(result):
+    """A digest of every violation and its witness, in the order found."""
+    return hashlib.sha256("\n".join(
+        f"{problem}|{' '.join(witness)}"
+        for problem, witness in result.violations).encode()).hexdigest()
+
+
+# mutant, case, depth, leaf cap -> leaves, violations, partial, order digest.
+# A mutant makes leaves report, so the witnesses pin the order in which the
+# DFS visits them, branch 0 first.
+VISITING_ORDER = [
+    (("ready_despite_abort", ex.bbca_replay_with_probes, 3, 200_000),
+     (1208, 1208, False, "ca71cdc1e30c6b687e3ebc0dcad8d3d4"
+                         "f8875f1cdcf7ed5f4011924ed58faec3")),
+    (("ready_despite_abort", ex.bbca_replay_with_probes, 3, 300),
+     (300, 300, True, "fca280124c3c5b2f7e8b7761f48ad877"
+                      "7ffe1c79dad03fe827381b570d9889ba")),
+    (("reversed_commit_batches", ex.chain_two_views, 2, 200_000),
+     (88, 704, False, "b521ab467b75efd4f9c90a2171e9f889"
+                      "1e3fe7bffee64d230b52f3cb42a9b983")),
+]
+
+
+@pytest.mark.parametrize("run, expected", VISITING_ORDER,
+                         ids=["bbca", "bbca-capped", "chain"])
+def test_visiting_order_is_pinned(monkeypatch, run, expected):
+    name, builder, depth, max_leaves = run
+    mutants.apply(monkeypatch, name)
+    result = ex.explore(builder(), depth, max_leaves=max_leaves)
+    assert (result.leaves, len(result.violations), result.partial,
+            _visiting_order(result)) == expected
 
 
 def test_chain_two_views_prefix_safe():
