@@ -121,6 +121,15 @@ class Scenario:
             raise ConfigError("delta_post must be at least one tick")
         if self.t_max is not None and self.t_max < 1:
             raise ConfigError("t_max must be at least one tick")
+        # Without these the run starts no view or stops at once, and every
+        # check passes having checked nothing.
+        if self.horizon < 1:
+            raise ConfigError("horizon must be at least view 1")
+        if self.stop_after_committed is not None and \
+                self.stop_after_committed < 1:
+            raise ConfigError("stop_after_committed must be at least view 1")
+        if self.max_ticks < 1:
+            raise ConfigError("max_ticks must be at least one tick")
         if self.pre_gst is not None and self.gst <= 0:
             raise ConfigError("pre_gst applies only when gst > 0")
         for index, (tick, node) in enumerate(self.injections):

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import random
 import re
+import weakref
 from collections import Counter
 
 import pytest
@@ -111,6 +112,26 @@ def test_visiting_order_is_pinned(monkeypatch, run, expected):
     result = ex.explore(builder(), depth, max_leaves=max_leaves)
     assert (result.leaves, len(result.violations), result.partial,
             _visiting_order(result)) == expected
+
+
+@pytest.mark.parametrize("builder, depth", [(ex.bbca_correct_sender, 4),
+                                            (ex.chain_two_views, 3)])
+def test_clones_alive_at_once_stay_within_depth_plus_one(monkeypatch,
+                                                         builder, depth):
+    # A branch is cloned only when its turn comes, so the DFS holds at most
+    # one clone per level on top of the one running.
+    alive, most = weakref.WeakSet(), 0
+    for cls in (ex.BbcaWorld, ex.ChainWorld):
+        def tracked(world, clone=cls.clone):
+            nonlocal most
+            twin = clone(world)
+            alive.add(twin)
+            most = max(most, len(alive))
+            return twin
+        monkeypatch.setattr(cls, "clone", tracked)
+    result = ex.explore(builder(), depth)
+    assert result.leaves > 1 and result.ok
+    assert 0 < most <= depth + 1
 
 
 def test_chain_two_views_prefix_safe():

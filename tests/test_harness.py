@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -89,6 +90,23 @@ def test_unknown_strategy_rejected():
 def test_unused_max_delay_rejected_with_path(raw, field):
     with pytest.raises(ConfigError, match=field):
         parse_config({"n": 4, **raw})
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("horizon", 0, "horizon must be at least view 1"),
+    ("horizon", -3, "horizon must be at least view 1"),
+    ("max_ticks", 0, "max_ticks must be at least one tick"),
+    ("stop_after_committed", 0, "stop_after_committed must be at least view 1"),
+    ("stop_after_committed", -1,
+     "stop_after_committed must be at least view 1"),
+])
+def test_a_run_that_checks_nothing_is_rejected(key, value, message):
+    # Each of these ran 0 or 1 events, and every check passed.
+    with pytest.raises(ConfigError, match=f"^config: {message}$"):
+        parse_config({"n": 4, "invariants": "all", key: value})
+    scenario = parse_config({"n": 4}).scenario
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        dataclasses.replace(scenario, **{key: value})
 
 
 def test_unknown_invariant_rejected():

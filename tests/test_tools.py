@@ -6,6 +6,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+from bbca_chain import explore as ex
 from bbca_chain.bbca import InstanceId
 from bbca_chain.simnet import Scenario, Simulator, run
 from conftest import filled_module_caches
@@ -191,6 +192,27 @@ def test_peak_memory_derives_the_inputs_outside_the_measuring_process(
     assert filled_module_caches() == {}
     assert inputs["raw"]["name"] == "sim_long" and inputs["raw"]["payloads"]
     assert len(inputs["reference_digest"]) == 64
+
+
+def test_peak_memory_reports_each_explore_case(monkeypatch, capsys):
+    peak_memory = _load_tool("peak_memory", monkeypatch)
+    case = {"case": "bbca_correct_sender", "depth": 2, "kwargs": {},
+            "check_validity": True}
+    (name, leaves, peak, clones, most), = peak_memory.explore_rows([case])
+    # Each branch point of L branches clones L - 1 worlds, and the DFS
+    # holds at most one per level on top of the one running.
+    assert (name, leaves, clones) == ("bbca_correct_sender", 68, 67)
+    assert 0 < most <= case["depth"] + 1
+    assert peak > 0
+    # The clone count leaves the worlds' own ``clone`` in place.
+    assert ex.BbcaWorld.clone.__module__ == "bbca_chain.explore"
+    monkeypatch.setattr(peak_memory.workloads, "make_inputs",
+                        lambda workload, seed: {"cases": [case]})
+    assert peak_memory.main(["--workload", "explore_mixed", "--seed", "3"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "workload explore_mixed seed 3"
+    assert out[2].split()[:3] == ["bbca_correct_sender", "2", "68"]
+    assert out[2].split()[-2:] == ["67", str(most)]
 
 
 def test_perfbench_tracer_targets_resolve_against_the_package():

@@ -1,6 +1,7 @@
-"""Report the traced memory of each phase of one sim_long repetition.
+"""Report the traced memory of one sim_long repetition or explore_mixed case.
 
     python3 tools/peak_memory.py --seed 3
+    python3 tools/peak_memory.py --workload explore_mixed --seed 3
 
 Builds the workload as a ``perfbench`` worker does: a child interpreter
 derives the inputs from the seed, so that what the derivation allocates
@@ -24,6 +25,12 @@ runs), the ``finalized`` digests with the ``awaiting`` table, the
 committed logs and the run's memo of pure results, and prints the memory
 each release freed.  An object held by two structures is counted with the
 later one, so the order is part of the figures.
+
+With ``--workload explore_mixed`` it runs each case of the seed's
+explorations in turn and prints its leaves, the most traced memory
+``explore`` held at once (``tracemalloc`` starts after the case's world is
+built), and, from a second run of the same case outside ``tracemalloc``, the
+number of world clones and the most of them alive at once.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ import json
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -132,10 +140,78 @@ def retained(to_release) -> list[tuple[str, int]]:
     return rows
 
 
+def explore_rows(cases: list[dict]) -> list[tuple[str, int, int, int, int]]:
+    """(case, leaves, traced peak bytes, clones, most clones alive at once)
+    for each explore_mixed case."""
+    from bbca_chain import explore
+
+    def build(case):
+        return explore.CASES[case["case"]](**case["kwargs"])
+
+    def run(case, world):
+        return explore.explore(world, case["depth"],
+                               workloads.EXPLORE_LEAF_CAP,
+                               check_validity=case["check_validity"])
+
+    alive = weakref.WeakSet()
+    counts = {"clones": 0, "most": 0}
+
+    def tracked(clone):
+        def counted(world):
+            twin = clone(world)
+            alive.add(twin)
+            counts["clones"] += 1
+            counts["most"] = max(counts["most"], len(alive))
+            return twin
+        return counted
+
+    rows = []
+    for case in cases:
+        world = build(case)
+        tracemalloc.start()
+        try:
+            leaves = run(case, world).leaves
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        del world
+        # The clone count runs apart, so its set is not in the peak.
+        counts.update(clones=0, most=0)
+        clones = {cls: cls.clone
+                  for cls in (explore.BbcaWorld, explore.ChainWorld)}
+        try:
+            for cls, clone in clones.items():
+                cls.clone = tracked(clone)
+            run(case, build(case))
+        finally:
+            for cls, clone in clones.items():
+                cls.clone = clone
+        rows.append((case["case"], leaves, peak, counts["clones"],
+                     counts["most"]))
+    return rows
+
+
+def report_explore(seed: int) -> int:
+    workloads.import_program(ROOT)
+    cases = workloads.make_inputs("explore_mixed", seed)["cases"]
+    print(f"workload explore_mixed seed {seed}")
+    print(f"{'case':<26}{'depth':>6}{'leaves':>8}{'peak MiB':>10}"
+          f"{'clones':>9}{'most alive':>12}")
+    for case, (name, leaves, peak, clones, most) in zip(
+            cases, explore_rows(cases)):
+        print(f"{name:<26}{case['depth']:>6}{leaves:>8}{peak / MIB:>10.3f}"
+              f"{clones:>9}{most:>12}")
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--workload", choices=("sim_long", "explore_mixed"),
+                        default="sim_long")
     args = parser.parse_args(argv)
+    if args.workload == "explore_mixed":
+        return report_explore(args.seed)
 
     inputs = derive_inputs(args.seed)
     workloads.import_program(ROOT)
